@@ -1,4 +1,5 @@
 use crate::{DspError, Wavelet};
+use hybridcs_linalg::simd::{serial_lanes, vector_lanes};
 
 /// Describes how [`Dwt`] lays out coefficients in its output vector.
 ///
@@ -216,6 +217,13 @@ impl Dwt {
             scratch.len() >= Self::scratch_len(n),
             "forward_into: scratch too short"
         );
+        self.analyze_levels(x, out, scratch);
+        Ok(())
+    }
+
+    /// The level loop of [`Dwt::forward_into`], for a checked length.
+    fn analyze_levels(&self, x: &[f64], out: &mut [f64], scratch: &mut [f64]) {
+        let n = x.len();
         let h = self.wavelet.lowpass();
         let g = self.wavelet.highpass();
         let (ping, pong) = scratch.split_at_mut(n / 2);
@@ -249,7 +257,6 @@ impl Dwt {
             &pong[..cur]
         };
         out[..cur].copy_from_slice(final_approx);
-        Ok(())
     }
 
     /// Synthesis transform `Ψ c` (coefficients → signal). Exact inverse (and
@@ -295,12 +302,19 @@ impl Dwt {
             scratch.len() >= Self::scratch_len(n),
             "inverse_into: scratch too short"
         );
+        self.synthesize_levels(coeffs, out, scratch);
+        Ok(())
+    }
+
+    /// The level loop of [`Dwt::inverse_into`], for a checked length.
+    fn synthesize_levels(&self, coeffs: &[f64], out: &mut [f64], scratch: &mut [f64]) {
+        let n = coeffs.len();
         let h = self.wavelet.lowpass();
         let g = self.wavelet.highpass();
         let coarse = n >> self.levels;
         if self.levels == 1 {
             synthesize_level(&coeffs[..coarse], &coeffs[coarse..], h, g, out);
-            return Ok(());
+            return;
         }
         let (ping, pong) = scratch.split_at_mut(n / 2);
         // Coarsest level reads the approximation band from `coeffs`.
@@ -335,23 +349,32 @@ impl Dwt {
             &pong[..cur]
         };
         synthesize_level(src, detail, h, g, out);
-        Ok(())
     }
 
     /// Scratch length required by [`Dwt::forward_panel_into`] and
-    /// [`Dwt::inverse_panel_into`] for `k` lanes of length `len`.
+    /// [`Dwt::inverse_panel_into`] for `k` lanes of length `len`: the
+    /// `k`-lane ping-pong bands of the panel levels, reused afterwards by
+    /// the lanes outside a 4-wide vector, which need one gathered lane,
+    /// its output and [`Dwt::scratch_len`] (just the latter at `k = 1`,
+    /// where the panel is the lane).
     #[must_use]
     pub fn panel_scratch_len(len: usize, k: usize) -> usize {
-        len * k
+        if k == 1 {
+            Self::scratch_len(len)
+        } else {
+            len * k.max(3)
+        }
     }
 
     /// Batched analysis transform over a column-major panel: lane `l` of
     /// `x_panel` (elements `x_panel[i*k + l]`) is transformed exactly as
     /// [`Dwt::forward_into`] would transform it, writing lane `l` of
-    /// `out_panel`. Per lane the filter arithmetic runs in the identical
-    /// tap order, so every lane is bit-identical to the serial transform;
-    /// the SIMD tier (when [`simd_enabled`](hybridcs_linalg::simd::simd_enabled))
-    /// vectorizes across lanes only.
+    /// `out_panel`. The first `4⌊k/4⌋` lanes run lane-parallel kernels in
+    /// the identical per-lane tap order — the SIMD tier (when
+    /// [`simd_enabled`](hybridcs_linalg::simd::simd_enabled)) vectorizes
+    /// across lanes only — and every remaining lane (all of them when
+    /// `k < 4`) runs the serial transform itself, in place at `k = 1`. So
+    /// every lane is bit-identical to the serial transform.
     ///
     /// # Errors
     ///
@@ -404,6 +427,28 @@ impl Dwt {
             scratch.len() >= Self::panel_scratch_len(n, k),
             "forward_panel_into: scratch too short"
         );
+        let lanes = vector_lanes(k);
+        if lanes > 0 {
+            self.analyze_panel_levels(x_panel, k, lanes, out_panel, scratch, simd);
+        }
+        serial_lanes(x_panel, k, lanes, out_panel, scratch, |x, c, s| {
+            self.analyze_levels(x, c, s);
+        });
+        Ok(())
+    }
+
+    /// The level loop of [`Dwt::forward_panel_into`] over the first
+    /// `lanes` lanes of a stride-`k` panel.
+    fn analyze_panel_levels(
+        &self,
+        x_panel: &[f64],
+        k: usize,
+        lanes: usize,
+        out_panel: &mut [f64],
+        scratch: &mut [f64],
+        simd: bool,
+    ) {
+        let n = x_panel.len() / k;
         let h = self.wavelet.lowpass();
         let g = self.wavelet.highpass();
         let (ping, pong) = scratch.split_at_mut((n / 2) * k);
@@ -412,6 +457,7 @@ impl Dwt {
         panel_kernels::analyze(
             x_panel,
             k,
+            lanes,
             h,
             g,
             &mut ping[..cur * k],
@@ -427,6 +473,7 @@ impl Dwt {
                 panel_kernels::analyze(
                     &ping[..cur * k],
                     k,
+                    lanes,
                     h,
                     g,
                     &mut pong[..half * k],
@@ -437,6 +484,7 @@ impl Dwt {
                 panel_kernels::analyze(
                     &pong[..cur * k],
                     k,
+                    lanes,
                     h,
                     g,
                     &mut ping[..half * k],
@@ -454,12 +502,12 @@ impl Dwt {
             &pong[..cur * k]
         };
         out_panel[..cur * k].copy_from_slice(final_approx);
-        Ok(())
     }
 
     /// Batched synthesis transform over a column-major panel — the lane-wise
-    /// twin of [`Dwt::inverse_into`], bit-identical per lane. See
-    /// [`Dwt::forward_panel_into`] for the panel contract.
+    /// twin of [`Dwt::inverse_into`], bit-identical per lane, with the same
+    /// split as [`Dwt::forward_panel_into`]: lane-parallel kernels for the
+    /// first `4⌊k/4⌋` lanes, the serial transform for the rest.
     ///
     /// # Errors
     ///
@@ -512,6 +560,28 @@ impl Dwt {
             scratch.len() >= Self::panel_scratch_len(n, k),
             "inverse_panel_into: scratch too short"
         );
+        let lanes = vector_lanes(k);
+        if lanes > 0 {
+            self.synthesize_panel_levels(coeffs_panel, k, lanes, out_panel, scratch, simd);
+        }
+        serial_lanes(coeffs_panel, k, lanes, out_panel, scratch, |c, x, s| {
+            self.synthesize_levels(c, x, s);
+        });
+        Ok(())
+    }
+
+    /// The level loop of [`Dwt::inverse_panel_into`] over the first
+    /// `lanes` lanes of a stride-`k` panel.
+    fn synthesize_panel_levels(
+        &self,
+        coeffs_panel: &[f64],
+        k: usize,
+        lanes: usize,
+        out_panel: &mut [f64],
+        scratch: &mut [f64],
+        simd: bool,
+    ) {
+        let n = coeffs_panel.len() / k;
         let h = self.wavelet.lowpass();
         let g = self.wavelet.highpass();
         let coarse = n >> self.levels;
@@ -520,18 +590,20 @@ impl Dwt {
                 &coeffs_panel[..coarse * k],
                 &coeffs_panel[coarse * k..],
                 k,
+                lanes,
                 h,
                 g,
                 out_panel,
                 simd,
             );
-            return Ok(());
+            return;
         }
         let (ping, pong) = scratch.split_at_mut((n / 2) * k);
         panel_kernels::synthesize(
             &coeffs_panel[..coarse * k],
             &coeffs_panel[coarse * k..2 * coarse * k],
             k,
+            lanes,
             h,
             g,
             &mut ping[..2 * coarse * k],
@@ -549,6 +621,7 @@ impl Dwt {
                     &ping[..cur * k],
                     detail,
                     k,
+                    lanes,
                     h,
                     g,
                     &mut pong[..band_len * 2 * k],
@@ -559,6 +632,7 @@ impl Dwt {
                     &pong[..cur * k],
                     detail,
                     k,
+                    lanes,
                     h,
                     g,
                     &mut ping[..band_len * 2 * k],
@@ -575,8 +649,7 @@ impl Dwt {
         } else {
             &pong[..cur * k]
         };
-        panel_kernels::synthesize(src, detail, k, h, g, out_panel, simd);
-        Ok(())
+        panel_kernels::synthesize(src, detail, k, lanes, h, g, out_panel, simd);
     }
 
     /// Counts coefficients whose magnitude is at least `threshold` times the
@@ -674,55 +747,66 @@ fn synthesize_level(approx: &[f64], detail: &[f64], h: &[f64], g: &[f64], out: &
 }
 
 /// Lane-parallel twins of [`analyze_level`] / [`synthesize_level`] over
-/// column-major panels. Per lane the tap order is identical to the serial
-/// kernels, so every lane is bit-identical regardless of tier; the `% n`
-/// wrap of the periodized form is pure index arithmetic (same as the
-/// serial bulk/tail split) and cannot change bits.
+/// the first `lanes` lanes (a multiple of four) of column-major panels of
+/// stride `k`. Per lane the tap order is identical to the serial kernels,
+/// so every lane is bit-identical regardless of tier; the `% n` wrap of
+/// the periodized form is pure index arithmetic (same as the serial
+/// bulk/tail split) and cannot change bits.
 #[allow(unsafe_code)]
 mod panel_kernels {
+    #[allow(clippy::too_many_arguments)]
     pub fn analyze(
         x: &[f64],
         k: usize,
+        lanes: usize,
         h: &[f64],
         g: &[f64],
         approx: &mut [f64],
         detail: &mut [f64],
         simd: bool,
     ) {
+        // Every 4-wide access below stays inside the first `lanes` lanes.
+        assert!(lanes > 0 && lanes.is_multiple_of(4) && lanes <= k);
         #[cfg(target_arch = "x86_64")]
         if simd {
             // SAFETY: `simd` comes from `simd_enabled`, which requires
-            // runtime AVX2 support.
-            unsafe { analyze_avx(x, k, h, g, approx, detail) };
+            // runtime AVX2 support; the assert above bounds every access.
+            unsafe { analyze_avx(x, k, lanes, h, g, approx, detail) };
             return;
         }
         let _ = simd;
-        analyze_scalar(x, k, h, g, approx, detail);
+        analyze_scalar(x, k, lanes, h, g, approx, detail);
     }
 
+    #[allow(clippy::too_many_arguments)]
     pub fn synthesize(
         approx: &[f64],
         detail: &[f64],
         k: usize,
+        lanes: usize,
         h: &[f64],
         g: &[f64],
         out: &mut [f64],
         simd: bool,
     ) {
+        // Every 4-wide access below stays inside the first `lanes` lanes.
+        assert!(lanes > 0 && lanes.is_multiple_of(4) && lanes <= k);
+        out.fill(0.0);
         #[cfg(target_arch = "x86_64")]
         if simd {
             // SAFETY: `simd` comes from `simd_enabled`, which requires
-            // runtime AVX2 support.
-            unsafe { synthesize_avx(approx, detail, k, h, g, out) };
+            // runtime AVX2 support; the assert above bounds every access.
+            unsafe { synthesize_avx(approx, detail, k, lanes, h, g, out) };
             return;
         }
         let _ = simd;
-        synthesize_scalar(approx, detail, k, h, g, out);
+        synthesize_scalar(approx, detail, k, lanes, h, g, out);
     }
 
     fn analyze_scalar(
         x: &[f64],
         k: usize,
+        lanes: usize,
         h: &[f64],
         g: &[f64],
         approx: &mut [f64],
@@ -732,7 +816,7 @@ mod panel_kernels {
         let half = n / 2;
         for row in 0..half {
             let base = 2 * row;
-            for lane in 0..k {
+            for lane in 0..lanes {
                 let mut a = 0.0;
                 let mut d = 0.0;
                 for (j, (&hj, &gj)) in h.iter().zip(g).enumerate() {
@@ -754,13 +838,13 @@ mod panel_kernels {
         approx: &[f64],
         detail: &[f64],
         k: usize,
+        lanes: usize,
         h: &[f64],
         g: &[f64],
         out: &mut [f64],
     ) {
         let n = out.len() / k;
         let half = n / 2;
-        out.fill(0.0);
         for row in 0..half {
             let base = 2 * row;
             for (j, (&hj, &gj)) in h.iter().zip(g).enumerate() {
@@ -768,7 +852,7 @@ mod panel_kernels {
                 if idx >= n {
                     idx -= n;
                 }
-                for lane in 0..k {
+                for lane in 0..lanes {
                     let a = approx[row * k + lane];
                     let d = detail[row * k + lane];
                     out[idx * k + lane] += hj * a + gj * d;
@@ -782,6 +866,7 @@ mod panel_kernels {
     unsafe fn analyze_avx(
         x: &[f64],
         k: usize,
+        lanes: usize,
         h: &[f64],
         g: &[f64],
         approx: &mut [f64],
@@ -793,11 +878,9 @@ mod panel_kernels {
         };
         let n = x.len() / k;
         let half = n / 2;
-        let chunks = k / 4;
         for row in 0..half {
             let base = 2 * row;
-            for c in 0..chunks {
-                let lane = c * 4;
+            for lane in (0..lanes).step_by(4) {
                 let mut a = _mm256_setzero_pd();
                 let mut d = _mm256_setzero_pd();
                 for (j, (&hj, &gj)) in h.iter().zip(g).enumerate() {
@@ -812,21 +895,6 @@ mod panel_kernels {
                 _mm256_storeu_pd(approx.as_mut_ptr().add(row * k + lane), a);
                 _mm256_storeu_pd(detail.as_mut_ptr().add(row * k + lane), d);
             }
-            for lane in chunks * 4..k {
-                let mut a = 0.0;
-                let mut d = 0.0;
-                for (j, (&hj, &gj)) in h.iter().zip(g).enumerate() {
-                    let mut idx = base + j;
-                    if idx >= n {
-                        idx -= n;
-                    }
-                    let xv = x[idx * k + lane];
-                    a += hj * xv;
-                    d += gj * xv;
-                }
-                approx[row * k + lane] = a;
-                detail[row * k + lane] = d;
-            }
         }
     }
 
@@ -836,6 +904,7 @@ mod panel_kernels {
         approx: &[f64],
         detail: &[f64],
         k: usize,
+        lanes: usize,
         h: &[f64],
         g: &[f64],
         out: &mut [f64],
@@ -845,8 +914,6 @@ mod panel_kernels {
         };
         let n = out.len() / k;
         let half = n / 2;
-        let chunks = k / 4;
-        out.fill(0.0);
         for row in 0..half {
             let base = 2 * row;
             for (j, (&hj, &gj)) in h.iter().zip(g).enumerate() {
@@ -856,8 +923,7 @@ mod panel_kernels {
                 }
                 let hv = _mm256_set1_pd(hj);
                 let gv = _mm256_set1_pd(gj);
-                for c in 0..chunks {
-                    let lane = c * 4;
+                for lane in (0..lanes).step_by(4) {
                     let a = _mm256_loadu_pd(approx.as_ptr().add(row * k + lane));
                     let d = _mm256_loadu_pd(detail.as_ptr().add(row * k + lane));
                     let contrib = _mm256_add_pd(_mm256_mul_pd(hv, a), _mm256_mul_pd(gv, d));
@@ -866,11 +932,6 @@ mod panel_kernels {
                         out.as_mut_ptr().add(idx * k + lane),
                         _mm256_add_pd(o, contrib),
                     );
-                }
-                for lane in chunks * 4..k {
-                    let a = approx[row * k + lane];
-                    let d = detail[row * k + lane];
-                    out[idx * k + lane] += hj * a + gj * d;
                 }
             }
         }
@@ -1082,7 +1143,9 @@ mod tests {
     fn panel_transforms_bit_identical_to_serial_per_lane() {
         // Every lane of the panel transforms must reproduce the serial
         // `_into` bits exactly, for both dispatch tiers, across lane
-        // counts that exercise full 4-lane chunks and remainder lanes.
+        // counts that exercise the 4-wide vector lanes and the lanes
+        // outside them that run the serial kernel (a lone lane, a pair,
+        // a triple, one lane past a vector).
         let tiers: &[bool] = if hybridcs_linalg::simd::simd_available() {
             &[false, true]
         } else {
@@ -1092,7 +1155,7 @@ mod tests {
             for levels in 1..=3 {
                 let dwt = Dwt::new(w, levels).unwrap();
                 let n = 64;
-                for &k in &[1usize, 3, 4, 7, 8] {
+                for &k in &[1usize, 2, 3, 4, 5, 7, 8] {
                     // Column-major panel with distinct per-lane signals.
                     let mut panel = vec![0.0; n * k];
                     let mut lanes: Vec<Vec<f64>> = Vec::new();

@@ -1,4 +1,5 @@
 use crate::{ChippingSequence, FrontEndError};
+use hybridcs_linalg::simd::{serial_lanes, vector_lanes};
 use hybridcs_linalg::Matrix;
 use hybridcs_rand::{Rng, SeedableRng};
 
@@ -301,19 +302,25 @@ impl SensingMatrix {
     /// width `k`.
     #[must_use]
     pub fn batch_scratch_len(&self, k: usize) -> usize {
-        // Forward panel table (groups·16·k), adjoint plane table (16·k),
-        // and per-lane gather buffers for the sparse fallback.
+        // Panel tables for the vector lanes (forward: groups·16 per lane,
+        // adjoint: 16 per lane), then one lane's gather/scatter buffers
+        // and, for the forward, the serial kernel's table: a panel with
+        // lanes outside a 4-wide vector covers at most `k − 1` with
+        // tables, which leaves room for the serial one.
         self.forward_scratch_len() * k + 16 * k + self.n + self.m
     }
 
     /// Batched forward application over a column-major panel: lane `l` of
     /// `x_panel` (elements `x_panel[j*k + l]`) maps to lane `l` of
     /// `out_panel` exactly as [`SensingMatrix::apply_into_scratch`] maps a
-    /// single window — the per-4-column sign table is built once *per
-    /// group for all K lanes* and shared across every row, which is where
-    /// the batch amortization comes from. Per lane the accumulation order
-    /// is identical to the serial kernel, so each lane is bit-identical
-    /// to a serial solve; the SIMD tier vectorizes across lanes only.
+    /// single window. The first `4⌊k/4⌋` lanes run the lane-parallel
+    /// kernel — the per-4-column sign table is built once *per group for
+    /// all of them* and shared across every row, which is where the batch
+    /// amortization comes from, and the SIMD tier vectorizes across lanes
+    /// only. Every remaining lane (all of them when `k < 4`) runs
+    /// [`SensingMatrix::apply_into_scratch`] itself, in place at `k = 1`.
+    /// Per lane the accumulation order is the serial kernel's either way,
+    /// so each lane is bit-identical to a serial solve.
     ///
     /// # Panics
     ///
@@ -352,28 +359,32 @@ impl SensingMatrix {
         );
         match &self.kind {
             Kind::DenseBernoulli { rows, scale, .. } => {
-                let groups = self.n / 4;
-                let (table, _) = scratch.split_at_mut(groups * 16 * k);
-                batch_kernels::forward(rows, *scale, x_panel, k, self.n, out_panel, table, simd);
-            }
-            Kind::SparseBinary { .. } => {
-                // Per-lane gather → serial apply → scatter: trivially
-                // bit-identical; the sparse kind is ablation-only.
-                let (xbuf, rest) = scratch.split_at_mut(self.n);
-                let (ybuf, _) = rest.split_at_mut(self.m);
-                for lane in 0..k {
-                    hybridcs_linalg::simd::gather_lane(x_panel, k, lane, xbuf);
-                    self.apply_into(xbuf, ybuf);
-                    hybridcs_linalg::simd::scatter_lane(ybuf, k, lane, out_panel);
+                let lanes = vector_lanes(k);
+                let (table, rest) = scratch.split_at_mut(self.forward_scratch_len() * lanes);
+                if lanes > 0 {
+                    batch_kernels::forward(
+                        rows, *scale, x_panel, k, lanes, self.n, out_panel, table, simd,
+                    );
                 }
+                serial_lanes(x_panel, k, lanes, out_panel, rest, |x, y, s| {
+                    self.apply_into_scratch(x, y, s);
+                });
+            }
+            // Per-lane serial apply: trivially bit-identical; the sparse
+            // kind is ablation-only.
+            Kind::SparseBinary { .. } => {
+                serial_lanes(x_panel, k, 0, out_panel, scratch, |x, y, _| {
+                    self.apply_into(x, y);
+                });
             }
         }
     }
 
     /// Batched adjoint application over a column-major panel — the lane-wise
     /// twin of [`SensingMatrix::apply_adjoint_into`], bit-identical per
-    /// lane. See [`SensingMatrix::apply_batch_into_scratch`] for the panel
-    /// contract.
+    /// lane, with the same split as [`SensingMatrix::apply_batch_into_scratch`]:
+    /// the lane-parallel kernel covers the first `4⌊k/4⌋` lanes and
+    /// [`SensingMatrix::apply_adjoint_into`] runs the rest.
     ///
     /// # Panics
     ///
@@ -416,19 +427,21 @@ impl SensingMatrix {
                 nibbles,
                 scale,
             } => {
-                let (table16, _) = scratch.split_at_mut(16 * k);
-                batch_kernels::adjoint(
-                    rows, nibbles, *scale, y_panel, k, self.n, out_panel, table16, simd,
-                );
+                let lanes = vector_lanes(k);
+                let (table16, rest) = scratch.split_at_mut(16 * lanes);
+                if lanes > 0 {
+                    batch_kernels::adjoint(
+                        rows, nibbles, *scale, y_panel, k, lanes, self.n, out_panel, table16, simd,
+                    );
+                }
+                serial_lanes(y_panel, k, lanes, out_panel, rest, |y, x, _| {
+                    self.apply_adjoint_into(y, x);
+                });
             }
             Kind::SparseBinary { .. } => {
-                let (xbuf, rest) = scratch.split_at_mut(self.n);
-                let (ybuf, _) = rest.split_at_mut(self.m);
-                for lane in 0..k {
-                    hybridcs_linalg::simd::gather_lane(y_panel, k, lane, ybuf);
-                    self.apply_adjoint_into(ybuf, xbuf);
-                    hybridcs_linalg::simd::scatter_lane(xbuf, k, lane, out_panel);
-                }
+                serial_lanes(y_panel, k, 0, out_panel, scratch, |y, x, _| {
+                    self.apply_adjoint_into(y, x);
+                });
             }
         }
     }
@@ -692,7 +705,9 @@ fn row_fold_table(words: &[u64], x: &[f64], table: &[f64], groups: usize) -> f64
 }
 
 /// Lane-parallel twins of the packed-sign kernels over column-major
-/// panels. Per lane the group/tail accumulation order is identical to
+/// panels of stride `k`, covering the first `lanes` lanes (a multiple of
+/// four, see [`hybridcs_linalg::simd::vector_lanes`]). Per lane the
+/// group/tail accumulation order is identical to
 /// [`SensingMatrix::apply_into_scratch`] / `apply_adjoint_into`, so every
 /// lane is bit-identical to a serial application; the sign flips are exact
 /// negations (sign-bit xor) and the group sums use the same
@@ -719,20 +734,23 @@ mod batch_kernels {
         scale: f64,
         x_panel: &[f64],
         k: usize,
+        lanes: usize,
         n: usize,
         out_panel: &mut [f64],
         table: &mut [f64],
         simd: bool,
     ) {
+        // Every 4-wide access below stays inside the first `lanes` lanes.
+        assert!(lanes > 0 && lanes.is_multiple_of(4) && lanes <= k);
         #[cfg(target_arch = "x86_64")]
         if simd {
             // SAFETY: `simd` comes from `simd_enabled`, which requires
-            // runtime AVX2 support.
-            unsafe { forward_avx(rows, scale, x_panel, k, n, out_panel, table) };
+            // runtime AVX2 support; the assert above bounds every access.
+            unsafe { forward_avx(rows, scale, x_panel, k, lanes, n, out_panel, table) };
             return;
         }
         let _ = simd;
-        forward_scalar(rows, scale, x_panel, k, n, out_panel, table);
+        forward_scalar(rows, scale, x_panel, k, lanes, n, out_panel, table);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -742,29 +760,38 @@ mod batch_kernels {
         scale: f64,
         y_panel: &[f64],
         k: usize,
+        lanes: usize,
         n: usize,
         out_panel: &mut [f64],
         table16: &mut [f64],
         simd: bool,
     ) {
+        // Every 4-wide access below stays inside the first `lanes` lanes.
+        assert!(lanes > 0 && lanes.is_multiple_of(4) && lanes <= k);
         #[cfg(target_arch = "x86_64")]
         if simd {
             // SAFETY: `simd` comes from `simd_enabled`, which requires
-            // runtime AVX2 support.
-            unsafe { adjoint_avx(rows, nibbles, scale, y_panel, k, n, out_panel, table16) };
+            // runtime AVX2 support; the assert above bounds every access.
+            unsafe {
+                adjoint_avx(
+                    rows, nibbles, scale, y_panel, k, lanes, n, out_panel, table16,
+                )
+            };
             return;
         }
         let _ = simd;
-        adjoint_scalar(rows, nibbles, scale, y_panel, k, n, out_panel, table16);
+        adjoint_scalar(
+            rows, nibbles, scale, y_panel, k, lanes, n, out_panel, table16,
+        );
     }
 
-    /// Builds the K-wide sign-sum table rows for one 4-column group:
-    /// `table[idx*k + lane] = ((±q₀ ± q₁) ± q₂) ± q₃` over the four
+    /// Builds the lane-wide sign-sum table rows for one 4-column group:
+    /// `table[idx*lanes + lane] = ((±q₀ ± q₁) ± q₂) ± q₃` over the four
     /// quad rows, matching `sign_table` per lane.
     #[inline]
-    fn fill_group_table(quad: [&[f64]; 4], k: usize, table: &mut [f64]) {
-        for idx in 0..16 {
-            let row = &mut table[idx * k..idx * k + k];
+    fn fill_group_table(quad: [&[f64]; 4], table: &mut [f64]) {
+        let lanes = quad[0].len();
+        for (idx, row) in table.chunks_exact_mut(lanes).enumerate() {
             for (lane, slot) in row.iter_mut().enumerate() {
                 let s0 = if idx & 1 == 0 {
                     quad[0][lane]
@@ -791,11 +818,13 @@ mod batch_kernels {
         }
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn forward_scalar(
         rows: &[ChippingSequence],
         scale: f64,
         x_panel: &[f64],
         k: usize,
+        lanes: usize,
         n: usize,
         out_panel: &mut [f64],
         table: &mut [f64],
@@ -805,28 +834,26 @@ mod batch_kernels {
             let base = g * 4 * k;
             fill_group_table(
                 [
-                    &x_panel[base..base + k],
-                    &x_panel[base + k..base + 2 * k],
-                    &x_panel[base + 2 * k..base + 3 * k],
-                    &x_panel[base + 3 * k..base + 4 * k],
+                    &x_panel[base..base + lanes],
+                    &x_panel[base + k..base + k + lanes],
+                    &x_panel[base + 2 * k..base + 2 * k + lanes],
+                    &x_panel[base + 3 * k..base + 3 * k + lanes],
                 ],
-                k,
-                &mut table[g * 16 * k..(g + 1) * 16 * k],
+                &mut table[g * 16 * lanes..(g + 1) * 16 * lanes],
             );
         }
         for (i, row) in rows.iter().enumerate() {
             let words = row.sign_words();
-            let out_row = &mut out_panel[i * k..(i + 1) * k];
+            let out_row = &mut out_panel[i * k..i * k + lanes];
             out_row.fill(0.0);
             for g in 0..groups {
-                let nib = group_nibble(words, g);
-                let trow = &table[(g * 16 + nib) * k..(g * 16 + nib) * k + k];
-                for (o, &t) in out_row.iter_mut().zip(trow) {
+                let at = (g * 16 + group_nibble(words, g)) * lanes;
+                for (o, &t) in out_row.iter_mut().zip(&table[at..at + lanes]) {
                     *o += t;
                 }
             }
             for j in groups * 4..n {
-                let xr = &x_panel[j * k..(j + 1) * k];
+                let xr = &x_panel[j * k..j * k + lanes];
                 if sign_bit(words, j) {
                     for (o, &v) in out_row.iter_mut().zip(xr) {
                         *o += -v;
@@ -850,6 +877,7 @@ mod batch_kernels {
         scale: f64,
         y_panel: &[f64],
         k: usize,
+        lanes: usize,
         n: usize,
         out_panel: &mut [f64],
         table16: &mut [f64],
@@ -859,8 +887,7 @@ mod batch_kernels {
             // w_r = scale · y-row — scaled before the sign tree, exactly
             // like the serial adjoint's `sign_table([scale*y, ...])`.
             let base = 4 * g * k;
-            for idx in 0..16 {
-                let row = &mut table16[idx * k..idx * k + k];
+            for (idx, row) in table16[..16 * lanes].chunks_exact_mut(lanes).enumerate() {
                 for (lane, slot) in row.iter_mut().enumerate() {
                     let w0 = scale * y_panel[base + lane];
                     let w1 = scale * y_panel[base + k + lane];
@@ -875,8 +902,8 @@ mod batch_kernels {
             }
             for j in 0..n {
                 let nib = ((plane[j / 16] >> (4 * (j % 16))) & 15) as usize;
-                let trow = &table16[nib * k..nib * k + k];
-                let or = &mut out_panel[j * k..(j + 1) * k];
+                let trow = &table16[nib * lanes..(nib + 1) * lanes];
+                let or = &mut out_panel[j * k..j * k + lanes];
                 for (o, &t) in or.iter_mut().zip(trow) {
                     *o += t;
                 }
@@ -884,12 +911,12 @@ mod batch_kernels {
         }
         for (i, row) in rows.iter().enumerate().skip(nibbles.len() * 4) {
             let words = row.sign_words();
-            let wrow = &mut table16[..k];
-            for (w, y) in wrow.iter_mut().zip(&y_panel[i * k..(i + 1) * k]) {
+            let wrow = &mut table16[..lanes];
+            for (w, y) in wrow.iter_mut().zip(&y_panel[i * k..i * k + lanes]) {
                 *w = scale * y;
             }
             for j in 0..n {
-                let or = &mut out_panel[j * k..(j + 1) * k];
+                let or = &mut out_panel[j * k..j * k + lanes];
                 if sign_bit(words, j) {
                     for (o, &w) in or.iter_mut().zip(wrow.iter()) {
                         *o += -w;
@@ -918,10 +945,8 @@ mod batch_kernels {
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn fill_group_table_avx(quad: [*const f64; 4], k: usize, table: &mut [f64]) {
-        let chunks = k / 4;
-        for c in 0..chunks {
-            let lane = c * 4;
+    unsafe fn fill_group_table_avx(quad: [*const f64; 4], lanes: usize, table: &mut [f64]) {
+        for lane in (0..lanes).step_by(4) {
             let q = [
                 _mm256_loadu_pd(quad[0].add(lane)),
                 _mm256_loadu_pd(quad[1].add(lane)),
@@ -934,35 +959,20 @@ mod batch_kernels {
                 let s2 = if idx & 4 == 0 { q[2] } else { neg4(q[2]) };
                 let s3 = if idx & 8 == 0 { q[3] } else { neg4(q[3]) };
                 let sum = _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(s0, s1), s2), s3);
-                _mm256_storeu_pd(table.as_mut_ptr().add(idx * k + lane), sum);
-            }
-        }
-        for lane in chunks * 4..k {
-            for idx in 0..16usize {
-                let pick = |r: usize, bit: usize| {
-                    let v = *quad[r].add(lane);
-                    if idx & bit == 0 {
-                        v
-                    } else {
-                        -v
-                    }
-                };
-                let s0 = pick(0, 1);
-                let s1 = pick(1, 2);
-                let s2 = pick(2, 4);
-                let s3 = pick(3, 8);
-                table[idx * k + lane] = ((s0 + s1) + s2) + s3;
+                _mm256_storeu_pd(table.as_mut_ptr().add(idx * lanes + lane), sum);
             }
         }
     }
 
     #[cfg(target_arch = "x86_64")]
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
     unsafe fn forward_avx(
         rows: &[ChippingSequence],
         scale: f64,
         x_panel: &[f64],
         k: usize,
+        lanes: usize,
         n: usize,
         out_panel: &mut [f64],
         table: &mut [f64],
@@ -977,20 +987,18 @@ mod batch_kernels {
                     x_panel.as_ptr().add(base + 2 * k),
                     x_panel.as_ptr().add(base + 3 * k),
                 ],
-                k,
-                &mut table[g * 16 * k..(g + 1) * 16 * k],
+                lanes,
+                &mut table[g * 16 * lanes..(g + 1) * 16 * lanes],
             );
         }
-        let chunks = k / 4;
         let sv = _mm256_set1_pd(scale);
         for (i, row) in rows.iter().enumerate() {
             let words = row.sign_words();
-            for c in 0..chunks {
-                let lane = c * 4;
+            for lane in (0..lanes).step_by(4) {
                 let mut acc = std::arch::x86_64::_mm256_setzero_pd();
                 for g in 0..groups {
                     let nib = group_nibble(words, g);
-                    let t = _mm256_loadu_pd(table.as_ptr().add((g * 16 + nib) * k + lane));
+                    let t = _mm256_loadu_pd(table.as_ptr().add((g * 16 + nib) * lanes + lane));
                     acc = _mm256_add_pd(acc, t);
                 }
                 for j in groups * 4..n {
@@ -1006,18 +1014,6 @@ mod batch_kernels {
                     _mm256_mul_pd(acc, sv),
                 );
             }
-            for lane in chunks * 4..k {
-                let mut acc = 0.0;
-                for g in 0..groups {
-                    let nib = group_nibble(words, g);
-                    acc += table[(g * 16 + nib) * k + lane];
-                }
-                for j in groups * 4..n {
-                    let v = x_panel[j * k + lane];
-                    acc += if sign_bit(words, j) { -v } else { v };
-                }
-                out_panel[i * k + lane] = acc * scale;
-            }
         }
     }
 
@@ -1030,19 +1026,18 @@ mod batch_kernels {
         scale: f64,
         y_panel: &[f64],
         k: usize,
+        lanes: usize,
         n: usize,
         out_panel: &mut [f64],
         table16: &mut [f64],
     ) {
         out_panel.fill(0.0);
-        let chunks = k / 4;
         let sv = _mm256_set1_pd(scale);
         for (g, plane) in nibbles.iter().enumerate() {
             let base = 4 * g * k;
             // Scaled quad rows: the serial adjoint scales before the sign
             // tree, so multiply each load by `scale` before the tree.
-            for c in 0..chunks {
-                let lane = c * 4;
+            for lane in (0..lanes).step_by(4) {
                 let q = [
                     _mm256_mul_pd(sv, _mm256_loadu_pd(y_panel.as_ptr().add(base + lane))),
                     _mm256_mul_pd(sv, _mm256_loadu_pd(y_panel.as_ptr().add(base + k + lane))),
@@ -1061,49 +1056,32 @@ mod batch_kernels {
                     let s2 = if idx & 4 == 0 { q[2] } else { neg4(q[2]) };
                     let s3 = if idx & 8 == 0 { q[3] } else { neg4(q[3]) };
                     let sum = _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(s0, s1), s2), s3);
-                    _mm256_storeu_pd(table16.as_mut_ptr().add(idx * k + lane), sum);
-                }
-            }
-            for lane in chunks * 4..k {
-                let w = [
-                    scale * y_panel[base + lane],
-                    scale * y_panel[base + k + lane],
-                    scale * y_panel[base + 2 * k + lane],
-                    scale * y_panel[base + 3 * k + lane],
-                ];
-                for idx in 0..16usize {
-                    let s0 = if idx & 1 == 0 { w[0] } else { -w[0] };
-                    let s1 = if idx & 2 == 0 { w[1] } else { -w[1] };
-                    let s2 = if idx & 4 == 0 { w[2] } else { -w[2] };
-                    let s3 = if idx & 8 == 0 { w[3] } else { -w[3] };
-                    table16[idx * k + lane] = ((s0 + s1) + s2) + s3;
+                    _mm256_storeu_pd(table16.as_mut_ptr().add(idx * lanes + lane), sum);
                 }
             }
             for j in 0..n {
                 let nib = ((plane[j / 16] >> (4 * (j % 16))) & 15) as usize;
-                for c in 0..chunks {
-                    let lane = c * 4;
-                    let t = _mm256_loadu_pd(table16.as_ptr().add(nib * k + lane));
+                for lane in (0..lanes).step_by(4) {
+                    let t = _mm256_loadu_pd(table16.as_ptr().add(nib * lanes + lane));
                     let o = _mm256_loadu_pd(out_panel.as_ptr().add(j * k + lane));
                     _mm256_storeu_pd(
                         out_panel.as_mut_ptr().add(j * k + lane),
                         _mm256_add_pd(o, t),
                     );
                 }
-                for lane in chunks * 4..k {
-                    out_panel[j * k + lane] += table16[nib * k + lane];
-                }
             }
         }
         for (i, row) in rows.iter().enumerate().skip(nibbles.len() * 4) {
             let words = row.sign_words();
-            for (w, y) in table16[..k].iter_mut().zip(&y_panel[i * k..(i + 1) * k]) {
+            for (w, y) in table16[..lanes]
+                .iter_mut()
+                .zip(&y_panel[i * k..i * k + lanes])
+            {
                 *w = scale * y;
             }
             for j in 0..n {
                 let neg = sign_bit(words, j);
-                for c in 0..chunks {
-                    let lane = c * 4;
+                for lane in (0..lanes).step_by(4) {
                     let wv = _mm256_loadu_pd(table16.as_ptr().add(lane));
                     let o = _mm256_loadu_pd(out_panel.as_ptr().add(j * k + lane));
                     let r = if neg {
@@ -1112,10 +1090,6 @@ mod batch_kernels {
                         _mm256_add_pd(o, wv)
                     };
                     _mm256_storeu_pd(out_panel.as_mut_ptr().add(j * k + lane), r);
-                }
-                for lane in chunks * 4..k {
-                    let w = table16[lane];
-                    out_panel[j * k + lane] += if neg { -w } else { w };
                 }
             }
         }
@@ -1244,8 +1218,9 @@ mod tests {
     #[test]
     fn batch_kernels_bit_identical_to_serial_per_lane() {
         // Shapes chosen to exercise the 4-column group tail (n % 4 != 0),
-        // the 4-row quad tail (m % 4 != 0), full 4-lane SIMD chunks and
-        // remainder lanes — under both dispatch tiers.
+        // the 4-row quad tail (m % 4 != 0), the 4-wide vector lanes and
+        // the lanes outside them that run the serial kernel (a lone lane,
+        // a pair, a triple, one lane past a vector) — under both tiers.
         let tiers: &[bool] = if hybridcs_linalg::simd::simd_available() {
             &[false, true]
         } else {
@@ -1258,7 +1233,7 @@ mod tests {
         ];
         for phi in &mats {
             let (m, n) = (phi.measurements(), phi.window());
-            for &k in &[1usize, 3, 4, 7, 8] {
+            for &k in &[1usize, 2, 3, 4, 5, 7, 8] {
                 let mut x_panel = vec![0.0; n * k];
                 let mut y_panel = vec![0.0; m * k];
                 let mut lanes_x: Vec<Vec<f64>> = Vec::new();

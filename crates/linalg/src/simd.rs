@@ -286,6 +286,54 @@ pub fn scatter_lane(x: &[f64], k: usize, lane: usize, panel: &mut [f64]) {
     }
 }
 
+/// Lanes of a `k`-wide panel that the 4-wide lane-parallel kernels cover:
+/// the first `4⌊k/4⌋`. The rest — every lane when `k < 4` — run through
+/// the contiguous single-vector kernel via [`serial_lanes`]: a lane outside
+/// a full vector gains nothing from the panel layout, while the serial
+/// kernel reads it contiguously.
+#[must_use]
+pub const fn vector_lanes(k: usize) -> usize {
+    k - k % 4
+}
+
+/// Runs lanes `first..k` of the column-major panel `input` (stride `k`)
+/// through a contiguous single-vector kernel
+/// `kernel(lane_in, lane_out, kernel_scratch)`, writing the same lanes of
+/// `out`. At `k == 1` the panel *is* the contiguous vector, so the kernel
+/// runs on it in place with all of `scratch`. Otherwise each lane gathers
+/// into the front of `scratch` (`input.len() / k` elements), the kernel
+/// writes the next `out.len() / k`, that lane scatters back, and the
+/// kernel gets whatever `scratch` remains. Each lane's bits are exactly
+/// the kernel's.
+///
+/// # Panics
+///
+/// Panics if `k > 1` and `scratch` cannot hold both lane buffers, or on
+/// panel shapes that are not `k` lanes wide.
+pub fn serial_lanes(
+    input: &[f64],
+    k: usize,
+    first: usize,
+    out: &mut [f64],
+    scratch: &mut [f64],
+    mut kernel: impl FnMut(&[f64], &mut [f64], &mut [f64]),
+) {
+    if first >= k {
+        return;
+    }
+    if k == 1 {
+        kernel(input, out, scratch);
+        return;
+    }
+    let (lane_in, rest) = scratch.split_at_mut(input.len() / k);
+    let (lane_out, kernel_scratch) = rest.split_at_mut(out.len() / k);
+    for lane in first..k {
+        gather_lane(input, k, lane, lane_in);
+        kernel(lane_in, lane_out, kernel_scratch);
+        scatter_lane(lane_out, k, lane, out);
+    }
+}
+
 /// Drops lane `lane` from a column-major panel in place: the surviving
 /// lanes repack from stride `k` to stride `k − 1` preserving row and lane
 /// order (the stopping-mask retirement step). Only the first
@@ -653,6 +701,34 @@ mod tests {
             }
             for (l, want) in survivors.iter().enumerate() {
                 assert_eq!(panel[i * (k - 1) + l].to_bits(), want.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn serial_lanes_cover_exactly_the_lanes_past_the_vectors() {
+        // A kernel mapping 3 inputs to 2 outputs: (a + b, c − a).
+        let kernel = |x: &[f64], y: &mut [f64], _: &mut [f64]| {
+            y[0] = x[0] + x[1];
+            y[1] = x[2] - x[0];
+        };
+        for k in 1..=9 {
+            let first = vector_lanes(k);
+            assert_eq!(first % 4, 0);
+            assert!(k - first < 4);
+            let input = noise(3 * k, 17 + k as u64);
+            let mut out = vec![f64::NAN; 2 * k];
+            let mut scratch = vec![0.0; if k == 1 { 0 } else { 5 }];
+            serial_lanes(&input, k, first, &mut out, &mut scratch, kernel);
+            for lane in 0..k {
+                let (a, b, c) = (input[lane], input[k + lane], input[2 * k + lane]);
+                let (y0, y1) = (out[lane], out[k + lane]);
+                if lane < first {
+                    assert!(y0.is_nan() && y1.is_nan(), "k{k} lane{lane} touched");
+                } else {
+                    assert_eq!(y0.to_bits(), (a + b).to_bits(), "k{k} lane{lane}");
+                    assert_eq!(y1.to_bits(), (c - a).to_bits(), "k{k} lane{lane}");
+                }
             }
         }
     }

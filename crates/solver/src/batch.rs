@@ -21,7 +21,9 @@
 //! * panel kernels ([`hybridcs_linalg::simd`], [`crate::simd`], the DWT
 //!   panel transforms, the batched sensing operators) vectorize across
 //!   *lanes* only — per-lane operation order never changes — and each AVX2
-//!   tier is pinned 0-ULP against its scalar twin;
+//!   tier is pinned 0-ULP against its scalar twin; the sensing and DWT
+//!   lanes outside a 4-wide vector (every lane when K < 4) run the serial
+//!   kernels themselves;
 //! * per-lane reductions (norms, distances) are scalar strided replicas of
 //!   the [`hybridcs_linalg::vector`] fold orders;
 //! * converged/aborted windows **retire**: their lane is repacked out of

@@ -94,13 +94,9 @@ pub trait LinearOperator {
             self.rows() * k,
             "batch apply: output shape"
         );
-        let (xbuf, rest) = scratch.split_at_mut(self.cols());
-        let (ybuf, rest) = rest.split_at_mut(self.rows());
-        for lane in 0..k {
-            hybridcs_linalg::simd::gather_lane(x_panel, k, lane, xbuf);
-            self.apply_into(xbuf, ybuf, rest);
-            hybridcs_linalg::simd::scatter_lane(ybuf, k, lane, out_panel);
-        }
+        hybridcs_linalg::simd::serial_lanes(x_panel, k, 0, out_panel, scratch, |x, y, s| {
+            self.apply_into(x, y, s);
+        });
     }
 
     /// Batched adjoint action over a column-major panel — same per-lane
@@ -123,13 +119,9 @@ pub trait LinearOperator {
             self.cols() * k,
             "batch adjoint: output shape"
         );
-        let (ybuf, rest) = scratch.split_at_mut(self.rows());
-        let (xbuf, rest) = rest.split_at_mut(self.cols());
-        for lane in 0..k {
-            hybridcs_linalg::simd::gather_lane(y_panel, k, lane, ybuf);
-            self.apply_adjoint_into(ybuf, xbuf, rest);
-            hybridcs_linalg::simd::scatter_lane(xbuf, k, lane, out_panel);
-        }
+        hybridcs_linalg::simd::serial_lanes(y_panel, k, 0, out_panel, scratch, |y, x, s| {
+            self.apply_adjoint_into(y, x, s);
+        });
     }
 
     /// Whether the operator is exactly orthonormal (`AᵀA = AAᵀ = I`), in

@@ -5,9 +5,9 @@
 //! cargo run --release --example decode_throughput
 //! ```
 //!
-//! Two phases, both gated (the process exits non-zero on any failure):
+//! Four phases, all gated (the process exits non-zero on any failure):
 //!
-//! 1. **Throughput** — the same encoded windows are decoded through two
+//! 1. **Equivalence** — the same encoded windows are decoded through two
 //!    paths whose outputs are asserted to agree to near machine precision:
 //!    * *baseline*: the pre-optimization shape — unpacked `±1` sensing
 //!      rows folded serially (one multiply-accumulate chain per row, the
@@ -20,36 +20,46 @@
 //!
 //!    The two paths differ only in summation grouping (4-wide vs serial),
 //!    so agreement is checked at a tight relative tolerance rather than
-//!    bit equality. Windows/sec for both paths and p50/p90/p99 per-window
-//!    latency go into the bench report; the optimized path must be ≥ 2×
-//!    faster.
+//!    bit equality.
 //! 2. **Zero-allocation gate** — with the process running under the
 //!    [`hybridcs_bench::alloc_counter::CountingAllocator`], a span of
 //!    steady-state workspace solves (problems pre-built, workspace
 //!    warmed, recovered signals recycled) must perform **zero** heap
-//!    allocations. The same gate then runs against a steady-state
-//!    *batched* solve ([`solve_pdhg_batch_workspace`]): zero allocations
-//!    there too.
+//!    allocations. The same gate then runs against steady-state
+//!    *batched* solves ([`solve_pdhg_batch_workspace`]) at K = 1 (the
+//!    panel is one contiguous lane), K = 5 (one 4-wide vector plus a
+//!    lane through the serial kernels) and K = 8: zero allocations there
+//!    too.
 //! 3. **Batched K-sweep** — the corpus is re-solved through the batched
-//!    lockstep path at K ∈ {1, 4, 8, 16} windows per batch, once per
-//!    SIMD tier (scalar pinned via [`set_override`], then AVX2+FMA when
-//!    the host supports it). Every configuration is asserted
+//!    lockstep path at K ∈ {1, 3, 4, 5, 8, 16} windows per batch, once
+//!    per SIMD tier (scalar pinned via [`set_override`], then AVX2+FMA
+//!    when the host supports it). Every configuration is asserted
 //!    **bit-identical** to the serial workspace decode — the batched
 //!    solvers vectorize across the batch dimension only, so the
-//!    per-window arithmetic never changes — and its throughput goes
-//!    into the report. The best batched+SIMD configuration must clear
-//!    3× over the baseline (gated only when the host has AVX2+FMA).
+//!    per-window arithmetic never changes — and its single-pass
+//!    throughput goes into the report.
+//! 4. **Speed gates** — host speed drifts during a run, so each gated
+//!    configuration is timed interleaved with its reference over
+//!    [`GATE_PASSES`] passes (every pass decodes the whole corpus once
+//!    per configuration, in alternating order), and each
+//!    gate compares the *medians* of the two. The optimized path must
+//!    be ≥ 2× the baseline; the best batched+SIMD configuration of the
+//!    sweep ≥ 3× the baseline (gated only when the host has AVX2+FMA);
+//!    and K = 1 through the batched path ≥ 0.8× the serial
+//!    [`HybridDecoder::decode_workspace`] on every tier, since the panel
+//!    kernels hand a lone lane to the serial kernels.
 //!
 //! The bench report (`BENCH_decode.json` by default, JSONL in the
-//! `hybridcs-obs` export schema) carries the latency histograms and the
-//! `decode_bench_*` gauges, including one
-//! `decode_bench_batch_windows_per_s{k=…, simd=…}` point per sweep
-//! configuration.
+//! `hybridcs-obs` export schema) carries the per-window latency
+//! histograms of the gate passes and the `decode_bench_*` gauges,
+//! including one `decode_bench_batch_windows_per_s{k=…, simd=…}` point
+//! per sweep configuration.
 //!
 //! Environment knobs: `HYBRIDCS_DECODE_WINDOWS` (default 12),
 //! `HYBRIDCS_DECODE_BENCH_PATH` (default `BENCH_decode.json`). The
 //! process-wide `HYBRIDCS_FORCE_SCALAR=1` pin is ignored here — the sweep
-//! drives the tier explicitly through the in-process override.
+//! and the gates drive the tier explicitly through the in-process
+//! override.
 
 use hybridcs::codec::experiment::default_training_windows;
 use hybridcs::codec::{
@@ -78,8 +88,19 @@ const SPEEDUP_FLOOR: f64 = 2.0;
 /// the baseline (gated only when the host has the AVX2+FMA tier).
 const BATCHED_SPEEDUP_FLOOR: f64 = 3.0;
 
+/// Throughput floor of K = 1 through the batched path relative to the
+/// serial `decode_workspace`, gated on every tier the host has.
+const K1_VS_SERIAL_FLOOR: f64 = 0.8;
+
 /// Batch widths swept in phase 3.
-const BATCH_WIDTHS: [usize; 4] = [1, 4, 8, 16];
+const BATCH_WIDTHS: [usize; 6] = [1, 3, 4, 5, 8, 16];
+
+/// Batch widths of the batched zero-allocation gate (each capped at the
+/// corpus size).
+const ALLOC_GATE_WIDTHS: [usize; 3] = [1, 5, 8];
+
+/// Interleaved passes behind each median of the phase-4 speed gates.
+const GATE_PASSES: usize = 5;
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -157,6 +178,111 @@ fn decode_bounds(
     Ok(LowResFrame::from_codes(codes, channel)?.bounds())
 }
 
+/// Decodes every problem once through the batched lockstep path at width
+/// `k` (chunks of `k`, the last one ragged) on the current SIMD tier.
+/// With a `reference` (the serial results and the tier's name), every
+/// window must reproduce it bit for bit.
+fn batched_pass(
+    problems: &[BpdnProblem<'_>],
+    k: usize,
+    opts: &PdhgOptions,
+    ws: &mut SolverWorkspace,
+    reference: Option<(&[RecoveryResult], &str)>,
+) -> Result<(), Box<dyn std::error::Error>> {
+    let mut noops: Vec<NoopObserver> = (0..k).map(|_| NoopObserver).collect();
+    let mut out: Vec<Option<RecoveryResult>> = Vec::new();
+    for (ci, chunk) in problems.chunks(k).enumerate() {
+        let batch = BatchProblem::new(chunk)?;
+        let mut refs: Vec<&mut dyn IterationObserver> = noops
+            .iter_mut()
+            .take(chunk.len())
+            .map(|o| o as &mut dyn IterationObserver)
+            .collect();
+        solve_pdhg_batch_workspace(&batch, opts, &mut refs, ws, &mut out)?;
+        for (j, slot) in out.iter_mut().enumerate() {
+            let got = slot.take().expect("batch solvers fill every window");
+            if let Some((serial, tier)) = reference {
+                let want = &serial[ci * k + j];
+                assert_eq!(
+                    (got.iterations, got.converged),
+                    (want.iterations, want.converged),
+                    "batched decode (k = {k}, simd {tier}) diverged from serial at window {}",
+                    ci * k + j
+                );
+                assert!(
+                    got.signal.len() == want.signal.len()
+                        && got
+                            .signal
+                            .iter()
+                            .zip(&want.signal)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "batched decode (k = {k}, simd {tier}) not bit-identical to serial at \
+                     window {}",
+                    ci * k + j
+                );
+            }
+            ws.release(got.signal);
+        }
+    }
+    Ok(())
+}
+
+/// Heap allocations of one steady-state batched solve of `problems`:
+/// observer refs and the `out` vector built once, the workspace warmed
+/// with the panel shapes the counted solve will acquire.
+fn batched_allocations(
+    problems: &[BpdnProblem<'_>],
+    opts: &PdhgOptions,
+    ws: &mut SolverWorkspace,
+) -> Result<u64, Box<dyn std::error::Error>> {
+    let batch = BatchProblem::new(problems)?;
+    let mut noops: Vec<NoopObserver> = problems.iter().map(|_| NoopObserver).collect();
+    let mut refs: Vec<&mut dyn IterationObserver> = noops
+        .iter_mut()
+        .map(|o| o as &mut dyn IterationObserver)
+        .collect();
+    let mut out: Vec<Option<RecoveryResult>> = Vec::new();
+    for _ in 0..2 {
+        solve_pdhg_batch_workspace(&batch, opts, &mut refs, ws, &mut out)?;
+        release_outputs(&mut out, ws);
+    }
+    alloc_counter::start_counting();
+    let solved = solve_pdhg_batch_workspace(&batch, opts, &mut refs, ws, &mut out);
+    release_outputs(&mut out, ws);
+    let allocations = alloc_counter::stop_counting();
+    solved?;
+    Ok(allocations)
+}
+
+/// Hands every solved signal in `out` back to the workspace.
+fn release_outputs(out: &mut [Option<RecoveryResult>], ws: &mut SolverWorkspace) {
+    for result in out.iter_mut().filter_map(Option::take) {
+        ws.release(result.signal);
+    }
+}
+
+/// One configuration of the interleaved speed gates.
+#[derive(Clone, Copy, PartialEq)]
+enum Path {
+    /// The retained pre-optimization decode.
+    Baseline,
+    /// `HybridDecoder::decode_workspace`, one window at a time.
+    Serial,
+    /// The batched lockstep path at width `k` on one SIMD tier.
+    Batched { k: usize, simd: bool },
+}
+
+fn median(samples: &[f64]) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let mid = sorted.len() / 2;
+    if sorted.len() % 2 == 1 {
+        sorted[mid]
+    } else {
+        0.5 * (sorted[mid - 1] + sorted[mid])
+    }
+}
+
 #[allow(clippy::too_many_lines)]
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let windows = env_usize("HYBRIDCS_DECODE_WINDOWS", 12).max(1);
@@ -208,7 +334,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Ok(solve_pdhg(&problem, &opts)?.signal)
     };
 
-    // --- equivalence: the optimized path changes nothing but speed -----
+    // --- phase 1: equivalence: the optimized path changes nothing but speed
     // The packed kernels fold in groups of four where the baseline folds
     // serially; that summation regrouping perturbs each matvec at the
     // rounding level (~1e-16 relative), so full decodes must agree to a
@@ -227,48 +353,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     println!("decode bench: baseline and optimized decodes agree to 1e-9 relative");
-
-    // --- phase 1: throughput ------------------------------------------
-    let h_base = registry.histogram("decode_window_seconds", &[("path", "baseline")]);
-    let h_opt = registry.histogram("decode_window_seconds", &[("path", "optimized")]);
-
-    let base_start = Instant::now();
-    for w in &encoded {
-        let t = Instant::now();
-        std::hint::black_box(decode_baseline(w)?);
-        h_base.record(t.elapsed().as_secs_f64());
-    }
-    let base_s = base_start.elapsed().as_secs_f64();
-
-    let opt_start = Instant::now();
-    for w in &encoded {
-        let t = Instant::now();
-        std::hint::black_box(decoder.decode_workspace(w, true, &mut NoopObserver, &mut ws)?);
-        h_opt.record(t.elapsed().as_secs_f64());
-    }
-    let opt_s = opt_start.elapsed().as_secs_f64();
-
-    let speedup = base_s / opt_s;
-    let throughput = windows as f64 / opt_s;
-    println!(
-        "decode bench: baseline {:.1} windows/s, optimized {throughput:.1} windows/s \
-         ({speedup:.2}x)",
-        windows as f64 / base_s
-    );
-    let snapshot = registry.snapshot();
-    for name in ["baseline", "optimized"] {
-        if let Some(p) = snapshot
-            .histogram_snapshot("decode_window_seconds", &[("path", name)])
-            .and_then(hybridcs::obs::HistogramSnapshot::percentiles)
-        {
-            println!(
-                "decode bench: {name} latency p50 {:.1} ms, p90 {:.1} ms, p99 {:.1} ms",
-                p.p50 * 1e3,
-                p.p90 * 1e3,
-                p.p99 * 1e3
-            );
-        }
-    }
 
     // --- phase 2: zero-allocation gate --------------------------------
     // Problems are pre-built (operator, bounds, measurements) and the
@@ -315,45 +399,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          ({allocs_per_window:.2}/window)"
     );
 
-    // Same gate, batched path: one pre-validated K-wide batch, observer
-    // refs and the `out` vector built once, workspace warmed with the
-    // panel shapes the counted solve will acquire.
-    let gate_k = 8.min(windows);
-    let gate_batch = BatchProblem::new(&problems[..gate_k])?;
-    let mut gate_noops: Vec<NoopObserver> = (0..gate_k).map(|_| NoopObserver).collect();
-    let mut gate_refs: Vec<&mut dyn IterationObserver> = gate_noops
-        .iter_mut()
-        .map(|o| o as &mut dyn IterationObserver)
-        .collect();
-    let mut gate_out: Vec<Option<RecoveryResult>> = Vec::new();
-    for _ in 0..2 {
-        solve_pdhg_batch_workspace(&gate_batch, &opts, &mut gate_refs, &mut ws, &mut gate_out)?;
-        for slot in &mut gate_out {
-            if let Some(result) = slot.take() {
-                ws.release(result.signal);
-            }
+    // Same gate, batched path: a lone lane (the contiguous serial
+    // kernels, in place), one vector plus a serial lane, and two vectors.
+    let mut batch_allocations: Vec<(usize, u64)> = Vec::new();
+    for gate_k in ALLOC_GATE_WIDTHS.map(|k| k.min(windows)) {
+        if batch_allocations.iter().any(|&(k, _)| k == gate_k) {
+            continue;
         }
+        let counted = batched_allocations(&problems[..gate_k], &opts, &mut ws)?;
+        println!(
+            "decode bench: {counted} heap allocations across one steady-state \
+             {gate_k}-window batched solve"
+        );
+        #[allow(clippy::cast_precision_loss)]
+        registry
+            .gauge(
+                "decode_bench_batch_allocations",
+                &[("k", &format!("{gate_k}"))],
+            )
+            .set(counted as f64);
+        batch_allocations.push((gate_k, counted));
     }
-    alloc_counter::start_counting();
-    let gated =
-        solve_pdhg_batch_workspace(&gate_batch, &opts, &mut gate_refs, &mut ws, &mut gate_out);
-    for slot in &mut gate_out {
-        if let Some(result) = slot.take() {
-            ws.release(result.signal);
-        }
-    }
-    let batch_allocations = alloc_counter::stop_counting();
-    gated?;
-    println!(
-        "decode bench: {batch_allocations} heap allocations across one steady-state \
-         {gate_k}-window batched solve"
-    );
 
     // --- phase 3: batched K-sweep across SIMD tiers --------------------
     // The serial workspace solves are the reference; every batched
     // configuration must reproduce them bit for bit (the lockstep loop
     // preserves each window's accumulation order exactly, and the SIMD
-    // kernels are 0-ULP twins of the scalar tier).
+    // kernels are 0-ULP twins of the scalar tier). One warm-up pass
+    // (workspace panels sized for this K), one timed pass.
     let reference: Vec<RecoveryResult> = problems
         .iter()
         .map(|p| solve_pdhg_workspace(p, &opts, &mut NoopObserver, &mut ws))
@@ -365,68 +438,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("decode bench: host lacks AVX2+FMA — sweeping the scalar tier only");
         &[(false, "off")]
     };
-    let mut noops: Vec<NoopObserver> = (0..BATCH_WIDTHS.iter().copied().max().unwrap_or(1))
-        .map(|_| NoopObserver)
-        .collect();
-    let mut out: Vec<Option<RecoveryResult>> = Vec::new();
     let mut best_batched_simd: Option<(usize, f64)> = None;
     for &(simd_on, tier) in tiers {
         set_override(Some(simd_on));
         for k in BATCH_WIDTHS {
-            // One warm-up pass (workspace panels sized for this K), one
-            // timed pass that also checks bit-identity per window.
-            for timed in [false, true] {
-                let started = Instant::now();
-                for (ci, chunk) in problems.chunks(k).enumerate() {
-                    let batch = BatchProblem::new(chunk)?;
-                    let mut refs: Vec<&mut dyn IterationObserver> = noops
-                        .iter_mut()
-                        .take(chunk.len())
-                        .map(|o| o as &mut dyn IterationObserver)
-                        .collect();
-                    solve_pdhg_batch_workspace(&batch, &opts, &mut refs, &mut ws, &mut out)?;
-                    for (j, slot) in out.iter_mut().enumerate() {
-                        let got = slot.take().expect("batch solvers fill every window");
-                        let want = &reference[ci * k + j];
-                        assert_eq!(
-                            (got.iterations, got.converged),
-                            (want.iterations, want.converged),
-                            "batched decode (k = {k}, simd {tier}) diverged from serial \
-                             at window {}",
-                            ci * k + j
-                        );
-                        assert!(
-                            got.signal.len() == want.signal.len()
-                                && got
-                                    .signal
-                                    .iter()
-                                    .zip(&want.signal)
-                                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                            "batched decode (k = {k}, simd {tier}) not bit-identical to \
-                             serial at window {}",
-                            ci * k + j
-                        );
-                        ws.release(got.signal);
-                    }
-                }
-                if timed {
-                    let secs = started.elapsed().as_secs_f64();
-                    let batch_throughput = windows as f64 / secs;
-                    println!(
-                        "decode bench: batched k = {k:2} simd {tier:3} \
-                         {batch_throughput:8.1} windows/s ({:.2}x vs baseline)",
-                        base_s / secs
-                    );
-                    registry
-                        .gauge(
-                            "decode_bench_batch_windows_per_s",
-                            &[("k", &format!("{k}")), ("simd", tier)],
-                        )
-                        .set(batch_throughput);
-                    if simd_on && k > 1 && best_batched_simd.is_none_or(|(_, s)| secs < s) {
-                        best_batched_simd = Some((k, secs));
-                    }
-                }
+            batched_pass(&problems, k, &opts, &mut ws, Some((&reference, tier)))?;
+            let started = Instant::now();
+            batched_pass(&problems, k, &opts, &mut ws, Some((&reference, tier)))?;
+            let secs = started.elapsed().as_secs_f64();
+            let batch_throughput = windows as f64 / secs;
+            println!(
+                "decode bench: batched k = {k:2} simd {tier:3} {batch_throughput:8.1} windows/s \
+                 (one pass)"
+            );
+            registry
+                .gauge(
+                    "decode_bench_batch_windows_per_s",
+                    &[("k", &format!("{k}")), ("simd", tier)],
+                )
+                .set(batch_throughput);
+            if simd_on && k > 1 && best_batched_simd.is_none_or(|(_, s)| secs < s) {
+                best_batched_simd = Some((k, secs));
             }
         }
     }
@@ -435,6 +467,105 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "decode bench: all {} batched configurations bit-identical to the serial decode",
         tiers.len() * BATCH_WIDTHS.len()
     );
+
+    // --- phase 4: speed gates, interleaved -----------------------------
+    // Host speed drifts for seconds at a time, so a configuration timed
+    // once, minutes after its reference, gates the drift as much as the
+    // code. Every pass decodes the corpus once per path (order reversed
+    // on odd passes), so each gated configuration alternates with its
+    // reference; the gates compare medians over the passes.
+    let mut paths = vec![Path::Baseline, Path::Serial];
+    paths.extend(best_batched_simd.map(|(k, _)| Path::Batched { k, simd: true }));
+    paths.extend(tiers.iter().map(|&(simd, _)| Path::Batched { k: 1, simd }));
+    let h_base = registry.histogram("decode_window_seconds", &[("path", "baseline")]);
+    let h_opt = registry.histogram("decode_window_seconds", &[("path", "optimized")]);
+    let mut pass_seconds: Vec<Vec<f64>> = vec![Vec::with_capacity(GATE_PASSES); paths.len()];
+    for pass in 0..GATE_PASSES {
+        let mut order: Vec<usize> = (0..paths.len()).collect();
+        if pass % 2 == 1 {
+            order.reverse();
+        }
+        for slot in order {
+            let started = Instant::now();
+            match paths[slot] {
+                Path::Baseline => {
+                    for w in &encoded {
+                        let t = Instant::now();
+                        std::hint::black_box(decode_baseline(w)?);
+                        h_base.record(t.elapsed().as_secs_f64());
+                    }
+                }
+                Path::Serial => {
+                    for w in &encoded {
+                        let t = Instant::now();
+                        std::hint::black_box(decoder.decode_workspace(
+                            w,
+                            true,
+                            &mut NoopObserver,
+                            &mut ws,
+                        )?);
+                        h_opt.record(t.elapsed().as_secs_f64());
+                    }
+                }
+                Path::Batched { k, simd } => {
+                    set_override(Some(simd));
+                    let decoded = batched_pass(&problems, k, &opts, &mut ws, None);
+                    set_override(None);
+                    decoded?;
+                }
+            }
+            pass_seconds[slot].push(started.elapsed().as_secs_f64());
+        }
+    }
+    let median_s = |path: Path| {
+        let slot = paths
+            .iter()
+            .position(|&p| p == path)
+            .expect("path was timed");
+        median(&pass_seconds[slot])
+    };
+    let base_s = median_s(Path::Baseline);
+    let opt_s = median_s(Path::Serial);
+    let speedup = base_s / opt_s;
+    let throughput = windows as f64 / opt_s;
+    println!(
+        "decode bench: baseline {:.1} windows/s, optimized {throughput:.1} windows/s \
+         ({speedup:.2}x; medians of {GATE_PASSES} interleaved passes)",
+        windows as f64 / base_s
+    );
+    let snapshot = registry.snapshot();
+    for name in ["baseline", "optimized"] {
+        if let Some(p) = snapshot
+            .histogram_snapshot("decode_window_seconds", &[("path", name)])
+            .and_then(hybridcs::obs::HistogramSnapshot::percentiles)
+        {
+            println!(
+                "decode bench: {name} latency p50 {:.1} ms, p90 {:.1} ms, p99 {:.1} ms",
+                p.p50 * 1e3,
+                p.p90 * 1e3,
+                p.p99 * 1e3
+            );
+        }
+    }
+    let batched_speedup = best_batched_simd.map(|(k, _)| {
+        let s = base_s / median_s(Path::Batched { k, simd: true });
+        println!("decode bench: gate batched k = {k} simd on {s:.2}x vs baseline");
+        registry
+            .gauge("decode_bench_batched_speedup", &[("k", &format!("{k}"))])
+            .set(s);
+        s
+    });
+    let k1_vs_serial: Vec<(&str, f64)> = tiers
+        .iter()
+        .map(|&(simd, tier)| {
+            let r = opt_s / median_s(Path::Batched { k: 1, simd });
+            println!("decode bench: gate batched k = 1 simd {tier} {r:.2}x vs serial");
+            registry
+                .gauge("decode_bench_k1_vs_serial", &[("simd", tier)])
+                .set(r);
+            (tier, r)
+        })
+        .collect();
 
     // --- report + gates -----------------------------------------------
     registry
@@ -453,16 +584,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     registry
         .gauge("decode_bench_allocations_per_window", &[])
         .set(allocs_per_window);
-    #[allow(clippy::cast_precision_loss)]
-    registry
-        .gauge("decode_bench_batch_allocations", &[])
-        .set(batch_allocations as f64);
-    let batched_speedup = best_batched_simd.map(|(_, secs)| base_s / secs);
-    if let Some((k, secs)) = best_batched_simd {
-        registry
-            .gauge("decode_bench_batched_speedup", &[("k", &format!("{k}"))])
-            .set(base_s / secs);
-    }
     let path = std::path::PathBuf::from(bench_path);
     hybridcs::obs::export::write_jsonl(&path, "decode_throughput", &registry.snapshot(), &[])?;
     println!("decode bench: report written to {}", path.display());
@@ -473,12 +594,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         std::process::exit(1);
     }
-    if batch_allocations != 0 {
-        eprintln!(
-            "error: batched solver hot path allocated {batch_allocations} times after warm-up \
-             (expected 0)"
-        );
-        std::process::exit(1);
+    for &(k, counted) in &batch_allocations {
+        if counted != 0 {
+            eprintln!(
+                "error: batched solver hot path (k = {k}) allocated {counted} times after \
+                 warm-up (expected 0)"
+            );
+            std::process::exit(1);
+        }
     }
     if speedup < SPEEDUP_FLOOR {
         eprintln!(
@@ -486,6 +609,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         std::process::exit(1);
     }
+    for &(tier, r) in &k1_vs_serial {
+        if r < K1_VS_SERIAL_FLOOR {
+            eprintln!(
+                "error: batched k = 1 (simd {tier}) at {r:.2}x the serial decode, below the \
+                 {K1_VS_SERIAL_FLOOR:.1}x floor"
+            );
+            std::process::exit(1);
+        }
+    }
+    let k1_worst = k1_vs_serial
+        .iter()
+        .map(|&(_, r)| r)
+        .fold(f64::INFINITY, f64::min);
     match batched_speedup {
         Some(s) if s < BATCHED_SPEEDUP_FLOOR => {
             eprintln!(
@@ -495,10 +631,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             std::process::exit(1);
         }
         Some(s) => println!(
-            "decode bench: OK ({speedup:.2}x serial, {s:.2}x batched+SIMD, \
+            "decode bench: OK ({speedup:.2}x serial, {s:.2}x batched+SIMD, k = 1 at \
+             {k1_worst:.2}x serial, 0 allocations/window)"
+        ),
+        None => println!(
+            "decode bench: OK ({speedup:.2}x, k = 1 at {k1_worst:.2}x serial, \
              0 allocations/window)"
         ),
-        None => println!("decode bench: OK ({speedup:.2}x, 0 allocations/window)"),
     }
     Ok(())
 }

@@ -10,7 +10,7 @@
 //!
 //! 1. **Determinism** — per-session reconstructions are bit-identical
 //!    for worker counts {1, 4, 8}, for decode-batch widths {1, 3, 16}
-//!    (per-window serial vs. lockstep batched shard flushes), and for
+//!    (one-window panels vs. ragged and full lockstep batches), and for
 //!    two different frame interleavings (round-robin across sessions vs.
 //!    session-major), while ~half the solver work is being *shed* by
 //!    admission control and gaps are repaired (or abandoned) through the
@@ -378,8 +378,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     // Batched shard flushes must commit bit-identically to per-window
-    // decodes: width 1 disables batching entirely, width 3 forces ragged
-    // chunks and mid-solve lane retirement in every group.
+    // decodes: width 1 solves every window as its own one-lane panel
+    // (the sensing and wavelet kernels on their serial route), width 3
+    // forces ragged chunks, lanes outside a 4-wide vector and mid-solve
+    // lane retirement in every group.
     for batch_width in [1usize, 3] {
         let outputs = drive(&shapes, &streams, 4, batch_width, Interleave::RoundRobin)?;
         runs += 1;

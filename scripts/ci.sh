@@ -26,12 +26,27 @@ cargo test -q --offline --workspace
 
 echo "==> SIMD kernel pins on both tiers (natural dispatch, then HYBRIDCS_FORCE_SCALAR=1)"
 # The 0-ULP twin tests compare the AVX2 and scalar kernel bodies directly;
-# re-running the linalg + solver suites with the scalar pin additionally
-# drives every batch bit-identity test through the fallback dispatch path
-# that CI would otherwise only exercise on non-AVX2 hosts.
-cargo test -q --release --offline -p hybridcs-linalg -p hybridcs-solver
+# re-running the linalg, solver, sensing (frontend) and wavelet (dsp)
+# suites with the scalar pin additionally drives every batch bit-identity
+# test through the fallback dispatch path that CI would otherwise only
+# exercise on non-AVX2 hosts.
+SIMD_CRATES=(-p hybridcs-linalg -p hybridcs-solver -p hybridcs-frontend -p hybridcs-dsp)
+cargo test -q --release --offline "${SIMD_CRATES[@]}"
 HYBRIDCS_FORCE_SCALAR=1 \
-    cargo test -q --release --offline -p hybridcs-linalg -p hybridcs-solver
+    cargo test -q --release --offline "${SIMD_CRATES[@]}"
+
+echo "==> benchmark smoke run (perfbench: every workload for 5 s, correctness audit)"
+# perfbench is its own workspace (BENCHMARK.json runs it from its own
+# manifest). Each workload exits 1 if any committed window fails its
+# audit (exactly-once in-order commit, finite 512-sample output, the
+# full-hybrid SNR floor, ward's crash-recovery bit identity) and 2 if the
+# run cannot be made at all. It runs ahead of the timing gates below so
+# that a slow host cannot hide an audit failure.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+for workload in capacity ward link; do
+    cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --ward-sessions 8 --workload "$workload" --seed 1 --seconds 5 --trace 0
+done
 
 echo "==> observability round-trip (obs-enabled quickstart + JSONL check)"
 OBS_TMP="$(mktemp -d)"
@@ -130,42 +145,6 @@ fi
 HYBRIDCS_OBS_CHECK="$OBS_BENCH" \
     cargo test -q --release --offline -p hybridcs-obs --test jsonl_schema
 
-echo "==> decode-throughput gates (zero-alloc hot path + speedup floors + batched K-sweep)"
-# The example runs under a counting global allocator and exits non-zero if
-# a span of steady-state workspace solves (serial or batched) performs any
-# heap allocation, if the optimized decode path fails its 2x throughput
-# floor over the retained pre-optimization baseline, if the best
-# batched+SIMD configuration fails its 3x floor (AVX2 hosts), or if any
-# batched configuration is not bit-identical to the serial decode. Its
-# bench report must pass the shared JSONL schema checker; the K-sweep
-# throughput lines are republished below so CI logs carry the numbers.
-DECODE_BENCH="$OBS_TMP/BENCH_decode.json"
-DECODE_OUT="$(HYBRIDCS_DECODE_WINDOWS=8 HYBRIDCS_DECODE_BENCH_PATH="$DECODE_BENCH" \
-    cargo run -q --release --offline --example decode_throughput)"
-if ! grep -q "decode bench: OK" <<<"$DECODE_OUT"; then
-    echo "error: decode_throughput did not pass its gates" >&2
-    exit 1
-fi
-if ! grep -q "0 heap allocations" <<<"$DECODE_OUT"; then
-    echo "error: decode_throughput did not certify a zero-allocation hot path" >&2
-    exit 1
-fi
-if [ "$(grep -c '^decode bench: batched k = ' <<<"$DECODE_OUT")" -lt 4 ]; then
-    echo "error: decode_throughput swept fewer than four batched configurations" >&2
-    exit 1
-fi
-if ! grep -q "batched configurations bit-identical to the serial decode" <<<"$DECODE_OUT"; then
-    echo "error: decode_throughput did not certify batched bit-identity" >&2
-    exit 1
-fi
-grep '^decode bench: batched k = ' <<<"$DECODE_OUT"
-if [ ! -s "$DECODE_BENCH" ]; then
-    echo "error: decode_throughput did not write BENCH_decode.json" >&2
-    exit 1
-fi
-HYBRIDCS_OBS_CHECK="$DECODE_BENCH" \
-    cargo test -q --release --offline -p hybridcs-obs --test jsonl_schema
-
 echo "==> crash-recovery gate (kill-point sweep + journal-overhead ceiling)"
 # The example journals a lossy multi-session run, kills the store at a
 # sweep of record indices under every tail-fault flavour, and exits
@@ -238,6 +217,47 @@ HYBRIDCS_CHECK_CASES=192 \
     cargo test -q --release --offline -p hybridcs-gateway --test journal_fuzz
 HYBRIDCS_CHECK_CASES=192 \
     cargo test -q --release --offline -p hybridcs-net --test proto_fuzz
+
+echo "==> decode-throughput gates (zero-alloc hot path + speedup floors + batched K-sweep)"
+# The example runs under a counting global allocator and exits non-zero if
+# a span of steady-state workspace solves (serial or batched) performs any
+# heap allocation, if the optimized decode path fails its 2x throughput
+# floor over the retained pre-optimization baseline, if the best
+# batched+SIMD configuration fails its 3x floor (AVX2 hosts), if K = 1
+# through the batched path falls below 0.8x the serial decode (either
+# tier; each speed floor compares medians of interleaved passes), or if
+# any batched configuration is not bit-identical to the serial decode. Its
+# bench report must pass the shared JSONL schema checker; the K-sweep
+# throughput lines and the gate ratios are republished below so CI logs
+# carry the numbers.
+# It runs last among the gates: its floors are wall-clock ratios, and a
+# slow host failing them must not skip the correctness steps above.
+DECODE_BENCH="$OBS_TMP/BENCH_decode.json"
+DECODE_OUT="$(HYBRIDCS_DECODE_WINDOWS=8 HYBRIDCS_DECODE_BENCH_PATH="$DECODE_BENCH" \
+    cargo run -q --release --offline --example decode_throughput)"
+if ! grep -q "decode bench: OK" <<<"$DECODE_OUT"; then
+    echo "error: decode_throughput did not pass its gates" >&2
+    exit 1
+fi
+if ! grep -q "0 heap allocations" <<<"$DECODE_OUT"; then
+    echo "error: decode_throughput did not certify a zero-allocation hot path" >&2
+    exit 1
+fi
+if [ "$(grep -c '^decode bench: batched k = ' <<<"$DECODE_OUT")" -lt 4 ]; then
+    echo "error: decode_throughput swept fewer than four batched configurations" >&2
+    exit 1
+fi
+if ! grep -q "batched configurations bit-identical to the serial decode" <<<"$DECODE_OUT"; then
+    echo "error: decode_throughput did not certify batched bit-identity" >&2
+    exit 1
+fi
+grep -E '^decode bench: (batched k = |baseline |gate |OK)' <<<"$DECODE_OUT"
+if [ ! -s "$DECODE_BENCH" ]; then
+    echo "error: decode_throughput did not write BENCH_decode.json" >&2
+    exit 1
+fi
+HYBRIDCS_OBS_CHECK="$DECODE_BENCH" \
+    cargo test -q --release --offline -p hybridcs-obs --test jsonl_schema
 
 echo "==> verifying Cargo.lock stays registry-free"
 if grep -E '^source = ' Cargo.lock; then
