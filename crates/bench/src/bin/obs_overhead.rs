@@ -6,24 +6,30 @@
 //! cargo run --release --bin obs_overhead
 //! ```
 //!
-//! The same frame stream is pushed through identical gateways twice per
-//! round — telemetry off, then on (spans, flight recorder, event
-//! contexts all live) — for several rounds, taking the **minimum** wall
-//! time per mode so scheduler noise cannot fail the gate spuriously. The
-//! process exits non-zero when
+//! The same frame stream is pushed through identical gateways as one
+//! off/on pair per round — telemetry off, and on (spans, flight recorder,
+//! event contexts all live) — for several rounds. The order within a pair
+//! alternates from round to round (off first on even rounds, on first on
+//! odd ones), so a host whose speed drifts across a pair favours neither
+//! mode, and the gate reads the **median of the per-round `on / off`
+//! time ratios**: each ratio compares two runs made back to back, and the
+//! median discards rounds a scheduler hiccup spoiled. The process exits
+//! non-zero when
 //!
 //! * any decoded window differs between the two modes (the telemetry
-//!   layer must be purely observational), or
-//! * `min(on) / min(off) − 1` exceeds the overhead limit.
+//!   layer must be purely observational),
+//! * the enabled runs recorded no flight events, or
+//! * `median(on / off) − 1` exceeds the overhead limit.
 //!
 //! The bench report (`BENCH_obs.json` by default, JSONL in the
-//! `hybridcs-obs` export schema) carries both throughputs, the measured
-//! overhead ratio, and the flight-recorder event volume of the enabled
-//! run.
+//! `hybridcs-obs` export schema) carries both throughputs (from each
+//! mode's median time), the measured overhead ratio, and the
+//! flight-recorder event volume of the enabled runs.
 //!
 //! Environment knobs: `HYBRIDCS_OBS_WINDOWS` (default 16 frames per run),
-//! `HYBRIDCS_OBS_ROUNDS` (default 3), `HYBRIDCS_OBS_OVERHEAD_LIMIT`
-//! (default 0.05), `HYBRIDCS_OBS_BENCH_PATH` (default `BENCH_obs.json`).
+//! `HYBRIDCS_OBS_ROUNDS` (default 7; odd, so the median is one round's
+//! ratio), `HYBRIDCS_OBS_OVERHEAD_LIMIT` (default 0.05),
+//! `HYBRIDCS_OBS_BENCH_PATH` (default `BENCH_obs.json`).
 
 use hybridcs_coding::LowResCodec;
 use hybridcs_core::experiment::default_training_windows;
@@ -82,9 +88,17 @@ fn rig(frames: usize) -> Rig {
     }
 }
 
-/// Pushes the whole stream through a fresh gateway and returns the wall
-/// time plus every decoded signal (the bit-identity evidence).
-fn run(rig: &Rig, telemetry: bool) -> (f64, Vec<Vec<f64>>) {
+/// One pass of the stream through a fresh gateway.
+struct Pass {
+    seconds: f64,
+    /// Every decoded signal (the bit-identity evidence).
+    outputs: Vec<Vec<f64>>,
+    /// Flight-recorder events the pass recorded (0 with telemetry off).
+    flight_events: u64,
+}
+
+/// Pushes the whole stream through a fresh gateway.
+fn run(rig: &Rig, telemetry: bool) -> Pass {
     hybridcs_obs::set_enabled(telemetry);
     recorder().clear();
     let mut gateway = Gateway::new(GatewayConfig {
@@ -111,50 +125,75 @@ fn run(rig: &Rig, telemetry: bool) -> (f64, Vec<Vec<f64>>) {
         .into_iter()
         .map(|w| w.signal)
         .collect();
+    let flight_events = recorder().recorded();
     // Leave nothing armed for the next run.
     let _ = hybridcs_obs::drain_events();
     hybridcs_obs::set_enabled(false);
-    (elapsed, outputs)
+    Pass {
+        seconds: elapsed,
+        outputs,
+        flight_events,
+    }
+}
+
+/// Median of a non-empty sample (the mean of the middle two when even).
+fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    let mid = values.len() / 2;
+    if values.len() % 2 == 1 {
+        values[mid]
+    } else {
+        0.5 * (values[mid - 1] + values[mid])
+    }
 }
 
 fn main() {
     let frames = env_usize("HYBRIDCS_OBS_WINDOWS", 16);
-    let rounds = env_usize("HYBRIDCS_OBS_ROUNDS", 3).max(1);
+    let rounds = env_usize("HYBRIDCS_OBS_ROUNDS", 7).max(1);
     let limit = env_f64("HYBRIDCS_OBS_OVERHEAD_LIMIT", 0.05);
     let bench_path =
         std::env::var("HYBRIDCS_OBS_BENCH_PATH").unwrap_or_else(|_| "BENCH_obs.json".to_string());
     let rig = rig(frames);
 
     // Warm both paths (operator caches, allocator pools, page faults).
-    let (_, baseline) = run(&rig, false);
-    let (_, telemetry) = run(&rig, true);
+    let baseline = run(&rig, false).outputs;
+    let telemetry = run(&rig, true).outputs;
     assert_eq!(
         baseline, telemetry,
         "telemetry-enabled decode output diverged from default"
     );
 
-    let mut best_off = f64::INFINITY;
-    let mut best_on = f64::INFINITY;
+    let mut ratios = Vec::with_capacity(rounds);
+    let mut times_off = Vec::with_capacity(rounds);
+    let mut times_on = Vec::with_capacity(rounds);
     let mut events_recorded = 0u64;
-    for _ in 0..rounds {
-        let (t_off, out_off) = run(&rig, false);
-        let (t_on, out_on) = run(&rig, true);
-        assert_eq!(out_off, baseline, "default path output not reproducible");
-        assert_eq!(out_on, baseline, "telemetry path output diverged");
-        best_off = best_off.min(t_off);
-        best_on = best_on.min(t_on);
-        events_recorded = events_recorded.max(recorder().recorded());
+    for round in 0..rounds {
+        let (off, on) = if round % 2 == 0 {
+            let off = run(&rig, false);
+            (off, run(&rig, true))
+        } else {
+            let on = run(&rig, true);
+            (run(&rig, false), on)
+        };
+        assert_eq!(
+            off.outputs, baseline,
+            "default path output not reproducible"
+        );
+        assert_eq!(on.outputs, baseline, "telemetry path output diverged");
+        ratios.push(on.seconds / off.seconds);
+        times_off.push(off.seconds);
+        times_on.push(on.seconds);
+        events_recorded = events_recorded.max(on.flight_events);
     }
-    let overhead = best_on / best_off - 1.0;
-    let throughput_off = frames as f64 / best_off;
-    let throughput_on = frames as f64 / best_on;
+    let overhead = median(&mut ratios) - 1.0;
+    let throughput_off = frames as f64 / median(&mut times_off);
+    let throughput_on = frames as f64 / median(&mut times_on);
     println!(
         "decode throughput: telemetry off {throughput_off:.1} windows/s, \
-         on {throughput_on:.1} windows/s ({} rounds, min-of-N)",
-        rounds
+         on {throughput_on:.1} windows/s (median of {rounds} alternating off/on pairs)"
     );
     println!(
-        "telemetry overhead: {:+.2}% (limit {:.2}%), {} flight events/run",
+        "telemetry overhead: {:+.2}% (median per-pair ratio; limit {:.2}%), {} flight events/run",
         overhead * 100.0,
         limit * 100.0,
         events_recorded

@@ -41,9 +41,13 @@
 //! resilience run can report exactly how it degraded.
 //!
 //! Unlike the plain decoder path, every supervised solve runs with an
-//! *active* observer (the watchdog), which costs one extra `Φ`-application
-//! per iteration. That is the price of divergence detection; the clean
-//! benchmarking paths keep using [`HybridDecoder`] directly.
+//! *active* observer (the watchdog). Its checks read values the decoder's
+//! solvers already compute (under PDHG, the new iterate's ℓ₁ objective
+//! and the residual at the extrapolated point the dual step pushed
+//! through `Φ`; ADMM reports the `Φx` it holds), so a watched solve
+//! applies `Φ` as often as the plain [`HybridDecoder`] path and returns
+//! the same bits; the watch itself costs two reductions and a few
+//! comparisons per iteration.
 
 use crate::codec::{DecodedWindow, EncodedWindow};
 use crate::telemetry::FrameCodec;

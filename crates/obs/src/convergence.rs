@@ -20,7 +20,13 @@ pub struct IterationEvent {
     /// The solver's own objective at this iterate (e.g. `‖Ψᵀx‖₁` for
     /// PDHG/ADMM, the LASSO value for FISTA, `‖α‖₁` for greedy methods).
     pub objective: f64,
-    /// Fidelity residual `‖Ax − y‖₂` at this iterate.
+    /// Fidelity residual `‖Ax − y‖₂`: at this iterate for every method
+    /// except PDHG, which reports it at the extrapolated point `x̄` its
+    /// dual step used this iteration (the initial point at iteration 1),
+    /// because the dual step already computed `Ax̄` and watching then costs
+    /// no extra application of `A`. `x̄ = 2xₖ − xₖ₋₁` is non-finite whenever
+    /// an iterate it is built from is, and the [`ConvergenceTrace`]'s
+    /// `final_residual` is exact at the returned signal for every method.
     pub residual: f64,
     /// Step-size-like parameter, when the method has one (τ for PDHG, the
     /// gradient step for FISTA/IHT, ρ for ADMM).

@@ -114,12 +114,23 @@ pub fn global() -> &'static MetricsRegistry {
     GLOBAL.get_or_init(MetricsRegistry::new)
 }
 
+/// Serializes the unit tests that flip or read the process-wide enabled
+/// flag. The harness runs tests on parallel threads, so a test turning
+/// collection off in the middle of another's span would drop its events.
+#[cfg(test)]
+pub(crate) fn lock_enabled_flag() -> std::sync::MutexGuard<'static, ()> {
+    use std::sync::{Mutex, PoisonError};
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn set_enabled_round_trips() {
+        let _flag = lock_enabled_flag();
         set_enabled(true);
         assert!(enabled());
         set_enabled(false);

@@ -172,12 +172,10 @@ pub fn dropped_events() -> u64 {
 mod tests {
     use super::*;
 
-    /// Serialize the span tests: they share the process-wide enabled flag
-    /// and the thread-local buffer.
+    /// Runs `f` with span collection on, holding the crate's enabled-flag
+    /// test lock so no other test flips the flag underneath it.
     fn with_spans_enabled(f: impl FnOnce()) {
-        use std::sync::{Mutex, PoisonError};
-        static GATE: Mutex<()> = Mutex::new(());
-        let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
+        let _flag = crate::lock_enabled_flag();
         crate::set_enabled(true);
         let _ = drain_events();
         let _ = dropped_events();
@@ -207,6 +205,7 @@ mod tests {
 
     #[test]
     fn disabled_spans_are_inert() {
+        let _flag = crate::lock_enabled_flag();
         crate::set_enabled(false);
         let _ = drain_events();
         {

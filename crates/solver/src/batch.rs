@@ -376,9 +376,8 @@ pub fn solve_pdhg_batch_workspace(
         std::mem::swap(&mut x, &mut x_new);
 
         if lane2win.iter().any(|&win| observers[win].active()) {
-            // `ax` is recomputed from `x_bar` at the top of the loop, so it
-            // is safe to reuse here for the fidelity residuals.
-            a.apply_batch_into(&x[..nk], k, &mut ax[..mk], &mut op_scratch);
+            // `ax` still holds this iteration's `Φx̄` panel, exactly as in
+            // the serial loop, so the residuals cost no forward.
             for (lane, &win) in lane2win.iter().enumerate() {
                 if observers[win].active() {
                     let p = &batch.problems()[win];

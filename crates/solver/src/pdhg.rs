@@ -66,10 +66,10 @@ pub fn solve_pdhg(
 
 /// [`solve_pdhg`] with an [`IterationObserver`] hook: when the observer is
 /// [active](IterationObserver::active), every iteration emits an
-/// [`IterationEvent`] with the ℓ₁ objective `‖Ψᵀx‖₁` (free — the
-/// soft-thresholded coefficients are already in hand) and the fidelity
-/// residual `‖Φx − y‖₂` (one extra `Φ`-application, skipped on the no-op
-/// path), and completion emits a [`ConvergenceTrace`].
+/// [`IterationEvent`] with the new iterate's ℓ₁ objective `‖Ψᵀx‖₁` and the
+/// residual `‖Φx̄ − y‖₂` at the extrapolated point its dual step used, both
+/// already in hand, so watching costs no extra `Φ`-application; completion
+/// emits a [`ConvergenceTrace`] with the exact final `‖Φx − y‖₂`.
 ///
 /// The observer never changes the arithmetic: results are bit-identical to
 /// [`solve_pdhg`].
@@ -199,9 +199,8 @@ pub fn solve_pdhg_workspace(
         std::mem::swap(&mut x, &mut x_new);
 
         if observer.active() {
-            // `ax` is recomputed from `x_bar` at the top of the loop, so it
-            // is safe to reuse here for the fidelity residual.
-            a.apply_into(&x, &mut ax, &mut op_scratch);
+            // `ax` still holds this iteration's `Φx̄` (the ball projection
+            // works on `ball_point`), so the residual costs no forward.
             observer.on_iteration(&IterationEvent {
                 iteration: iter,
                 objective: vector::norm1(&coeffs),
