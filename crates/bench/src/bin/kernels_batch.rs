@@ -14,7 +14,7 @@
 //!    [`SensingMatrix::apply_adjoint_batch_into_scratch`]);
 //! 2. wavelet panel transforms ([`Dwt::forward_panel_into`] /
 //!    [`Dwt::inverse_panel_into`]);
-//! 3. `hybridcs-linalg` lane kernels (`axpy`, `dot_lanes`);
+//! 3. the `hybridcs-linalg` lane kernel `axpy`;
 //! 4. `hybridcs-solver` prox/update lane kernels
 //!    (`soft_threshold_lanes`, `grad_step_lanes`).
 //!
@@ -64,7 +64,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut sense_scratch = vec![0.0; sensing.batch_scratch_len(K)];
     let mut dwt_scratch = vec![0.0; Dwt::panel_scratch_len(N, K)];
     let mut vector = vec![0.0; N * K];
-    let mut dots = vec![0.0; K];
     let thresholds: Vec<f64> = (0..K).map(|l| 1e-3 * (l + 1) as f64).collect();
     fill(&mut x_panel, 0x5EED_0001);
     fill(&mut y_panel, 0x5EED_0002);
@@ -111,9 +110,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         harness.bench(&format!("linalg_axpy/nk{}/{tier}", N * K), || {
             simd::axpy(black_box(0.125), &x_panel, &mut out_n);
-        });
-        harness.bench(&format!("linalg_dot_lanes/k{K}/{tier}"), || {
-            simd::dot_lanes(black_box(&x_panel), &vector[..N], K, &mut dots);
         });
 
         harness.bench(&format!("solver_soft_threshold_lanes/k{K}/{tier}"), || {

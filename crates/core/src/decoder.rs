@@ -97,59 +97,26 @@ impl HybridDecoder {
         self.decode_with_box(encoded, false)
     }
 
-    /// [`HybridDecoder::decode`] with an
-    /// [`IterationObserver`] receiving the configured solver's
-    /// per-iteration events and final
-    /// [`ConvergenceTrace`](hybridcs_solver::ConvergenceTrace).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`HybridDecoder::decode`].
-    pub fn decode_observed(
-        &self,
-        encoded: &EncodedWindow,
-        observer: &mut dyn IterationObserver,
-    ) -> Result<DecodedWindow, CoreError> {
-        self.decode_observed_with_box(encoded, true, observer)
-    }
-
-    /// [`HybridDecoder::decode_normal`] with an [`IterationObserver`] —
-    /// the hook the recovery supervisor uses to watchdog the CS-only
-    /// ladder rung exactly like the hybrid one.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`HybridDecoder::decode_normal`].
-    pub fn decode_normal_observed(
-        &self,
-        encoded: &EncodedWindow,
-        observer: &mut dyn IterationObserver,
-    ) -> Result<DecodedWindow, CoreError> {
-        self.decode_observed_with_box(encoded, false, observer)
-    }
-
     fn decode_with_box(
         &self,
         encoded: &EncodedWindow,
         use_box: bool,
     ) -> Result<DecodedWindow, CoreError> {
-        self.decode_observed_with_box(encoded, use_box, &mut NoopObserver)
+        self.decode_workspace(
+            encoded,
+            use_box,
+            &mut NoopObserver,
+            &mut SolverWorkspace::new(),
+        )
     }
 
-    fn decode_observed_with_box(
-        &self,
-        encoded: &EncodedWindow,
-        use_box: bool,
-        observer: &mut dyn IterationObserver,
-    ) -> Result<DecodedWindow, CoreError> {
-        self.decode_workspace(encoded, use_box, observer, &mut SolverWorkspace::new())
-    }
-
-    /// [`HybridDecoder::decode_observed`] (or `decode_normal_observed` with
-    /// `use_box = false`) drawing all solver buffers from a caller-owned
-    /// [`SolverWorkspace`]. Reusing one workspace across windows keeps the
-    /// solver inner loop allocation-free after warm-up; results are
-    /// bit-identical to the plain entry points.
+    /// [`HybridDecoder::decode`] (or, with `use_box = false`,
+    /// [`HybridDecoder::decode_normal`]) with an [`IterationObserver`]
+    /// receiving the configured solver's per-iteration events and final
+    /// [`ConvergenceTrace`](hybridcs_solver::ConvergenceTrace), drawing all
+    /// solver buffers from a caller-owned [`SolverWorkspace`]. Reusing one
+    /// workspace across windows keeps the solver inner loop allocation-free
+    /// after warm-up; results are bit-identical to the plain entry points.
     ///
     /// # Errors
     ///

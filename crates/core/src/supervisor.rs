@@ -1,13 +1,13 @@
 //! The receiver-side recovery supervisor: a decode ladder that degrades
 //! gracefully instead of failing.
 //!
-//! [`ResilientReceiver`](crate::telemetry::ResilientReceiver) already maps
-//! per-section CRC verdicts to fallback decodes, but it still *errors
-//! upward*: a solver blow-up or an unusable frame yields
-//! [`RecoveredWindow::Lost`](crate::telemetry::RecoveredWindow) and the
-//! caller has to cope. [`RecoverySupervisor`] closes that last gap — its
-//! [`receive`](RecoverySupervisor::receive) **always** returns a finite
-//! signal of the configured window length, chosen from a four-rung ladder:
+//! [`FrameCodec`] checks each payload section of a frame against its own
+//! CRC, so a damaged frame still delivers whatever section survived. The
+//! ladder maps those per-section verdicts to a decode and never errors
+//! upward: a solver blow-up, an unusable header or a dropped packet still
+//! yields a window. [`RecoverySupervisor::receive`] **always** returns a
+//! finite signal of the configured window length, chosen from a four-rung
+//! ladder:
 //!
 //! 1. [`Hybrid`](LadderRung::Hybrid) — both sections intact, Eq. (1) with
 //!    the box, watched by a [`SolverWatchdog`];
@@ -32,13 +32,12 @@
 //!   last-good concealment, and the metrics bookkeeping. One per session,
 //!   cheap, and only ever touched by its owning thread.
 //!
-//! [`RecoverySupervisor`] composes the two for the single-session case;
-//! its behaviour is unchanged.
+//! [`RecoverySupervisor`] composes the two for the single-session case.
 //!
-//! Every ladder decision, demotion and sequence gap is counted in the
-//! [global metrics registry](hybridcs_obs::global) under `supervisor_*`
-//! names, and watchdog trips under `solver_watchdog_trips` — so a
-//! resilience run can report exactly how it degraded.
+//! Every ladder decision, demotion, lost section and sequence gap is
+//! counted in the [global metrics registry](hybridcs_obs::global) under
+//! `supervisor_*` names, and watchdog trips under `solver_watchdog_trips` —
+//! so a resilience run can report exactly how it degraded.
 //!
 //! Unlike the plain decoder path, every supervised solve runs with an
 //! *active* observer (the watchdog). Its checks read values the decoder's
@@ -296,7 +295,9 @@ impl DecodeLadder {
     /// Parses one wire frame (or `None` for a wholly lost packet) into its
     /// surviving sections. Unusable headers are counted under
     /// `supervisor_header_unusable_total` and yield an all-`None` parse —
-    /// they never error.
+    /// they never error. Behind a usable header, each section that failed
+    /// its CRC is counted under
+    /// `supervisor_section_lost_total{section="cs"|"lowres"}`.
     #[must_use]
     pub fn parse(&self, packet: Option<&[u8]>) -> ParsedSections {
         match packet {
@@ -306,11 +307,24 @@ impl DecodeLadder {
                 lowres: None,
             },
             Some(bytes) => match self.frame_codec.deserialize_sections(bytes) {
-                Ok(sections) => ParsedSections {
-                    sequence: Some(sections.sequence),
-                    measurements: sections.measurements,
-                    lowres: sections.lowres,
-                },
+                Ok(sections) => {
+                    let lost = |section| {
+                        hybridcs_obs::global()
+                            .counter("supervisor_section_lost_total", &[("section", section)])
+                            .inc();
+                    };
+                    if sections.measurements.is_none() {
+                        lost("cs");
+                    }
+                    if sections.lowres.is_none() {
+                        lost("lowres");
+                    }
+                    ParsedSections {
+                        sequence: Some(sections.sequence),
+                        measurements: sections.measurements,
+                        lowres: sections.lowres,
+                    }
+                }
                 Err(_) => {
                     hybridcs_obs::global()
                         .counter("supervisor_header_unusable_total", &[])
@@ -791,8 +805,8 @@ impl SessionLedger {
 }
 
 /// The single-session supervisor: a [`DecodeLadder`] and a
-/// [`SessionLedger`] composed behind the original one-call API; see the
-/// [module docs](self) for the ladder.
+/// [`SessionLedger`] composed behind one call per frame; [`LadderRung`]
+/// lists the rungs it walks.
 #[derive(Debug, Clone)]
 pub struct RecoverySupervisor {
     ladder: DecodeLadder,

@@ -1,12 +1,14 @@
-//! Telemetry framing and loss-resilient reception.
+//! Telemetry framing: the wire format both payloads travel in.
 //!
 //! The paper's Fig. 1 ends at "Transmit"; any real WBSN deployment needs a
-//! wire format and a story for corrupted/lost frames. This module provides
-//! both, and in doing so demonstrates a structural advantage of the hybrid
-//! design that the paper leaves implicit: the two payloads degrade
-//! **independently**. Lose the CS section and the low-resolution section
-//! still yields a coarse but diagnostically usable trace; lose the
-//! low-resolution section and the CS section still decodes as normal CS.
+//! wire format and a story for corrupted/lost frames. [`FrameCodec`]
+//! provides the format, and its per-section CRCs let the two payloads
+//! degrade **independently** — a structural advantage of the hybrid design
+//! that the paper leaves implicit. Lose the CS section and the
+//! low-resolution section still yields a coarse but diagnostically usable
+//! trace; lose the low-resolution section and the CS section still decodes
+//! as normal CS. The receiver that acts on those verdicts is the decode
+//! ladder ([`DecodeLadder`](crate::DecodeLadder)).
 //!
 //! Wire format (little-endian):
 //!
@@ -17,11 +19,10 @@
 //! | low-res section bytes | lowres crc32
 //! ```
 
-use crate::codec::{DecodedWindow, EncodedWindow};
-use crate::{CoreError, HybridDecoder, SystemConfig};
+use crate::codec::EncodedWindow;
+use crate::{CoreError, SystemConfig};
 use hybridcs_coding::{crc32, BitReader, BitWriter, CodingError, Payload};
-use hybridcs_frontend::{LowResChannel, LowResFrame, MeasurementQuantizer};
-use hybridcs_obs::Counter;
+use hybridcs_frontend::MeasurementQuantizer;
 
 const MAGIC: u16 = 0xEC65;
 
@@ -29,6 +30,7 @@ const MAGIC: u16 = 0xEC65;
 /// configures, rejected before allocating for a section.
 const MAX_MEASUREMENTS: usize = 4096;
 const MAX_WINDOW: usize = 16384;
+const MAX_LOWRES_BITS: u32 = 24;
 const MAX_LOWRES_BITS_PER_SAMPLE: usize = 64;
 
 /// Serializer/deserializer between [`EncodedWindow`]s and wire bytes.
@@ -63,9 +65,31 @@ impl FrameCodec {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError`] on an invalid configuration.
+    /// Returns [`CoreError`] on an invalid configuration, and
+    /// [`CoreError::BadConfig`] for a shape whose frames
+    /// [`deserialize_sections`](FrameCodec::deserialize_sections) would
+    /// refuse: more than 16384 samples, more than 4096 measurements, or a
+    /// low-resolution depth outside 1–24 bits.
     pub fn new(config: &SystemConfig) -> Result<Self, CoreError> {
         config.validate()?;
+        if config.window > MAX_WINDOW {
+            return Err(CoreError::BadConfig {
+                name: "window (beyond the frame header cap)",
+                value: config.window as f64,
+            });
+        }
+        if config.measurements > MAX_MEASUREMENTS {
+            return Err(CoreError::BadConfig {
+                name: "measurements (beyond the frame header cap)",
+                value: config.measurements as f64,
+            });
+        }
+        if !(1..=MAX_LOWRES_BITS).contains(&config.lowres_bits) {
+            return Err(CoreError::BadConfig {
+                name: "lowres_bits (beyond the frame header cap)",
+                value: f64::from(config.lowres_bits),
+            });
+        }
         let digitizer =
             MeasurementQuantizer::new(config.measurement_bits, config.measurement_full_scale_mv)?;
         Ok(FrameCodec {
@@ -79,15 +103,20 @@ impl FrameCodec {
     /// # Errors
     ///
     /// Returns [`CoreError::WindowMismatch`] when the window was encoded
-    /// under a different configuration.
+    /// under a different configuration, naming the window lengths when
+    /// those differ and the measurement counts otherwise.
     pub fn serialize(&self, sequence: u32, window: &EncodedWindow) -> Result<Vec<u8>, CoreError> {
         let _span = hybridcs_obs::span!("frame.serialize");
-        if window.window_len != self.config.window
-            || window.measurements.len() != self.config.measurements
-        {
+        if window.window_len != self.config.window {
             return Err(CoreError::WindowMismatch {
                 expected: self.config.window,
                 actual: window.window_len,
+            });
+        }
+        if window.measurements.len() != self.config.measurements {
+            return Err(CoreError::WindowMismatch {
+                expected: self.config.measurements,
+                actual: window.measurements.len(),
             });
         }
         let mut out = Vec::new();
@@ -188,7 +217,7 @@ impl FrameCodec {
         if m == 0 || m > MAX_MEASUREMENTS || n == 0 || n > MAX_WINDOW {
             return Err(corrupt("implausible frame geometry"));
         }
-        if !(1..=32).contains(&meas_bits) || !(1..=24).contains(&lowres_bits) {
+        if !(1..=32).contains(&meas_bits) || !(1..=MAX_LOWRES_BITS).contains(&lowres_bits) {
             return Err(corrupt("implausible bit depth"));
         }
         if lowres_bit_len > MAX_LOWRES_BITS_PER_SAMPLE * n {
@@ -250,300 +279,53 @@ impl FrameCodec {
     }
 }
 
-/// What a resilient receiver managed to recover for one window.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RecoveredWindow {
-    /// Both sections arrived: full hybrid reconstruction.
-    Hybrid(DecodedWindow),
-    /// Low-res section lost: plain-CS reconstruction from measurements.
-    CsOnly(DecodedWindow),
-    /// CS section lost: coarse trace from the low-res cells (midpoints).
-    LowResOnly(Vec<f64>),
-    /// Nothing usable arrived.
-    Lost,
-}
-
-impl RecoveredWindow {
-    /// The best-effort signal, if any section survived.
-    #[must_use]
-    pub fn signal(&self) -> Option<&[f64]> {
-        match self {
-            RecoveredWindow::Hybrid(d) | RecoveredWindow::CsOnly(d) => Some(&d.signal),
-            RecoveredWindow::LowResOnly(s) => Some(s),
-            RecoveredWindow::Lost => None,
-        }
-    }
-}
-
-/// Reception-side loss accounting, registered in the
-/// [global metrics registry](hybridcs_obs::global):
-///
-/// * `telemetry_frames_total` — every [`ResilientReceiver::receive`] call;
-/// * `telemetry_frames_lost{reason=...}` — `dropped` (no packet), `header`
-///   (unusable header), `decode` (sections OK but reconstruction failed);
-/// * `telemetry_section_lost{section=...}` — per-section CRC failures
-///   (`cs`, `lowres`) on frames whose header parsed;
-/// * `telemetry_outcome{outcome=...}` — one of `hybrid`, `cs_only`,
-///   `lowres_only`, `lost` per received frame.
-#[derive(Debug, Clone)]
-struct ReceiverCounters {
-    frames_total: Counter,
-    lost_dropped: Counter,
-    lost_header: Counter,
-    lost_decode: Counter,
-    section_cs: Counter,
-    section_lowres: Counter,
-    outcome_hybrid: Counter,
-    outcome_cs_only: Counter,
-    outcome_lowres_only: Counter,
-    outcome_lost: Counter,
-}
-
-impl ReceiverCounters {
-    fn new() -> Self {
-        let registry = hybridcs_obs::global();
-        let lost = |reason| registry.counter("telemetry_frames_lost", &[("reason", reason)]);
-        let section = |section| registry.counter("telemetry_section_lost", &[("section", section)]);
-        let outcome = |outcome| registry.counter("telemetry_outcome", &[("outcome", outcome)]);
-        ReceiverCounters {
-            frames_total: registry.counter("telemetry_frames_total", &[]),
-            lost_dropped: lost("dropped"),
-            lost_header: lost("header"),
-            lost_decode: lost("decode"),
-            section_cs: section("cs"),
-            section_lowres: section("lowres"),
-            outcome_hybrid: outcome("hybrid"),
-            outcome_cs_only: outcome("cs_only"),
-            outcome_lowres_only: outcome("lowres_only"),
-            outcome_lost: outcome("lost"),
-        }
-    }
-
-    fn record_outcome(&self, window: &RecoveredWindow) {
-        match window {
-            RecoveredWindow::Hybrid(_) => self.outcome_hybrid.add(1),
-            RecoveredWindow::CsOnly(_) => self.outcome_cs_only.add(1),
-            RecoveredWindow::LowResOnly(_) => self.outcome_lowres_only.add(1),
-            RecoveredWindow::Lost => self.outcome_lost.add(1),
-        }
-    }
-}
-
-/// A receiver that degrades gracefully under section loss.
-#[derive(Debug, Clone)]
-pub struct ResilientReceiver {
-    frame_codec: FrameCodec,
-    decoder: HybridDecoder,
-    lowres_channel: LowResChannel,
-    lowres_codec: hybridcs_coding::LowResCodec,
-    counters: ReceiverCounters,
-}
-
-impl ResilientReceiver {
-    /// Builds the receiver from a configuration and the trained low-res
-    /// codec (must match the sensor's).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on an invalid configuration.
-    pub fn new(
-        config: &SystemConfig,
-        lowres_codec: hybridcs_coding::LowResCodec,
-    ) -> Result<Self, CoreError> {
-        Ok(ResilientReceiver {
-            frame_codec: FrameCodec::new(config)?,
-            decoder: HybridDecoder::new(config, lowres_codec.clone())?,
-            lowres_channel: LowResChannel::new(config.lowres_bits)?,
-            lowres_codec,
-            counters: ReceiverCounters::new(),
-        })
-    }
-
-    /// The framing codec (for the sensor side of a simulation).
-    #[must_use]
-    pub fn frame_codec(&self) -> &FrameCodec {
-        &self.frame_codec
-    }
-
-    /// Receives one wire frame (or `None` for a wholly lost packet) and
-    /// recovers as much as the surviving sections allow.
-    ///
-    /// Every call updates the loss counters documented on the type (see
-    /// the module docs); `examples/lossy_link.rs` prints the resulting
-    /// per-section summary.
-    #[must_use]
-    pub fn receive(&self, packet: Option<&[u8]>) -> RecoveredWindow {
-        let recovered = self.receive_inner(packet);
-        self.counters.record_outcome(&recovered);
-        recovered
-    }
-
-    fn receive_inner(&self, packet: Option<&[u8]>) -> RecoveredWindow {
-        self.counters.frames_total.add(1);
-        let Some(bytes) = packet else {
-            self.counters.lost_dropped.add(1);
-            return RecoveredWindow::Lost;
-        };
-        let Ok(sections) = self.frame_codec.deserialize_sections(bytes) else {
-            self.counters.lost_header.add(1);
-            return RecoveredWindow::Lost;
-        };
-        if sections.measurements.is_none() {
-            self.counters.section_cs.add(1);
-        }
-        if sections.lowres.is_none() {
-            self.counters.section_lowres.add(1);
-        }
-        let config = self.decoder.config().clone();
-        match (sections.measurements, sections.lowres) {
-            (Some(measurements), Some(lowres)) => {
-                let encoded = EncodedWindow {
-                    measurements,
-                    lowres,
-                    window_len: config.window,
-                    measurement_bits: config.measurement_bits,
-                };
-                match self.decoder.decode(&encoded) {
-                    Ok(decoded) => RecoveredWindow::Hybrid(decoded),
-                    Err(_) => {
-                        self.counters.lost_decode.add(1);
-                        RecoveredWindow::Lost
-                    }
-                }
-            }
-            (Some(measurements), None) => {
-                // Build a placeholder low-res payload; decode_normal never
-                // reads it.
-                let encoded = EncodedWindow {
-                    measurements,
-                    lowres: Payload {
-                        bytes: Vec::new(),
-                        bit_len: 0,
-                    },
-                    window_len: config.window,
-                    measurement_bits: config.measurement_bits,
-                };
-                match self.decoder.decode_normal(&encoded) {
-                    Ok(decoded) => RecoveredWindow::CsOnly(decoded),
-                    Err(_) => {
-                        self.counters.lost_decode.add(1);
-                        RecoveredWindow::Lost
-                    }
-                }
-            }
-            (None, Some(lowres)) => {
-                let decode_failed = || {
-                    self.counters.lost_decode.add(1);
-                    RecoveredWindow::Lost
-                };
-                let Ok(codes) = self.lowres_codec.decode(&lowres, config.window) else {
-                    return decode_failed();
-                };
-                let Ok(frame) = LowResFrame::from_codes(codes, &self.lowres_channel) else {
-                    return decode_failed();
-                };
-                let half = frame.step() / 2.0;
-                RecoveredWindow::LowResOnly(frame.samples().iter().map(|v| v + half).collect())
-            }
-            (None, None) => RecoveredWindow::Lost,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiment::default_training_windows;
-    use crate::{train_lowres_codec, HybridFrontEnd};
+    use crate::{train_lowres_codec, DecodeLadder, HybridFrontEnd};
     use hybridcs_ecg::{EcgGenerator, GeneratorConfig};
+    use hybridcs_solver::WatchdogConfig;
 
-    fn setup() -> (HybridFrontEnd, ResilientReceiver, Vec<f64>) {
-        let config = SystemConfig {
+    fn config() -> SystemConfig {
+        SystemConfig {
             measurements: 64,
             ..SystemConfig::default()
-        };
+        }
+    }
+
+    fn encoded_window(config: &SystemConfig) -> EncodedWindow {
         let codec =
             train_lowres_codec(config.lowres_bits, &default_training_windows(config.window))
                 .unwrap();
-        let frontend = HybridFrontEnd::new(&config, codec.clone()).unwrap();
-        let receiver = ResilientReceiver::new(&config, codec).unwrap();
+        let frontend = HybridFrontEnd::new(config, codec).unwrap();
         let generator = EcgGenerator::new(GeneratorConfig::normal_sinus()).unwrap();
         let window = generator.generate(2.0, 0x7E1E)[..config.window].to_vec();
-        (frontend, receiver, window)
+        frontend.encode(&window).unwrap()
     }
 
     #[test]
-    fn clean_frame_roundtrips_to_hybrid() {
-        let (frontend, receiver, window) = setup();
-        let encoded = frontend.encode(&window).unwrap();
-        let bytes = receiver.frame_codec().serialize(7, &encoded).unwrap();
-        // Full parse also works.
-        let frame = receiver.frame_codec().deserialize(&bytes).unwrap();
+    fn clean_frame_roundtrips() {
+        let config = config();
+        let encoded = encoded_window(&config);
+        let codec = FrameCodec::new(&config).unwrap();
+        let bytes = codec.serialize(7, &encoded).unwrap();
+        let frame = codec.deserialize(&bytes).unwrap();
         assert_eq!(frame.sequence, 7);
         assert_eq!(frame.encoded.lowres, encoded.lowres);
         for (a, b) in frame.encoded.measurements.iter().zip(&encoded.measurements) {
             assert!((a - b).abs() < 1e-9, "measurement drift {a} vs {b}");
         }
-        match receiver.receive(Some(&bytes)) {
-            RecoveredWindow::Hybrid(decoded) => {
-                let snr = hybridcs_metrics::snr_db(&window, &decoded.signal);
-                assert!(snr > 12.0, "SNR {snr}");
-            }
-            other => panic!("expected hybrid recovery, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn corrupt_cs_section_falls_back_to_lowres() {
-        let (frontend, receiver, window) = setup();
-        let encoded = frontend.encode(&window).unwrap();
-        let mut bytes = receiver.frame_codec().serialize(1, &encoded).unwrap();
-        // Flip a bit inside the CS section (just after the 20-byte header).
-        bytes[25] ^= 0x10;
-        match receiver.receive(Some(&bytes)) {
-            RecoveredWindow::LowResOnly(signal) => {
-                // Coarse but sane: within one quantization step everywhere.
-                let channel = LowResChannel::new(7).unwrap();
-                for (v, x) in signal.iter().zip(&window) {
-                    assert!((v - x).abs() <= channel.step());
-                }
-            }
-            other => panic!("expected low-res fallback, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn corrupt_lowres_section_falls_back_to_normal_cs() {
-        let (frontend, receiver, window) = setup();
-        let encoded = frontend.encode(&window).unwrap();
-        let mut bytes = receiver.frame_codec().serialize(2, &encoded).unwrap();
-        let last = bytes.len() - 6; // inside the low-res section
-        bytes[last] ^= 0x01;
-        match receiver.receive(Some(&bytes)) {
-            RecoveredWindow::CsOnly(decoded) => {
-                assert!(!decoded.used_box);
-                assert_eq!(decoded.signal.len(), window.len());
-            }
-            other => panic!("expected CS-only fallback, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn corrupt_header_is_lost() {
-        let (frontend, receiver, window) = setup();
-        let encoded = frontend.encode(&window).unwrap();
-        let mut bytes = receiver.frame_codec().serialize(3, &encoded).unwrap();
-        bytes[3] ^= 0xFF; // sequence byte, protected by header CRC
-        assert_eq!(receiver.receive(Some(&bytes)), RecoveredWindow::Lost);
-        assert_eq!(receiver.receive(None), RecoveredWindow::Lost);
-        assert_eq!(receiver.receive(Some(&[1, 2, 3])), RecoveredWindow::Lost);
     }
 
     #[test]
     fn config_mismatch_is_rejected() {
-        let (frontend, receiver, window) = setup();
-        let encoded = frontend.encode(&window).unwrap();
-        let bytes = receiver.frame_codec().serialize(4, &encoded).unwrap();
+        let config = config();
+        let encoded = encoded_window(&config);
+        let bytes = FrameCodec::new(&config)
+            .unwrap()
+            .serialize(4, &encoded)
+            .unwrap();
         let other_config = SystemConfig {
             measurements: 96,
             ..SystemConfig::default()
@@ -552,12 +334,56 @@ mod tests {
         assert!(other.deserialize_sections(&bytes).is_err());
     }
 
+    /// Every shape `FrameCodec::new` accepts must parse back, so shapes past
+    /// the header caps are refused up front (and with them the ladder);
+    /// `serialize` names the counts that actually differ.
     #[test]
-    fn recovered_window_signal_accessor() {
-        assert!(RecoveredWindow::Lost.signal().is_none());
+    fn shapes_beyond_the_header_caps_are_refused_and_mismatches_name_their_counts() {
+        let shape = |n, m, bits| SystemConfig {
+            window: n,
+            measurements: m,
+            lowres_bits: bits,
+            ..SystemConfig::default()
+        };
+        let (window, measurements, lowres_bits) = (
+            "window (beyond the frame header cap)",
+            "measurements (beyond the frame header cap)",
+            "lowres_bits (beyond the frame header cap)",
+        );
+        let lowres = train_lowres_codec(7, &default_training_windows(512)).unwrap();
+        for (config, name, value) in [
+            (shape(32768, 96, 7), window, 32768.0),
+            (shape(32768, 5000, 7), window, 32768.0),
+            (shape(65536, 96, 7), window, 65536.0),
+            (shape(16384, 5000, 7), measurements, 5000.0),
+            (shape(512, 96, 25), lowres_bits, 25.0),
+        ] {
+            config.validate().unwrap();
+            let refused = Err(CoreError::BadConfig { name, value });
+            assert_eq!(FrameCodec::new(&config).map(|_| ()), refused);
+            let ladder = DecodeLadder::new(&config, lowres.clone(), WatchdogConfig::default());
+            assert_eq!(ladder.map(|_| ()), refused);
+        }
+        assert!(FrameCodec::new(&shape(16384, 4096, 7)).is_ok());
+
+        let config = config();
+        let codec = FrameCodec::new(&config).unwrap();
+        let mut encoded = encoded_window(&config);
+        encoded.measurements.pop();
         assert_eq!(
-            RecoveredWindow::LowResOnly(vec![1.0]).signal(),
-            Some(&[1.0][..])
+            codec.serialize(0, &encoded),
+            Err(CoreError::WindowMismatch {
+                expected: 64,
+                actual: 63,
+            })
+        );
+        encoded.window_len = 256;
+        assert_eq!(
+            codec.serialize(0, &encoded),
+            Err(CoreError::WindowMismatch {
+                expected: 512,
+                actual: 256,
+            })
         );
     }
 }

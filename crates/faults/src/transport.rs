@@ -61,7 +61,9 @@ impl TransportFaultConfig {
     }
 }
 
-/// The seeded socket-layer fault wrapper. See the [module docs](self).
+/// The seeded socket-layer fault wrapper: loss, bit corruption, adjacent
+/// reorder and partial writes on an outbound message stream, all behind one
+/// seed, at the rates a [`TransportFaultConfig`] sets.
 #[derive(Debug, Clone)]
 pub struct FaultyTransport {
     config: TransportFaultConfig,

@@ -3,16 +3,10 @@
 //! Every kernel here exists in two tiers — a hand-written AVX2 version and
 //! a scalar twin — selected once per call by [`simd_enabled`]. The contract
 //! is **0 ULP**: for any input, both tiers produce bit-identical output.
-//! That holds because each kernel is either
-//!
-//! * **element-wise** (one multiply/add/divide per output element, no
-//!   reduction): IEEE-754 arithmetic is deterministic per element, so
-//!   vectorizing across elements cannot change any bit; or
-//! * **lane-parallel** ([`dot_lanes`]): the reduction runs *across the
-//!   batch dimension* — each lane keeps its own accumulator and sums its
-//!   terms in exactly the scalar (ascending-index) order. SIMD widens
-//!   over lanes, never over the reduction axis, so no reassociation
-//!   occurs.
+//! That holds because every dispatched kernel is **element-wise** (one
+//! multiply/add/divide per output element, no reduction): IEEE-754
+//! arithmetic is deterministic per element, so vectorizing across elements
+//! cannot change any bit.
 //!
 //! No FMA contraction is used anywhere: products and sums are separate
 //! `_mm256_mul_pd` / `_mm256_add_pd` instructions (rustc never contracts
@@ -33,12 +27,12 @@
 //! # Lane reductions stay scalar
 //!
 //! The per-lane norm helpers ([`norm1_lane`], [`norm2_lane`],
-//! [`norm_inf_lane`], [`dist2_lane`], [`dist2_lane_vs`]) are deliberately
-//! scalar-only: they replicate the exact fold order of
-//! [`vector`](crate::vector) on a strided lane, and the max-based
-//! reductions cannot use `_mm256_max_pd` (its NaN semantics — return the
-//! second operand — differ from `f64::max`). They run once per
-//! convergence check, not per iteration element, so they are not hot.
+//! [`dist2_lane`], [`dist2_lane_vs`]) are deliberately scalar-only: they
+//! replicate the exact fold order of [`vector`](crate::vector) on a
+//! strided lane, and the max-based reductions cannot use `_mm256_max_pd`
+//! (its NaN semantics — return the second operand — differ from
+//! `f64::max`). They run once per convergence check, not per iteration
+//! element, so they are not hot.
 
 // The one unsafe surface in this crate: `std::arch` intrinsics behind the
 // runtime feature check above.
@@ -155,45 +149,6 @@ pub fn div_by(x: &[f64], divisor: f64, out: &mut [f64]) {
     }
 }
 
-/// K simultaneous dot products over a column-major panel:
-/// `out[lane] = Σ_j v[j] * panel[j*k + lane]` for `lane < k`, each lane
-/// accumulated in ascending-`j` order from `0.0` — exactly
-/// [`vector::dot`](crate::vector::dot)`(v, lane_j)` bit-for-bit. SIMD runs
-/// across lanes (independent accumulators), never across `j`, so no
-/// reassociation occurs.
-///
-/// # Panics
-///
-/// Panics if `panel.len() != v.len() * k` or `out.len() != k`.
-pub fn dot_lanes(panel: &[f64], v: &[f64], k: usize, out: &mut [f64]) {
-    assert_eq!(panel.len(), v.len() * k, "dot_lanes: panel shape");
-    assert_eq!(out.len(), k, "dot_lanes: output length");
-    if simd_enabled() {
-        // SAFETY: `simd_enabled` implies AVX2 support was detected.
-        unsafe { avx::dot_lanes(panel, v, k, out) }
-    } else {
-        scalar::dot_lanes(panel, v, k, out);
-    }
-}
-
-/// `out[j*k + lane] += x[lane] * v[j]` — the lane-parallel rank-1 update
-/// behind the batched dense adjoint (`Aᵀ` row accumulation). Per lane this
-/// is exactly [`vector::axpy`](crate::vector::axpy)`(x[lane], v, out_lane)`.
-///
-/// # Panics
-///
-/// Panics if `out.len() != v.len() * k` or `x.len() != k`.
-pub fn rank1_lanes(x: &[f64], v: &[f64], k: usize, out: &mut [f64]) {
-    assert_eq!(out.len(), v.len() * k, "rank1_lanes: panel shape");
-    assert_eq!(x.len(), k, "rank1_lanes: lane count");
-    if simd_enabled() {
-        // SAFETY: `simd_enabled` implies AVX2 support was detected.
-        unsafe { avx::rank1_lanes(x, v, k, out) }
-    } else {
-        scalar::rank1_lanes(x, v, k, out);
-    }
-}
-
 // -- scalar-only per-lane reductions -----------------------------------------
 //
 // These replicate the exact algorithms of `crate::vector` on one strided
@@ -207,13 +162,6 @@ pub fn rank1_lanes(x: &[f64], v: &[f64], k: usize, out: &mut [f64]) {
 #[must_use]
 pub fn norm1_lane(panel: &[f64], k: usize, lane: usize, len: usize) -> f64 {
     (0..len).map(|i| panel[i * k + lane].abs()).sum()
-}
-
-/// [`vector::norm_inf`](crate::vector::norm_inf) of lane `lane` over the
-/// first `len` panel rows.
-#[must_use]
-pub fn norm_inf_lane(panel: &[f64], k: usize, lane: usize, len: usize) -> f64 {
-    (0..len).fold(0.0_f64, |m, i| m.max(panel[i * k + lane].abs()))
 }
 
 /// [`vector::norm2`](crate::vector::norm2) of lane `lane` over the first
@@ -383,24 +331,6 @@ pub(crate) mod scalar {
             *o = xi / divisor;
         }
     }
-
-    pub fn dot_lanes(panel: &[f64], v: &[f64], k: usize, out: &mut [f64]) {
-        for (lane, o) in out.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for (j, &vj) in v.iter().enumerate() {
-                acc += vj * panel[j * k + lane];
-            }
-            *o = acc;
-        }
-    }
-
-    pub fn rank1_lanes(x: &[f64], v: &[f64], k: usize, out: &mut [f64]) {
-        for (j, &vj) in v.iter().enumerate() {
-            for (lane, &xl) in x.iter().enumerate() {
-                out[j * k + lane] += xl * vj;
-            }
-        }
-    }
 }
 
 /// The AVX2 tier. Every function is `#[target_feature(enable = "avx2")]`
@@ -410,7 +340,7 @@ pub(crate) mod scalar {
 mod avx {
     use std::arch::x86_64::{
         _mm256_add_pd, _mm256_div_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd,
-        _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd,
+        _mm256_storeu_pd, _mm256_sub_pd,
     };
 
     #[target_feature(enable = "avx2")]
@@ -463,47 +393,6 @@ mod avx {
         }
         for i in chunks * 4..n {
             out[i] = x[i] / divisor;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dot_lanes(panel: &[f64], v: &[f64], k: usize, out: &mut [f64]) {
-        let chunks = k / 4;
-        for c in 0..chunks {
-            let lane = c * 4;
-            let mut acc = _mm256_setzero_pd();
-            for (j, &vj) in v.iter().enumerate() {
-                let xv = _mm256_loadu_pd(panel.as_ptr().add(j * k + lane));
-                acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(vj), xv));
-            }
-            _mm256_storeu_pd(out.as_mut_ptr().add(lane), acc);
-        }
-        for lane in chunks * 4..k {
-            let mut acc = 0.0;
-            for (j, &vj) in v.iter().enumerate() {
-                acc += vj * panel[j * k + lane];
-            }
-            out[lane] = acc;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn rank1_lanes(x: &[f64], v: &[f64], k: usize, out: &mut [f64]) {
-        let chunks = k / 4;
-        for (j, &vj) in v.iter().enumerate() {
-            let vv = _mm256_set1_pd(vj);
-            for c in 0..chunks {
-                let lane = c * 4;
-                let xl = _mm256_loadu_pd(x.as_ptr().add(lane));
-                let ov = _mm256_loadu_pd(out.as_ptr().add(j * k + lane));
-                _mm256_storeu_pd(
-                    out.as_mut_ptr().add(j * k + lane),
-                    _mm256_add_pd(ov, _mm256_mul_pd(xl, vv)),
-                );
-            }
-            for lane in chunks * 4..k {
-                out[j * k + lane] += x[lane] * vj;
-            }
         }
     }
 }
@@ -594,50 +483,6 @@ mod tests {
     }
 
     #[test]
-    fn dot_lanes_matches_serial_dot_per_lane() {
-        for &(rows, k) in &[(5usize, 1usize), (16, 3), (9, 4), (33, 7), (64, 16)] {
-            let panel = noise(rows * k, 61);
-            let v = noise(rows, 62);
-            pin_both_tiers(|| {
-                let mut out = vec![0.0; k];
-                dot_lanes(&panel, &v, k, &mut out);
-                out
-            });
-            // And each lane equals the serial dot on the gathered lane.
-            let mut out = vec![0.0; k];
-            scalar::dot_lanes(&panel, &v, k, &mut out);
-            for lane in 0..k {
-                let lane_vec: Vec<f64> = (0..rows).map(|i| panel[i * k + lane]).collect();
-                let serial = crate::vector::dot(&v, &lane_vec);
-                assert_eq!(out[lane].to_bits(), serial.to_bits(), "lane {lane}");
-            }
-        }
-    }
-
-    #[test]
-    fn rank1_lanes_matches_serial_axpy_per_lane() {
-        for &(rows, k) in &[(7usize, 2usize), (12, 4), (20, 6), (16, 16)] {
-            let x = noise(k, 71);
-            let v = noise(rows, 72);
-            let out0 = noise(rows * k, 73);
-            pin_both_tiers(|| {
-                let mut out = out0.clone();
-                rank1_lanes(&x, &v, k, &mut out);
-                out
-            });
-            let mut out = out0.clone();
-            scalar::rank1_lanes(&x, &v, k, &mut out);
-            for lane in 0..k {
-                let mut lane_vec: Vec<f64> = (0..rows).map(|i| out0[i * k + lane]).collect();
-                crate::vector::axpy(x[lane], &v, &mut lane_vec);
-                for i in 0..rows {
-                    assert_eq!(out[i * k + lane].to_bits(), lane_vec[i].to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
     fn lane_reductions_match_vector_reference() {
         let rows = 37;
         let k = 5;
@@ -653,10 +498,6 @@ mod tests {
             assert_eq!(
                 norm2_lane(&a, k, lane, rows).to_bits(),
                 crate::vector::norm2(&la).to_bits()
-            );
-            assert_eq!(
-                norm_inf_lane(&a, k, lane, rows).to_bits(),
-                crate::vector::norm_inf(&la).to_bits()
             );
             assert_eq!(
                 dist2_lane(&a, &b, k, lane, rows).to_bits(),

@@ -8,23 +8,23 @@
 //!
 //! * [`proto`] — the wire protocol: length-prefixed CRC-framed messages
 //!   (the journal's framing discipline plus a resync magic) and an
-//!   incremental [`StreamDecoder`](proto::StreamDecoder) that survives
-//!   arbitrary chunking, truncation, and corruption without panicking;
-//! * [`server`] — [`IngestServer`](server::IngestServer): a non-blocking
-//!   TCP listener driven by a hand-rolled poll loop (no tokio, no mio),
-//!   demultiplexing connections into the gateway with fingerprint-checked
-//!   handshakes, epoch time-sync, cumulative-credit receive windows, and
-//!   overload shedding coupled to the gateway's admission quotas;
-//! * [`client`] — [`DeviceClient`](client::DeviceClient): the matching
-//!   poll-style device, streaming pre-encoded frames through a
+//!   incremental [`StreamDecoder`] that survives arbitrary chunking,
+//!   truncation, and corruption without panicking;
+//! * [`server`] — [`IngestServer`]: a non-blocking TCP listener driven by
+//!   a hand-rolled poll loop (no tokio, no mio), demultiplexing
+//!   connections into the gateway with fingerprint-checked handshakes,
+//!   epoch time-sync, cumulative-credit receive windows, and overload
+//!   shedding coupled to the gateway's admission quotas;
+//! * [`client`] — [`DeviceClient`]: the matching poll-style device,
+//!   streaming pre-encoded frames through a
 //!   [`FaultyTransport`](hybridcs_faults::FaultyTransport) radio with
 //!   nack-driven retransmission and heartbeat liveness.
 //!
 //! The protocol state machine, the backpressure → admission-quota
 //! coupling, and the determinism argument for the socket path (the
-//! [`IngestOp`](server::IngestOp) log and its replay audits) are
-//! documented in `DESIGN.md` §13; `examples/ingest_soak.rs` drives the
-//! whole tier over loopback at thousands of concurrent sessions.
+//! [`IngestOp`] log and its replay audits) are documented in `DESIGN.md`
+//! §13; `examples/ingest_soak.rs` drives the whole tier over loopback at
+//! thousands of concurrent sessions.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

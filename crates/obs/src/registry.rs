@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// Identity of one instrument: a name plus a sorted label set.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MetricId {
-    /// Metric name, e.g. `"telemetry_section_lost"`.
+    /// Metric name, e.g. `"supervisor_section_lost_total"`.
     pub name: String,
     /// Label pairs, sorted by key for a canonical identity.
     pub labels: Vec<(String, String)>,

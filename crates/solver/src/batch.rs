@@ -37,10 +37,9 @@
 use crate::pdhg;
 use crate::reweighted::OffsetForward;
 use crate::{
-    BpdnProblem, FistaOptions, GreedyOptions, PdhgOptions, RecoveryResult, ReweightedOptions,
-    SolverError, SolverWorkspace,
+    BpdnProblem, PdhgOptions, RecoveryResult, ReweightedOptions, SolverError, SolverWorkspace,
 };
-use hybridcs_linalg::{simd, vector, Matrix};
+use hybridcs_linalg::{simd, vector};
 use hybridcs_obs::{ConvergenceTrace, IterationEvent, IterationObserver, StopReason};
 use std::time::Instant;
 
@@ -49,12 +48,10 @@ use std::time::Instant;
 // each `drop_lane` repack leaves lower (still-pending) lane indices valid.
 const RETIRE_CONVERGED: usize = 0;
 const RETIRE_ABORTED: usize = 1;
-const RETIRE_STAGNATED: usize = 2;
 
 fn retire_outcome(reason: usize) -> (StopReason, bool) {
     match reason {
         RETIRE_ABORTED => (StopReason::Aborted, false),
-        RETIRE_STAGNATED => (StopReason::Stagnated, true),
         _ => (StopReason::Converged, true),
     }
 }
@@ -172,14 +169,6 @@ fn clamp_box_lane(v: &mut [f64], lo: &[f64], hi: &[f64], k: usize, lane: usize) 
     }
 }
 
-/// The serial weighted-ℓ₁ sum `Σ wᵢ·|αᵢ|` over one strided lane.
-fn weighted_norm1_lane(panel: &[f64], w: &[f64], k: usize, lane: usize) -> f64 {
-    w.iter()
-        .enumerate()
-        .map(|(i, &wi)| wi * panel[i * k + lane].abs())
-        .sum()
-}
-
 /// Copies lane `lane` of `src` into the same lane of `dst` (both `len × k`
 /// panels) — the per-lane snapshot update of the PDHG convergence check.
 fn copy_lane(src: &[f64], dst: &mut [f64], k: usize, lane: usize, len: usize) {
@@ -240,8 +229,9 @@ fn finalize_pdhg_lane(
 /// Lockstep batched [`solve_pdhg_workspace`](crate::solve_pdhg_workspace):
 /// solves every window of `batch` simultaneously over K-wide panels, filling
 /// `out[w]` with window `w`'s result. Per window, the result and the
-/// observer event stream are **bit-identical** to the serial solve — see the
-/// [module docs](self) for why. `observers[w]` observes window `w`.
+/// observer event stream are **bit-identical** to the serial solve: SIMD runs
+/// across windows, never within one, and each window retires on the
+/// iteration its serial solve would stop. `observers[w]` observes window `w`.
 ///
 /// `out` is an out-parameter (cleared and refilled) so a caller looping over
 /// shard flushes reuses its capacity; returned signals are workspace buffers
@@ -492,598 +482,6 @@ pub fn solve_pdhg_batch_workspace(
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
-fn finalize_fista_lane(
-    p: &BpdnProblem<'_>,
-    observer: &mut dyn IterationObserver,
-    alpha_panel: &[f64],
-    k: usize,
-    lane: usize,
-    iterations: usize,
-    stop: StopReason,
-    converged: bool,
-    started: Instant,
-    fin_coeffs: &mut [f64],
-    fin_ax: &mut [f64],
-    fin_dwt_scratch: &mut [f64],
-    fin_op_scratch: &mut [f64],
-    ws: &mut SolverWorkspace,
-) -> RecoveryResult {
-    simd::gather_lane(alpha_panel, k, lane, fin_coeffs);
-    let mut signal = ws.acquire(fin_coeffs.len());
-    p.dwt
-        .inverse_into(fin_coeffs, &mut signal, fin_dwt_scratch)
-        .expect("length validated");
-    p.sensing.apply_into(&signal, fin_ax, fin_op_scratch);
-    let residual = vector::dist2(fin_ax, p.measurements);
-    let objective = vector::norm1(fin_coeffs);
-    observer.on_complete(&ConvergenceTrace {
-        solver: "fista",
-        iterations,
-        stop_reason: stop,
-        wall_time: started.elapsed(),
-        converged,
-        final_objective: objective,
-        final_residual: residual,
-    });
-    RecoveryResult {
-        signal,
-        iterations,
-        converged,
-        residual,
-        objective,
-    }
-}
-
-/// Lockstep batched [`solve_fista_workspace`](crate::solve_fista_workspace)
-/// with the same out-parameter and bit-identity contract as
-/// [`solve_pdhg_batch_workspace`]. The data-driven λ (when
-/// [`FistaOptions::lambda`] is `None`) is computed per lane from that
-/// window's own `‖Aᵀy‖∞`, exactly as the serial solver does.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_pdhg_batch_workspace`], plus non-positive
-/// `lambda`.
-pub fn solve_fista_batch_workspace(
-    batch: &BatchProblem<'_, '_>,
-    options: &FistaOptions,
-    observers: &mut [&mut dyn IterationObserver],
-    ws: &mut SolverWorkspace,
-    out: &mut Vec<Option<RecoveryResult>>,
-) -> Result<(), SolverError> {
-    let started = Instant::now();
-    if options.max_iterations == 0 {
-        return Err(SolverError::BadParameter {
-            name: "max_iterations",
-            value: 0.0,
-        });
-    }
-    if !(options.tolerance > 0.0 && options.tolerance.is_finite()) {
-        return Err(SolverError::BadParameter {
-            name: "tolerance",
-            value: options.tolerance,
-        });
-    }
-    if let Some(l) = options.lambda {
-        if !(l > 0.0 && l.is_finite()) {
-            return Err(SolverError::BadParameter {
-                name: "lambda",
-                value: l,
-            });
-        }
-    }
-    check_observers(observers, batch.len())?;
-    out.clear();
-    out.resize_with(batch.len(), || None);
-    let Some(first) = batch.problems().first() else {
-        return Ok(());
-    };
-
-    let n = first.signal_len();
-    let m = first.measurement_len();
-    let a = first.sensing;
-    let dwt = first.dwt;
-    let has_weights = first.coefficient_weights.is_some();
-    let k0 = batch.len();
-
-    let norm_a = a.norm_est().max(1e-12);
-    let l = norm_a * norm_a;
-    let step = 1.0 / (1.01 * l);
-
-    // Persistent panels (repacked on retirement).
-    let mut alpha = ws.acquire_panel(n, k0);
-    let mut momentum = ws.acquire_panel(n, k0);
-    let mut y_panel = ws.acquire_panel(m, k0);
-    let mut weight_panel = ws.acquire_panel(if has_weights { n } else { 0 }, k0);
-    // Transient panels.
-    let mut sig_tmp = ws.acquire_panel(n, k0);
-    let mut aty = ws.acquire_panel(n, k0);
-    let mut grad = ws.acquire_panel(n, k0);
-    let mut alpha_new = ws.acquire_panel(n, k0);
-    let mut res = ws.acquire_panel(m, k0);
-    let mut dwt_scratch = ws.acquire(hybridcs_dsp::Dwt::panel_scratch_len(n, k0));
-    let mut op_scratch = ws.acquire(a.batch_scratch_len(k0));
-    // Serial-shape finalisation scratch.
-    let mut fin_coeffs = ws.acquire(n);
-    let mut fin_ax = ws.acquire(m);
-    let mut fin_dwt_scratch = ws.acquire(hybridcs_dsp::Dwt::scratch_len(n));
-    let mut fin_op_scratch = ws.acquire(a.scratch_len());
-    // Per-lane state: λ and the prox threshold step·λ retire with their
-    // lane; change/scale are recomputed every iteration.
-    let mut lambda_lane = ws.acquire(k0);
-    let mut thr_lane = ws.acquire(k0);
-    let mut change_lane = ws.acquire(k0);
-    let mut scale_lane = ws.acquire(k0);
-    let mut lane2win = ws.acquire_indices(k0);
-    lane2win.extend(0..k0);
-    let mut retire = ws.acquire_indices(k0);
-
-    for (lane, p) in batch.problems().iter().enumerate() {
-        simd::scatter_lane(p.measurements, k0, lane, &mut y_panel);
-        if let Some(wc) = p.coefficient_weights {
-            simd::scatter_lane(wc, k0, lane, &mut weight_panel);
-        }
-    }
-    // Per-lane λ from Aᵀy, exactly like the serial data-driven scale.
-    a.apply_adjoint_batch_into(&y_panel, k0, &mut sig_tmp, &mut op_scratch);
-    dwt.forward_panel_into(&sig_tmp, k0, &mut aty, &mut dwt_scratch)
-        .expect("length validated");
-    for lane in 0..k0 {
-        lambda_lane[lane] = match options.lambda {
-            Some(l) => l,
-            None => 0.1 * simd::norm_inf_lane(&aty, k0, lane, n).max(1e-12),
-        };
-        thr_lane[lane] = step * lambda_lane[lane];
-    }
-
-    let mut t = 1.0_f64;
-    let mut k = k0;
-    let mut iter = 0;
-    while iter < options.max_iterations && k > 0 {
-        iter += 1;
-        let (nk, mk) = (n * k, m * k);
-
-        // Gradient step at the momentum point: res = A·momentum − y.
-        dwt.inverse_panel_into(&momentum[..nk], k, &mut sig_tmp[..nk], &mut dwt_scratch)
-            .expect("length validated");
-        a.apply_batch_into(&sig_tmp[..nk], k, &mut res[..mk], &mut op_scratch);
-        // `r − 1.0·y` is IEEE-identical to the serial `r −= y`.
-        simd::sub_scaled(1.0, &y_panel[..mk], &mut res[..mk]);
-        a.apply_adjoint_batch_into(&res[..mk], k, &mut sig_tmp[..nk], &mut op_scratch);
-        dwt.forward_panel_into(&sig_tmp[..nk], k, &mut grad[..nk], &mut dwt_scratch)
-            .expect("length validated");
-        alpha_new[..nk].copy_from_slice(&momentum[..nk]);
-        simd::axpy(-step, &grad[..nk], &mut alpha_new[..nk]);
-        if has_weights {
-            crate::simd::soft_threshold_weighted_lanes(
-                &mut alpha_new[..nk],
-                &thr_lane[..k],
-                &weight_panel[..nk],
-                k,
-            );
-        } else {
-            crate::simd::soft_threshold_lanes(&mut alpha_new[..nk], &thr_lane[..k], k);
-        }
-
-        // Nesterov momentum (t is iteration-only state, shared by lanes).
-        let t_new = 0.5 * (1.0 + (1.0 + 4.0 * t * t).sqrt());
-        let beta = (t - 1.0) / t_new;
-        crate::simd::momentum_lanes(&alpha_new[..nk], &alpha[..nk], beta, &mut momentum[..nk]);
-        for lane in 0..k {
-            change_lane[lane] = simd::dist2_lane(&alpha_new[..nk], &alpha[..nk], k, lane, n);
-            scale_lane[lane] = simd::norm2_lane(&alpha_new[..nk], k, lane, n).max(1e-12);
-        }
-        std::mem::swap(&mut alpha, &mut alpha_new);
-        t = t_new;
-
-        if lane2win.iter().any(|&win| observers[win].active()) {
-            dwt.inverse_panel_into(&alpha[..nk], k, &mut sig_tmp[..nk], &mut dwt_scratch)
-                .expect("length validated");
-            a.apply_batch_into(&sig_tmp[..nk], k, &mut res[..mk], &mut op_scratch);
-            simd::sub_scaled(1.0, &y_panel[..mk], &mut res[..mk]);
-            for (lane, &win) in lane2win.iter().enumerate() {
-                if observers[win].active() {
-                    let fid = simd::norm2_lane(&res[..mk], k, lane, m);
-                    let l1 = match batch.problems()[win].coefficient_weights {
-                        Some(weights) => weighted_norm1_lane(&alpha[..nk], weights, k, lane),
-                        None => simd::norm1_lane(&alpha[..nk], k, lane, n),
-                    };
-                    observers[win].on_iteration(&IterationEvent {
-                        iteration: iter,
-                        objective: 0.5 * fid * fid + lambda_lane[lane] * l1,
-                        residual: fid,
-                        step_size: Some(step),
-                    });
-                }
-            }
-        }
-
-        retire.clear();
-        for (lane, &win) in lane2win.iter().enumerate() {
-            if observers[win].should_abort() {
-                retire.push(lane * 4 + RETIRE_ABORTED);
-            } else if change_lane[lane] <= options.tolerance * scale_lane[lane] {
-                retire.push(lane * 4 + RETIRE_CONVERGED);
-            }
-        }
-        for &mark in retire.iter().rev() {
-            let (lane, reason) = (mark / 4, mark % 4);
-            let win = lane2win[lane];
-            let (stop, converged) = retire_outcome(reason);
-            out[win] = Some(finalize_fista_lane(
-                &batch.problems()[win],
-                &mut *observers[win],
-                &alpha[..n * k],
-                k,
-                lane,
-                iter,
-                stop,
-                converged,
-                started,
-                &mut fin_coeffs,
-                &mut fin_ax,
-                &mut fin_dwt_scratch,
-                &mut fin_op_scratch,
-                ws,
-            ));
-            simd::drop_lane(&mut alpha, k, lane, n);
-            simd::drop_lane(&mut momentum, k, lane, n);
-            simd::drop_lane(&mut y_panel, k, lane, m);
-            if has_weights {
-                simd::drop_lane(&mut weight_panel, k, lane, n);
-            }
-            lambda_lane.remove(lane);
-            thr_lane.remove(lane);
-            lane2win.remove(lane);
-            k -= 1;
-        }
-    }
-
-    for (lane, &win) in lane2win.iter().enumerate() {
-        out[win] = Some(finalize_fista_lane(
-            &batch.problems()[win],
-            &mut *observers[win],
-            &alpha[..n * k],
-            k,
-            lane,
-            iter,
-            StopReason::MaxIterations,
-            false,
-            started,
-            &mut fin_coeffs,
-            &mut fin_ax,
-            &mut fin_dwt_scratch,
-            &mut fin_op_scratch,
-            ws,
-        ));
-    }
-
-    for buf in [
-        alpha,
-        momentum,
-        y_panel,
-        weight_panel,
-        sig_tmp,
-        aty,
-        grad,
-        alpha_new,
-        res,
-        dwt_scratch,
-        op_scratch,
-        fin_coeffs,
-        fin_ax,
-        fin_dwt_scratch,
-        fin_op_scratch,
-        lambda_lane,
-        thr_lane,
-        change_lane,
-        scale_lane,
-    ] {
-        ws.release(buf);
-    }
-    ws.release_indices(lane2win);
-    ws.release_indices(retire);
-    Ok(())
-}
-
-/// `out[i*k + lane] = Σ_j a[i][j]·x[j*k + lane]` — the batched dense
-/// matvec, per lane exactly [`Matrix::matvec_into`] (row dot products in
-/// ascending order).
-fn matvec_panel(a: &Matrix, x_panel: &[f64], k: usize, out_panel: &mut [f64]) {
-    for i in 0..a.nrows() {
-        simd::dot_lanes(x_panel, a.row(i), k, &mut out_panel[i * k..(i + 1) * k]);
-    }
-}
-
-/// `residual = y − ax`, element-wise over same-shape panels.
-fn residual_panel(y_panel: &[f64], ax: &[f64], residual: &mut [f64]) {
-    for ((r, &yi), &axi) in residual.iter_mut().zip(y_panel).zip(ax) {
-        *r = yi - axi;
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn finalize_iht_lane(
-    a: &Matrix,
-    y: &[f64],
-    observer: &mut dyn IterationObserver,
-    alpha_panel: &[f64],
-    k: usize,
-    lane: usize,
-    iterations: usize,
-    stop: StopReason,
-    converged: bool,
-    started: Instant,
-    fin_ax: &mut [f64],
-    fin_res: &mut [f64],
-    ws: &mut SolverWorkspace,
-) -> RecoveryResult {
-    let mut signal = ws.acquire(a.ncols());
-    simd::gather_lane(alpha_panel, k, lane, &mut signal);
-    a.matvec_into(&signal, fin_ax);
-    for (r, (&yi, &axi)) in fin_res.iter_mut().zip(y.iter().zip(fin_ax.iter())) {
-        *r = yi - axi;
-    }
-    let res_norm = vector::norm2(fin_res);
-    let objective = vector::norm1(&signal);
-    observer.on_complete(&ConvergenceTrace {
-        solver: "iht",
-        iterations,
-        stop_reason: stop,
-        wall_time: started.elapsed(),
-        converged,
-        final_objective: objective,
-        final_residual: res_norm,
-    });
-    RecoveryResult {
-        signal,
-        iterations,
-        converged,
-        residual: res_norm,
-        objective,
-    }
-}
-
-/// Lockstep batched [`solve_iht_workspace`](crate::solve_iht_workspace):
-/// iterative hard thresholding over K measurement windows of one explicit
-/// `A = ΦΨ` matrix, with the same out-parameter and bit-identity contract as
-/// [`solve_pdhg_batch_workspace`]. The returned signals hold coefficient
-/// vectors, like the serial greedy solvers.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_iht_workspace`] (validated per window), plus
-/// an observer-count mismatch.
-pub fn solve_iht_batch_workspace(
-    a: &Matrix,
-    measurements: &[&[f64]],
-    options: &GreedyOptions,
-    observers: &mut [&mut dyn IterationObserver],
-    ws: &mut SolverWorkspace,
-    out: &mut Vec<Option<RecoveryResult>>,
-) -> Result<(), SolverError> {
-    let started = Instant::now();
-    for y in measurements {
-        crate::greedy::validate(a, y, options)?;
-    }
-    check_observers(observers, measurements.len())?;
-    let step = match options.step {
-        Some(mu) => {
-            if !(mu > 0.0 && mu.is_finite()) {
-                return Err(SolverError::BadParameter {
-                    name: "step",
-                    value: mu,
-                });
-            }
-            mu
-        }
-        None => {
-            let (norm, _) = hybridcs_linalg::operator_norm_est(
-                a.ncols(),
-                a.nrows(),
-                |x, out| a.matvec_into(x, out),
-                |v, out| a.matvec_transpose_into(v, out),
-                hybridcs_linalg::PowerIterationOptions::default(),
-            );
-            1.0 / (norm * norm).max(1e-12)
-        }
-    };
-    out.clear();
-    out.resize_with(measurements.len(), || None);
-    if measurements.is_empty() {
-        return Ok(());
-    }
-
-    let n = a.ncols();
-    let m = a.nrows();
-    let s = options.max_sparsity;
-    let k0 = measurements.len();
-
-    // Persistent panels.
-    let mut alpha = ws.acquire_panel(n, k0);
-    let mut y_panel = ws.acquire_panel(m, k0);
-    // Transient panels and serial-shape scratch.
-    let mut ax = ws.acquire_panel(m, k0);
-    let mut residual = ws.acquire_panel(m, k0);
-    let mut grad = ws.acquire_panel(n, k0);
-    let mut next = ws.acquire_panel(n, k0);
-    let mut thresholded = ws.acquire_panel(n, k0);
-    let mut tmp_next = ws.acquire(n);
-    let mut fin_ax = ws.acquire(m);
-    let mut fin_res = ws.acquire(m);
-    let mut change_lane = ws.acquire(k0);
-    let mut keep = ws.acquire_indices(n);
-    let mut lane2win = ws.acquire_indices(k0);
-    lane2win.extend(0..k0);
-    let mut retire = ws.acquire_indices(k0);
-
-    for (lane, y) in measurements.iter().enumerate() {
-        simd::scatter_lane(y, k0, lane, &mut y_panel);
-    }
-
-    let mut k = k0;
-    let mut iter = 0;
-    'outer: while iter < options.max_iterations && k > 0 {
-        iter += 1;
-        let (nk, mk) = (n * k, m * k);
-
-        matvec_panel(a, &alpha[..nk], k, &mut ax[..mk]);
-        residual_panel(&y_panel[..mk], &ax[..mk], &mut residual[..mk]);
-
-        // The serial solver breaks on a small residual before the gradient
-        // step: retire those lanes now, then recompute the residual panel at
-        // the reduced stride for the survivors (identical values — only the
-        // layout changed).
-        retire.clear();
-        for lane in 0..k {
-            if simd::norm2_lane(&residual[..mk], k, lane, m) <= options.residual_tolerance {
-                retire.push(lane * 4 + RETIRE_CONVERGED);
-            }
-        }
-        if !retire.is_empty() {
-            for &mark in retire.iter().rev() {
-                let lane = mark / 4;
-                let win = lane2win[lane];
-                out[win] = Some(finalize_iht_lane(
-                    a,
-                    measurements[win],
-                    &mut *observers[win],
-                    &alpha[..n * k],
-                    k,
-                    lane,
-                    iter,
-                    StopReason::Converged,
-                    true,
-                    started,
-                    &mut fin_ax,
-                    &mut fin_res,
-                    ws,
-                ));
-                simd::drop_lane(&mut alpha, k, lane, n);
-                simd::drop_lane(&mut y_panel, k, lane, m);
-                lane2win.remove(lane);
-                k -= 1;
-            }
-            if k == 0 {
-                break 'outer;
-            }
-            let (nk, mk) = (n * k, m * k);
-            matvec_panel(a, &alpha[..nk], k, &mut ax[..mk]);
-            residual_panel(&y_panel[..mk], &ax[..mk], &mut residual[..mk]);
-        }
-        let (nk, mk) = (n * k, m * k);
-
-        // Gradient: grad = Aᵀ·residual, row-accumulated like the serial
-        // transpose matvec.
-        grad[..nk].fill(0.0);
-        for i in 0..m {
-            simd::rank1_lanes(&residual[i * k..(i + 1) * k], a.row(i), k, &mut grad[..nk]);
-        }
-        next[..nk].copy_from_slice(&alpha[..nk]);
-        simd::axpy(step, &grad[..nk], &mut next[..nk]);
-        // Hard threshold to the s largest entries, per lane.
-        thresholded[..nk].fill(0.0);
-        for lane in 0..k {
-            simd::gather_lane(&next[..nk], k, lane, &mut tmp_next);
-            vector::top_k_abs_indices_into(&tmp_next, s, &mut keep);
-            for &i in &keep {
-                thresholded[i * k + lane] = next[i * k + lane];
-            }
-            change_lane[lane] = simd::dist2_lane(&thresholded[..nk], &alpha[..nk], k, lane, n);
-        }
-        std::mem::swap(&mut alpha, &mut thresholded);
-
-        if lane2win.iter().any(|&win| observers[win].active()) {
-            matvec_panel(a, &alpha[..nk], k, &mut ax[..mk]);
-            residual_panel(&y_panel[..mk], &ax[..mk], &mut residual[..mk]);
-            for (lane, &win) in lane2win.iter().enumerate() {
-                if observers[win].active() {
-                    observers[win].on_iteration(&IterationEvent {
-                        iteration: iter,
-                        objective: simd::norm1_lane(&alpha[..nk], k, lane, n),
-                        residual: simd::norm2_lane(&residual[..mk], k, lane, m),
-                        step_size: Some(step),
-                    });
-                }
-            }
-        }
-
-        retire.clear();
-        for (lane, &win) in lane2win.iter().enumerate() {
-            if observers[win].should_abort() {
-                retire.push(lane * 4 + RETIRE_ABORTED);
-            } else if change_lane[lane]
-                <= 1e-10 * simd::norm2_lane(&alpha[..nk], k, lane, n).max(1.0)
-            {
-                retire.push(lane * 4 + RETIRE_STAGNATED);
-            }
-        }
-        for &mark in retire.iter().rev() {
-            let (lane, reason) = (mark / 4, mark % 4);
-            let win = lane2win[lane];
-            let (stop, converged) = retire_outcome(reason);
-            out[win] = Some(finalize_iht_lane(
-                a,
-                measurements[win],
-                &mut *observers[win],
-                &alpha[..n * k],
-                k,
-                lane,
-                iter,
-                stop,
-                converged,
-                started,
-                &mut fin_ax,
-                &mut fin_res,
-                ws,
-            ));
-            simd::drop_lane(&mut alpha, k, lane, n);
-            simd::drop_lane(&mut y_panel, k, lane, m);
-            lane2win.remove(lane);
-            k -= 1;
-        }
-    }
-
-    for (lane, &win) in lane2win.iter().enumerate() {
-        out[win] = Some(finalize_iht_lane(
-            a,
-            measurements[win],
-            &mut *observers[win],
-            &alpha[..n * k],
-            k,
-            lane,
-            iter,
-            StopReason::MaxIterations,
-            false,
-            started,
-            &mut fin_ax,
-            &mut fin_res,
-            ws,
-        ));
-    }
-
-    for buf in [
-        alpha,
-        y_panel,
-        ax,
-        residual,
-        grad,
-        next,
-        thresholded,
-        tmp_next,
-        fin_ax,
-        fin_res,
-        change_lane,
-    ] {
-        ws.release(buf);
-    }
-    ws.release_indices(keep);
-    ws.release_indices(lane2win);
-    ws.release_indices(retire);
-    Ok(())
-}
-
 /// Lockstep batched
 /// [`solve_reweighted_workspace`](crate::solve_reweighted_workspace):
 /// iteratively-reweighted ℓ₁ where every reweighting round runs **one**
@@ -1249,11 +647,12 @@ pub fn solve_reweighted_batch_workspace(
 mod tests {
     use super::*;
     use crate::{
-        solve_fista_workspace, solve_iht_workspace, solve_pdhg_workspace,
-        solve_reweighted_workspace, DenseOperator, NoopObserver, RecordingObserver,
+        solve_pdhg_workspace, solve_reweighted_workspace, DenseOperator, NoopObserver,
+        RecordingObserver,
     };
     use hybridcs_dsp::{Dwt, Wavelet};
     use hybridcs_linalg::simd::{set_override, simd_available};
+    use hybridcs_linalg::Matrix;
     use std::sync::{Mutex, MutexGuard, OnceLock};
 
     /// Serializes tests that flip the global SIMD dispatch override.
@@ -1633,103 +1032,6 @@ mod tests {
         for (w, (s, b)) in serial_obs.iter().zip(&batch_obs).enumerate() {
             assert_observer_bits(s, b, &format!("pdhg-obs w={w}"));
         }
-    }
-
-    #[test]
-    fn fista_batch_bit_identical_to_serial() {
-        for_each_tier(|tier| {
-            for (lambda, weighted, k) in [
-                (None, false, 1),
-                (None, false, 4),
-                (None, true, 5),
-                (Some(0.02), false, 3),
-                (Some(0.02), true, 7),
-            ] {
-                let fixture = PdhgFixture::new(64, 32, k, 23 + k as u64);
-                let problems = fixture.problems(false, weighted);
-                let options = FistaOptions {
-                    max_iterations: 300,
-                    tolerance: 1e-6,
-                    lambda,
-                };
-                let mut ws = SolverWorkspace::new();
-                let serial: Vec<RecoveryResult> = problems
-                    .iter()
-                    .map(|p| {
-                        let r =
-                            solve_fista_workspace(p, &options, &mut NoopObserver, &mut ws).unwrap();
-                        RecoveryResult {
-                            signal: r.signal.clone(),
-                            ..r
-                        }
-                    })
-                    .collect();
-                let batch = BatchProblem::new(&problems).unwrap();
-                let mut noops: Vec<NoopObserver> = (0..k).map(|_| NoopObserver).collect();
-                let mut obs: Vec<&mut dyn IterationObserver> = noops
-                    .iter_mut()
-                    .map(|o| o as &mut dyn IterationObserver)
-                    .collect();
-                let mut out = Vec::new();
-                solve_fista_batch_workspace(&batch, &options, &mut obs, &mut ws, &mut out).unwrap();
-                for (w, (s, b)) in serial.iter().zip(&out).enumerate() {
-                    let b = b.as_ref().expect("filled");
-                    assert_result_bits(s, b, &format!("fista/{tier} k={k} w={w}"));
-                }
-            }
-        });
-    }
-
-    #[test]
-    fn iht_batch_bit_identical_to_serial() {
-        for_each_tier(|tier| {
-            for k in [1, 3, 6] {
-                let n = 64;
-                let m = 40;
-                let a = bernoulli_like(m, n, 31 + k as u64);
-                // Sparse truths with window-dependent supports so stopping
-                // iterations differ.
-                let ys: Vec<Vec<f64>> = (0..k)
-                    .map(|w| {
-                        let mut x = vec![0.0; n];
-                        for j in 0..4 {
-                            x[(w * 7 + j * 11) % n] = 1.0 + 0.3 * j as f64 - 0.2 * w as f64;
-                        }
-                        a.matvec(&x)
-                    })
-                    .collect();
-                let options = GreedyOptions {
-                    max_sparsity: 6,
-                    max_iterations: 200,
-                    ..GreedyOptions::default()
-                };
-                let mut ws = SolverWorkspace::new();
-                let serial: Vec<RecoveryResult> = ys
-                    .iter()
-                    .map(|y| {
-                        let r = solve_iht_workspace(&a, y, &options, &mut NoopObserver, &mut ws)
-                            .unwrap();
-                        RecoveryResult {
-                            signal: r.signal.clone(),
-                            ..r
-                        }
-                    })
-                    .collect();
-                let y_refs: Vec<&[f64]> = ys.iter().map(|y| y.as_slice()).collect();
-                let mut noops: Vec<NoopObserver> = (0..k).map(|_| NoopObserver).collect();
-                let mut obs: Vec<&mut dyn IterationObserver> = noops
-                    .iter_mut()
-                    .map(|o| o as &mut dyn IterationObserver)
-                    .collect();
-                let mut out = Vec::new();
-                solve_iht_batch_workspace(&a, &y_refs, &options, &mut obs, &mut ws, &mut out)
-                    .unwrap();
-                for (w, (s, b)) in serial.iter().zip(&out).enumerate() {
-                    let b = b.as_ref().expect("filled");
-                    assert_result_bits(s, b, &format!("iht/{tier} k={k} w={w}"));
-                }
-            }
-        });
     }
 
     #[test]

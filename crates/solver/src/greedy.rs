@@ -46,7 +46,7 @@ impl Default for GreedyOptions {
     }
 }
 
-pub(crate) fn validate(a: &Matrix, y: &[f64], options: &GreedyOptions) -> Result<(), SolverError> {
+fn validate(a: &Matrix, y: &[f64], options: &GreedyOptions) -> Result<(), SolverError> {
     if y.len() != a.nrows() {
         return Err(SolverError::DimensionMismatch {
             what: "measurements vs matrix rows",

@@ -74,10 +74,7 @@ mod weights;
 mod workspace;
 
 pub use admm::{solve_admm, solve_admm_observed, solve_admm_workspace, AdmmOptions};
-pub use batch::{
-    solve_fista_batch_workspace, solve_iht_batch_workspace, solve_pdhg_batch_workspace,
-    solve_reweighted_batch_workspace, BatchProblem,
-};
+pub use batch::{solve_pdhg_batch_workspace, solve_reweighted_batch_workspace, BatchProblem};
 pub use error::SolverError;
 pub use fista::{solve_fista, solve_fista_observed, solve_fista_workspace, FistaOptions};
 pub use greedy::{

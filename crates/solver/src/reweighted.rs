@@ -47,7 +47,7 @@ impl Default for ReweightedOptions {
 /// # Example
 ///
 /// See `ablation_weighted_l1` and the crate tests; usage is identical to
-/// [`solve_pdhg`] with [`ReweightedOptions`].
+/// [`solve_pdhg`](crate::solve_pdhg) with [`ReweightedOptions`].
 pub fn solve_reweighted(
     problem: &BpdnProblem<'_>,
     options: &ReweightedOptions,

@@ -1,10 +1,9 @@
 //! Runtime-dispatched SIMD kernels for the batched solver inner loops.
 //!
 //! These are the solver-side companions to [`hybridcs_linalg::simd`]: the
-//! element-wise update steps that dominate the batched PDHG/FISTA iteration
-//! (soft-threshold prox, gradient step, over-relaxation, Nesterov momentum)
-//! with an AVX2 tier selected at runtime and a scalar twin that is the
-//! reference semantics.
+//! element-wise update steps that dominate the batched PDHG iteration
+//! (soft-threshold prox, gradient step, over-relaxation) with an AVX2 tier
+//! selected at runtime and a scalar twin that is the reference semantics.
 //!
 //! # 0-ULP contract
 //!
@@ -145,31 +144,6 @@ pub fn over_relax_lanes(x_new: &[f64], x: &[f64], out: &mut [f64]) {
     scalar::over_relax_lanes(x_new, x, out);
 }
 
-/// Nesterov momentum `out[i] = a_new[i] + β·(a_new[i] − a[i])` (the FISTA
-/// extrapolation).
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-pub fn momentum_lanes(a_new: &[f64], a: &[f64], beta: f64, out: &mut [f64]) {
-    assert_eq!(a_new.len(), a.len(), "momentum_lanes: a length mismatch");
-    assert_eq!(
-        a_new.len(),
-        out.len(),
-        "momentum_lanes: out length mismatch"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if simd_enabled() {
-        // SAFETY: AVX2 availability is guaranteed by `simd_enabled()`.
-        #[allow(unsafe_code)]
-        unsafe {
-            avx::momentum_lanes_avx(a_new, a, beta, out)
-        };
-        return;
-    }
-    scalar::momentum_lanes(a_new, a, beta, out);
-}
-
 /// Scalar twins: the reference semantics for every kernel above. Each body
 /// is the exact operation sequence of the serial solver loop it replaces.
 pub(crate) mod scalar {
@@ -196,12 +170,6 @@ pub(crate) mod scalar {
     pub fn over_relax_lanes(x_new: &[f64], x: &[f64], out: &mut [f64]) {
         for ((o, &xn), &xi) in out.iter_mut().zip(x_new).zip(x) {
             *o = 2.0 * xn - xi;
-        }
-    }
-
-    pub fn momentum_lanes(a_new: &[f64], a: &[f64], beta: f64, out: &mut [f64]) {
-        for ((o, &an), &ai) in out.iter_mut().zip(a_new).zip(a) {
-            *o = an + beta * (an - ai);
         }
     }
 }
@@ -318,24 +286,6 @@ mod avx {
             i += 1;
         }
     }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn momentum_lanes_avx(a_new: &[f64], a: &[f64], beta: f64, out: &mut [f64]) {
-        let n = out.len();
-        let bv = _mm256_set1_pd(beta);
-        let mut i = 0;
-        while i + 4 <= n {
-            let an = _mm256_loadu_pd(a_new.as_ptr().add(i));
-            let av = _mm256_loadu_pd(a.as_ptr().add(i));
-            let r = _mm256_add_pd(an, _mm256_mul_pd(bv, _mm256_sub_pd(an, av)));
-            _mm256_storeu_pd(out.as_mut_ptr().add(i), r);
-            i += 4;
-        }
-        while i < n {
-            out[i] = a_new[i] + beta * (a_new[i] - a[i]);
-            i += 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -434,16 +384,6 @@ mod tests {
                 #[allow(unsafe_code)]
                 unsafe {
                     avx::over_relax_lanes_avx(&x, &at, &mut b)
-                };
-                for (p, q) in a.iter().zip(&b) {
-                    assert_eq!(p.to_bits(), q.to_bits());
-                }
-
-                scalar::momentum_lanes(&x, &at, 0.83, &mut a);
-                // SAFETY: guarded by simd_available().
-                #[allow(unsafe_code)]
-                unsafe {
-                    avx::momentum_lanes_avx(&x, &at, 0.83, &mut b)
                 };
                 for (p, q) in a.iter().zip(&b) {
                     assert_eq!(p.to_bits(), q.to_bits());

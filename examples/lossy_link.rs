@@ -1,15 +1,15 @@
 //! Lossy-link scenario: stream ECG over a radio that drops whole packets
-//! and flips bits, and watch the hybrid design degrade gracefully — the
+//! and flips bits, and watch the decode ladder degrade gracefully — the
 //! two payload sections fail independently, so a damaged frame usually
-//! still yields a usable trace.
+//! still yields a usable trace, and a dropped one is concealed.
 //!
 //! ```sh
 //! cargo run --release --example lossy_link
 //! ```
 
-use hybridcs::codec::telemetry::{RecoveredWindow, ResilientReceiver};
 use hybridcs::codec::{
-    experiment::default_training_windows, train_lowres_codec, HybridFrontEnd, SystemConfig,
+    experiment::default_training_windows, train_lowres_codec, HybridFrontEnd, LadderRung,
+    RecoverySupervisor, SupervisorConfig, SystemConfig,
 };
 use hybridcs::ecg::{EcgGenerator, GeneratorConfig, NoiseModel};
 use hybridcs::metrics::snr_db;
@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let lowres_codec =
         train_lowres_codec(config.lowres_bits, &default_training_windows(config.window))?;
     let sensor = HybridFrontEnd::new(&config, lowres_codec.clone())?;
-    let receiver = ResilientReceiver::new(&config, lowres_codec)?;
+    let mut receiver = RecoverySupervisor::new(&config, lowres_codec, SupervisorConfig::default())?;
 
     let mut gen_config = GeneratorConfig::normal_sinus();
     gen_config.noise = NoiseModel::ambulatory();
@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A hostile link: 10% packet loss, 15% CS-section corruption, 10%
     // low-res-section corruption.
     let mut link = hybridcs_rand::rngs::StdRng::seed_from_u64(0x000B_AD11);
-    let mut counts = [0usize; 4]; // hybrid, cs-only, lowres-only, lost
+    let mut counts = [0usize; 4]; // windows per rung, indexed by `LadderRung::code`
     let mut snr_sum = [0.0f64; 3];
 
     for (seq, window) in strip.chunks_exact(config.window).enumerate() {
@@ -53,20 +53,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Some(bytes)
         };
 
-        match receiver.receive(packet.as_deref()) {
-            RecoveredWindow::Hybrid(d) => {
-                counts[0] += 1;
-                snr_sum[0] += snr_db(window, &d.signal);
-            }
-            RecoveredWindow::CsOnly(d) => {
-                counts[1] += 1;
-                snr_sum[1] += snr_db(window, &d.signal);
-            }
-            RecoveredWindow::LowResOnly(s) => {
-                counts[2] += 1;
-                snr_sum[2] += snr_db(window, &s);
-            }
-            RecoveredWindow::Lost => counts[3] += 1,
+        let out = receiver.receive(packet.as_deref());
+        let rung = usize::from(out.rung.code());
+        counts[rung] += 1;
+        if out.rung != LadderRung::Concealed {
+            snr_sum[rung] += snr_db(window, &out.signal);
         }
     }
 
@@ -83,38 +74,50 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
         }
     }
-    println!("  {:<24} {:>3} windows", "lost", counts[3]);
+    println!("  {:<24} {:>3} windows", "concealed", counts[3]);
 
-    // The receiver also accounts every loss in the global metrics
-    // registry — the per-section CRC verdicts that the match above
-    // collapses into outcomes.
+    // The ladder also accounts every window in the global metrics
+    // registry, including the per-section CRC verdicts that the rung
+    // table above collapses.
     let snapshot = hybridcs::obs::global().snapshot();
     let count =
         |name: &str, labels: &[(&str, &str)]| snapshot.counter_value(name, labels).unwrap_or(0);
     println!();
-    println!("receiver loss counters (from the metrics registry):");
+    println!("ladder counters (from the metrics registry):");
+    let by_rung: Vec<String> = (0..4)
+        .filter_map(LadderRung::from_code)
+        .map(|r| {
+            let n = count("supervisor_rung_total", &[("rung", r.name())]);
+            format!("{} {n}", r.name())
+        })
+        .collect();
     println!(
-        "  frames received          {:>3}  (dropped {}, bad header {}, undecodable {})",
-        count("telemetry_frames_total", &[]),
-        count("telemetry_frames_lost", &[("reason", "dropped")]),
-        count("telemetry_frames_lost", &[("reason", "header")]),
-        count("telemetry_frames_lost", &[("reason", "decode")]),
+        "  windows committed        {:>3}  ({})",
+        count("supervisor_windows_total", &[]),
+        by_rung.join(", ")
     );
     println!(
-        "  CS section lost          {:>3}",
-        count("telemetry_section_lost", &[("section", "cs")]),
+        "  sections lost to CRC     cs {}, lowres {}",
+        count("supervisor_section_lost_total", &[("section", "cs")]),
+        count("supervisor_section_lost_total", &[("section", "lowres")]),
     );
     println!(
-        "  low-res section lost     {:>3}",
-        count("telemetry_section_lost", &[("section", "lowres")]),
+        "  unusable headers         {:>3}",
+        count("supervisor_header_unusable_total", &[]),
+    );
+    println!(
+        "  frames missing           {:>3}  (in {} sequence gaps)",
+        count("supervisor_missing_frames_total", &[]),
+        count("supervisor_sequence_gap_events_total", &[]),
     );
     if let Some(path) = hybridcs::obs::export::export_global_if_enabled("lossy_link", &[])? {
         println!("  JSONL report written to {}", path.display());
     }
 
     println!();
-    println!("the point: only fully dropped packets lose signal; every partial");
-    println!("corruption still produces a trace, because the hybrid design's two");
-    println!("payloads are independently decodable.");
+    println!("the point: every window still yields a trace. A partial corruption");
+    println!("decodes from the surviving section, because the hybrid design's two");
+    println!("payloads are independently decodable; a dropped packet is concealed");
+    println!("by repeating the last good window.");
     Ok(())
 }

@@ -18,6 +18,11 @@ cargo fmt --all --check
 echo "==> cargo clippy --workspace (deny warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps (deny warnings)"
+# Broken or private intra-doc links fail here, so deleting a public item
+# cannot leave docs that still point at it.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 echo "==> cargo build --release --offline (all targets)"
 cargo build --release --offline --workspace --all-targets
 
@@ -89,6 +94,30 @@ if ! grep -q "supervisor_rung_total" "$OBS_TMP/resilience_report.jsonl"; then
     echo "error: resilience_report JSONL is missing supervisor_rung_total" >&2
     exit 1
 fi
+
+echo "==> lossy-link run (dropped packets and section CRC hits through the decode ladder)"
+# The example streams a seeded strip over a link that drops whole packets
+# and flips bits in either payload section. Assert every row of its rung
+# table, its section-loss line (read from supervisor_section_lost_total),
+# and the schema of its JSONL export.
+LOSSY_OUT="$(HYBRIDCS_OBS=1 HYBRIDCS_OBS_DIR="$OBS_TMP" \
+    cargo run -q --release --offline --example lossy_link)"
+for row in "hybrid (both sections)" "CS only" "low-res only" "concealed"; do
+    if ! grep -q "^  $row " <<<"$LOSSY_OUT"; then
+        echo "error: lossy_link rung table is missing its '$row' row" >&2
+        exit 1
+    fi
+done
+if ! grep -qE '^  sections lost to CRC +cs [0-9]+, lowres [0-9]+$' <<<"$LOSSY_OUT"; then
+    echo "error: lossy_link did not print its section-loss line" >&2
+    exit 1
+fi
+if ! grep -q "supervisor_section_lost_total" "$OBS_TMP/lossy_link.jsonl"; then
+    echo "error: lossy_link JSONL is missing supervisor_section_lost_total" >&2
+    exit 1
+fi
+HYBRIDCS_OBS_CHECK="$OBS_TMP/lossy_link.jsonl" \
+    cargo test -q --release --offline -p hybridcs-obs --test jsonl_schema
 
 echo "==> gateway soak (8 sessions: determinism across worker counts + interleavings)"
 # The soak exits non-zero if any session's output differs across worker
