@@ -5,8 +5,8 @@ use hybridcs_dsp::Dwt;
 use hybridcs_frontend::{LowResChannel, LowResFrame, MeasurementQuantizer, SensingMatrix};
 use hybridcs_solver::{
     solve_admm_workspace, solve_pdhg_batch_workspace, solve_pdhg_workspace,
-    solve_reweighted_batch_workspace, solve_reweighted_workspace, BatchProblem, BpdnProblem,
-    IterationObserver, LinearOperator, NoopObserver, RecoveryResult, SolverError, SolverWorkspace,
+    solve_reweighted_workspace, BatchProblem, BpdnProblem, IterationObserver, LinearOperator,
+    NoopObserver, RecoveryResult, SolverError, SolverWorkspace,
 };
 
 /// One window's entropy-decoded box bounds (`lo`, `hi`).
@@ -188,12 +188,14 @@ impl HybridDecoder {
         }
     }
 
-    /// Decodes a batch of same-shape windows in one lockstep solve,
-    /// bit-identical per window to calling
-    /// [`decode_workspace`](HybridDecoder::decode_workspace) on each — the
-    /// batched solvers iterate all windows over K-wide panels so the
-    /// packed-sign and wavelet kernels amortize their table work across the
-    /// batch (and vectorize across it when SIMD is enabled).
+    /// Decodes a batch of same-shape windows, bit-identical per window to
+    /// calling [`decode_workspace`](HybridDecoder::decode_workspace) on
+    /// each. Under PDHG the windows run as one lockstep solve over K-wide
+    /// panels, so the packed-sign and wavelet kernels amortize their table
+    /// work across the batch (and vectorize across it when SIMD is
+    /// enabled). PDHG is the only algorithm with a lockstep solver: under
+    /// ADMM or reweighted ℓ₁ each window goes through `decode_workspace` in
+    /// turn.
     ///
     /// Each window gets its own result slot in `out` (in input order) and
     /// its own observer. Windows that fail their per-window pre-checks
@@ -201,8 +203,7 @@ impl HybridDecoder {
     /// the one-window path would produce, without disturbing their
     /// batch-mates; a batch-level solver rejection (e.g. a non-finite
     /// window) re-runs the group serially so per-window errors still land
-    /// in the right slots. The ADMM algorithm has no batched variant and
-    /// decodes the group serially.
+    /// in the right slots.
     ///
     /// # Errors
     ///
@@ -225,12 +226,12 @@ impl HybridDecoder {
             }));
         }
         out.clear();
-        if matches!(self.config.algorithm, DecoderAlgorithm::Admm(_)) {
+        let DecoderAlgorithm::Pdhg(options) = &self.config.algorithm else {
             for (enc, obs) in encoded.iter().zip(observers.iter_mut()) {
                 out.push(self.decode_workspace(enc, use_box, &mut **obs, ws));
             }
             return Ok(());
-        }
+        };
 
         let mut staged: Vec<Option<Result<DecodedWindow, CoreError>>> =
             (0..encoded.len()).map(|_| None).collect();
@@ -273,21 +274,7 @@ impl HybridDecoder {
                         .map(|(_, obs)| &mut **obs as &mut dyn IterationObserver)
                         .collect();
                     let _span = hybridcs_obs::span!("decode.solve");
-                    match &self.config.algorithm {
-                        DecoderAlgorithm::Pdhg(opts) => {
-                            solve_pdhg_batch_workspace(&batch, opts, &mut refs, ws, &mut results)
-                                .is_ok()
-                        }
-                        DecoderAlgorithm::Reweighted(opts) => solve_reweighted_batch_workspace(
-                            &batch,
-                            opts,
-                            &mut refs,
-                            ws,
-                            &mut results,
-                        )
-                        .is_ok(),
-                        DecoderAlgorithm::Admm(_) => unreachable!("routed to serial above"),
-                    }
+                    solve_pdhg_batch_workspace(&batch, options, &mut refs, ws, &mut results).is_ok()
                 }
             };
             if solved {
@@ -425,35 +412,55 @@ mod tests {
 
     #[test]
     fn batch_decode_bit_identical_to_serial() {
-        let config = SystemConfig {
-            measurements: 64,
-            ..SystemConfig::default()
+        use hybridcs_solver::{AdmmOptions, PdhgOptions, ReweightedOptions};
+        let pdhg = PdhgOptions {
+            max_iterations: 300,
+            ..PdhgOptions::default()
         };
-        let (fe, dec) = pair(&config);
-        let encoded: Vec<EncodedWindow> = (0..3)
-            .map(|w| fe.encode(&ecg_window(&config, 23 + w)).unwrap())
-            .collect();
-        for use_box in [true, false] {
-            let mut ws = hybridcs_solver::SolverWorkspace::new();
-            let serial: Vec<DecodedWindow> = encoded
-                .iter()
-                .map(|enc| {
-                    dec.decode_workspace(enc, use_box, &mut NoopObserver, &mut ws)
-                        .unwrap()
-                })
+        let algorithms = [
+            DecoderAlgorithm::Pdhg(pdhg),
+            DecoderAlgorithm::Reweighted(ReweightedOptions {
+                outer_iterations: 2,
+                inner: pdhg,
+                ..ReweightedOptions::default()
+            }),
+            DecoderAlgorithm::Admm(AdmmOptions {
+                max_iterations: 60,
+                ..AdmmOptions::default()
+            }),
+        ];
+        for algorithm in algorithms {
+            let config = SystemConfig {
+                measurements: 64,
+                algorithm,
+                ..SystemConfig::default()
+            };
+            let (fe, dec) = pair(&config);
+            let encoded: Vec<EncodedWindow> = (0..3)
+                .map(|w| fe.encode(&ecg_window(&config, 23 + w)).unwrap())
                 .collect();
-            let refs: Vec<&EncodedWindow> = encoded.iter().collect();
-            let mut noops = vec![NoopObserver; refs.len()];
-            let mut obs: Vec<&mut dyn IterationObserver> = noops
-                .iter_mut()
-                .map(|o| o as &mut dyn IterationObserver)
-                .collect();
-            let mut out = Vec::new();
-            dec.decode_batch_workspace(&refs, use_box, &mut obs, &mut ws, &mut out)
-                .unwrap();
-            assert_eq!(out.len(), serial.len());
-            for (got, want) in out.iter().zip(&serial) {
-                assert_window_bits(got.as_ref().unwrap(), want);
+            for use_box in [true, false] {
+                let mut ws = hybridcs_solver::SolverWorkspace::new();
+                let serial: Vec<DecodedWindow> = encoded
+                    .iter()
+                    .map(|enc| {
+                        dec.decode_workspace(enc, use_box, &mut NoopObserver, &mut ws)
+                            .unwrap()
+                    })
+                    .collect();
+                let refs: Vec<&EncodedWindow> = encoded.iter().collect();
+                let mut noops = vec![NoopObserver; refs.len()];
+                let mut obs: Vec<&mut dyn IterationObserver> = noops
+                    .iter_mut()
+                    .map(|o| o as &mut dyn IterationObserver)
+                    .collect();
+                let mut out = Vec::new();
+                dec.decode_batch_workspace(&refs, use_box, &mut obs, &mut ws, &mut out)
+                    .unwrap();
+                assert_eq!(out.len(), serial.len());
+                for (got, want) in out.iter().zip(&serial) {
+                    assert_window_bits(got.as_ref().unwrap(), want);
+                }
             }
         }
     }

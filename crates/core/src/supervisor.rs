@@ -33,6 +33,11 @@
 //!   cheap, and only ever touched by its owning thread.
 //!
 //! [`RecoverySupervisor`] composes the two for the single-session case.
+//! Both receivers walk the rungs through one function,
+//! [`DecodeLadder::solve_batch_with`]: the gateway hands it a shard's
+//! windows in chunks of up to `max_decode_batch`, and
+//! [`RecoverySupervisor::receive`] hands it one window at a time through
+//! [`DecodeLadder::solve_with`].
 //!
 //! Every ladder decision, demotion, lost section and sequence gap is
 //! counted in the [global metrics registry](hybridcs_obs::global) under
@@ -339,34 +344,18 @@ impl DecodeLadder {
         }
     }
 
-    /// Walks the non-concealment rungs over the surviving sections. With
+    /// Walks the non-concealment rungs for one window: a one-job
+    /// [`solve_batch_with`](DecodeLadder::solve_batch_with), so the
+    /// single-session receiver and the gateway share one rung policy. With
     /// `skip_solvers` (load shedding) the hybrid and CS-only rungs are
     /// demoted with reason `"shed"` without running a solver, landing on
     /// the cheap low-res rung when that section survived.
     ///
     /// This is the expensive, pure half of
     /// [`RecoverySupervisor::receive`]: no session state is read or
-    /// written, so any thread may run it.
-    #[must_use]
-    pub fn solve(
-        &self,
-        measurements: Option<&[f64]>,
-        lowres: Option<&Payload>,
-        skip_solvers: bool,
-    ) -> LadderOutcome {
-        self.solve_with(
-            measurements,
-            lowres,
-            skip_solvers,
-            &mut SolverWorkspace::new(),
-        )
-    }
-
-    /// [`DecodeLadder::solve`] drawing all solver buffers from a
-    /// caller-owned [`SolverWorkspace`]. The gateway keeps one workspace per
-    /// shard and threads it through every window, so steady-state decodes
-    /// allocate nothing inside the solver loops. Results are bit-identical
-    /// to [`DecodeLadder::solve`].
+    /// written, so any thread may run it. Solver buffers come from the
+    /// caller-owned [`SolverWorkspace`]; reusing one across windows keeps
+    /// the solver loops allocation-free after warm-up.
     #[must_use]
     pub fn solve_with(
         &self,
@@ -375,77 +364,29 @@ impl DecodeLadder {
         skip_solvers: bool,
         ws: &mut SolverWorkspace,
     ) -> LadderOutcome {
-        let _span = hybridcs_obs::span!("ladder.solve");
-        let mut demotions: Vec<(LadderRung, &'static str)> = Vec::new();
-
-        if skip_solvers {
-            if measurements.is_some() && lowres.is_some() {
-                demotions.push((LadderRung::Hybrid, "shed"));
-            }
-            if measurements.is_some() {
-                demotions.push((LadderRung::CsOnly, "shed"));
-            }
-        } else {
-            if let (Some(meas), Some(lr)) = (measurements, lowres) {
-                match self.try_decode(meas, lr, true, ws) {
-                    Ok(decoded) => {
-                        return LadderOutcome {
-                            chosen: Some((
-                                LadderRung::Hybrid,
-                                decoded.signal.clone(),
-                                Some(decoded),
-                            )),
-                            demotions,
-                        };
-                    }
-                    Err(reason) => demotions.push((LadderRung::Hybrid, reason)),
-                }
-            }
-            if let Some(meas) = measurements {
-                let placeholder = Payload {
-                    bytes: Vec::new(),
-                    bit_len: 0,
-                };
-                match self.try_decode(meas, &placeholder, false, ws) {
-                    Ok(decoded) => {
-                        return LadderOutcome {
-                            chosen: Some((
-                                LadderRung::CsOnly,
-                                decoded.signal.clone(),
-                                Some(decoded),
-                            )),
-                            demotions,
-                        };
-                    }
-                    Err(reason) => demotions.push((LadderRung::CsOnly, reason)),
-                }
-            }
-        }
-        if let Some(lr) = lowres {
-            match self.lowres_midpoints(lr) {
-                Ok(signal) => {
-                    return LadderOutcome {
-                        chosen: Some((LadderRung::LowResOnly, signal, None)),
-                        demotions,
-                    };
-                }
-                Err(reason) => demotions.push((LadderRung::LowResOnly, reason)),
-            }
-        }
-        LadderOutcome {
-            chosen: None,
-            demotions,
+        let job = LadderJob {
+            measurements,
+            lowres,
+            skip_solvers,
+            context: None,
+        };
+        match self.solve_batch_with(&[job], ws).pop() {
+            Some(outcome) => outcome,
+            None => LadderOutcome::empty(),
         }
     }
 
-    /// Batched [`DecodeLadder::solve_with`]: walks the same rung ladder for
-    /// a group of same-shape windows, batching the hybrid and CS-only
-    /// solver rungs across every window still on that rung so the operator
-    /// kernels amortize their per-iteration table work across the group
-    /// (and vectorize across it when SIMD is enabled). Outcomes come back
-    /// in job order and are bit-identical to calling `solve_with` once per
-    /// window — each window keeps its own watchdog, its own demotion
-    /// trail, and its own stopping decisions.
+    /// Walks the rung ladder for a group of same-shape windows; this is
+    /// the one place the rung policy lives. A window holding both sections
+    /// tries the hybrid rung, one holding measurements that failed it (or
+    /// had no low-res section) tries the CS-only rung, and one still
+    /// without a signal falls to the low-res cell midpoints when that
+    /// section survived. Each solver rung is one batched decode across
+    /// every window still on it, so the operator kernels amortize their
+    /// per-iteration table work across the group (and vectorize across it
+    /// when SIMD is enabled). Each window keeps its own watchdog, its own
+    /// demotion trail and its own stopping decisions, so outcomes come back
+    /// in job order and bit-identical to solving each window alone.
     #[must_use]
     pub fn solve_batch_with(
         &self,
@@ -517,8 +458,9 @@ impl DecodeLadder {
 
     /// One solver rung of [`solve_batch_with`](DecodeLadder::solve_batch_with):
     /// a watched batched decode over `group`, scattering per-window success
-    /// into `chosen` and failure reasons into `demotions` — exactly
-    /// [`try_decode`](DecodeLadder::try_decode)'s verdicts, per window.
+    /// into `chosen` and failure reasons into `demotions`: a solver error,
+    /// a watchdog trip or a non-finite output demotes instead of
+    /// propagating.
     fn rung_batch(
         &self,
         jobs: &[LadderJob<'_>],
@@ -597,40 +539,6 @@ impl DecodeLadder {
                         chosen[i] = Some((rung, decoded.signal.clone(), Some(decoded)));
                     }
                 }
-            }
-        }
-    }
-
-    /// Runs one watched decode; a solver error, a watchdog trip, or a
-    /// non-finite output all demote instead of propagating.
-    fn try_decode(
-        &self,
-        measurements: &[f64],
-        lowres: &Payload,
-        use_box: bool,
-        ws: &mut SolverWorkspace,
-    ) -> Result<DecodedWindow, &'static str> {
-        let system = self.decoder.config();
-        let encoded = EncodedWindow {
-            measurements: measurements.to_vec(),
-            lowres: lowres.clone(),
-            window_len: system.window,
-            measurement_bits: system.measurement_bits,
-        };
-        let mut watchdog = SolverWatchdog::new(self.watchdog);
-        let result = self
-            .decoder
-            .decode_workspace(&encoded, use_box, &mut watchdog, ws);
-        match result {
-            Err(_) => Err("decode_error"),
-            Ok(decoded) => {
-                if watchdog.trip().is_some() {
-                    return Err("watchdog");
-                }
-                if decoded.signal.iter().any(|v| !v.is_finite()) {
-                    return Err("non_finite");
-                }
-                Ok(decoded)
             }
         }
     }
@@ -866,10 +774,11 @@ impl RecoverySupervisor {
         if let Some(seq) = parsed.sequence {
             self.ledger.track_sequence(seq);
         }
-        let outcome = self.ladder.solve(
+        let outcome = self.ladder.solve_with(
             parsed.measurements.as_deref(),
             parsed.lowres.as_ref(),
             false,
+            &mut SolverWorkspace::new(),
         );
         self.ledger.commit(parsed.sequence, outcome)
     }
@@ -911,10 +820,12 @@ mod tests {
         let encoded = frontend.encode(&window).unwrap();
         let bytes = supervisor.frame_codec().serialize(0, &encoded).unwrap();
         let parsed = supervisor.ladder().parse(Some(&bytes));
-        let outcome =
-            supervisor
-                .ladder()
-                .solve(parsed.measurements.as_deref(), parsed.lowres.as_ref(), true);
+        let outcome = supervisor.ladder().solve_with(
+            parsed.measurements.as_deref(),
+            parsed.lowres.as_ref(),
+            true,
+            &mut SolverWorkspace::new(),
+        );
         let (rung, signal, decoded) = outcome.chosen.expect("low-res rung should succeed");
         assert_eq!(rung, LadderRung::LowResOnly);
         assert_eq!(signal.len(), window.len());
@@ -938,10 +849,11 @@ mod tests {
             SupervisorConfig::default().max_conceal_reuse,
         );
         let parsed = ladder.parse(Some(&bytes));
-        let outcome = ladder.solve(
+        let outcome = ladder.solve_with(
             parsed.measurements.as_deref(),
             parsed.lowres.as_ref(),
             false,
+            &mut SolverWorkspace::new(),
         );
         let split = ledger.commit(parsed.sequence, outcome);
 
@@ -1006,8 +918,9 @@ mod tests {
         assert_eq!(after.signal, vec![0.0; window.len()]);
     }
 
-    /// The batched ladder must reproduce the serial ladder bit for bit for
-    /// every section-survival pattern, including shed and lost windows.
+    /// One group and four one-job walks give the same outcomes for every
+    /// section-survival pattern, including shed and lost windows, and the
+    /// solver rungs commit exactly the serial decoder's bits.
     #[test]
     fn batched_ladder_matches_serial_per_window() {
         let (frontend, supervisor, window) = setup();
@@ -1044,28 +957,59 @@ mod tests {
             })
             .collect();
         let mut ws = SolverWorkspace::new();
-        let serial: Vec<LadderOutcome> = jobs
+        let alone: Vec<LadderOutcome> = jobs
             .iter()
             .map(|j| ladder.solve_with(j.measurements, j.lowres, j.skip_solvers, &mut ws))
             .collect();
-        let batched = ladder.solve_batch_with(&jobs, &mut ws);
-        assert_eq!(batched, serial);
+        let grouped = ladder.solve_batch_with(&jobs, &mut ws);
+        assert_eq!(grouped, alone);
+        let rungs: Vec<Option<LadderRung>> = grouped
+            .iter()
+            .map(|o| o.chosen.as_ref().map(|(rung, _, _)| *rung))
+            .collect();
         assert_eq!(
-            batched[0].chosen.as_ref().map(|(rung, _, _)| *rung),
-            Some(LadderRung::Hybrid)
+            rungs,
+            [
+                LadderRung::Hybrid,
+                LadderRung::CsOnly,
+                LadderRung::LowResOnly,
+                LadderRung::LowResOnly
+            ]
+            .map(Some)
         );
-        assert_eq!(
-            batched[1].chosen.as_ref().map(|(rung, _, _)| *rung),
-            Some(LadderRung::CsOnly)
-        );
-        assert_eq!(
-            batched[2].chosen.as_ref().map(|(rung, _, _)| *rung),
-            Some(LadderRung::LowResOnly)
-        );
-        assert_eq!(
-            batched[3].chosen.as_ref().map(|(rung, _, _)| *rung),
-            Some(LadderRung::LowResOnly)
-        );
+
+        // The hybrid and CS-only windows against the serial decoder, each
+        // under a fresh watchdog (without the box it reads no low-res).
+        for (i, use_box) in [(0, true), (1, false)] {
+            let encoded = EncodedWindow {
+                measurements: parsed[i].measurements.clone().unwrap(),
+                lowres: parsed[i].lowres.clone().unwrap(),
+                window_len: window.len(),
+                measurement_bits: ladder.config().measurement_bits,
+            };
+            let mut dog = SolverWatchdog::new(SupervisorConfig::default().watchdog);
+            let serial = ladder
+                .decoder
+                .decode_workspace(&encoded, use_box, &mut dog, &mut ws)
+                .unwrap();
+            assert!(dog.trip().is_none());
+            let (_, signal, decoded) = grouped[i].chosen.as_ref().unwrap();
+            let decoded = decoded.as_ref().unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(signal), bits(&serial.signal), "window {i}: signal");
+            assert_eq!(bits(&decoded.signal), bits(&serial.signal));
+            assert_eq!(decoded.used_box, use_box);
+            assert_eq!(decoded.recovery.iterations, serial.recovery.iterations);
+            assert_eq!(decoded.recovery.converged, serial.recovery.converged);
+            assert_eq!(
+                decoded.recovery.residual.to_bits(),
+                serial.recovery.residual.to_bits()
+            );
+            assert_eq!(
+                decoded.recovery.objective.to_bits(),
+                serial.recovery.objective.to_bits()
+            );
+        }
     }
 
     #[test]

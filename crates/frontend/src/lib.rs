@@ -63,7 +63,7 @@ pub use error::FrontEndError;
 pub use lowres::{LowResChannel, LowResFrame};
 pub use quantizer::{Quantizer, QuantizerKind};
 pub use rmpi::{Rmpi, RmpiConfig, StuckChip};
-pub use sensing::{SensingMatrix, UnpackedBernoulli};
+pub use sensing::SensingMatrix;
 
 /// MIT-BIH analog span in millivolts: an 11-bit converter at 200 adu/mV
 /// covers ±5.12 mV.

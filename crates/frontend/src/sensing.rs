@@ -181,12 +181,12 @@ impl SensingMatrix {
 
     /// Allocation-free forward application `out = Φx`.
     ///
-    /// Accumulation order (shared with [`UnpackedBernoulli::apply_into`],
-    /// which is what makes the 0-ULP equivalence contract hold): each row
-    /// folds columns in ascending groups of four, `acc += ((s₀+s₁)+s₂)+s₃`
-    /// with `s_r = ±x[4g+r]`, then any `n mod 4` tail columns one at a
-    /// time. The grouping shortens the dependency chain 4× over a serial
-    /// fold and is what the table-driven fast path
+    /// Accumulation order (shared with the unpacked ±1 reference of the
+    /// property tests, which is what makes their 0-ULP equivalence contract
+    /// hold): each row folds columns in ascending groups of four,
+    /// `acc += ((s₀+s₁)+s₂)+s₃` with `s_r = ±x[4g+r]`, then any `n mod 4`
+    /// tail columns one at a time. The grouping shortens the dependency
+    /// chain 4× over a serial fold and is what the table-driven fast path
     /// ([`SensingMatrix::apply_into_scratch`]) reproduces via lookups.
     ///
     /// # Panics
@@ -461,7 +461,7 @@ impl SensingMatrix {
     /// Allocation-free adjoint application `out = Φᵀy`.
     ///
     /// Rows accumulate into `out` in ascending groups of four (the order
-    /// [`UnpackedBernoulli::apply_adjoint_into`] shares): each element
+    /// the property tests' unpacked ±1 reference shares): each element
     /// receives `((±w₀±w₁)±w₂)±w₃` with `w_r = scale·y[4g+r]`, looked up
     /// from a 16-entry sign table by the column's precomputed sign nibble —
     /// one lookup replaces four sign applications. Any `m mod 4` tail rows
@@ -546,113 +546,6 @@ impl SensingMatrix {
         match self.kind {
             Kind::DenseBernoulli { .. } => "bernoulli",
             Kind::SparseBinary { .. } => "sparse-binary",
-        }
-    }
-
-    /// Materializes the unpacked f64-chip reference for a dense Bernoulli
-    /// matrix; `None` for other kinds.
-    ///
-    /// This is the pre-packing representation, retained for two purposes:
-    /// the 0-ULP equivalence property tests, and the decode-throughput
-    /// bench's "pre-change" baseline (same arithmetic, 8 bytes per chip).
-    #[must_use]
-    pub fn to_unpacked(&self) -> Option<UnpackedBernoulli> {
-        match &self.kind {
-            Kind::DenseBernoulli { rows, scale, .. } => Some(UnpackedBernoulli {
-                rows: rows.iter().map(ChippingSequence::chips).collect(),
-                scale: *scale,
-                n: self.n,
-            }),
-            Kind::SparseBinary { .. } => None,
-        }
-    }
-}
-
-/// Unpacked ±1 Bernoulli sensing reference: chips stored as one `f64` each
-/// and multiplied in explicitly (`c·v`), in the same 4-wide grouped
-/// accumulation order as the bit-packed kernels — `±1·v` is exactly `±v`,
-/// so sharing the order is what makes the equivalence exact rather than
-/// approximate.
-///
-/// See [`SensingMatrix::to_unpacked`]. The equivalence contract (checked by
-/// property tests) is 0 ULP: for every input, [`SensingMatrix::apply_into`]
-/// and [`UnpackedBernoulli::apply_into`] produce identical bits.
-#[derive(Debug, Clone, PartialEq)]
-pub struct UnpackedBernoulli {
-    rows: Vec<Vec<f64>>,
-    scale: f64,
-    n: usize,
-}
-
-impl UnpackedBernoulli {
-    /// Number of measurements (rows).
-    #[must_use]
-    pub fn measurements(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Window length (columns).
-    #[must_use]
-    pub fn window(&self) -> usize {
-        self.n
-    }
-
-    /// Forward application `out = Φx` via the unpacked multiply-accumulate.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatches.
-    pub fn apply_into(&self, x: &[f64], out: &mut [f64]) {
-        assert_eq!(x.len(), self.n, "sensing apply: length mismatch");
-        assert_eq!(out.len(), self.rows.len(), "sensing apply: output length");
-        let tail = self.n - self.n % 4;
-        for (yi, row) in out.iter_mut().zip(&self.rows) {
-            let mut acc = 0.0;
-            for (c, v) in row.chunks_exact(4).zip(x.chunks_exact(4)) {
-                acc += ((c[0] * v[0] + c[1] * v[1]) + c[2] * v[2]) + c[3] * v[3];
-            }
-            for (c, v) in row[tail..].iter().zip(&x[tail..]) {
-                acc += c * v;
-            }
-            *yi = self.scale * acc;
-        }
-    }
-
-    /// Adjoint application `out = Φᵀy` via the unpacked multiply-accumulate.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatches.
-    pub fn apply_adjoint_into(&self, y: &[f64], out: &mut [f64]) {
-        assert_eq!(y.len(), self.rows.len(), "sensing adjoint: length mismatch");
-        assert_eq!(out.len(), self.n, "sensing adjoint: output length");
-        out.fill(0.0);
-        let m = self.rows.len();
-        let mut i = 0;
-        while i + 4 <= m {
-            let (w0, w1, w2, w3) = (
-                self.scale * y[i],
-                self.scale * y[i + 1],
-                self.scale * y[i + 2],
-                self.scale * y[i + 3],
-            );
-            let (r0, r1, r2, r3) = (
-                &self.rows[i],
-                &self.rows[i + 1],
-                &self.rows[i + 2],
-                &self.rows[i + 3],
-            );
-            for (j, xj) in out.iter_mut().enumerate() {
-                *xj += ((w0 * r0[j] + w1 * r1[j]) + w2 * r2[j]) + w3 * r3[j];
-            }
-            i += 4;
-        }
-        while i < m {
-            let w = self.scale * y[i];
-            for (xj, c) in out.iter_mut().zip(&self.rows[i]) {
-                *xj += w * c;
-            }
-            i += 1;
         }
     }
 }

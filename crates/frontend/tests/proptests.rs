@@ -79,6 +79,64 @@ fn chipping_integrate_is_dot() {
     );
 }
 
+/// Unpacked ±1 Bernoulli reference: chips stored as one `f64` each (the
+/// signs of [`SensingMatrix::to_matrix`]) and multiplied in explicitly
+/// (`c·v`), in the same 4-wide grouped accumulation order as the bit-packed
+/// kernels. `±1·v` is exactly `±v`, so sharing the order is what makes the
+/// equivalence exact rather than approximate.
+struct UnpackedBernoulli {
+    rows: Vec<Vec<f64>>,
+    scale: f64,
+}
+
+impl UnpackedBernoulli {
+    fn of(phi: &SensingMatrix) -> Self {
+        let dense = phi.to_matrix();
+        UnpackedBernoulli {
+            rows: (0..dense.nrows())
+                .map(|i| dense.row(i).iter().map(|v| v.signum()).collect())
+                .collect(),
+            scale: dense.get(0, 0).abs(),
+        }
+    }
+
+    /// `out = Φx`: each row folds its columns in groups of four, then the
+    /// `n mod 4` tail one at a time.
+    fn apply_into(&self, x: &[f64], out: &mut [f64]) {
+        let tail = x.len() - x.len() % 4;
+        for (yi, row) in out.iter_mut().zip(&self.rows) {
+            let mut acc = 0.0;
+            for (c, v) in row.chunks_exact(4).zip(x.chunks_exact(4)) {
+                acc += ((c[0] * v[0] + c[1] * v[1]) + c[2] * v[2]) + c[3] * v[3];
+            }
+            for (c, v) in row[tail..].iter().zip(&x[tail..]) {
+                acc += c * v;
+            }
+            *yi = self.scale * acc;
+        }
+    }
+
+    /// `out = Φᵀy`: rows accumulate in groups of four, then the `m mod 4`
+    /// tail rows one at a time.
+    fn apply_adjoint_into(&self, y: &[f64], out: &mut [f64]) {
+        out.fill(0.0);
+        let groups = self.rows.chunks_exact(4);
+        let tail = groups.remainder();
+        for (g, r) in groups.enumerate() {
+            let w: [f64; 4] = std::array::from_fn(|k| self.scale * y[4 * g + k]);
+            for (j, xj) in out.iter_mut().enumerate() {
+                *xj += ((w[0] * r[0][j] + w[1] * r[1][j]) + w[2] * r[2][j]) + w[3] * r[3][j];
+            }
+        }
+        for (i, row) in (y.len() - tail.len()..).zip(tail) {
+            let w = self.scale * y[i];
+            for (xj, c) in out.iter_mut().zip(row) {
+                *xj += w * c;
+            }
+        }
+    }
+}
+
 /// The bit-packed sensing fast path matches the unpacked f64-chip
 /// reference to 0 ULP — forward and adjoint — across seeded chip
 /// sequences, and the adjoint identity ⟨Φx, y⟩ ≈ ⟨x, Φᵀy⟩ still holds.
@@ -95,7 +153,7 @@ fn packed_sensing_matches_unpacked_to_zero_ulp() {
             // n = 130 crosses a u64 word boundary with a partial tail word.
             let n = x.len();
             let phi = SensingMatrix::bernoulli(*m, n, *seed).unwrap();
-            let reference = phi.to_unpacked().unwrap();
+            let reference = UnpackedBernoulli::of(&phi);
             let mut fast = vec![0.0; *m];
             let mut slow = vec![0.0; *m];
             phi.apply_into(x, &mut fast);

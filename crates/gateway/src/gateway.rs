@@ -703,7 +703,9 @@ impl Gateway {
                                     })
                                     .collect();
                                 let outcomes = ladder.solve_batch_with(&ladder_jobs, ws);
-                                let seconds = started.elapsed().as_secs_f64() / chunk.len() as f64;
+                                // Every window in the chunk waited for the
+                                // whole lockstep solve.
+                                let seconds = started.elapsed().as_secs_f64();
                                 for (&index, outcome) in chunk.iter().zip(outcomes) {
                                     let queued = started
                                         .duration_since(jobs[index].released_at)

@@ -1,22 +1,24 @@
-//! Batched multi-window decode: lockstep solvers over K same-shape windows.
+//! Batched multi-window decode: lockstep PDHG over K same-shape windows.
 //!
 //! A gateway shard flush typically holds many pending windows that share one
 //! [`DecodeLadder`-style configuration]: the same sensing operator, the same
 //! wavelet, the same solver options — only the measurement vectors (and
 //! per-window boxes/weights) differ. [`BatchProblem`] captures that shape and
-//! the `solve_*_batch_workspace` entry points iterate all K windows in
-//! lockstep over **column-major panels**: element `i` of window-lane `l`
-//! lives at `i * k + l`, so one SIMD vector spans 4 adjacent lanes of the
-//! same row and the per-window accumulation order is *exactly* the serial
-//! scalar order.
+//! [`solve_pdhg_batch_workspace`] iterates all K windows in lockstep over
+//! **column-major panels**: element `i` of window-lane `l` lives at
+//! `i * k + l`, so one SIMD vector spans 4 adjacent lanes of the same row
+//! and the per-window accumulation order is *exactly* the serial scalar
+//! order. PDHG is the only solver with a lockstep body; the others solve
+//! one window at a time.
 //!
 //! # Bit-identity contract
 //!
 //! For every window, batch solve results (`signal`, `iterations`,
 //! `converged`, `residual`, `objective`) and the observer event stream are
-//! **bit-identical** to the corresponding serial `solve_*_workspace` call,
-//! for any batch size and any SIMD tier (`wall_time` in the completion trace
-//! is telemetry and may differ). This holds because:
+//! **bit-identical** to the serial
+//! [`solve_pdhg_workspace`](crate::solve_pdhg_workspace) call, for any batch
+//! size and any SIMD tier (`wall_time` in the completion trace is telemetry
+//! and may differ). This holds because:
 //!
 //! * panel kernels ([`hybridcs_linalg::simd`], [`crate::simd`], the DWT
 //!   panel transforms, the batched sensing operators) vectorize across
@@ -35,10 +37,7 @@
 //! retirement happens the same iteration the serial solver would break.
 
 use crate::pdhg;
-use crate::reweighted::OffsetForward;
-use crate::{
-    BpdnProblem, PdhgOptions, RecoveryResult, ReweightedOptions, SolverError, SolverWorkspace,
-};
+use crate::{BpdnProblem, PdhgOptions, RecoveryResult, SolverError, SolverWorkspace};
 use hybridcs_linalg::{simd, vector};
 use hybridcs_obs::{ConvergenceTrace, IterationEvent, IterationObserver, StopReason};
 use std::time::Instant;
@@ -482,174 +481,10 @@ pub fn solve_pdhg_batch_workspace(
     Ok(())
 }
 
-/// Lockstep batched
-/// [`solve_reweighted_workspace`](crate::solve_reweighted_workspace):
-/// iteratively-reweighted ℓ₁ where every reweighting round runs **one**
-/// batched PDHG solve over the windows still active (a window leaves the
-/// round rotation only when its observer aborts, exactly like the serial
-/// outer loop). Per window, results and forwarded iteration events are
-/// bit-identical to the serial solve.
-///
-/// The outer loop allocates per round (round-problem marshalling); the hot
-/// inner iterations are the allocation-free batched PDHG.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_pdhg_batch_workspace`], plus out-of-range
-/// outer options.
-pub fn solve_reweighted_batch_workspace(
-    batch: &BatchProblem<'_, '_>,
-    options: &ReweightedOptions,
-    observers: &mut [&mut dyn IterationObserver],
-    ws: &mut SolverWorkspace,
-    out: &mut Vec<Option<RecoveryResult>>,
-) -> Result<(), SolverError> {
-    let started = Instant::now();
-    if options.outer_iterations == 0 {
-        return Err(SolverError::BadParameter {
-            name: "outer_iterations",
-            value: 0.0,
-        });
-    }
-    if !(options.epsilon_rel > 0.0 && options.epsilon_rel.is_finite()) {
-        return Err(SolverError::BadParameter {
-            name: "epsilon_rel",
-            value: options.epsilon_rel,
-        });
-    }
-    check_observers(observers, batch.len())?;
-    out.clear();
-    out.resize_with(batch.len(), || None);
-    let Some(first) = batch.problems().first() else {
-        return Ok(());
-    };
-
-    let n = first.signal_len();
-    let dwt = first.dwt;
-    let kw = batch.len();
-    let mut dwt_scratch = ws.acquire(hybridcs_dsp::Dwt::scratch_len(n));
-    let mut coeffs = ws.acquire(n);
-
-    let mut weights_store: Vec<Vec<f64>> = (0..kw).map(|_| vec![0.0; n]).collect();
-    let mut totals = vec![0usize; kw];
-    let mut results: Vec<Option<RecoveryResult>> = (0..kw).map(|_| None).collect();
-    let mut round_out: Vec<Option<RecoveryResult>> = Vec::new();
-    let mut aborted = vec![false; kw];
-    let mut active: Vec<usize> = (0..kw).collect();
-    // Presence stays batch-uniform: round 0 uses every window's original
-    // weights (uniform by construction), later rounds all use reweighted.
-    let mut have_weights = false;
-
-    for _round in 0..options.outer_iterations {
-        if active.is_empty() {
-            break;
-        }
-        {
-            let round_problems: Vec<BpdnProblem<'_>> = active
-                .iter()
-                .map(|&wi| {
-                    let p = &batch.problems()[wi];
-                    BpdnProblem {
-                        sensing: p.sensing,
-                        dwt: p.dwt,
-                        measurements: p.measurements,
-                        sigma: p.sigma,
-                        box_bounds: p.box_bounds,
-                        coefficient_weights: if have_weights {
-                            Some(weights_store[wi].as_slice())
-                        } else {
-                            p.coefficient_weights
-                        },
-                    }
-                })
-                .collect();
-            let round_batch = BatchProblem::new(&round_problems)?;
-            // Distinct `&mut` borrows for the active windows' observers,
-            // each wrapped to offset iteration numbers by rounds so far.
-            let mut forwards: Vec<OffsetForward<'_>> = Vec::with_capacity(active.len());
-            let mut ai = 0;
-            for (wi, obs) in observers.iter_mut().enumerate() {
-                if ai < active.len() && active[ai] == wi {
-                    forwards.push(OffsetForward {
-                        inner: &mut **obs,
-                        offset: totals[wi],
-                    });
-                    ai += 1;
-                }
-            }
-            let mut fw_refs: Vec<&mut dyn IterationObserver> = forwards
-                .iter_mut()
-                .map(|f| f as &mut dyn IterationObserver)
-                .collect();
-            solve_pdhg_batch_workspace(
-                &round_batch,
-                &options.inner,
-                &mut fw_refs,
-                ws,
-                &mut round_out,
-            )?;
-        }
-
-        let round_windows = std::mem::take(&mut active);
-        for (ai, &wi) in round_windows.iter().enumerate() {
-            let result = round_out[ai].take().expect("batch PDHG fills every window");
-            totals[wi] += result.iterations;
-
-            // Next round's weights from this round's coefficients.
-            dwt.forward_into(&result.signal, &mut coeffs, &mut dwt_scratch)
-                .expect("length validated");
-            let max = coeffs.iter().fold(0.0_f64, |m, c| m.max(c.abs()));
-            let eps = (options.epsilon_rel * max).max(f64::MIN_POSITIVE);
-            for (w, c) in weights_store[wi].iter_mut().zip(&coeffs) {
-                *w = eps / (c.abs() + eps);
-            }
-
-            if let Some(prev) = results[wi].take() {
-                ws.release(prev.signal);
-            }
-            results[wi] = Some(result);
-            if observers[wi].should_abort() {
-                aborted[wi] = true;
-            } else {
-                active.push(wi);
-            }
-        }
-        have_weights = true;
-    }
-
-    for wi in 0..kw {
-        let mut result = results[wi].take().expect("outer_iterations >= 1");
-        result.iterations = totals[wi];
-        observers[wi].on_complete(&ConvergenceTrace {
-            solver: "reweighted",
-            iterations: totals[wi],
-            stop_reason: if aborted[wi] {
-                StopReason::Aborted
-            } else if result.converged {
-                StopReason::Converged
-            } else {
-                StopReason::MaxIterations
-            },
-            wall_time: started.elapsed(),
-            converged: result.converged,
-            final_objective: result.objective,
-            final_residual: result.residual,
-        });
-        out[wi] = Some(result);
-    }
-
-    ws.release(dwt_scratch);
-    ws.release(coeffs);
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        solve_pdhg_workspace, solve_reweighted_workspace, DenseOperator, NoopObserver,
-        RecordingObserver,
-    };
+    use crate::{solve_pdhg_workspace, DenseOperator, NoopObserver, RecordingObserver};
     use hybridcs_dsp::{Dwt, Wavelet};
     use hybridcs_linalg::simd::{set_override, simd_available};
     use hybridcs_linalg::Matrix;
@@ -1032,49 +867,6 @@ mod tests {
         for (w, (s, b)) in serial_obs.iter().zip(&batch_obs).enumerate() {
             assert_observer_bits(s, b, &format!("pdhg-obs w={w}"));
         }
-    }
-
-    #[test]
-    fn reweighted_batch_bit_identical_to_serial() {
-        for_each_tier(|tier| {
-            let k = 4;
-            let fixture = PdhgFixture::new(64, 28, k, 47);
-            let problems = fixture.problems(true, false);
-            let options = ReweightedOptions {
-                outer_iterations: 3,
-                epsilon_rel: 0.05,
-                inner: PdhgOptions {
-                    max_iterations: 150,
-                    tolerance: 1e-4,
-                    ..PdhgOptions::default()
-                },
-            };
-            let mut ws = SolverWorkspace::new();
-            let serial: Vec<RecoveryResult> = problems
-                .iter()
-                .map(|p| {
-                    let r = solve_reweighted_workspace(p, &options, &mut NoopObserver, &mut ws)
-                        .unwrap();
-                    RecoveryResult {
-                        signal: r.signal.clone(),
-                        ..r
-                    }
-                })
-                .collect();
-            let batch = BatchProblem::new(&problems).unwrap();
-            let mut noops: Vec<NoopObserver> = (0..k).map(|_| NoopObserver).collect();
-            let mut obs: Vec<&mut dyn IterationObserver> = noops
-                .iter_mut()
-                .map(|o| o as &mut dyn IterationObserver)
-                .collect();
-            let mut out = Vec::new();
-            solve_reweighted_batch_workspace(&batch, &options, &mut obs, &mut ws, &mut out)
-                .unwrap();
-            for (w, (s, b)) in serial.iter().zip(&out).enumerate() {
-                let b = b.as_ref().expect("filled");
-                assert_result_bits(s, b, &format!("reweighted/{tier} w={w}"));
-            }
-        });
     }
 
     #[test]

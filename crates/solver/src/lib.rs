@@ -13,6 +13,8 @@
 //!
 //! * [`solve_pdhg`] — Chambolle–Pock primal–dual splitting with the stacked
 //!   operator `K = [Φ; I]`; the workhorse decoder.
+//!   [`solve_pdhg_batch_workspace`] runs it over K same-shape windows in
+//!   lockstep, bit-identical per window; it is the only batched solver.
 //! * [`solve_admm`] — ADMM with three splits (ℓ₂-ball, box, ℓ₁), solving
 //!   its x-subproblem by conjugate gradient; cross-checks PDHG in tests and
 //!   powers the solver ablation.
@@ -74,7 +76,7 @@ mod weights;
 mod workspace;
 
 pub use admm::{solve_admm, solve_admm_observed, solve_admm_workspace, AdmmOptions};
-pub use batch::{solve_pdhg_batch_workspace, solve_reweighted_batch_workspace, BatchProblem};
+pub use batch::{solve_pdhg_batch_workspace, BatchProblem};
 pub use error::SolverError;
 pub use fista::{solve_fista, solve_fista_observed, solve_fista_workspace, FistaOptions};
 pub use greedy::{

@@ -59,9 +59,9 @@ pub fn solve_reweighted(
 /// so the outer trace counts monotonically across reweighting rounds, and
 /// swallows the per-round completion traces (the outer solve emits one
 /// unified `reweighted` trace instead).
-pub(crate) struct OffsetForward<'o> {
-    pub(crate) inner: &'o mut dyn IterationObserver,
-    pub(crate) offset: usize,
+struct OffsetForward<'o> {
+    inner: &'o mut dyn IterationObserver,
+    offset: usize,
 }
 
 impl IterationObserver for OffsetForward<'_> {

@@ -84,7 +84,7 @@ impl SolverWorkspace {
     }
 
     /// Takes a zeroed `rows × cols` panel (column-major over lanes: element
-    /// `i` of lane `l` lives at `i * cols + l`) for the batched solvers.
+    /// `i` of lane `l` lives at `i * cols + l`) for the batched PDHG solver.
     ///
     /// This is [`acquire`](SolverWorkspace::acquire)`(rows * cols)` — panels
     /// share the same capacity classes as plain vectors, so a pool warmed by

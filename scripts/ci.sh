@@ -94,6 +94,18 @@ if ! grep -q "supervisor_rung_total" "$OBS_TMP/resilience_report.jsonl"; then
     echo "error: resilience_report JSONL is missing supervisor_rung_total" >&2
     exit 1
 fi
+# Pin every sweep row (loss, hybrid, cs-only, lowres, concealed, retries,
+# recovered, mean SNR): the sweep is seeded, so a drift in the decode
+# ladder's rung policy shows up here.
+for row in "0% +168 +0 +0 +0 +0 +0 +20\.6 dB" \
+    "5% +165 +0 +1 +2 +8 +2 +20\.3 dB" \
+    "20% +150 +4 +4 +10 +30 +11 +18\.7 dB" \
+    "50% +129 +2 +4 +33 +96 +24 +15\.9 dB"; do
+    if ! grep -qE "^ +$row\$" <<<"$RESILIENCE_OUT"; then
+        echo "error: resilience_report sweep row drifted from '$row'" >&2
+        exit 1
+    fi
+done
 
 echo "==> lossy-link run (dropped packets and section CRC hits through the decode ladder)"
 # The example streams a seeded strip over a link that drops whole packets
@@ -105,6 +117,17 @@ LOSSY_OUT="$(HYBRIDCS_OBS=1 HYBRIDCS_OBS_DIR="$OBS_TMP" \
 for row in "hybrid (both sections)" "CS only" "low-res only" "concealed"; do
     if ! grep -q "^  $row " <<<"$LOSSY_OUT"; then
         echo "error: lossy_link rung table is missing its '$row' row" >&2
+        exit 1
+    fi
+done
+# Pin the rung table's values (identical under HYBRIDCS_FORCE_SCALAR=1):
+# a drift in the decode ladder's rung policy fails here.
+for row in "hybrid \(both sections\) +13 windows, mean SNR 18\.7 dB" \
+    "CS only +5 windows, mean SNR 2\.1 dB" \
+    "low-res only +1 windows, mean SNR 21\.2 dB" \
+    "concealed +2 windows"; do
+    if ! grep -qE "^  $row\$" <<<"$LOSSY_OUT"; then
+        echo "error: lossy_link rung table drifted from '$row'" >&2
         exit 1
     fi
 done
