@@ -9,7 +9,8 @@ use hybridcs_dsp::{Dwt, Wavelet};
 use hybridcs_ecg::{EcgGenerator, GeneratorConfig};
 use hybridcs_frontend::{LowResChannel, MeasurementQuantizer, SensingMatrix};
 use hybridcs_solver::{
-    solve_admm, solve_omp, solve_pdhg, AdmmOptions, BpdnProblem, GreedyOptions, PdhgOptions,
+    solve_admm, solve_omp, solve_pdhg, AdmmOptions, BpdnProblem, GreedyOptions, NoopObserver,
+    PdhgOptions, SolverWorkspace,
 };
 
 struct Instance {
@@ -73,7 +74,15 @@ fn bench_pdhg(harness: &Micro) {
                 box_bounds: Some((&inst.lo, &inst.hi)),
                 coefficient_weights: None,
             };
-            black_box(solve_pdhg(&problem, &short_pdhg()).expect("solves"))
+            black_box(
+                solve_pdhg(
+                    &problem,
+                    &short_pdhg(),
+                    &mut NoopObserver,
+                    &mut SolverWorkspace::new(),
+                )
+                .expect("solves"),
+            )
         });
         harness.bench(&format!("pdhg_normal_200it_m{m}"), || {
             let problem = BpdnProblem {
@@ -84,7 +93,15 @@ fn bench_pdhg(harness: &Micro) {
                 box_bounds: None,
                 coefficient_weights: None,
             };
-            black_box(solve_pdhg(&problem, &short_pdhg()).expect("solves"))
+            black_box(
+                solve_pdhg(
+                    &problem,
+                    &short_pdhg(),
+                    &mut NoopObserver,
+                    &mut SolverWorkspace::new(),
+                )
+                .expect("solves"),
+            )
         });
     }
 }
@@ -101,7 +118,15 @@ fn bench_admm(harness: &Micro) {
             box_bounds: Some((&inst.lo, &inst.hi)),
             coefficient_weights: None,
         };
-        black_box(solve_admm(&problem, &short_admm()).expect("solves"))
+        black_box(
+            solve_admm(
+                &problem,
+                &short_admm(),
+                &mut NoopObserver,
+                &mut SolverWorkspace::new(),
+            )
+            .expect("solves"),
+        )
     });
 }
 
@@ -126,7 +151,7 @@ fn bench_omp(harness: &Micro) {
         step: None,
     };
     harness.bench("omp_s24_m96_n512", || {
-        solve_omp(&a, &inst.y, &opts).expect("solves")
+        solve_omp(&a, &inst.y, &opts, &mut NoopObserver).expect("solves")
     });
     let _ = &inst.window; // keep the instance alive/meaningful
 }

@@ -8,7 +8,7 @@ use hybridcs_dsp::Dwt;
 use hybridcs_ecg::{EcgGenerator, GeneratorConfig};
 use hybridcs_frontend::{LowResChannel, MeasurementQuantizer, SensingMatrix};
 use hybridcs_metrics::snr_db;
-use hybridcs_solver::{solve_pdhg, BpdnProblem, PdhgOptions};
+use hybridcs_solver::{solve_pdhg, BpdnProblem, NoopObserver, PdhgOptions, SolverWorkspace};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     banner("Ablation", "dense Bernoulli vs sparse binary sensing");
@@ -43,6 +43,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     coefficient_weights: None,
                 },
                 &opts,
+                &mut NoopObserver,
+                &mut SolverWorkspace::new(),
             )?;
             let normal = solve_pdhg(
                 &BpdnProblem {
@@ -54,6 +56,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     coefficient_weights: None,
                 },
                 &opts,
+                &mut NoopObserver,
+                &mut SolverWorkspace::new(),
             )?;
             println!(
                 "{:<13} | {m:>3} | {:>7.2} dB | {:>7.2} dB",
@@ -64,8 +68,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     println!();
-    println!("takeaway: the hybrid gain is matrix-agnostic — the box constraint");
-    println!("rescues both families — while the sparse binary matrix trades a");
-    println!("little quality for a hardware-trivial digital implementation.");
+    println!("takeaway: the box constraint rescues both families, but the sparse");
+    println!("binary matrix pays for its hardware-trivial digital implementation");
+    println!("in measurements: it trails the dense matrix by several dB at small m");
+    println!("and catches up only once m is large.");
     Ok(())
 }

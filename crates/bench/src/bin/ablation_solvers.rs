@@ -12,7 +12,7 @@ use hybridcs_linalg::Matrix;
 use hybridcs_metrics::snr_db;
 use hybridcs_solver::{
     solve_admm, solve_cosamp, solve_fista, solve_iht, solve_omp, solve_pdhg, AdmmOptions,
-    BpdnProblem, FistaOptions, GreedyOptions, PdhgOptions,
+    BpdnProblem, FistaOptions, GreedyOptions, NoopObserver, PdhgOptions, SolverWorkspace,
 };
 use std::time::Instant;
 
@@ -64,7 +64,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
 
         let t = Instant::now();
-        let r = solve_pdhg(&boxed, &PdhgOptions::default())?;
+        let r = solve_pdhg(
+            &boxed,
+            &PdhgOptions::default(),
+            &mut NoopObserver,
+            &mut SolverWorkspace::new(),
+        )?;
         report(
             "PDHG",
             true,
@@ -73,7 +78,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             t.elapsed().as_secs_f64() * 1e3,
         );
         let t = Instant::now();
-        let r = solve_admm(&boxed, &AdmmOptions::default())?;
+        let r = solve_admm(
+            &boxed,
+            &AdmmOptions::default(),
+            &mut NoopObserver,
+            &mut SolverWorkspace::new(),
+        )?;
         report(
             "ADMM",
             true,
@@ -82,7 +92,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             t.elapsed().as_secs_f64() * 1e3,
         );
         let t = Instant::now();
-        let r = solve_pdhg(&plain, &PdhgOptions::default())?;
+        let r = solve_pdhg(
+            &plain,
+            &PdhgOptions::default(),
+            &mut NoopObserver,
+            &mut SolverWorkspace::new(),
+        )?;
         report(
             "PDHG",
             false,
@@ -91,7 +106,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             t.elapsed().as_secs_f64() * 1e3,
         );
         let t = Instant::now();
-        let r = solve_admm(&plain, &AdmmOptions::default())?;
+        let r = solve_admm(
+            &plain,
+            &AdmmOptions::default(),
+            &mut NoopObserver,
+            &mut SolverWorkspace::new(),
+        )?;
         report(
             "ADMM",
             false,
@@ -100,7 +120,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             t.elapsed().as_secs_f64() * 1e3,
         );
         let t = Instant::now();
-        let r = solve_fista(&plain, &FistaOptions::default())?;
+        let r = solve_fista(
+            &plain,
+            &FistaOptions::default(),
+            &mut NoopObserver,
+            &mut SolverWorkspace::new(),
+        )?;
         report(
             "FISTA",
             false,
@@ -126,7 +151,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             step: None,
         };
         let t = Instant::now();
-        let r = solve_omp(&a, &y, &opts)?;
+        let r = solve_omp(&a, &y, &opts, &mut NoopObserver)?;
         report(
             "OMP",
             false,
@@ -135,7 +160,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             t.elapsed().as_secs_f64() * 1e3,
         );
         let t = Instant::now();
-        let r = solve_cosamp(&a, &y, &opts)?;
+        let r = solve_cosamp(&a, &y, &opts, &mut NoopObserver)?;
         report(
             "CoSaMP",
             false,
@@ -144,7 +169,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             t.elapsed().as_secs_f64() * 1e3,
         );
         let t = Instant::now();
-        let r = solve_iht(&a, &y, &opts)?;
+        let r = solve_iht(
+            &a,
+            &y,
+            &opts,
+            &mut NoopObserver,
+            &mut SolverWorkspace::new(),
+        )?;
         report(
             "IHT",
             false,

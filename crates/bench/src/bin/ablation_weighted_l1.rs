@@ -11,7 +11,8 @@ use hybridcs_ecg::{EcgGenerator, GeneratorConfig};
 use hybridcs_frontend::{LowResChannel, MeasurementQuantizer, SensingMatrix};
 use hybridcs_metrics::snr_db;
 use hybridcs_solver::{
-    band_weights, solve_pdhg, solve_reweighted, BpdnProblem, PdhgOptions, ReweightedOptions,
+    band_weights, solve_pdhg, solve_reweighted, BpdnProblem, NoopObserver, PdhgOptions,
+    ReweightedOptions, SolverWorkspace,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -45,6 +46,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     coefficient_weights: w,
                 },
                 &opts,
+                &mut NoopObserver,
+                &mut SolverWorkspace::new(),
             )?;
             let normal = solve_pdhg(
                 &BpdnProblem {
@@ -56,6 +59,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     coefficient_weights: w,
                 },
                 &opts,
+                &mut NoopObserver,
+                &mut SolverWorkspace::new(),
             )?;
             println!(
                 "{m:>3} | {label:<14} | {:>7.2} dB | {:>7.2} dB",
@@ -75,6 +80,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 coefficient_weights: None,
             },
             &rw,
+            &mut NoopObserver,
+            &mut SolverWorkspace::new(),
         )?;
         let normal = solve_reweighted(
             &BpdnProblem {
@@ -86,6 +93,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 coefficient_weights: None,
             },
             &rw,
+            &mut NoopObserver,
+            &mut SolverWorkspace::new(),
         )?;
         println!(
             "{m:>3} | {:<14} | {:>7.2} dB | {:>7.2} dB",

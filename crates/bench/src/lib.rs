@@ -42,9 +42,16 @@ pub fn eval_windows_per_record() -> usize {
 
 /// The shared evaluation corpus: `eval_records()` records of 10 s each,
 /// seeded identically across every regenerator so figures are mutually
-/// consistent.
+/// consistent. Prints its size under the [`banner`], so only the
+/// regenerators that evaluate the corpus name it.
 #[must_use]
 pub fn eval_corpus() -> Corpus {
+    println!(
+        "(corpus: {} records x {} windows; override with HYBRIDCS_RECORDS / HYBRIDCS_WINDOWS)",
+        eval_records(),
+        eval_windows_per_record()
+    );
+    println!();
     Corpus::generate(&CorpusConfig {
         records: eval_records(),
         duration_s: 10.0,
@@ -69,11 +76,6 @@ pub fn sweep_base_config() -> SystemConfig {
 /// Prints a standard header naming the paper artifact being regenerated.
 pub fn banner(artifact: &str, description: &str) {
     println!("=== {artifact} — {description} ===");
-    println!(
-        "(corpus: {} records x {} windows; override with HYBRIDCS_RECORDS / HYBRIDCS_WINDOWS)",
-        eval_records(),
-        eval_windows_per_record()
-    );
     println!();
 }
 

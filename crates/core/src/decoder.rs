@@ -4,9 +4,8 @@ use hybridcs_coding::LowResCodec;
 use hybridcs_dsp::Dwt;
 use hybridcs_frontend::{LowResChannel, LowResFrame, MeasurementQuantizer, SensingMatrix};
 use hybridcs_solver::{
-    solve_admm_workspace, solve_pdhg_batch_workspace, solve_pdhg_workspace,
-    solve_reweighted_workspace, BatchProblem, BpdnProblem, IterationObserver, LinearOperator,
-    NoopObserver, RecoveryResult, SolverError, SolverWorkspace,
+    solve_admm, solve_pdhg, solve_pdhg_batch, solve_reweighted, BatchProblem, BpdnProblem,
+    IterationObserver, LinearOperator, NoopObserver, RecoveryResult, SolverError, SolverWorkspace,
 };
 
 /// One window's entropy-decoded box bounds (`lo`, `hi`).
@@ -142,10 +141,10 @@ impl HybridDecoder {
         let recovery = {
             let _span = hybridcs_obs::span!("decode.solve");
             match &self.config.algorithm {
-                DecoderAlgorithm::Pdhg(opts) => solve_pdhg_workspace(&problem, opts, observer, ws)?,
-                DecoderAlgorithm::Admm(opts) => solve_admm_workspace(&problem, opts, observer, ws)?,
+                DecoderAlgorithm::Pdhg(opts) => solve_pdhg(&problem, opts, observer, ws)?,
+                DecoderAlgorithm::Admm(opts) => solve_admm(&problem, opts, observer, ws)?,
                 DecoderAlgorithm::Reweighted(opts) => {
-                    solve_reweighted_workspace(&problem, opts, observer, ws)?
+                    solve_reweighted(&problem, opts, observer, ws)?
                 }
             }
         };
@@ -274,7 +273,7 @@ impl HybridDecoder {
                         .map(|(_, obs)| &mut **obs as &mut dyn IterationObserver)
                         .collect();
                     let _span = hybridcs_obs::span!("decode.solve");
-                    solve_pdhg_batch_workspace(&batch, options, &mut refs, ws, &mut results).is_ok()
+                    solve_pdhg_batch(&batch, options, &mut refs, ws, &mut results).is_ok()
                 }
             };
             if solved {

@@ -1,7 +1,7 @@
 use crate::prox;
 use crate::{BpdnProblem, RecoveryResult, SolverError, SolverWorkspace};
 use hybridcs_linalg::{cg_scratch_len, conjugate_gradient_into, vector, CgOptions};
-use hybridcs_obs::{ConvergenceTrace, IterationEvent, IterationObserver, NoopObserver, StopReason};
+use hybridcs_obs::{ConvergenceTrace, IterationEvent, IterationObserver, StopReason};
 use std::time::Instant;
 
 /// Options for [`solve_admm`].
@@ -50,51 +50,24 @@ impl Default for AdmmOptions {
 /// integration tests, and (b) the solver ablation
 /// (`ablation_solvers`) compares their iteration/runtime profiles.
 ///
+/// When `observer` is [active](IterationObserver::active), every outer
+/// iteration emits an [`IterationEvent`] with the ℓ₁ objective `‖Ψᵀx‖₁` and
+/// the fidelity residual `‖Φx − y‖₂` — both free, since `Ψᵀx` and `Φx` are
+/// already computed by the z-updates — and completion emits a
+/// [`ConvergenceTrace`]. `step_size` reports the penalty parameter ρ. The
+/// observer never changes the arithmetic.
+///
+/// Every per-iteration buffer, including the inner conjugate-gradient
+/// scratch, comes from `ws`: once the workspace has been warmed by one solve
+/// of each size, the inner loop performs **zero heap allocations**. The
+/// returned signal is a `ws` buffer; pass it back via
+/// [`SolverWorkspace::release`] to keep the pool in steady state.
+///
 /// # Errors
 ///
 /// Returns [`SolverError`] on validation failure or out-of-range options.
 /// Budget exhaustion is reported via `converged = false`.
 pub fn solve_admm(
-    problem: &BpdnProblem<'_>,
-    options: &AdmmOptions,
-) -> Result<RecoveryResult, SolverError> {
-    solve_admm_observed(problem, options, &mut NoopObserver)
-}
-
-/// [`solve_admm`] with an [`IterationObserver`] hook: when the observer is
-/// [active](IterationObserver::active), every outer iteration emits an
-/// [`IterationEvent`] with the ℓ₁ objective `‖Ψᵀx‖₁` and the fidelity
-/// residual `‖Φx − y‖₂` — both free, since `Ψᵀx` and `Φx` are already
-/// computed by the z-updates — and completion emits a
-/// [`ConvergenceTrace`]. `step_size` reports the penalty parameter ρ.
-///
-/// The observer never changes the arithmetic: results are bit-identical to
-/// [`solve_admm`].
-///
-/// # Errors
-///
-/// Same conditions as [`solve_admm`].
-pub fn solve_admm_observed(
-    problem: &BpdnProblem<'_>,
-    options: &AdmmOptions,
-    observer: &mut dyn IterationObserver,
-) -> Result<RecoveryResult, SolverError> {
-    solve_admm_workspace(problem, options, observer, &mut SolverWorkspace::new())
-}
-
-/// [`solve_admm_observed`] with every per-iteration buffer — including the
-/// inner conjugate-gradient scratch — drawn from a caller-owned
-/// [`SolverWorkspace`]: once the workspace has been warmed by one solve of
-/// each size, the inner loop performs **zero heap allocations**. Results are
-/// bit-identical to [`solve_admm`].
-///
-/// The returned `signal` is a workspace buffer; pass it back via
-/// [`SolverWorkspace::release`] to keep the pool in steady state.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_admm`].
-pub fn solve_admm_workspace(
     problem: &BpdnProblem<'_>,
     options: &AdmmOptions,
     observer: &mut dyn IterationObserver,
@@ -363,7 +336,7 @@ fn validate_options(options: &AdmmOptions) -> Result<(), SolverError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{solve_pdhg, DenseOperator, PdhgOptions};
+    use crate::{solve_pdhg, DenseOperator, NoopObserver, PdhgOptions};
     use hybridcs_dsp::{Dwt, Wavelet};
     use hybridcs_linalg::Matrix;
 
@@ -413,7 +386,13 @@ mod tests {
             box_bounds: None,
             coefficient_weights: None,
         };
-        let result = solve_admm(&problem, &AdmmOptions::default()).unwrap();
+        let result = solve_admm(
+            &problem,
+            &AdmmOptions::default(),
+            &mut NoopObserver,
+            &mut SolverWorkspace::new(),
+        )
+        .unwrap();
         let snr = snr_db(&x_true, &result.signal);
         assert!(snr > 15.0, "SNR {snr} dB");
     }
@@ -440,8 +419,20 @@ mod tests {
             box_bounds: Some((&lo, &hi)),
             coefficient_weights: None,
         };
-        let admm = solve_admm(&problem, &AdmmOptions::default()).unwrap();
-        let pdhg = solve_pdhg(&problem, &PdhgOptions::default()).unwrap();
+        let admm = solve_admm(
+            &problem,
+            &AdmmOptions::default(),
+            &mut NoopObserver,
+            &mut SolverWorkspace::new(),
+        )
+        .unwrap();
+        let pdhg = solve_pdhg(
+            &problem,
+            &PdhgOptions::default(),
+            &mut NoopObserver,
+            &mut SolverWorkspace::new(),
+        )
+        .unwrap();
         let snr_a = snr_db(&x_true, &admm.signal);
         let snr_p = snr_db(&x_true, &pdhg.signal);
         assert!(snr_a > 15.0, "ADMM SNR {snr_a}");
@@ -468,51 +459,16 @@ mod tests {
             box_bounds: Some((&lo, &hi)),
             coefficient_weights: None,
         };
-        let result = solve_admm(&problem, &AdmmOptions::default()).unwrap();
+        let result = solve_admm(
+            &problem,
+            &AdmmOptions::default(),
+            &mut NoopObserver,
+            &mut SolverWorkspace::new(),
+        )
+        .unwrap();
         for ((v, l), h) in result.signal.iter().zip(&lo).zip(&hi) {
             assert!(*l <= *v && *v <= *h);
         }
-    }
-
-    #[test]
-    fn workspace_path_bit_identical_and_pool_reused() {
-        let n = 128;
-        let m = 48;
-        let x_true = smooth_signal(n);
-        let phi = bernoulli_like(m, n, 31);
-        let y = phi.matvec(&x_true);
-        let op = DenseOperator::new(phi);
-        let dwt = Dwt::new(Wavelet::Db4, 3).unwrap();
-        let d = 0.25;
-        let lo: Vec<f64> = x_true.iter().map(|v| (v / d).floor() * d).collect();
-        let hi: Vec<f64> = lo.iter().map(|v| v + d).collect();
-        let problem = BpdnProblem {
-            sensing: &op,
-            dwt: &dwt,
-            measurements: &y,
-            sigma: 1e-3,
-            box_bounds: Some((&lo, &hi)),
-            coefficient_weights: None,
-        };
-        let options = AdmmOptions {
-            max_iterations: 150,
-            ..AdmmOptions::default()
-        };
-        let plain = solve_admm(&problem, &options).unwrap();
-        let mut ws = crate::SolverWorkspace::new();
-        for _ in 0..2 {
-            let pooled =
-                solve_admm_workspace(&problem, &options, &mut hybridcs_obs::NoopObserver, &mut ws)
-                    .unwrap();
-            assert_eq!(pooled.iterations, plain.iterations);
-            assert_eq!(pooled.residual.to_bits(), plain.residual.to_bits());
-            assert_eq!(pooled.objective.to_bits(), plain.objective.to_bits());
-            for (a, b) in pooled.signal.iter().zip(&plain.signal) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-            ws.release(pooled.signal);
-        }
-        assert!(ws.pooled() > 0, "buffers should return to the pool");
     }
 
     #[test]
@@ -547,7 +503,13 @@ mod tests {
                 ..AdmmOptions::default()
             },
         ] {
-            assert!(solve_admm(&problem, &bad).is_err());
+            assert!(solve_admm(
+                &problem,
+                &bad,
+                &mut NoopObserver,
+                &mut SolverWorkspace::new()
+            )
+            .is_err());
         }
     }
 
@@ -565,7 +527,13 @@ mod tests {
             box_bounds: None,
             coefficient_weights: None,
         };
-        let result = solve_admm(&problem, &AdmmOptions::default()).unwrap();
+        let result = solve_admm(
+            &problem,
+            &AdmmOptions::default(),
+            &mut NoopObserver,
+            &mut SolverWorkspace::new(),
+        )
+        .unwrap();
         assert!(snr_db(&x_true, &result.signal) > 30.0);
     }
 }

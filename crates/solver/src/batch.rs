@@ -4,7 +4,7 @@
 //! [`DecodeLadder`-style configuration]: the same sensing operator, the same
 //! wavelet, the same solver options — only the measurement vectors (and
 //! per-window boxes/weights) differ. [`BatchProblem`] captures that shape and
-//! [`solve_pdhg_batch_workspace`] iterates all K windows in lockstep over
+//! [`solve_pdhg_batch`] iterates all K windows in lockstep over
 //! **column-major panels**: element `i` of window-lane `l` lives at
 //! `i * k + l`, so one SIMD vector spans 4 adjacent lanes of the same row
 //! and the per-window accumulation order is *exactly* the serial scalar
@@ -15,10 +15,9 @@
 //!
 //! For every window, batch solve results (`signal`, `iterations`,
 //! `converged`, `residual`, `objective`) and the observer event stream are
-//! **bit-identical** to the serial
-//! [`solve_pdhg_workspace`](crate::solve_pdhg_workspace) call, for any batch
-//! size and any SIMD tier (`wall_time` in the completion trace is telemetry
-//! and may differ). This holds because:
+//! **bit-identical** to the serial [`solve_pdhg`](crate::solve_pdhg) call,
+//! for any batch size and any SIMD tier (`wall_time` in the completion
+//! trace is telemetry and may differ). This holds because:
 //!
 //! * panel kernels ([`hybridcs_linalg::simd`], [`crate::simd`], the DWT
 //!   panel transforms, the batched sensing operators) vectorize across
@@ -225,9 +224,9 @@ fn finalize_pdhg_lane(
     }
 }
 
-/// Lockstep batched [`solve_pdhg_workspace`](crate::solve_pdhg_workspace):
-/// solves every window of `batch` simultaneously over K-wide panels, filling
-/// `out[w]` with window `w`'s result. Per window, the result and the
+/// Lockstep batched [`solve_pdhg`](crate::solve_pdhg): solves every window
+/// of `batch` simultaneously over K-wide panels, filling `out[w]` with
+/// window `w`'s result. Per window, the result and the
 /// observer event stream are **bit-identical** to the serial solve: SIMD runs
 /// across windows, never within one, and each window retires on the
 /// iteration its serial solve would stop. `observers[w]` observes window `w`.
@@ -241,7 +240,7 @@ fn finalize_pdhg_lane(
 ///
 /// Returns [`SolverError`] on bad options or when `observers` does not match
 /// the batch width. (Window validation happened in [`BatchProblem::new`].)
-pub fn solve_pdhg_batch_workspace(
+pub fn solve_pdhg_batch(
     batch: &BatchProblem<'_, '_>,
     options: &PdhgOptions,
     observers: &mut [&mut dyn IterationObserver],
@@ -484,7 +483,7 @@ pub fn solve_pdhg_batch_workspace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{solve_pdhg_workspace, DenseOperator, NoopObserver, RecordingObserver};
+    use crate::{solve_pdhg, DenseOperator, NoopObserver, RecordingObserver};
     use hybridcs_dsp::{Dwt, Wavelet};
     use hybridcs_linalg::simd::{set_override, simd_available};
     use hybridcs_linalg::Matrix;
@@ -685,8 +684,7 @@ mod tests {
             residual: 0.0,
             objective: 0.0,
         })];
-        solve_pdhg_batch_workspace(&batch, &PdhgOptions::default(), &mut [], &mut ws, &mut out)
-            .unwrap();
+        solve_pdhg_batch(&batch, &PdhgOptions::default(), &mut [], &mut ws, &mut out).unwrap();
         assert!(out.is_empty());
     }
 
@@ -708,7 +706,7 @@ mod tests {
         let mut ws = SolverWorkspace::new();
         let mut out = Vec::new();
         assert!(matches!(
-            solve_pdhg_batch_workspace(&batch, &PdhgOptions::default(), &mut [], &mut ws, &mut out),
+            solve_pdhg_batch(&batch, &PdhgOptions::default(), &mut [], &mut ws, &mut out),
             Err(SolverError::DimensionMismatch {
                 what: "observers vs batch windows",
                 ..
@@ -786,7 +784,7 @@ mod tests {
         let serial: Vec<RecoveryResult> = problems
             .iter()
             .map(|p| {
-                let r = solve_pdhg_workspace(p, &options, &mut NoopObserver, &mut ws).unwrap();
+                let r = solve_pdhg(p, &options, &mut NoopObserver, &mut ws).unwrap();
                 RecoveryResult {
                     signal: r.signal.clone(),
                     ..r
@@ -807,7 +805,7 @@ mod tests {
             .map(|o| o as &mut dyn IterationObserver)
             .collect();
         let mut out = Vec::new();
-        solve_pdhg_batch_workspace(&batch, &options, &mut obs, &mut ws, &mut out).unwrap();
+        solve_pdhg_batch(&batch, &options, &mut obs, &mut ws, &mut out).unwrap();
         for (w, (s, b)) in serial.iter().zip(&out).enumerate() {
             let b = b.as_ref().expect("filled");
             assert_result_bits(s, b, &format!("{label} k={k} w={w}"));
@@ -849,7 +847,7 @@ mod tests {
             .iter()
             .map(|p| {
                 let mut rec = RecordingObserver::new();
-                let r = solve_pdhg_workspace(p, &options, &mut rec, &mut ws).unwrap();
+                let r = solve_pdhg(p, &options, &mut rec, &mut ws).unwrap();
                 ws.release(r.signal);
                 rec
             })
@@ -863,7 +861,7 @@ mod tests {
             .map(|o| o as &mut dyn IterationObserver)
             .collect();
         let mut out = Vec::new();
-        solve_pdhg_batch_workspace(&batch, &options, &mut obs, &mut ws, &mut out).unwrap();
+        solve_pdhg_batch(&batch, &options, &mut obs, &mut ws, &mut out).unwrap();
         for (w, (s, b)) in serial_obs.iter().zip(&batch_obs).enumerate() {
             assert_observer_bits(s, b, &format!("pdhg-obs w={w}"));
         }
@@ -893,7 +891,7 @@ mod tests {
                 .iter_mut()
                 .map(|o| o as &mut dyn IterationObserver)
                 .collect();
-            solve_pdhg_batch_workspace(&batch, &options, &mut obs, &mut ws, &mut out).unwrap();
+            solve_pdhg_batch(&batch, &options, &mut obs, &mut ws, &mut out).unwrap();
             for r in out.iter_mut() {
                 ws.release(r.take().unwrap().signal);
             }
@@ -904,7 +902,7 @@ mod tests {
             .iter_mut()
             .map(|o| o as &mut dyn IterationObserver)
             .collect();
-        solve_pdhg_batch_workspace(&batch, &options, &mut obs, &mut ws, &mut out).unwrap();
+        solve_pdhg_batch(&batch, &options, &mut obs, &mut ws, &mut out).unwrap();
         for r in out.iter_mut() {
             ws.release(r.take().unwrap().signal);
         }

@@ -1,7 +1,7 @@
 use crate::prox;
 use crate::{BpdnProblem, RecoveryResult, SolverError, SolverWorkspace};
 use hybridcs_linalg::vector;
-use hybridcs_obs::{ConvergenceTrace, IterationEvent, IterationObserver, NoopObserver, StopReason};
+use hybridcs_obs::{ConvergenceTrace, IterationEvent, IterationObserver, StopReason};
 use std::time::Instant;
 
 /// Options for [`solve_fista`].
@@ -40,50 +40,23 @@ impl Default for FistaOptions {
 /// ablation as a reference point. The result is returned in the signal
 /// domain (`x = Ψα`).
 ///
+/// When `observer` is [active](IterationObserver::active), every iteration
+/// emits an [`IterationEvent`] carrying the LASSO objective
+/// `½‖Aα − y‖² + λ‖α‖₁` and the fidelity residual at the new iterate (one
+/// extra `A`-application per iteration, skipped entirely for an inactive
+/// observer), and completion emits a [`ConvergenceTrace`]. The observer
+/// never changes the arithmetic.
+///
+/// Every per-iteration buffer comes from `ws`: once the workspace has been
+/// warmed by one solve of each size, the inner loop performs **zero heap
+/// allocations**. The returned signal is a `ws` buffer; pass it back via
+/// [`SolverWorkspace::release`] to keep the pool in steady state.
+///
 /// # Errors
 ///
 /// Returns [`SolverError`] on validation failure or non-positive `lambda` /
 /// options out of range.
 pub fn solve_fista(
-    problem: &BpdnProblem<'_>,
-    options: &FistaOptions,
-) -> Result<RecoveryResult, SolverError> {
-    solve_fista_observed(problem, options, &mut NoopObserver)
-}
-
-/// [`solve_fista`] with an [`IterationObserver`] hook: when the observer is
-/// [active](IterationObserver::active), every iteration emits an
-/// [`IterationEvent`] carrying the LASSO objective
-/// `½‖Aα − y‖² + λ‖α‖₁` and the fidelity residual at the new iterate
-/// (one extra `A`-application per iteration — skipped entirely for a
-/// no-op observer), and completion emits a [`ConvergenceTrace`].
-///
-/// The observer never changes the arithmetic: results are bit-identical to
-/// [`solve_fista`].
-///
-/// # Errors
-///
-/// Same conditions as [`solve_fista`].
-pub fn solve_fista_observed(
-    problem: &BpdnProblem<'_>,
-    options: &FistaOptions,
-    observer: &mut dyn IterationObserver,
-) -> Result<RecoveryResult, SolverError> {
-    solve_fista_workspace(problem, options, observer, &mut SolverWorkspace::new())
-}
-
-/// [`solve_fista_observed`] with every per-iteration buffer drawn from a
-/// caller-owned [`SolverWorkspace`]: once the workspace has been warmed by
-/// one solve of each size, the inner loop performs **zero heap allocations**.
-/// Results are bit-identical to [`solve_fista`].
-///
-/// The returned `signal` is a workspace buffer; pass it back via
-/// [`SolverWorkspace::release`] to keep the pool in steady state.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_fista`].
-pub fn solve_fista_workspace(
     problem: &BpdnProblem<'_>,
     options: &FistaOptions,
     observer: &mut dyn IterationObserver,
@@ -271,7 +244,7 @@ pub fn solve_fista_workspace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DenseOperator;
+    use crate::{DenseOperator, NoopObserver};
     use hybridcs_dsp::{Dwt, Wavelet};
     use hybridcs_linalg::Matrix;
 
@@ -328,6 +301,8 @@ mod tests {
                 max_iterations: 2000,
                 ..FistaOptions::default()
             },
+            &mut NoopObserver,
+            &mut SolverWorkspace::new(),
         )
         .unwrap();
         let snr = snr_db(&x_true, &result.signal);
@@ -357,6 +332,8 @@ mod tests {
                 lambda: Some(0.5),
                 ..FistaOptions::default()
             },
+            &mut NoopObserver,
+            &mut SolverWorkspace::new(),
         )
         .unwrap();
         let tight = solve_fista(
@@ -365,6 +342,8 @@ mod tests {
                 lambda: Some(0.001),
                 ..FistaOptions::default()
             },
+            &mut NoopObserver,
+            &mut SolverWorkspace::new(),
         )
         .unwrap();
         assert!(tight.residual < loose.residual);
@@ -390,7 +369,9 @@ mod tests {
             &FistaOptions {
                 lambda: Some(-1.0),
                 ..FistaOptions::default()
-            }
+            },
+            &mut NoopObserver,
+            &mut SolverWorkspace::new()
         )
         .is_err());
         assert!(solve_fista(
@@ -398,46 +379,11 @@ mod tests {
             &FistaOptions {
                 max_iterations: 0,
                 ..FistaOptions::default()
-            }
+            },
+            &mut NoopObserver,
+            &mut SolverWorkspace::new()
         )
         .is_err());
-    }
-
-    #[test]
-    fn workspace_path_bit_identical_and_pool_reused() {
-        let n = 128;
-        let m = 64;
-        let x_true = smooth_signal(n);
-        let phi = bernoulli_like(m, n, 29);
-        let y = phi.matvec(&x_true);
-        let op = DenseOperator::new(phi);
-        let dwt = Dwt::new(Wavelet::Db4, 3).unwrap();
-        let problem = BpdnProblem {
-            sensing: &op,
-            dwt: &dwt,
-            measurements: &y,
-            sigma: 1e-3,
-            box_bounds: None,
-            coefficient_weights: None,
-        };
-        let options = FistaOptions {
-            max_iterations: 200,
-            ..FistaOptions::default()
-        };
-        let plain = solve_fista(&problem, &options).unwrap();
-        let mut ws = crate::SolverWorkspace::new();
-        for _ in 0..2 {
-            let pooled =
-                solve_fista_workspace(&problem, &options, &mut NoopObserver, &mut ws).unwrap();
-            assert_eq!(pooled.iterations, plain.iterations);
-            assert_eq!(pooled.residual.to_bits(), plain.residual.to_bits());
-            assert_eq!(pooled.objective.to_bits(), plain.objective.to_bits());
-            for (a, b) in pooled.signal.iter().zip(&plain.signal) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-            ws.release(pooled.signal);
-        }
-        assert!(ws.pooled() > 0, "buffers should return to the pool");
     }
 
     #[test]
@@ -460,6 +406,8 @@ mod tests {
                 lambda: Some(1e-4),
                 ..FistaOptions::default()
             },
+            &mut NoopObserver,
+            &mut SolverWorkspace::new(),
         )
         .unwrap();
         assert!(result.converged);

@@ -7,18 +7,17 @@
 //! [`RecoveryResult::signal`] therefore holds the coefficient vector `α`;
 //! callers synthesize `x = Ψα` with their transform.
 //!
-//! Only IHT has a [`SolverWorkspace`] entry point
-//! ([`solve_iht_workspace`]): its iteration touches fixed-size dense
-//! buffers, so pooling removes every per-iteration allocation. OMP and
-//! CoSaMP refit by Householder QR over a *support-dependent* column subset
-//! each round — the factorization size changes as the support grows, so
-//! those solvers are inherently allocation-per-refit and stay on the
-//! Vec-returning API (they are offline ablation baselines, not decode-path
-//! solvers).
+//! Only IHT draws its buffers from a [`SolverWorkspace`]: its iteration
+//! touches fixed-size dense buffers, so pooling removes every per-iteration
+//! allocation. OMP and CoSaMP refit by Householder QR over a
+//! *support-dependent* column subset each round — the factorization size
+//! changes as the support grows, so those solvers are inherently
+//! allocation-per-refit and take no workspace (they are offline ablation
+//! baselines, not decode-path solvers).
 
 use crate::{RecoveryResult, SolverError, SolverWorkspace};
 use hybridcs_linalg::{vector, Matrix, QrFactorization};
-use hybridcs_obs::{ConvergenceTrace, IterationEvent, IterationObserver, NoopObserver, StopReason};
+use hybridcs_obs::{ConvergenceTrace, IterationEvent, IterationObserver, StopReason};
 use std::time::Instant;
 
 /// Options shared by the greedy solvers.
@@ -105,6 +104,13 @@ fn refit(a: &Matrix, y: &[f64], support: &[usize]) -> Result<(Vec<f64>, Vec<f64>
 ///
 /// Returns the coefficient vector in [`RecoveryResult::signal`].
 ///
+/// When `observer` is [active](IterationObserver::active), every atom
+/// selection emits an [`IterationEvent`] (objective = `‖α‖₁`, residual =
+/// post-refit residual norm, no step size), and completion emits a
+/// [`ConvergenceTrace`]. [`StopReason::SupportExhausted`] reports a residual
+/// orthogonal to every remaining atom. The observer never changes the
+/// arithmetic.
+///
 /// # Errors
 ///
 /// Returns [`SolverError`] on dimension mismatches, bad options, or a
@@ -114,39 +120,19 @@ fn refit(a: &Matrix, y: &[f64], support: &[usize]) -> Result<(Vec<f64>, Vec<f64>
 ///
 /// ```
 /// use hybridcs_linalg::Matrix;
-/// use hybridcs_solver::{solve_omp, GreedyOptions};
+/// use hybridcs_solver::{solve_omp, GreedyOptions, NoopObserver};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// // y = 3·a₂ for an identity dictionary: OMP finds it in one step.
 /// let a = Matrix::identity(4);
 /// let y = [0.0, 0.0, 3.0, 0.0];
-/// let result = solve_omp(&a, &y, &GreedyOptions { max_sparsity: 1, ..GreedyOptions::default() })?;
+/// let options = GreedyOptions { max_sparsity: 1, ..GreedyOptions::default() };
+/// let result = solve_omp(&a, &y, &options, &mut NoopObserver)?;
 /// assert!((result.signal[2] - 3.0).abs() < 1e-12);
 /// # Ok(())
 /// # }
 /// ```
 pub fn solve_omp(
-    a: &Matrix,
-    y: &[f64],
-    options: &GreedyOptions,
-) -> Result<RecoveryResult, SolverError> {
-    solve_omp_observed(a, y, options, &mut NoopObserver)
-}
-
-/// [`solve_omp`] with an [`IterationObserver`] hook: when the observer is
-/// [active](IterationObserver::active), every atom selection emits an
-/// [`IterationEvent`] (objective = `‖α‖₁`, residual = post-refit residual
-/// norm, no step size), and completion emits a [`ConvergenceTrace`].
-/// [`StopReason::SupportExhausted`] reports a residual orthogonal to every
-/// remaining atom.
-///
-/// The observer never changes the arithmetic: results are bit-identical to
-/// [`solve_omp`].
-///
-/// # Errors
-///
-/// Same conditions as [`solve_omp`].
-pub fn solve_omp_observed(
     a: &Matrix,
     y: &[f64],
     options: &GreedyOptions,
@@ -240,32 +226,18 @@ pub fn solve_omp_observed(
 ///
 /// Returns the coefficient vector in [`RecoveryResult::signal`].
 ///
+/// When `observer` is [active](IterationObserver::active), every
+/// merge–refit–prune round emits an [`IterationEvent`] (objective = `‖α‖₁`,
+/// residual = post-prune residual norm, no step size), and completion emits
+/// a [`ConvergenceTrace`]. [`StopReason::Stagnated`] reports a fixed point;
+/// [`StopReason::SupportExhausted`] reports a degenerate (rank-deficient)
+/// merge set that forced keeping the previous iterate. The observer never
+/// changes the arithmetic.
+///
 /// # Errors
 ///
 /// Same conditions as [`solve_omp`].
 pub fn solve_cosamp(
-    a: &Matrix,
-    y: &[f64],
-    options: &GreedyOptions,
-) -> Result<RecoveryResult, SolverError> {
-    solve_cosamp_observed(a, y, options, &mut NoopObserver)
-}
-
-/// [`solve_cosamp`] with an [`IterationObserver`] hook: when the observer
-/// is [active](IterationObserver::active), every merge–refit–prune round
-/// emits an [`IterationEvent`] (objective = `‖α‖₁`, residual = post-prune
-/// residual norm, no step size), and completion emits a
-/// [`ConvergenceTrace`]. [`StopReason::Stagnated`] reports a fixed point;
-/// [`StopReason::SupportExhausted`] reports a degenerate (rank-deficient)
-/// merge set that forced keeping the previous iterate.
-///
-/// The observer never changes the arithmetic: results are bit-identical to
-/// [`solve_cosamp`].
-///
-/// # Errors
-///
-/// Same conditions as [`solve_cosamp`].
-pub fn solve_cosamp_observed(
     a: &Matrix,
     y: &[f64],
     options: &GreedyOptions,
@@ -364,52 +336,23 @@ pub fn solve_cosamp_observed(
 ///
 /// Returns the coefficient vector in [`RecoveryResult::signal`].
 ///
-/// # Errors
+/// When `observer` is [active](IterationObserver::active), every
+/// hard-thresholding step emits an [`IterationEvent`] (objective = `‖α‖₁`,
+/// residual recomputed at the new iterate — one extra matvec, skipped for
+/// an inactive observer; step size = μ), and completion emits a
+/// [`ConvergenceTrace`]. [`StopReason::Stagnated`] reports a vanishing
+/// update. The observer never changes the arithmetic.
 ///
-/// Same conditions as [`solve_omp`], plus a non-positive explicit `step`.
-pub fn solve_iht(
-    a: &Matrix,
-    y: &[f64],
-    options: &GreedyOptions,
-) -> Result<RecoveryResult, SolverError> {
-    solve_iht_observed(a, y, options, &mut NoopObserver)
-}
-
-/// [`solve_iht`] with an [`IterationObserver`] hook: when the observer is
-/// [active](IterationObserver::active), every hard-thresholding step emits
-/// an [`IterationEvent`] (objective = `‖α‖₁`, residual recomputed at the
-/// new iterate — one extra matvec, skipped on the no-op path; step size =
-/// μ), and completion emits a [`ConvergenceTrace`].
-/// [`StopReason::Stagnated`] reports a vanishing update.
-///
-/// The observer never changes the arithmetic: results are bit-identical to
-/// [`solve_iht`].
-///
-/// # Errors
-///
-/// Same conditions as [`solve_iht`].
-pub fn solve_iht_observed(
-    a: &Matrix,
-    y: &[f64],
-    options: &GreedyOptions,
-    observer: &mut dyn IterationObserver,
-) -> Result<RecoveryResult, SolverError> {
-    solve_iht_workspace(a, y, options, observer, &mut SolverWorkspace::new())
-}
-
-/// [`solve_iht_observed`] with every per-iteration buffer — including the
-/// support-index scratch for the hard threshold — drawn from a caller-owned
-/// [`SolverWorkspace`]: once the workspace has been warmed by one solve of
-/// each size, the inner loop performs **zero heap allocations**. Results are
-/// bit-identical to [`solve_iht`].
-///
-/// The returned `signal` is a workspace buffer; pass it back via
+/// Every per-iteration buffer, including the support-index scratch for the
+/// hard threshold, comes from `ws`: once the workspace has been warmed by
+/// one solve of each size, the inner loop performs **zero heap
+/// allocations**. The returned signal is a `ws` buffer; pass it back via
 /// [`SolverWorkspace::release`] to keep the pool in steady state.
 ///
 /// # Errors
 ///
-/// Same conditions as [`solve_iht`].
-pub fn solve_iht_workspace(
+/// Same conditions as [`solve_omp`], plus a non-positive explicit `step`.
+pub fn solve_iht(
     a: &Matrix,
     y: &[f64],
     options: &GreedyOptions,
@@ -532,6 +475,7 @@ pub fn solve_iht_workspace(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NoopObserver;
 
     /// Deterministic Gaussian-ish matrix with normalized columns
     /// (splitmix64 for well-mixed, incoherent columns).
@@ -576,6 +520,7 @@ mod tests {
                 max_sparsity: 3,
                 ..GreedyOptions::default()
             },
+            &mut NoopObserver,
         )
         .unwrap();
         for (got, want) in result.signal.iter().zip(&truth) {
@@ -597,6 +542,7 @@ mod tests {
                 max_sparsity: 4,
                 ..GreedyOptions::default()
             },
+            &mut NoopObserver,
         )
         .unwrap();
         for (got, want) in result.signal.iter().zip(&truth) {
@@ -617,34 +563,12 @@ mod tests {
                 max_iterations: 2000,
                 ..GreedyOptions::default()
             },
+            &mut NoopObserver,
+            &mut SolverWorkspace::new(),
         )
         .unwrap();
         let err = vector::dist2(&result.signal, &truth);
         assert!(err < 0.05 * vector::norm2(&truth), "err {err}");
-    }
-
-    #[test]
-    fn iht_workspace_path_bit_identical_and_pool_reused() {
-        let a = dictionary(64, 128, 3);
-        let truth = sparse_truth(128, &[10, 90], &[3.0, -2.0]);
-        let y = a.matvec(&truth);
-        let opts = GreedyOptions {
-            max_sparsity: 2,
-            max_iterations: 500,
-            ..GreedyOptions::default()
-        };
-        let plain = solve_iht(&a, &y, &opts).unwrap();
-        let mut ws = SolverWorkspace::new();
-        for _ in 0..2 {
-            let pooled = solve_iht_workspace(&a, &y, &opts, &mut NoopObserver, &mut ws).unwrap();
-            assert_eq!(pooled.iterations, plain.iterations);
-            assert_eq!(pooled.residual.to_bits(), plain.residual.to_bits());
-            for (got, want) in pooled.signal.iter().zip(&plain.signal) {
-                assert_eq!(got.to_bits(), want.to_bits());
-            }
-            ws.release(pooled.signal);
-        }
-        assert!(ws.pooled() > 0, "buffers should return to the pool");
     }
 
     #[test]
@@ -659,6 +583,7 @@ mod tests {
                 max_sparsity: 2,
                 ..GreedyOptions::default()
             },
+            &mut NoopObserver,
         )
         .unwrap();
         let nonzeros = result.signal.iter().filter(|v| **v != 0.0).count();
@@ -681,6 +606,7 @@ mod tests {
                 residual_tolerance: 1e-9,
                 ..GreedyOptions::default()
             },
+            &mut NoopObserver,
         )
         .unwrap();
         assert!(result.residual > 1e-4);
@@ -691,9 +617,19 @@ mod tests {
     fn zero_measurements_give_zero_solution() {
         let a = dictionary(20, 50, 6);
         let y = vec![0.0; 20];
-        for solve in [solve_omp, solve_cosamp, solve_iht] {
-            let result = solve(&a, &y, &GreedyOptions::default()).unwrap();
-            assert!(vector::norm2(&result.signal) < 1e-9);
+        let opts = GreedyOptions::default();
+        for result in [
+            solve_omp(&a, &y, &opts, &mut NoopObserver),
+            solve_cosamp(&a, &y, &opts, &mut NoopObserver),
+            solve_iht(
+                &a,
+                &y,
+                &opts,
+                &mut NoopObserver,
+                &mut SolverWorkspace::new(),
+            ),
+        ] {
+            assert!(vector::norm2(&result.unwrap().signal) < 1e-9);
         }
     }
 
@@ -701,7 +637,7 @@ mod tests {
     fn validation_errors() {
         let a = dictionary(20, 50, 7);
         let y_bad = vec![0.0; 10];
-        assert!(solve_omp(&a, &y_bad, &GreedyOptions::default()).is_err());
+        assert!(solve_omp(&a, &y_bad, &GreedyOptions::default(), &mut NoopObserver).is_err());
         let y = vec![0.0; 20];
         assert!(solve_omp(
             &a,
@@ -709,7 +645,8 @@ mod tests {
             &GreedyOptions {
                 max_sparsity: 0,
                 ..GreedyOptions::default()
-            }
+            },
+            &mut NoopObserver
         )
         .is_err());
         assert!(solve_iht(
@@ -718,7 +655,9 @@ mod tests {
             &GreedyOptions {
                 step: Some(-1.0),
                 ..GreedyOptions::default()
-            }
+            },
+            &mut NoopObserver,
+            &mut SolverWorkspace::new()
         )
         .is_err());
         assert!(solve_cosamp(
@@ -727,7 +666,8 @@ mod tests {
             &GreedyOptions {
                 max_iterations: 0,
                 ..GreedyOptions::default()
-            }
+            },
+            &mut NoopObserver
         )
         .is_err());
     }
@@ -741,8 +681,8 @@ mod tests {
             max_sparsity: 3,
             ..GreedyOptions::default()
         };
-        let r1 = solve_omp(&a, &y, &opts).unwrap();
-        let r2 = solve_omp(&a, &y, &opts).unwrap();
+        let r1 = solve_omp(&a, &y, &opts, &mut NoopObserver).unwrap();
+        let r2 = solve_omp(&a, &y, &opts, &mut NoopObserver).unwrap();
         assert_eq!(r1.signal, r2.signal);
     }
 }

@@ -12,9 +12,9 @@
 //! family of classic CS baselines:
 //!
 //! * [`solve_pdhg`] — Chambolle–Pock primal–dual splitting with the stacked
-//!   operator `K = [Φ; I]`; the workhorse decoder.
-//!   [`solve_pdhg_batch_workspace`] runs it over K same-shape windows in
-//!   lockstep, bit-identical per window; it is the only batched solver.
+//!   operator `K = [Φ; I]`; the workhorse decoder. [`solve_pdhg_batch`]
+//!   runs it over K same-shape windows in lockstep, bit-identical per
+//!   window; it is the only batched solver.
 //! * [`solve_admm`] — ADMM with three splits (ℓ₂-ball, box, ℓ₁), solving
 //!   its x-subproblem by conjugate gradient; cross-checks PDHG in tests and
 //!   powers the solver ablation.
@@ -22,6 +22,11 @@
 //!   LASSO form (a digital-CS baseline).
 //! * [`solve_omp`], [`solve_cosamp`], [`solve_iht`] — greedy baselines over
 //!   an explicit `ΦΨ` matrix.
+//!
+//! Each solver has exactly one entry point. It takes an
+//! [`IterationObserver`] (pass [`NoopObserver`] to watch nothing) and, for
+//! every solver but OMP and CoSaMP, a [`SolverWorkspace`] that supplies its
+//! buffers, including the returned signal.
 //!
 //! Working in the *signal* domain `x = Ψα` with an **orthonormal** wavelet
 //! `Ψ` (from [`hybridcs_dsp`]) keeps every proximal step cheap:
@@ -32,7 +37,9 @@
 //! ```
 //! use hybridcs_dsp::{Dwt, Wavelet};
 //! use hybridcs_linalg::Matrix;
-//! use hybridcs_solver::{solve_pdhg, BpdnProblem, DenseOperator, PdhgOptions};
+//! use hybridcs_solver::{
+//!     solve_pdhg, BpdnProblem, DenseOperator, NoopObserver, PdhgOptions, SolverWorkspace,
+//! };
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // Tiny smoke problem: recover a smooth signal from 3/4 of its samples.
@@ -48,7 +55,8 @@
 //!     box_bounds: None,
 //!     coefficient_weights: None,
 //! };
-//! let result = solve_pdhg(&problem, &PdhgOptions::default())?;
+//! let mut ws = SolverWorkspace::new();
+//! let result = solve_pdhg(&problem, &PdhgOptions::default(), &mut NoopObserver, &mut ws)?;
 //! assert!(result.iterations > 0);
 //! # Ok(())
 //! # }
@@ -75,26 +83,21 @@ mod watchdog;
 mod weights;
 mod workspace;
 
-pub use admm::{solve_admm, solve_admm_observed, solve_admm_workspace, AdmmOptions};
-pub use batch::{solve_pdhg_batch_workspace, BatchProblem};
+pub use admm::{solve_admm, AdmmOptions};
+pub use batch::{solve_pdhg_batch, BatchProblem};
 pub use error::SolverError;
-pub use fista::{solve_fista, solve_fista_observed, solve_fista_workspace, FistaOptions};
-pub use greedy::{
-    solve_cosamp, solve_cosamp_observed, solve_iht, solve_iht_observed, solve_iht_workspace,
-    solve_omp, solve_omp_observed, GreedyOptions,
-};
-pub use operator::{ComposedOperator, DenseOperator, LinearOperator, SynthesisOperator};
-pub use pdhg::{solve_pdhg, solve_pdhg_observed, solve_pdhg_workspace, PdhgOptions};
+pub use fista::{solve_fista, FistaOptions};
+pub use greedy::{solve_cosamp, solve_iht, solve_omp, GreedyOptions};
+pub use operator::{DenseOperator, LinearOperator};
+pub use pdhg::{solve_pdhg, PdhgOptions};
 pub use problem::{BpdnProblem, RecoveryResult};
-pub use reweighted::{
-    solve_reweighted, solve_reweighted_observed, solve_reweighted_workspace, ReweightedOptions,
-};
+pub use reweighted::{solve_reweighted, ReweightedOptions};
 pub use watchdog::{SolverWatchdog, WatchdogConfig, WatchdogTrip};
 pub use weights::band_weights;
 pub use workspace::SolverWorkspace;
 
-// Observability vocabulary re-exported so downstream crates can drive the
-// `*_observed` entry points without depending on `hybridcs-obs` directly.
+// Observability vocabulary re-exported so downstream crates can pass an
+// observer to any `solve_*` function without depending on `hybridcs-obs`.
 pub use hybridcs_obs::{
     ConvergenceTrace, IterationEvent, IterationObserver, NoopObserver, RecordingObserver,
     StopReason,

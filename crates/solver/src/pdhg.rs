@@ -1,7 +1,7 @@
 use crate::prox;
 use crate::{BpdnProblem, RecoveryResult, SolverError, SolverWorkspace};
 use hybridcs_linalg::vector;
-use hybridcs_obs::{ConvergenceTrace, IterationEvent, IterationObserver, NoopObserver, StopReason};
+use hybridcs_obs::{ConvergenceTrace, IterationEvent, IterationObserver, StopReason};
 use std::time::Instant;
 
 /// Options for [`solve_pdhg`].
@@ -48,6 +48,18 @@ impl Default for PdhgOptions {
 /// final step, so the hybrid decoder's bound guarantee holds *exactly* in
 /// the output (the true signal lies in the box, so clamping can only help).
 ///
+/// When `observer` is [active](IterationObserver::active), every iteration
+/// emits an [`IterationEvent`] with the new iterate's ℓ₁ objective `‖Ψᵀx‖₁`
+/// and the residual `‖Φx̄ − y‖₂` at the extrapolated point its dual step
+/// used, both already in hand, so watching costs no extra `Φ`-application;
+/// completion emits a [`ConvergenceTrace`] with the exact final `‖Φx − y‖₂`.
+/// The observer never changes the arithmetic.
+///
+/// Every iteration buffer comes from `ws`, so a workspace reused across
+/// windows keeps the inner loop free of heap allocations after warm-up.
+/// The returned signal is itself a `ws` buffer: hand it back via
+/// [`SolverWorkspace::release`] once consumed.
+///
 /// # Errors
 ///
 /// Returns a [`SolverError`] if the problem fails validation or an option
@@ -58,47 +70,6 @@ impl Default for PdhgOptions {
 ///
 /// See the [crate-level example](crate).
 pub fn solve_pdhg(
-    problem: &BpdnProblem<'_>,
-    options: &PdhgOptions,
-) -> Result<RecoveryResult, SolverError> {
-    solve_pdhg_observed(problem, options, &mut NoopObserver)
-}
-
-/// [`solve_pdhg`] with an [`IterationObserver`] hook: when the observer is
-/// [active](IterationObserver::active), every iteration emits an
-/// [`IterationEvent`] with the new iterate's ℓ₁ objective `‖Ψᵀx‖₁` and the
-/// residual `‖Φx̄ − y‖₂` at the extrapolated point its dual step used, both
-/// already in hand, so watching costs no extra `Φ`-application; completion
-/// emits a [`ConvergenceTrace`] with the exact final `‖Φx − y‖₂`.
-///
-/// The observer never changes the arithmetic: results are bit-identical to
-/// [`solve_pdhg`].
-///
-/// # Errors
-///
-/// Same conditions as [`solve_pdhg`].
-pub fn solve_pdhg_observed(
-    problem: &BpdnProblem<'_>,
-    options: &PdhgOptions,
-    observer: &mut dyn IterationObserver,
-) -> Result<RecoveryResult, SolverError> {
-    solve_pdhg_workspace(problem, options, observer, &mut SolverWorkspace::new())
-}
-
-/// [`solve_pdhg_observed`] with every iteration buffer drawn from a borrowed
-/// [`SolverWorkspace`]: when the workspace is reused across windows the inner
-/// loop performs zero heap allocations after warm-up.
-///
-/// The arithmetic — and therefore the result bits — is identical to
-/// [`solve_pdhg`]; only buffer management differs. The returned signal is
-/// itself a workspace buffer: callers on the hot path can hand it back via
-/// [`SolverWorkspace::release`] once consumed to keep the pool at steady
-/// state.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_pdhg`].
-pub fn solve_pdhg_workspace(
     problem: &BpdnProblem<'_>,
     options: &PdhgOptions,
     observer: &mut dyn IterationObserver,
@@ -306,7 +277,7 @@ pub(crate) fn validate_options(options: &PdhgOptions) -> Result<(), SolverError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DenseOperator;
+    use crate::{DenseOperator, NoopObserver};
     use hybridcs_dsp::{Dwt, Wavelet};
     use hybridcs_linalg::Matrix;
 
@@ -356,7 +327,13 @@ mod tests {
             box_bounds: None,
             coefficient_weights: None,
         };
-        let result = solve_pdhg(&problem, &PdhgOptions::default()).unwrap();
+        let result = solve_pdhg(
+            &problem,
+            &PdhgOptions::default(),
+            &mut NoopObserver,
+            &mut SolverWorkspace::new(),
+        )
+        .unwrap();
         assert!(snr_db(&x_true, &result.signal) > 30.0);
         // First-order feasibility: allow a generous slack over sigma.
         assert!(
@@ -383,7 +360,13 @@ mod tests {
             box_bounds: None,
             coefficient_weights: None,
         };
-        let result = solve_pdhg(&problem, &PdhgOptions::default()).unwrap();
+        let result = solve_pdhg(
+            &problem,
+            &PdhgOptions::default(),
+            &mut NoopObserver,
+            &mut SolverWorkspace::new(),
+        )
+        .unwrap();
         let snr = snr_db(&x_true, &result.signal);
         assert!(snr > 15.0, "SNR {snr} dB");
     }
@@ -413,6 +396,8 @@ mod tests {
                 coefficient_weights: None,
             },
             &PdhgOptions::default(),
+            &mut NoopObserver,
+            &mut SolverWorkspace::new(),
         )
         .unwrap();
         let hybrid = solve_pdhg(
@@ -425,6 +410,8 @@ mod tests {
                 coefficient_weights: None,
             },
             &PdhgOptions::default(),
+            &mut NoopObserver,
+            &mut SolverWorkspace::new(),
         )
         .unwrap();
 
@@ -454,7 +441,13 @@ mod tests {
             box_bounds: None,
             coefficient_weights: None,
         };
-        let result = solve_pdhg(&problem, &PdhgOptions::default()).unwrap();
+        let result = solve_pdhg(
+            &problem,
+            &PdhgOptions::default(),
+            &mut NoopObserver,
+            &mut SolverWorkspace::new(),
+        )
+        .unwrap();
         assert!(result.objective > 0.0);
         assert!(result.residual >= 0.0);
         assert!(result.iterations > 0);
@@ -483,6 +476,8 @@ mod tests {
                 tolerance: 1e-12,
                 ..PdhgOptions::default()
             },
+            &mut NoopObserver,
+            &mut SolverWorkspace::new(),
         )
         .unwrap();
         assert!(!result.converged);
@@ -521,7 +516,13 @@ mod tests {
                 ..PdhgOptions::default()
             },
         ] {
-            assert!(solve_pdhg(&problem, &bad).is_err());
+            assert!(solve_pdhg(
+                &problem,
+                &bad,
+                &mut NoopObserver,
+                &mut SolverWorkspace::new()
+            )
+            .is_err());
         }
     }
 
@@ -545,7 +546,13 @@ mod tests {
         };
         let x0 = problem.initial_point();
         let obj0 = vector::norm1(&dwt.forward(&x0).unwrap());
-        let result = solve_pdhg(&problem, &PdhgOptions::default()).unwrap();
+        let result = solve_pdhg(
+            &problem,
+            &PdhgOptions::default(),
+            &mut NoopObserver,
+            &mut SolverWorkspace::new(),
+        )
+        .unwrap();
         assert!(result.objective < obj0, "{} vs {}", result.objective, obj0);
     }
 }

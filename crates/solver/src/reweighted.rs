@@ -1,7 +1,5 @@
-use crate::{
-    solve_pdhg_workspace, BpdnProblem, PdhgOptions, RecoveryResult, SolverError, SolverWorkspace,
-};
-use hybridcs_obs::{ConvergenceTrace, IterationEvent, IterationObserver, NoopObserver, StopReason};
+use crate::{solve_pdhg, BpdnProblem, PdhgOptions, RecoveryResult, SolverError, SolverWorkspace};
+use hybridcs_obs::{ConvergenceTrace, IterationEvent, IterationObserver, StopReason};
 use std::time::Instant;
 
 /// Options for [`solve_reweighted`].
@@ -39,6 +37,18 @@ impl Default for ReweightedOptions {
 /// Returns the final round's [`RecoveryResult`] with `iterations`
 /// accumulated across rounds.
 ///
+/// Inner PDHG iteration events reach `observer` with iteration numbers
+/// accumulated across reweighting rounds, and one unified
+/// [`ConvergenceTrace`] (solver `"reweighted"`, stop reason from the final
+/// round) is emitted at the end — the per-round PDHG traces are suppressed.
+/// The observer never changes the arithmetic.
+///
+/// Every buffer — the inner PDHG state, the per-round coefficient scratch,
+/// and the weight vector — comes from `ws`: once the workspace has been
+/// warmed, the reweighting rounds perform **zero heap allocations**. The
+/// returned signal is a `ws` buffer; pass it back via
+/// [`SolverWorkspace::release`] to keep the pool in steady state.
+///
 /// # Errors
 ///
 /// Returns [`SolverError`] from validation or any inner solve, plus
@@ -49,74 +59,6 @@ impl Default for ReweightedOptions {
 /// See `ablation_weighted_l1` and the crate tests; usage is identical to
 /// [`solve_pdhg`](crate::solve_pdhg) with [`ReweightedOptions`].
 pub fn solve_reweighted(
-    problem: &BpdnProblem<'_>,
-    options: &ReweightedOptions,
-) -> Result<RecoveryResult, SolverError> {
-    solve_reweighted_observed(problem, options, &mut NoopObserver)
-}
-
-/// Forwards inner-PDHG iteration events with a cumulative iteration offset
-/// so the outer trace counts monotonically across reweighting rounds, and
-/// swallows the per-round completion traces (the outer solve emits one
-/// unified `reweighted` trace instead).
-struct OffsetForward<'o> {
-    inner: &'o mut dyn IterationObserver,
-    offset: usize,
-}
-
-impl IterationObserver for OffsetForward<'_> {
-    fn active(&self) -> bool {
-        self.inner.active()
-    }
-
-    fn on_iteration(&mut self, event: &IterationEvent) {
-        self.inner.on_iteration(&IterationEvent {
-            iteration: self.offset + event.iteration,
-            ..*event
-        });
-    }
-
-    fn on_complete(&mut self, _trace: &ConvergenceTrace) {}
-
-    fn should_abort(&self) -> bool {
-        // Forwarded so a watchdog can stop the inner PDHG mid-round.
-        self.inner.should_abort()
-    }
-}
-
-/// [`solve_reweighted`] with an [`IterationObserver`] hook: inner PDHG
-/// iteration events are forwarded with iteration numbers accumulated
-/// across reweighting rounds, and one unified [`ConvergenceTrace`] (solver
-/// `"reweighted"`, stop reason from the final round) is emitted at the
-/// end — the per-round PDHG traces are suppressed.
-///
-/// The observer never changes the arithmetic: results are bit-identical to
-/// [`solve_reweighted`].
-///
-/// # Errors
-///
-/// Same conditions as [`solve_reweighted`].
-pub fn solve_reweighted_observed(
-    problem: &BpdnProblem<'_>,
-    options: &ReweightedOptions,
-    observer: &mut dyn IterationObserver,
-) -> Result<RecoveryResult, SolverError> {
-    solve_reweighted_workspace(problem, options, observer, &mut SolverWorkspace::new())
-}
-
-/// [`solve_reweighted_observed`] with every buffer — the inner PDHG state,
-/// the per-round coefficient scratch, and the weight vector — drawn from a
-/// caller-owned [`SolverWorkspace`]: once the workspace has been warmed, the
-/// reweighting rounds perform **zero heap allocations**. Results are
-/// bit-identical to [`solve_reweighted`].
-///
-/// The returned `signal` is a workspace buffer; pass it back via
-/// [`SolverWorkspace::release`] to keep the pool in steady state.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_reweighted`].
-pub fn solve_reweighted_workspace(
     problem: &BpdnProblem<'_>,
     options: &ReweightedOptions,
     observer: &mut dyn IterationObserver,
@@ -164,7 +106,7 @@ pub fn solve_reweighted_workspace(
             inner: observer,
             offset: total_iterations,
         };
-        let result = solve_pdhg_workspace(&round_problem, &options.inner, &mut forward, ws)?;
+        let result = solve_pdhg(&round_problem, &options.inner, &mut forward, ws)?;
         total_iterations += result.iterations;
 
         // Next round's weights from this round's coefficients.
@@ -210,10 +152,39 @@ pub fn solve_reweighted_workspace(
     Ok(result)
 }
 
+/// Forwards inner-PDHG iteration events with a cumulative iteration offset
+/// so the outer trace counts monotonically across reweighting rounds, and
+/// swallows the per-round completion traces (the outer solve emits one
+/// unified `reweighted` trace instead).
+struct OffsetForward<'o> {
+    inner: &'o mut dyn IterationObserver,
+    offset: usize,
+}
+
+impl IterationObserver for OffsetForward<'_> {
+    fn active(&self) -> bool {
+        self.inner.active()
+    }
+
+    fn on_iteration(&mut self, event: &IterationEvent) {
+        self.inner.on_iteration(&IterationEvent {
+            iteration: self.offset + event.iteration,
+            ..*event
+        });
+    }
+
+    fn on_complete(&mut self, _trace: &ConvergenceTrace) {}
+
+    fn should_abort(&self) -> bool {
+        // Forwarded so a watchdog can stop the inner PDHG mid-round.
+        self.inner.should_abort()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{solve_pdhg, DenseOperator};
+    use crate::{DenseOperator, NoopObserver};
     use hybridcs_dsp::{Dwt, Wavelet};
     use hybridcs_linalg::{vector, Matrix};
 
@@ -263,8 +234,20 @@ mod tests {
             box_bounds: None,
             coefficient_weights: None,
         };
-        let single = solve_pdhg(&problem, &PdhgOptions::default()).unwrap();
-        let multi = solve_reweighted(&problem, &ReweightedOptions::default()).unwrap();
+        let single = solve_pdhg(
+            &problem,
+            &PdhgOptions::default(),
+            &mut NoopObserver,
+            &mut SolverWorkspace::new(),
+        )
+        .unwrap();
+        let multi = solve_reweighted(
+            &problem,
+            &ReweightedOptions::default(),
+            &mut NoopObserver,
+            &mut SolverWorkspace::new(),
+        )
+        .unwrap();
         let snr_single = snr_db(&x_true, &single.signal);
         let snr_multi = snr_db(&x_true, &multi.signal);
         assert!(
@@ -288,13 +271,21 @@ mod tests {
             box_bounds: None,
             coefficient_weights: None,
         };
-        let plain = solve_pdhg(&problem, &PdhgOptions::default()).unwrap();
+        let plain = solve_pdhg(
+            &problem,
+            &PdhgOptions::default(),
+            &mut NoopObserver,
+            &mut SolverWorkspace::new(),
+        )
+        .unwrap();
         let one = solve_reweighted(
             &problem,
             &ReweightedOptions {
                 outer_iterations: 1,
                 ..ReweightedOptions::default()
             },
+            &mut NoopObserver,
+            &mut SolverWorkspace::new(),
         )
         .unwrap();
         assert_eq!(plain.signal, one.signal);
@@ -320,7 +311,13 @@ mod tests {
             box_bounds: Some((&lo, &hi)),
             coefficient_weights: None,
         };
-        let result = solve_reweighted(&problem, &ReweightedOptions::default()).unwrap();
+        let result = solve_reweighted(
+            &problem,
+            &ReweightedOptions::default(),
+            &mut NoopObserver,
+            &mut SolverWorkspace::new(),
+        )
+        .unwrap();
         for ((v, l), h) in result.signal.iter().zip(&lo).zip(&hi) {
             assert!(*l <= *v && *v <= *h);
         }
@@ -345,7 +342,9 @@ mod tests {
             &ReweightedOptions {
                 outer_iterations: 0,
                 ..ReweightedOptions::default()
-            }
+            },
+            &mut NoopObserver,
+            &mut SolverWorkspace::new()
         )
         .is_err());
         assert!(solve_reweighted(
@@ -353,7 +352,9 @@ mod tests {
             &ReweightedOptions {
                 epsilon_rel: -1.0,
                 ..ReweightedOptions::default()
-            }
+            },
+            &mut NoopObserver,
+            &mut SolverWorkspace::new()
         )
         .is_err());
     }

@@ -27,7 +27,7 @@
 //! };
 //! let watchdog = SolverWatchdog::new(config);
 //! assert!(watchdog.trip().is_none());
-//! // Pass `&mut watchdog` to any `solve_*_observed` entry point.
+//! // Pass `&mut watchdog` as the observer of any `solve_*` function.
 //! ```
 
 use hybridcs_obs::{ConvergenceTrace, IterationEvent, IterationObserver};

@@ -1,8 +1,8 @@
 //! Reusable buffer arena for the decode hot path.
 //!
-//! Every solver in this crate has a `*_workspace` entry point that borrows a
+//! Every solver in this crate except OMP and CoSaMP borrows a
 //! [`SolverWorkspace`] for all per-iteration vectors (residuals, gradients,
-//! DWT scratch, dual variables, …). Buffers are acquired at solve entry and
+//! DWT scratch, dual variables, …) and for the signal it returns. Buffers are acquired at solve entry and
 //! released back to the pool on exit, so a workspace that is reused across
 //! windows reaches a steady state where the solver inner loop performs **zero
 //! heap allocations** — the invariant enforced by the counting-allocator gate

@@ -1,22 +1,21 @@
 //! End-to-end convergence instrumentation tests: seeded problems driven
-//! through the `*_observed` entry points, checking (a) the recorded
+//! through every `solve_*` function, checking (a) the recorded
 //! [`hybridcs_solver::ConvergenceTrace`]s are coherent, (b) FISTA's
 //! objective sequence is monotone non-increasing up to numerical noise on
-//! a well-conditioned problem, (c) an active observer never changes
-//! the returned numbers (the golden-regression guarantee), (d) watching a
-//! PDHG solve costs no sensing forward beyond the unwatched solve's, and
-//! (e) a non-finite iterate still trips the watchdog in the iteration it
-//! appears.
+//! a well-conditioned problem, (c) neither an active observer nor a warmed
+//! workspace changes any solver's returned numbers (the golden-regression
+//! guarantee), (d) watching a PDHG solve costs no sensing forward beyond
+//! the unwatched solve's, and (e) a non-finite iterate still trips the
+//! watchdog in the iteration it appears.
 
 use hybridcs_dsp::{Dwt, Wavelet};
 use hybridcs_linalg::{vector, Matrix};
 use hybridcs_solver::{
-    solve_admm, solve_admm_observed, solve_fista, solve_fista_observed, solve_omp,
-    solve_omp_observed, solve_pdhg, solve_pdhg_batch_workspace, solve_pdhg_observed,
-    solve_pdhg_workspace, solve_reweighted, solve_reweighted_observed, AdmmOptions, BatchProblem,
-    BpdnProblem, DenseOperator, FistaOptions, GreedyOptions, IterationObserver, LinearOperator,
-    NoopObserver, PdhgOptions, RecordingObserver, RecoveryResult, ReweightedOptions,
-    SolverWatchdog, SolverWorkspace, StopReason, WatchdogConfig, WatchdogTrip,
+    solve_admm, solve_cosamp, solve_fista, solve_iht, solve_omp, solve_pdhg, solve_pdhg_batch,
+    solve_reweighted, AdmmOptions, BatchProblem, BpdnProblem, DenseOperator, FistaOptions,
+    GreedyOptions, IterationObserver, LinearOperator, NoopObserver, PdhgOptions, RecordingObserver,
+    RecoveryResult, ReweightedOptions, SolverWatchdog, SolverWorkspace, StopReason, WatchdogConfig,
+    WatchdogTrip,
 };
 use std::cell::Cell;
 
@@ -64,7 +63,7 @@ fn fista_objective_is_monotone_non_increasing() {
         coefficient_weights: None,
     };
     let mut rec = RecordingObserver::new();
-    let result = solve_fista_observed(
+    let result = solve_fista(
         &problem,
         &FistaOptions {
             lambda: Some(0.003),
@@ -72,6 +71,7 @@ fn fista_objective_is_monotone_non_increasing() {
             ..FistaOptions::default()
         },
         &mut rec,
+        &mut SolverWorkspace::new(),
     )
     .unwrap();
 
@@ -96,72 +96,118 @@ fn fista_objective_is_monotone_non_increasing() {
     assert_eq!(trace.final_objective, result.objective);
 }
 
+/// Normalized-column dictionary (splitmix64) for the greedy solvers, and
+/// measurements of a 3-sparse truth over it.
+fn greedy_instance() -> (Matrix, Vec<f64>) {
+    let m = 40;
+    let n = 128;
+    let mut state = 1u64;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        ((z >> 11) as f64 / (1u64 << 53) as f64) - 0.5
+    };
+    let mut a = Matrix::from_fn(m, n, |_, _| next());
+    for j in 0..n {
+        let norm = vector::norm2(&a.col(j));
+        for i in 0..m {
+            a.set(i, j, a.get(i, j) / norm);
+        }
+    }
+    let mut truth = vec![0.0; n];
+    truth[5] = 2.0;
+    truth[60] = -1.5;
+    truth[100] = 0.8;
+    let y = a.matvec(&truth);
+    (a, y)
+}
+
+/// One solver run with a given observer and workspace.
+type Solve<'a> = &'a dyn Fn(&mut dyn IterationObserver, &mut SolverWorkspace) -> RecoveryResult;
+
+/// Every solver's identity contracts, one row each: a recording observer
+/// returns the same bits as a no-op one, and (for the solvers that draw
+/// from a workspace) a solve on a warmed workspace returns the same bits as
+/// one on a fresh workspace, without growing the pool.
 #[test]
 fn active_observer_does_not_change_results() {
-    let n = 128;
-    let m = 48;
-    let x_true = smooth_signal(n);
+    let (n, m) = (128, 48);
     let phi = bernoulli_like(m, n, 33);
-    let y = phi.matvec(&x_true);
+    let windows = HybridWindows::new(&phi, 1);
     let op = DenseOperator::new(phi);
     let dwt = Dwt::new(Wavelet::Db4, 3).unwrap();
-    let problem = BpdnProblem {
-        sensing: &op,
-        dwt: &dwt,
-        measurements: &y,
-        sigma: 1e-3,
+    let boxed = &windows.problems(&op, &dwt)[0];
+    let plain = BpdnProblem {
         box_bounds: None,
-        coefficient_weights: None,
+        ..*boxed
+    };
+    let (a, y) = greedy_instance();
+    let greedy = GreedyOptions {
+        max_sparsity: 3,
+        ..GreedyOptions::default()
+    };
+    let fista = FistaOptions {
+        lambda: Some(0.003),
+        ..FistaOptions::default()
     };
 
-    let plain = solve_pdhg(&problem, &PdhgOptions::default()).unwrap();
-    let mut rec = RecordingObserver::new();
-    let observed = solve_pdhg_observed(&problem, &PdhgOptions::default(), &mut rec).unwrap();
-    assert_eq!(plain.signal, observed.signal);
-    assert_eq!(plain.iterations, observed.iterations);
-
-    let plain = solve_admm(&problem, &AdmmOptions::default()).unwrap();
-    let mut rec = RecordingObserver::new();
-    let observed = solve_admm_observed(&problem, &AdmmOptions::default(), &mut rec).unwrap();
-    assert_eq!(plain.signal, observed.signal);
-    assert_eq!(rec.trace().unwrap().solver, "admm");
-
-    let plain = solve_fista(
-        &problem,
-        &FistaOptions {
-            lambda: Some(0.003),
-            ..FistaOptions::default()
-        },
-    )
-    .unwrap();
-    let mut rec = RecordingObserver::new();
-    let observed = solve_fista_observed(
-        &problem,
-        &FistaOptions {
-            lambda: Some(0.003),
-            ..FistaOptions::default()
-        },
-        &mut rec,
-    )
-    .unwrap();
-    assert_eq!(plain.signal, observed.signal);
-
-    let plain = solve_reweighted(&problem, &ReweightedOptions::default()).unwrap();
-    let mut rec = RecordingObserver::new();
-    let observed =
-        solve_reweighted_observed(&problem, &ReweightedOptions::default(), &mut rec).unwrap();
-    assert_eq!(plain.signal, observed.signal);
-    assert_eq!(rec.trace().unwrap().solver, "reweighted");
-    // Cumulative numbering: events strictly increase across rounds.
-    assert!(rec
-        .events()
-        .windows(2)
-        .all(|w| w[1].iteration > w[0].iteration));
-    assert_eq!(
-        rec.events().last().unwrap().iteration,
-        observed.iterations,
-        "reweighted iteration count must accumulate across rounds"
-    );
+    let solvers: [(&str, bool, Solve<'_>); 7] = [
+        ("pdhg", true, &|obs, ws| {
+            solve_pdhg(boxed, &PdhgOptions::default(), obs, ws).unwrap()
+        }),
+        ("admm", true, &|obs, ws| {
+            solve_admm(boxed, &AdmmOptions::default(), obs, ws).unwrap()
+        }),
+        ("fista", true, &|obs, ws| {
+            solve_fista(&plain, &fista, obs, ws).unwrap()
+        }),
+        ("reweighted", true, &|obs, ws| {
+            solve_reweighted(boxed, &ReweightedOptions::default(), obs, ws).unwrap()
+        }),
+        ("omp", false, &|obs, _| {
+            solve_omp(&a, &y, &greedy, obs).unwrap()
+        }),
+        ("cosamp", false, &|obs, _| {
+            solve_cosamp(&a, &y, &greedy, obs).unwrap()
+        }),
+        ("iht", true, &|obs, ws| {
+            solve_iht(&a, &y, &greedy, obs, ws).unwrap()
+        }),
+    ];
+    for (name, pools, solve) in solvers {
+        let fresh = solve(&mut NoopObserver, &mut SolverWorkspace::new());
+        let mut rec = RecordingObserver::new();
+        let recorded = solve(&mut rec, &mut SolverWorkspace::new());
+        assert_same_bits(&fresh, &recorded, &format!("{name}: recording observer"));
+        assert!(!rec.events().is_empty(), "{name}: no events recorded");
+        assert_eq!(rec.trace().expect("on_complete fired").solver, name);
+        if name == "reweighted" {
+            // Cumulative numbering: events strictly increase across rounds.
+            assert!(rec
+                .events()
+                .windows(2)
+                .all(|w| w[1].iteration > w[0].iteration));
+            assert_eq!(
+                rec.events().last().unwrap().iteration,
+                recorded.iterations,
+                "reweighted iteration count must accumulate across rounds"
+            );
+        }
+        if pools {
+            let mut ws = SolverWorkspace::new();
+            let warmup = solve(&mut NoopObserver, &mut ws);
+            ws.release(warmup.signal);
+            let pooled = ws.pooled();
+            let warmed = solve(&mut NoopObserver, &mut ws);
+            assert_same_bits(&fresh, &warmed, &format!("{name}: warmed workspace"));
+            ws.release(warmed.signal);
+            assert!(pooled > 0, "{name}: buffers should return to the pool");
+            assert_eq!(ws.pooled(), pooled, "{name}: warmed solve grew the pool");
+        }
+    }
 }
 
 /// A [`DenseOperator`] that counts its forward applications. The default
@@ -309,8 +355,7 @@ fn counted_pdhg(
     observer: &mut dyn IterationObserver,
 ) -> (RecoveryResult, usize) {
     op.forwards.set(0);
-    let result =
-        solve_pdhg_workspace(problem, options, observer, &mut SolverWorkspace::new()).unwrap();
+    let result = solve_pdhg(problem, options, observer, &mut SolverWorkspace::new()).unwrap();
     (result, op.forwards.get())
 }
 
@@ -363,7 +408,7 @@ fn watched_pdhg_costs_no_extra_forward() {
             .collect();
         let mut out = Vec::new();
         op.forwards.set(0);
-        solve_pdhg_batch_workspace(
+        solve_pdhg_batch(
             &batch,
             &options,
             &mut observers,
@@ -410,7 +455,7 @@ fn non_finite_iterate_trips_watchdog_in_its_iteration() {
     };
     let problems = windows.problems(&serial_op, &dwt);
     let mut dog = SolverWatchdog::new(WatchdogConfig::default());
-    let result = solve_pdhg_workspace(
+    let result = solve_pdhg(
         &problems[0],
         &options,
         &mut dog,
@@ -438,7 +483,7 @@ fn non_finite_iterate_trips_watchdog_in_its_iteration() {
         .map(|d| d as &mut dyn IterationObserver)
         .collect();
     let mut out = Vec::new();
-    solve_pdhg_batch_workspace(
+    solve_pdhg_batch(
         &batch,
         &options,
         &mut observers,
@@ -457,40 +502,15 @@ fn non_finite_iterate_trips_watchdog_in_its_iteration() {
 
 #[test]
 fn greedy_traces_report_stop_reasons() {
-    // Normalized-column dictionary (splitmix64) and an exactly sparse truth:
-    // OMP must hit the tolerance and report Converged.
-    let m = 40;
-    let n = 128;
-    let mut state = 1u64;
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        ((z >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-    };
-    let mut a = Matrix::from_fn(m, n, |_, _| next());
-    for j in 0..n {
-        let norm = vector::norm2(&a.col(j));
-        for i in 0..m {
-            a.set(i, j, a.get(i, j) / norm);
-        }
-    }
-    let mut truth = vec![0.0; n];
-    truth[5] = 2.0;
-    truth[60] = -1.5;
-    truth[100] = 0.8;
-    let y = a.matvec(&truth);
-
+    // An exactly sparse truth over a normalized dictionary: OMP must hit the
+    // tolerance and report Converged.
+    let (a, y) = greedy_instance();
     let opts = GreedyOptions {
         max_sparsity: 3,
         ..GreedyOptions::default()
     };
-    let plain = solve_omp(&a, &y, &opts).unwrap();
     let mut rec = RecordingObserver::new();
-    let observed = solve_omp_observed(&a, &y, &opts, &mut rec).unwrap();
-    assert_eq!(plain.signal, observed.signal);
+    let observed = solve_omp(&a, &y, &opts, &mut rec).unwrap();
 
     let trace = rec.trace().unwrap();
     assert_eq!(trace.solver, "omp");

@@ -5,7 +5,8 @@
 use hybridcs_dsp::{Dwt, Wavelet};
 use hybridcs_linalg::{vector, Matrix};
 use hybridcs_solver::{
-    band_weights, solve_admm, solve_pdhg, AdmmOptions, BpdnProblem, DenseOperator, PdhgOptions,
+    band_weights, solve_admm, solve_pdhg, AdmmOptions, BpdnProblem, DenseOperator, NoopObserver,
+    PdhgOptions, SolverWorkspace,
 };
 
 fn bernoulli_like(m: usize, n: usize, seed: u64) -> Matrix {
@@ -58,6 +59,8 @@ fn band_weights_improve_undersampled_recovery() {
             coefficient_weights: None,
         },
         &PdhgOptions::default(),
+        &mut NoopObserver,
+        &mut SolverWorkspace::new(),
     )
     .unwrap();
     let weighted = solve_pdhg(
@@ -70,6 +73,8 @@ fn band_weights_improve_undersampled_recovery() {
             coefficient_weights: Some(&weights),
         },
         &PdhgOptions::default(),
+        &mut NoopObserver,
+        &mut SolverWorkspace::new(),
     )
     .unwrap();
     let snr_flat = snr_db(&x_true, &flat.signal);
@@ -98,8 +103,20 @@ fn pdhg_and_admm_agree_under_weights() {
         box_bounds: None,
         coefficient_weights: Some(&weights),
     };
-    let p = solve_pdhg(&problem, &PdhgOptions::default()).unwrap();
-    let a = solve_admm(&problem, &AdmmOptions::default()).unwrap();
+    let p = solve_pdhg(
+        &problem,
+        &PdhgOptions::default(),
+        &mut NoopObserver,
+        &mut SolverWorkspace::new(),
+    )
+    .unwrap();
+    let a = solve_admm(
+        &problem,
+        &AdmmOptions::default(),
+        &mut NoopObserver,
+        &mut SolverWorkspace::new(),
+    )
+    .unwrap();
     let snr_p = snr_db(&x_true, &p.signal);
     let snr_a = snr_db(&x_true, &a.signal);
     assert!(
@@ -130,6 +147,8 @@ fn zero_weight_band_is_never_shrunk_to_zero() {
             coefficient_weights: Some(&weights),
         },
         &PdhgOptions::default(),
+        &mut NoopObserver,
+        &mut SolverWorkspace::new(),
     )
     .unwrap();
     let mean = result.signal.iter().sum::<f64>() / n as f64;
@@ -157,7 +176,19 @@ fn invalid_weights_rejected_by_both_solvers() {
             box_bounds: None,
             coefficient_weights: Some(w),
         };
-        assert!(solve_pdhg(&problem, &PdhgOptions::default()).is_err());
-        assert!(solve_admm(&problem, &AdmmOptions::default()).is_err());
+        assert!(solve_pdhg(
+            &problem,
+            &PdhgOptions::default(),
+            &mut NoopObserver,
+            &mut SolverWorkspace::new()
+        )
+        .is_err());
+        assert!(solve_admm(
+            &problem,
+            &AdmmOptions::default(),
+            &mut NoopObserver,
+            &mut SolverWorkspace::new()
+        )
+        .is_err());
     }
 }

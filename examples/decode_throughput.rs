@@ -26,7 +26,7 @@
 //!    steady-state workspace solves (problems pre-built, workspace
 //!    warmed, recovered signals recycled) must perform **zero** heap
 //!    allocations. The same gate then runs against steady-state
-//!    *batched* solves ([`solve_pdhg_batch_workspace`]) at K = 1 (the
+//!    *batched* solves ([`solve_pdhg_batch`]) at K = 1 (the
 //!    panel is one contiguous lane), K = 5 (one 4-wide vector plus a
 //!    lane through the serial kernels) and K = 8: zero allocations there
 //!    too.
@@ -70,8 +70,8 @@ use hybridcs::ecg::{EcgGenerator, GeneratorConfig};
 use hybridcs::frontend::{LowResChannel, LowResFrame, SensingMatrix};
 use hybridcs::linalg::simd::{set_override, simd_available};
 use hybridcs::solver::{
-    solve_pdhg, solve_pdhg_batch_workspace, solve_pdhg_workspace, BatchProblem, BpdnProblem,
-    IterationObserver, LinearOperator, NoopObserver, PdhgOptions, RecoveryResult, SolverWorkspace,
+    solve_pdhg, solve_pdhg_batch, BatchProblem, BpdnProblem, IterationObserver, LinearOperator,
+    NoopObserver, PdhgOptions, RecoveryResult, SolverWorkspace,
 };
 use hybridcs_bench::alloc_counter::{self, CountingAllocator};
 use std::time::Instant;
@@ -198,7 +198,7 @@ fn batched_pass(
             .take(chunk.len())
             .map(|o| o as &mut dyn IterationObserver)
             .collect();
-        solve_pdhg_batch_workspace(&batch, opts, &mut refs, ws, &mut out)?;
+        solve_pdhg_batch(&batch, opts, &mut refs, ws, &mut out)?;
         for (j, slot) in out.iter_mut().enumerate() {
             let got = slot.take().expect("batch solvers fill every window");
             if let Some((serial, tier)) = reference {
@@ -243,11 +243,11 @@ fn batched_allocations(
         .collect();
     let mut out: Vec<Option<RecoveryResult>> = Vec::new();
     for _ in 0..2 {
-        solve_pdhg_batch_workspace(&batch, opts, &mut refs, ws, &mut out)?;
+        solve_pdhg_batch(&batch, opts, &mut refs, ws, &mut out)?;
         release_outputs(&mut out, ws);
     }
     alloc_counter::start_counting();
-    let solved = solve_pdhg_batch_workspace(&batch, opts, &mut refs, ws, &mut out);
+    let solved = solve_pdhg_batch(&batch, opts, &mut refs, ws, &mut out);
     release_outputs(&mut out, ws);
     let allocations = alloc_counter::stop_counting();
     solved?;
@@ -331,7 +331,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             box_bounds: Some((&lo[..], &hi[..])),
             coefficient_weights: None,
         };
-        Ok(solve_pdhg(&problem, &opts)?.signal)
+        Ok(solve_pdhg(
+            &problem,
+            &opts,
+            &mut NoopObserver,
+            &mut SolverWorkspace::new(),
+        )?
+        .signal)
     };
 
     // --- phase 1: equivalence: the optimized path changes nothing but speed
@@ -377,13 +383,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .collect();
     for problem in &problems {
-        let warm = solve_pdhg_workspace(problem, &opts, &mut NoopObserver, &mut ws)?;
+        let warm = solve_pdhg(problem, &opts, &mut NoopObserver, &mut ws)?;
         ws.release(warm.signal);
     }
 
     alloc_counter::start_counting();
     for problem in &problems {
-        match solve_pdhg_workspace(problem, &opts, &mut NoopObserver, &mut ws) {
+        match solve_pdhg(problem, &opts, &mut NoopObserver, &mut ws) {
             Ok(result) => ws.release(result.signal),
             Err(e) => {
                 let _ = alloc_counter::stop_counting();
@@ -429,7 +435,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // (workspace panels sized for this K), one timed pass.
     let reference: Vec<RecoveryResult> = problems
         .iter()
-        .map(|p| solve_pdhg_workspace(p, &opts, &mut NoopObserver, &mut ws))
+        .map(|p| solve_pdhg(p, &opts, &mut NoopObserver, &mut ws))
         .collect::<Result<_, _>>()?;
 
     let tiers: &[(bool, &str)] = if simd_available() {

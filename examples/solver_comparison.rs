@@ -19,9 +19,9 @@ use hybridcs::linalg::Matrix;
 use hybridcs::metrics::snr_db;
 use hybridcs::obs::export;
 use hybridcs::solver::{
-    solve_admm_observed, solve_cosamp_observed, solve_fista_observed, solve_iht_observed,
-    solve_omp_observed, solve_pdhg_observed, AdmmOptions, BpdnProblem, ConvergenceTrace,
-    FistaOptions, GreedyOptions, PdhgOptions, RecordingObserver,
+    solve_admm, solve_cosamp, solve_fista, solve_iht, solve_omp, solve_pdhg, AdmmOptions,
+    BpdnProblem, ConvergenceTrace, FistaOptions, GreedyOptions, PdhgOptions, RecordingObserver,
+    SolverWorkspace,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -63,19 +63,44 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     let mut rec = RecordingObserver::new();
-    let r = solve_pdhg_observed(&boxed, &PdhgOptions::default(), &mut rec)?;
+    let r = solve_pdhg(
+        &boxed,
+        &PdhgOptions::default(),
+        &mut rec,
+        &mut SolverWorkspace::new(),
+    )?;
     report("PDHG + box (hybrid)", &r.signal, r.iterations, rec);
     let mut rec = RecordingObserver::new();
-    let r = solve_admm_observed(&boxed, &AdmmOptions::default(), &mut rec)?;
+    let r = solve_admm(
+        &boxed,
+        &AdmmOptions::default(),
+        &mut rec,
+        &mut SolverWorkspace::new(),
+    )?;
     report("ADMM + box (hybrid)", &r.signal, r.iterations, rec);
     let mut rec = RecordingObserver::new();
-    let r = solve_pdhg_observed(&plain, &PdhgOptions::default(), &mut rec)?;
+    let r = solve_pdhg(
+        &plain,
+        &PdhgOptions::default(),
+        &mut rec,
+        &mut SolverWorkspace::new(),
+    )?;
     report("PDHG, no box (normal)", &r.signal, r.iterations, rec);
     let mut rec = RecordingObserver::new();
-    let r = solve_admm_observed(&plain, &AdmmOptions::default(), &mut rec)?;
+    let r = solve_admm(
+        &plain,
+        &AdmmOptions::default(),
+        &mut rec,
+        &mut SolverWorkspace::new(),
+    )?;
     report("ADMM, no box (normal)", &r.signal, r.iterations, rec);
     let mut rec = RecordingObserver::new();
-    let r = solve_fista_observed(&plain, &FistaOptions::default(), &mut rec)?;
+    let r = solve_fista(
+        &plain,
+        &FistaOptions::default(),
+        &mut rec,
+        &mut SolverWorkspace::new(),
+    )?;
     report("FISTA LASSO (baseline)", &r.signal, r.iterations, rec);
 
     // Greedy methods need the explicit dictionary A = Φ·Ψ (columns = Φ
@@ -96,10 +121,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         step: None,
     };
     let mut rec = RecordingObserver::new();
-    let r = solve_omp_observed(&a, &y, &greedy_opts, &mut rec)?;
+    let r = solve_omp(&a, &y, &greedy_opts, &mut rec)?;
     report("OMP (greedy)", &dwt.inverse(&r.signal)?, r.iterations, rec);
     let mut rec = RecordingObserver::new();
-    let r = solve_cosamp_observed(&a, &y, &greedy_opts, &mut rec)?;
+    let r = solve_cosamp(&a, &y, &greedy_opts, &mut rec)?;
     report(
         "CoSaMP (greedy)",
         &dwt.inverse(&r.signal)?,
@@ -107,7 +132,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         rec,
     );
     let mut rec = RecordingObserver::new();
-    let r = solve_iht_observed(&a, &y, &greedy_opts, &mut rec)?;
+    let r = solve_iht(&a, &y, &greedy_opts, &mut rec, &mut SolverWorkspace::new())?;
     report("IHT (greedy)", &dwt.inverse(&r.signal)?, r.iterations, rec);
 
     println!();

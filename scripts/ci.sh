@@ -142,6 +142,39 @@ fi
 HYBRIDCS_OBS_CHECK="$OBS_TMP/lossy_link.jsonl" \
     cargo test -q --release --offline -p hybridcs-obs --test jsonl_schema
 
+echo "==> solver ablation pin (every baseline solver's SNR and iterations by value)"
+# The bin decodes one seeded window with every solver at m = 32 and m = 96.
+# Pin each row's SNR and iteration count, in order, but not its time: ADMM,
+# FISTA, OMP, CoSaMP and IHT otherwise reach CI only through unit tests
+# with loose bounds. The pinned columns are identical under
+# HYBRIDCS_FORCE_SCALAR=1.
+ABLATION_OUT="$(cargo run -q --release --offline -p hybridcs-bench --bin ablation_solvers)"
+ABLATION_ROWS="$(awk -F' *[|] *' '/^--- m = / { print } \
+    /^(PDHG|ADMM|FISTA|OMP|CoSaMP|IHT) / { print $1, $2, $3, $4 }' <<<"$ABLATION_OUT")"
+ABLATION_PINNED="--- m = 32 (CR 93.8%) ---
+PDHG yes 19.48 3000
+ADMM yes 19.68 600
+PDHG no 2.24 3000
+ADMM no 2.26 600
+FISTA no 2.52 1000
+OMP no -0.58 10
+CoSaMP no -3.30 26
+IHT no 0.87 60
+--- m = 96 (CR 81.2%) ---
+PDHG yes 20.60 3000
+ADMM yes 20.39 600
+PDHG no 4.59 3000
+ADMM no 4.56 600
+FISTA no 4.61 783
+OMP no 5.18 32
+CoSaMP no -0.70 60
+IHT no 1.71 60"
+if [ "$ABLATION_ROWS" != "$ABLATION_PINNED" ]; then
+    echo "error: ablation_solvers rows drifted from their pinned SNR/iterations:" >&2
+    diff <(echo "$ABLATION_PINNED") <(echo "$ABLATION_ROWS") >&2 || true
+    exit 1
+fi
+
 echo "==> gateway soak (8 sessions: determinism across worker counts + interleavings)"
 # The soak exits non-zero if any session's output differs across worker
 # counts {1,4,8} or the two frame interleavings, if admission shedding
