@@ -127,7 +127,6 @@ fn run(rig: &Rig, telemetry: bool) -> Pass {
         .collect();
     let flight_events = recorder().recorded();
     // Leave nothing armed for the next run.
-    let _ = hybridcs_obs::drain_events();
     hybridcs_obs::set_enabled(false);
     Pass {
         seconds: elapsed,

@@ -7,8 +7,7 @@ use std::time::Instant;
 
 use hybridcs_coding::{LowResCodec, Payload};
 use hybridcs_core::{
-    DecodeLadder, LadderJob, LadderOutcome, ParsedSections, SessionLedger, SupervisedWindow,
-    SystemConfig,
+    DecodeLadder, LadderJob, LadderOutcome, SessionLedger, SupervisedWindow, SystemConfig,
 };
 use hybridcs_faults::{JournalStore, NackOutcome, RetryQueue};
 use hybridcs_obs::flight::{emit_with, set_context};
@@ -16,8 +15,8 @@ use hybridcs_obs::{EventContext, EventKind};
 use hybridcs_solver::SolverWorkspace;
 
 use crate::journal::{
-    self, config_fingerprint, shape_fingerprint, CheckpointState, Journal, QueuedState, Record,
-    RecoveryReport, SessionState,
+    self, config_fingerprint, shape_fingerprint, CheckpointState, Journal, Record, RecoveryReport,
+    ScannedJournal, SessionState,
 };
 use crate::session::{Queued, Session, SessionPhase, Slot};
 use crate::{GatewayConfig, GatewayError};
@@ -228,17 +227,28 @@ impl Gateway {
             }
             None => {}
         }
-        let shape_fp = shape_fingerprint(system, &codec);
+        let session = self.fresh_session(id, shape_fingerprint(system, &codec), system, codec)?;
+        self.sessions.insert(id, session);
+        registry.counter("gateway_sessions_total", &[]).inc();
+        self.refresh_session_gauge();
+        Ok(())
+    }
+
+    /// A session in its initial state: pinned to a shard by a SplitMix64
+    /// hash of its id and bound to the shared ladder for its shape.
+    fn fresh_session(
+        &mut self,
+        id: u64,
+        shape_fp: u64,
+        system: &SystemConfig,
+        codec: LowResCodec,
+    ) -> Result<Session, GatewayError> {
         let ladder = self.ladder_for(system, codec)?;
         let shard = usize::try_from(hybridcs_rand::mix(id) % self.config.shards as u64)
             .expect("shard index fits usize");
         let ledger = SessionLedger::new(system.window, self.config.supervisor.max_conceal_reuse);
         let arq = RetryQueue::new(self.config.arq);
-        self.sessions
-            .insert(id, Session::new(shard, ladder, shape_fp, ledger, arq));
-        registry.counter("gateway_sessions_total", &[]).inc();
-        self.refresh_session_gauge();
-        Ok(())
+        Ok(Session::new(shard, ladder, shape_fp, ledger, arq))
     }
 
     /// Looks up (or builds) the shared ladder for one operator shape.
@@ -976,7 +986,7 @@ impl Gateway {
         Ok(())
     }
 
-    /// Serializes the full mutable state (see `journal.rs` for the wire
+    /// Captures the full mutable state (see `journal.rs` for the wire
     /// format). Wall-clock instants are telemetry-only and not captured.
     fn snapshot(&self) -> CheckpointState {
         CheckpointState {
@@ -986,55 +996,30 @@ impl Gateway {
             sessions: self
                 .sessions
                 .iter()
-                .map(|(id, session)| {
-                    let ledger = session.ledger.state();
-                    let (last_good, consecutive_concealed, expected_sequence) =
-                        journal::ledger_to_parts(&ledger);
-                    let arq = session.arq.state();
-                    SessionState {
-                        id: *id,
-                        shape_fp: session.shape_fp,
-                        phase: session.phase.code(),
-                        last_good,
-                        consecutive_concealed,
-                        expected_sequence,
-                        arq_pending: arq.pending,
-                        arq_attempts: arq.attempts,
-                        arq_budget_left: arq.budget_left,
-                        nacked: session.nacked.iter().copied().collect(),
-                        reorder: session
-                            .reorder
-                            .iter()
-                            .map(|(seq, queued)| {
-                                (
-                                    *seq,
-                                    QueuedState {
-                                        logical: queued.logical,
-                                        frame: match &queued.slot {
-                                            Slot::Lost => None,
-                                            Slot::Frame(parsed) => Some((
-                                                parsed.sequence,
-                                                parsed.measurements.clone(),
-                                                parsed.lowres.as_ref().map(|lr| {
-                                                    (lr.bytes.clone(), lr.bit_len as u64)
-                                                }),
-                                            )),
-                                        },
-                                    },
-                                )
-                            })
-                            .collect(),
-                        next_release: session.next_release,
-                        highest_seen: session.highest_seen,
-                        window_index: session.window_index,
-                        epoch: session.epoch,
-                        admitted_in_epoch: session.admitted_in_epoch,
-                        outputs: session
-                            .outputs
-                            .iter()
-                            .map(journal::window_to_state)
-                            .collect(),
-                    }
+                .map(|(id, session)| SessionState {
+                    id: *id,
+                    shape_fp: session.shape_fp,
+                    phase: session.phase,
+                    ledger: session.ledger.state(),
+                    arq: session.arq.state(),
+                    nacked: session.nacked.clone(),
+                    reorder: session
+                        .reorder
+                        .iter()
+                        .map(|(seq, queued)| {
+                            let frame = match &queued.slot {
+                                Slot::Frame(parsed) => Some(parsed.clone()),
+                                Slot::Lost => None,
+                            };
+                            (*seq, queued.logical, frame)
+                        })
+                        .collect(),
+                    next_release: session.next_release,
+                    highest_seen: session.highest_seen,
+                    window_index: session.window_index,
+                    epoch: session.epoch,
+                    admitted_in_epoch: session.admitted_in_epoch,
+                    outputs: session.outputs.clone(),
                 })
                 .collect(),
         }
@@ -1056,73 +1041,42 @@ impl Gateway {
     /// Restores a decoded checkpoint into this (fresh) gateway.
     fn restore_checkpoint(
         &mut self,
-        state: &CheckpointState,
+        state: CheckpointState,
         shapes: &[(SystemConfig, LowResCodec)],
     ) -> Result<(), GatewayError> {
         self.clock = state.clock;
         self.applied = state.applied;
         self.last_checkpoint_applied = state.applied;
         self.sessions.clear();
-        for s in &state.sessions {
+        // Wall-clock stamps don't survive a crash; latency telemetry for
+        // restored windows restarts here.
+        let restored_at = Instant::now();
+        for s in state.sessions {
             let (system, codec) = Self::find_shape(shapes, s.shape_fp)?;
-            let ladder = self.ladder_for(system, codec.clone())?;
-            let shard = usize::try_from(hybridcs_rand::mix(s.id) % self.config.shards as u64)
-                .expect("shard index fits usize");
-            let ledger =
-                SessionLedger::new(system.window, self.config.supervisor.max_conceal_reuse);
-            let arq = RetryQueue::new(self.config.arq);
-            let mut session = Session::new(shard, ladder, s.shape_fp, ledger, arq);
-            session.phase = SessionPhase::from_code(s.phase).ok_or(GatewayError::Recovery(
-                "checkpoint carries an unknown session phase",
-            ))?;
-            session.ledger.restore(journal::ledger_from_parts(
-                s.last_good.clone(),
-                s.consecutive_concealed,
-                s.expected_sequence,
-            ));
-            session.arq.restore(journal::arq_from_parts(
-                s.arq_pending.clone(),
-                s.arq_attempts.clone(),
-                s.arq_budget_left,
-            ));
-            session.nacked = s.nacked.iter().copied().collect();
-            let restored_at = Instant::now();
-            for (seq, queued) in &s.reorder {
-                let slot = match &queued.frame {
-                    None => Slot::Lost,
-                    Some((sequence, measurements, lowres)) => Slot::Frame(ParsedSections {
-                        sequence: *sequence,
-                        measurements: measurements.clone(),
-                        lowres: lowres.as_ref().map(|(bytes, bit_len)| {
-                            journal::payload_from_parts(bytes.clone(), *bit_len)
-                        }),
-                    }),
-                };
-                session.reorder.insert(
-                    *seq,
-                    Queued {
+            let mut session = self.fresh_session(s.id, s.shape_fp, system, codec.clone())?;
+            session.phase = s.phase;
+            session.ledger.restore(s.ledger);
+            session.arq.restore(s.arq);
+            session.nacked = s.nacked;
+            session.reorder = s
+                .reorder
+                .into_iter()
+                .map(|(seq, logical, frame)| {
+                    let slot = frame.map_or(Slot::Lost, Slot::Frame);
+                    let queued = Queued {
                         slot,
-                        logical: queued.logical,
-                        // Wall-clock stamps don't survive a crash; latency
-                        // telemetry for restored windows restarts here.
+                        logical,
                         at: restored_at,
-                    },
-                );
-            }
+                    };
+                    (seq, queued)
+                })
+                .collect();
             session.next_release = s.next_release;
             session.highest_seen = s.highest_seen;
             session.window_index = s.window_index;
             session.epoch = s.epoch;
             session.admitted_in_epoch = s.admitted_in_epoch;
-            session.outputs = s
-                .outputs
-                .iter()
-                .map(|w| {
-                    journal::window_from_state(w.clone()).map_err(|_| {
-                        GatewayError::Recovery("checkpoint carries an undecodable output window")
-                    })
-                })
-                .collect::<Result<_, _>>()?;
+            session.outputs = s.outputs;
             self.sessions.insert(s.id, session);
         }
         Ok(())
@@ -1188,8 +1142,10 @@ impl Gateway {
     /// # Errors
     ///
     /// [`GatewayError::Config`] for an invalid policy,
-    /// [`GatewayError::Recovery`] for a config-fingerprint mismatch or a
-    /// missing shape, or [`GatewayError::Journal`] when the store fails.
+    /// [`GatewayError::Recovery`] for a config-fingerprint mismatch, a
+    /// missing shape, or an intact record this build cannot decode (the
+    /// store is then left untouched), or [`GatewayError::Journal`] when
+    /// the store fails.
     pub fn recover(
         config: GatewayConfig,
         mut store: Box<dyn JournalStore + Send>,
@@ -1205,9 +1161,21 @@ impl Gateway {
         };
         emit_with(ctx, EventKind::Recover, 0, 0);
         let bytes = store.read_all().map_err(GatewayError::Journal)?;
-        let scanned = journal::scan(&bytes);
+        let ScannedJournal {
+            mut records,
+            valid_bytes,
+            torn,
+            undecodable,
+        } = journal::scan(&bytes);
+        if undecodable {
+            // Not crash wreckage: the records behind it are live, so the
+            // store stays as it is.
+            return Err(GatewayError::Recovery(
+                "journal holds an intact record this build cannot decode",
+            ));
+        }
         let my_fp = config_fingerprint(&config);
-        if let Some(first) = scanned.records.first() {
+        if let Some(first) = records.first() {
             match first {
                 Record::Genesis { config_fp } if *config_fp == my_fp => {}
                 Record::Genesis { .. } => {
@@ -1222,41 +1190,39 @@ impl Gateway {
                 }
             }
         }
+        let fresh_store = records.is_empty();
         let mut gateway = Self::new(config)?;
-        let checkpoint_index = scanned
-            .records
+        // Restore the last checkpoint, then replay only what follows it.
+        let tail_from = records
             .iter()
-            .rposition(|r| matches!(r, Record::Checkpoint(_)));
+            .rposition(|r| matches!(r, Record::Checkpoint(_)))
+            .map_or(0, |index| index + 1);
+        let tail = records.split_off(tail_from);
         let mut checkpoint_restored = false;
-        let mut replay_from = 0usize;
-        if let Some(index) = checkpoint_index {
-            if let Record::Checkpoint(state) = &scanned.records[index] {
-                gateway.restore_checkpoint(state, shapes)?;
-                emit_with(ctx, EventKind::Checkpoint, 1, state.applied);
-                checkpoint_restored = true;
-                replay_from = index + 1;
-            }
+        if let Some(Record::Checkpoint(state)) = records.pop() {
+            let applied = state.applied;
+            gateway.restore_checkpoint(state, shapes)?;
+            emit_with(ctx, EventKind::Checkpoint, 1, applied);
+            checkpoint_restored = true;
         }
         let mut replayed = 0u64;
-        for record in &scanned.records[replay_from..] {
-            if record.is_command() {
-                gateway.replay(record, shapes)?;
-                gateway.applied += 1;
-                replayed += 1;
-            }
+        for record in tail.iter().filter(|r| r.is_command()) {
+            gateway.replay(record, shapes)?;
+            gateway.applied += 1;
+            replayed += 1;
         }
-        let truncated_bytes = bytes.len() as u64 - scanned.valid_bytes;
-        if scanned.torn {
+        let truncated_bytes = bytes.len() as u64 - valid_bytes;
+        if torn {
             store
-                .truncate_to(scanned.valid_bytes)
+                .truncate_to(valid_bytes)
                 .map_err(GatewayError::Journal)?;
             registry
                 .counter("gateway_journal_torn_tails_total", &[])
                 .inc();
-            emit_with(ctx, EventKind::Recover, 3, scanned.valid_bytes);
+            emit_with(ctx, EventKind::Recover, 3, valid_bytes);
         }
         let mut journal = Journal::new(store, gateway.config.journal_group_bytes);
-        if scanned.records.is_empty() {
+        if fresh_store {
             journal
                 .append(&Record::Genesis { config_fp: my_fp })
                 .map_err(GatewayError::Journal)?;
@@ -1281,11 +1247,61 @@ impl Gateway {
             RecoveryReport {
                 replayed_events: replayed,
                 checkpoint_restored,
-                torn_tail: scanned.torn,
+                torn_tail: torn,
                 truncated_bytes,
                 seconds,
             },
         ))
+    }
+
+    /// The durable-prefix oracle: runs the command records through the
+    /// public API on a fresh gateway with no journal and returns it, with
+    /// every window that `take_outputs` and `close` delivered, per
+    /// session in delivery order. Handshakes resolve their shape by
+    /// fingerprint against `shapes`, as [`recover`](Gateway::recover)
+    /// does; genesis and checkpoint records are skipped; command-level
+    /// errors (unknown or closed session, duplicate handshake) are
+    /// ignored, as the original caller ignored or observed them.
+    ///
+    /// Recovery restores a checkpoint and replays the tail through
+    /// internal paths; this re-executes every command through the public
+    /// one, so agreement between the two is the crash-safety contract
+    /// (DESIGN §12). The socket tier's recorded calls replay through it
+    /// too (DESIGN §13).
+    ///
+    /// # Errors
+    ///
+    /// [`GatewayError::Config`] for an invalid policy, or
+    /// [`GatewayError::Recovery`] when a handshake names a shape missing
+    /// from `shapes`.
+    pub fn from_records(
+        config: GatewayConfig,
+        shapes: &[(SystemConfig, LowResCodec)],
+        records: &[Record],
+    ) -> Result<(Self, BTreeMap<u64, Vec<SupervisedWindow>>), GatewayError> {
+        let mut gateway = Self::new(config)?;
+        let mut delivered: BTreeMap<u64, Vec<SupervisedWindow>> = BTreeMap::new();
+        for record in records {
+            let outcome = match record {
+                Record::Handshake { id, shape_fp } => {
+                    let (system, codec) = Self::find_shape(shapes, *shape_fp)?;
+                    gateway.handshake(*id, system, codec.clone()).map(|()| None)
+                }
+                Record::Push { id, packet } => gateway.push(*id, packet).map(|()| None),
+                Record::NotifyLost { id, sequence } => {
+                    gateway.notify_lost(*id, *sequence).map(|()| None)
+                }
+                Record::TakeNacks { id } => gateway.take_nacks(*id).map(|_| None),
+                Record::Flush => gateway.flush().map(|_| None),
+                Record::TakeOutputs { id } => gateway.take_outputs(*id).map(|w| Some((*id, w))),
+                Record::Close { id } => gateway.close(*id).map(|w| Some((*id, w))),
+                Record::Genesis { .. } | Record::Checkpoint(_) => Ok(None),
+            };
+            if let Ok(Some((id, windows))) = outcome {
+                delivered.entry(id).or_default().extend(windows);
+            }
+        }
+        Ok((gateway, delivered))
     }
 
     /// Re-publishes the per-phase session gauge.

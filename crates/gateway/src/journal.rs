@@ -37,23 +37,28 @@
 //!
 //! # Torn tails
 //!
-//! [`scan`] walks frames from the start and stops at the first torn,
-//! CRC-bad, or undecodable record: everything before it is the valid
-//! prefix, everything after is wreckage from the crash and is truncated
-//! before the journal resumes appending. Because stores only tear the
-//! in-flight append (an fsync contract), the valid prefix always covers
-//! every observed output.
+//! [`scan`] walks frames from the start and stops at the first torn or
+//! CRC-bad record: everything before it is the valid prefix, everything
+//! after is wreckage from the crash and is truncated before the journal
+//! resumes appending. Because stores only tear the in-flight append (an
+//! fsync contract), the valid prefix always covers every observed
+//! output. An intact record that fails to decode is not wreckage — only
+//! a writer bug or a journal from another build makes one — so `scan`
+//! reports it apart ([`ScannedJournal::undecodable`]) and recovery
+//! refuses the image rather than cut the live records behind it.
 
+use std::collections::BTreeSet;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 
 use hybridcs_coding::{crc32, LowResCodec, Payload};
-use hybridcs_core::{DecodedWindow, LadderRung};
-use hybridcs_core::{LedgerState, SupervisedWindow, SystemConfig};
+use hybridcs_core::{DecodedWindow, LadderRung, LedgerState, ParsedSections};
+use hybridcs_core::{SupervisedWindow, SystemConfig};
 use hybridcs_faults::{ArqState, JournalStore, StoreError};
+use hybridcs_obs::flight::{demotion_reason_code, DEMOTION_REASONS};
 use hybridcs_solver::RecoveryResult;
 
-use crate::GatewayConfig;
+use crate::{GatewayConfig, SessionPhase};
 
 /// Upper bound on a single record's payload (sanity cap against garbage
 /// length prefixes; 64 MiB dwarfs any real checkpoint).
@@ -62,8 +67,8 @@ pub const MAX_RECORD_BYTES: usize = 1 << 26;
 /// Bytes of framing ahead of every payload (`len` + `crc`).
 pub const FRAME_HEADER_BYTES: usize = 8;
 
-/// Journal record payload decode errors (all collapse to "stop the scan
-/// here" — a bad record ends the valid prefix).
+/// Journal record payload decode error: the payload is not a record this
+/// build writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Malformed;
 
@@ -98,26 +103,45 @@ impl ByteWriter {
         self.u64(v.to_bits());
     }
 
+    /// A `u32` length prefix.
+    fn len(&mut self, len: usize) {
+        self.u32(u32::try_from(len).expect("journal lengths fit u32"));
+    }
+
     pub(crate) fn bytes(&mut self, v: &[u8]) {
-        self.u32(u32::try_from(v.len()).expect("record payload fits u32"));
+        self.len(v.len());
         self.buf.extend_from_slice(v);
     }
 
     pub(crate) fn f64s(&mut self, v: &[f64]) {
-        self.u32(u32::try_from(v.len()).expect("signal length fits u32"));
-        for x in v {
-            self.f64(*x);
+        self.seq(v.iter(), |w, x| w.f64(*x));
+    }
+
+    /// A length prefix, then every item as `put` writes it.
+    pub(crate) fn seq<'a, T: 'a>(
+        &mut self,
+        items: impl ExactSizeIterator<Item = &'a T>,
+        mut put: impl FnMut(&mut Self, &T),
+    ) {
+        self.len(items.len());
+        for item in items {
+            put(self, item);
         }
     }
 
-    pub(crate) fn opt_u32(&mut self, v: Option<u32>) {
+    /// `0` for `None`; `1`, then the value as `put` writes it.
+    pub(crate) fn opt<T>(&mut self, v: Option<&T>, put: impl FnOnce(&mut Self, &T)) {
         match v {
             None => self.u8(0),
             Some(x) => {
                 self.u8(1);
-                self.u32(x);
+                put(self, x);
             }
         }
+    }
+
+    pub(crate) fn opt_u32(&mut self, v: Option<u32>) {
+        self.opt(v.as_ref(), |w, x| w.u32(*x));
     }
 
     pub(crate) fn finish(self) -> Vec<u8> {
@@ -175,20 +199,38 @@ impl<'a> ByteReader<'a> {
     }
 
     pub(crate) fn f64s(&mut self) -> Result<Vec<f64>, Malformed> {
+        self.seq(8, Self::f64)
+    }
+
+    /// A length prefix, then that many items as `get` reads them. Every
+    /// item takes at least `min_bytes`, so a length the remaining input
+    /// cannot cover is refused before anything is allocated.
+    pub(crate) fn seq<T>(
+        &mut self,
+        min_bytes: usize,
+        mut get: impl FnMut(&mut Self) -> Result<T, Malformed>,
+    ) -> Result<Vec<T>, Malformed> {
         let len = self.u32()? as usize;
-        // The claim must be covered by real bytes before allocating.
-        if len.checked_mul(8).ok_or(Malformed)? > self.data.len() - self.pos {
+        if len.checked_mul(min_bytes).ok_or(Malformed)? > self.data.len() - self.pos {
             return Err(Malformed);
         }
-        (0..len).map(|_| self.f64()).collect()
+        (0..len).map(|_| get(self)).collect()
+    }
+
+    /// `None` for a `0` tag; for `1`, the value as `get` reads it.
+    pub(crate) fn opt<T>(
+        &mut self,
+        get: impl FnOnce(&mut Self) -> Result<T, Malformed>,
+    ) -> Result<Option<T>, Malformed> {
+        match self.u8()? {
+            0 => Ok(None),
+            1 => get(self).map(Some),
+            _ => Err(Malformed),
+        }
     }
 
     pub(crate) fn opt_u32(&mut self) -> Result<Option<u32>, Malformed> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u32()?)),
-            _ => Err(Malformed),
-        }
+        self.opt(Self::u32)
     }
 
     pub(crate) fn done(&self) -> Result<(), Malformed> {
@@ -406,63 +448,26 @@ impl Record {
 // Checkpoint state
 // ---------------------------------------------------------------------------
 
-/// One buffered reorder-slot in a checkpoint (the serializable shadow of
-/// the gateway's `Queued`; the wall-clock instant is telemetry-only and
-/// restored as "now").
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueuedState {
-    /// The deterministic logical ingest stamp.
-    pub logical: u64,
-    /// `None` — declared lost; `Some` — the parsed frame sections
-    /// `(sequence, measurements, lowres (bytes, bit_len))`.
-    #[allow(clippy::type_complexity)]
-    pub frame: Option<(Option<u32>, Option<Vec<f64>>, Option<(Vec<u8>, u64)>)>,
-}
-
-/// One committed-but-undelivered output window in a checkpoint.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowState {
-    /// Frame sequence, when the header survived.
-    pub sequence: Option<u32>,
-    /// Ladder rung code ([`LadderRung::code`]).
-    pub rung: u8,
-    /// The reconstructed signal, bit-exact.
-    pub signal: Vec<f64>,
-    /// Demotion trail as `(rung code, reason code)` pairs (reason codes
-    /// from [`hybridcs_obs::flight::DEMOTION_REASONS`]).
-    pub demotions: Vec<(u8, u8)>,
-    /// Solver report, when a solver rung produced the window:
-    /// `(decoded signal, recovery signal, iterations, converged,
-    /// residual, objective, used_box)`.
-    #[allow(clippy::type_complexity)]
-    pub decoded: Option<(Vec<f64>, Vec<f64>, u64, bool, f64, f64, bool)>,
-}
-
-/// One session's full serialized state.
+/// One session's full state, in the gateway's own state types. The shard
+/// and decode ladder are re-derived from `id` and `shape_fp` on restore;
+/// wall-clock stamps are telemetry-only and restart at "now".
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionState {
     /// Session id.
     pub id: u64,
     /// [`shape_fingerprint`] naming the session's decode ladder.
     pub shape_fp: u64,
-    /// Lifecycle phase code ([`crate::SessionPhase::code`]).
-    pub phase: u8,
-    /// Concealment source, bit-exact, if any.
-    pub last_good: Option<Vec<f64>>,
-    /// Consecutive concealed windows.
-    pub consecutive_concealed: u64,
-    /// Next expected frame sequence, if tracking started.
-    pub expected_sequence: Option<u32>,
-    /// ARQ retransmission queue, oldest first.
-    pub arq_pending: Vec<u32>,
-    /// ARQ `(sequence, attempts)` pairs.
-    pub arq_attempts: Vec<(u32, u32)>,
-    /// ARQ budget remaining.
-    pub arq_budget_left: u64,
+    /// Lifecycle phase.
+    pub phase: SessionPhase,
+    /// Concealment source, staleness, and sequence tracking.
+    pub ledger: LedgerState,
+    /// ARQ retransmission queue, attempts, and remaining budget.
+    pub arq: ArqState,
     /// Sequences in the nack/retransmit cycle.
-    pub nacked: Vec<u32>,
-    /// Reorder buffer, keyed by sequence.
-    pub reorder: Vec<(u32, QueuedState)>,
+    pub nacked: BTreeSet<u32>,
+    /// Reorder buffer in sequence order, as `(sequence, logical ingest
+    /// stamp, frame)`; a `None` frame was declared lost.
+    pub reorder: Vec<(u32, u64, Option<ParsedSections>)>,
     /// Next sequence to release.
     pub next_release: u32,
     /// Highest sequence observed.
@@ -474,7 +479,7 @@ pub struct SessionState {
     /// Solver-admitted windows in the current epoch.
     pub admitted_in_epoch: u32,
     /// Committed windows not yet delivered.
-    pub outputs: Vec<WindowState>,
+    pub outputs: Vec<SupervisedWindow>,
 }
 
 /// A full gateway snapshot: everything needed to resume as if the process
@@ -497,343 +502,148 @@ impl CheckpointState {
         w.u64(self.config_fp);
         w.u64(self.clock);
         w.u64(self.applied);
-        w.u32(u32::try_from(self.sessions.len()).expect("session count fits u32"));
-        for s in &self.sessions {
-            w.u64(s.id);
-            w.u64(s.shape_fp);
-            w.u8(s.phase);
-            match &s.last_good {
-                None => w.u8(0),
-                Some(signal) => {
-                    w.u8(1);
-                    w.f64s(signal);
-                }
-            }
-            w.u64(s.consecutive_concealed);
-            w.opt_u32(s.expected_sequence);
-            w.u32(u32::try_from(s.arq_pending.len()).expect("fits u32"));
-            for seq in &s.arq_pending {
-                w.u32(*seq);
-            }
-            w.u32(u32::try_from(s.arq_attempts.len()).expect("fits u32"));
-            for (seq, attempts) in &s.arq_attempts {
-                w.u32(*seq);
-                w.u32(*attempts);
-            }
-            w.u64(s.arq_budget_left);
-            w.u32(u32::try_from(s.nacked.len()).expect("fits u32"));
-            for seq in &s.nacked {
-                w.u32(*seq);
-            }
-            w.u32(u32::try_from(s.reorder.len()).expect("fits u32"));
-            for (seq, queued) in &s.reorder {
-                w.u32(*seq);
-                w.u64(queued.logical);
-                match &queued.frame {
-                    None => w.u8(0),
-                    Some((sequence, measurements, lowres)) => {
-                        w.u8(1);
-                        w.opt_u32(*sequence);
-                        match measurements {
-                            None => w.u8(0),
-                            Some(m) => {
-                                w.u8(1);
-                                w.f64s(m);
-                            }
-                        }
-                        match lowres {
-                            None => w.u8(0),
-                            Some((bytes, bit_len)) => {
-                                w.u8(1);
-                                w.bytes(bytes);
-                                w.u64(*bit_len);
-                            }
-                        }
-                    }
-                }
-            }
-            w.u32(s.next_release);
-            w.opt_u32(s.highest_seen);
-            w.u64(s.window_index);
-            w.u64(s.epoch);
-            w.u32(s.admitted_in_epoch);
-            w.u32(u32::try_from(s.outputs.len()).expect("fits u32"));
-            for out in &s.outputs {
-                w.opt_u32(out.sequence);
-                w.u8(out.rung);
-                w.f64s(&out.signal);
-                w.u32(u32::try_from(out.demotions.len()).expect("fits u32"));
-                for (rung, reason) in &out.demotions {
-                    w.u8(*rung);
-                    w.u8(*reason);
-                }
-                match &out.decoded {
-                    None => w.u8(0),
-                    Some((
-                        signal,
-                        rec_signal,
-                        iterations,
-                        converged,
-                        residual,
-                        objective,
-                        used_box,
-                    )) => {
-                        w.u8(1);
-                        w.f64s(signal);
-                        w.f64s(rec_signal);
-                        w.u64(*iterations);
-                        w.u8(u8::from(*converged));
-                        w.f64(*residual);
-                        w.f64(*objective);
-                        w.u8(u8::from(*used_box));
-                    }
-                }
-            }
-        }
+        w.seq(self.sessions.iter(), |w, session| session.encode(w));
     }
 
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, Malformed> {
-        let config_fp = r.u64()?;
-        let clock = r.u64()?;
-        let applied = r.u64()?;
-        let session_count = r.u32()? as usize;
-        let mut sessions = Vec::new();
-        for _ in 0..session_count {
-            let id = r.u64()?;
-            let shape_fp = r.u64()?;
-            let phase = r.u8()?;
-            let last_good = match r.u8()? {
-                0 => None,
-                1 => Some(r.f64s()?),
-                _ => return Err(Malformed),
-            };
-            let consecutive_concealed = r.u64()?;
-            let expected_sequence = r.opt_u32()?;
-            let arq_pending = read_u32s(r)?;
-            let attempt_count = r.u32()? as usize;
-            if attempt_count.checked_mul(8).ok_or(Malformed)? > r.data.len() - r.pos {
-                return Err(Malformed);
-            }
-            let mut arq_attempts = Vec::with_capacity(attempt_count);
-            for _ in 0..attempt_count {
-                arq_attempts.push((r.u32()?, r.u32()?));
-            }
-            let arq_budget_left = r.u64()?;
-            let nacked = read_u32s(r)?;
-            let reorder_count = r.u32()? as usize;
-            let mut reorder = Vec::new();
-            for _ in 0..reorder_count {
-                let seq = r.u32()?;
-                let logical = r.u64()?;
-                let frame = match r.u8()? {
-                    0 => None,
-                    1 => {
-                        let sequence = r.opt_u32()?;
-                        let measurements = match r.u8()? {
-                            0 => None,
-                            1 => Some(r.f64s()?),
-                            _ => return Err(Malformed),
-                        };
-                        let lowres = match r.u8()? {
-                            0 => None,
-                            1 => Some((r.bytes()?, r.u64()?)),
-                            _ => return Err(Malformed),
-                        };
-                        Some((sequence, measurements, lowres))
-                    }
-                    _ => return Err(Malformed),
-                };
-                reorder.push((seq, QueuedState { logical, frame }));
-            }
-            let next_release = r.u32()?;
-            let highest_seen = r.opt_u32()?;
-            let window_index = r.u64()?;
-            let epoch = r.u64()?;
-            let admitted_in_epoch = r.u32()?;
-            let output_count = r.u32()? as usize;
-            let mut outputs = Vec::new();
-            for _ in 0..output_count {
-                let sequence = r.opt_u32()?;
-                let rung = r.u8()?;
-                let signal = r.f64s()?;
-                let demotion_count = r.u32()? as usize;
-                if demotion_count.checked_mul(2).ok_or(Malformed)? > r.data.len() - r.pos {
-                    return Err(Malformed);
-                }
-                let mut demotions = Vec::with_capacity(demotion_count);
-                for _ in 0..demotion_count {
-                    demotions.push((r.u8()?, r.u8()?));
-                }
-                let decoded = match r.u8()? {
-                    0 => None,
-                    1 => Some((
-                        r.f64s()?,
-                        r.f64s()?,
-                        r.u64()?,
-                        r.u8()? != 0,
-                        r.f64()?,
-                        r.f64()?,
-                        r.u8()? != 0,
-                    )),
-                    _ => return Err(Malformed),
-                };
-                outputs.push(WindowState {
-                    sequence,
-                    rung,
-                    signal,
-                    demotions,
-                    decoded,
-                });
-            }
-            sessions.push(SessionState {
-                id,
-                shape_fp,
-                phase,
-                last_good,
-                consecutive_concealed,
-                expected_sequence,
-                arq_pending,
-                arq_attempts,
-                arq_budget_left,
-                nacked,
-                reorder,
-                next_release,
-                highest_seen,
-                window_index,
-                epoch,
-                admitted_in_epoch,
-                outputs,
-            });
-        }
         Ok(CheckpointState {
-            config_fp,
-            clock,
-            applied,
-            sessions,
+            config_fp: r.u64()?,
+            clock: r.u64()?,
+            applied: r.u64()?,
+            sessions: r.seq(1, SessionState::decode)?,
         })
     }
 }
 
-fn read_u32s(r: &mut ByteReader<'_>) -> Result<Vec<u32>, Malformed> {
-    let len = r.u32()? as usize;
-    if len.checked_mul(4).ok_or(Malformed)? > r.data.len() - r.pos {
-        return Err(Malformed);
+// Every `decode` reads its fields in the order `encode` writes them
+// (struct fields initialize in source order).
+impl SessionState {
+    fn encode(&self, w: &mut ByteWriter) {
+        w.u64(self.id);
+        w.u64(self.shape_fp);
+        w.u8(self.phase.code());
+        w.opt(self.ledger.last_good.as_ref(), |w, signal| w.f64s(signal));
+        w.u64(self.ledger.consecutive_concealed as u64);
+        w.opt_u32(self.ledger.expected_sequence);
+        w.seq(self.arq.pending.iter(), |w, seq| w.u32(*seq));
+        w.seq(self.arq.attempts.iter(), |w, (seq, attempts)| {
+            w.u32(*seq);
+            w.u32(*attempts);
+        });
+        w.u64(self.arq.budget_left);
+        w.seq(self.nacked.iter(), |w, seq| w.u32(*seq));
+        w.seq(self.reorder.iter(), |w, (seq, logical, frame)| {
+            w.u32(*seq);
+            w.u64(*logical);
+            w.opt(frame.as_ref(), encode_sections);
+        });
+        w.u32(self.next_release);
+        w.opt_u32(self.highest_seen);
+        w.u64(self.window_index);
+        w.u64(self.epoch);
+        w.u32(self.admitted_in_epoch);
+        w.seq(self.outputs.iter(), encode_window);
     }
-    (0..len).map(|_| r.u32()).collect()
-}
 
-// ---------------------------------------------------------------------------
-// State <-> domain conversions (used by the gateway when checkpointing /
-// restoring; kept here so the wire format lives in one file)
-// ---------------------------------------------------------------------------
-
-/// [`hybridcs_obs::flight::DEMOTION_REASONS`] code for a reason string.
-pub(crate) fn reason_code(reason: &str) -> u8 {
-    hybridcs_obs::flight::demotion_reason_code(reason)
-}
-
-/// The static reason string for a stored code (unknown codes become
-/// `"unknown"` — the table only ever grows).
-pub(crate) fn reason_from_code(code: u8) -> &'static str {
-    hybridcs_obs::flight::DEMOTION_REASONS
-        .get(code as usize)
-        .copied()
-        .unwrap_or("unknown")
-}
-
-pub(crate) fn window_to_state(window: &SupervisedWindow) -> WindowState {
-    WindowState {
-        sequence: window.sequence,
-        rung: window.rung.code(),
-        signal: window.signal.clone(),
-        demotions: window
-            .demotions
-            .iter()
-            .map(|(rung, reason)| (rung.code(), reason_code(reason)))
-            .collect(),
-        decoded: window.decoded.as_ref().map(|d| {
-            (
-                d.signal.clone(),
-                d.recovery.signal.clone(),
-                d.recovery.iterations as u64,
-                d.recovery.converged,
-                d.recovery.residual,
-                d.recovery.objective,
-                d.used_box,
-            )
-        }),
-    }
-}
-
-pub(crate) fn window_from_state(state: WindowState) -> Result<SupervisedWindow, Malformed> {
-    Ok(SupervisedWindow {
-        sequence: state.sequence,
-        rung: LadderRung::from_code(state.rung).ok_or(Malformed)?,
-        signal: state.signal,
-        demotions: state
-            .demotions
-            .into_iter()
-            .map(|(rung, reason)| {
-                LadderRung::from_code(rung)
-                    .map(|r| (r, reason_from_code(reason)))
-                    .ok_or(Malformed)
-            })
-            .collect::<Result<_, _>>()?,
-        decoded: state.decoded.map(
-            |(signal, rec_signal, iterations, converged, residual, objective, used_box)| {
-                DecodedWindow {
-                    signal,
-                    recovery: RecoveryResult {
-                        signal: rec_signal,
-                        iterations: iterations as usize,
-                        converged,
-                        residual,
-                        objective,
-                    },
-                    used_box,
-                }
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, Malformed> {
+        Ok(SessionState {
+            id: r.u64()?,
+            shape_fp: r.u64()?,
+            phase: SessionPhase::from_code(r.u8()?).ok_or(Malformed)?,
+            ledger: LedgerState {
+                last_good: r.opt(ByteReader::f64s)?,
+                consecutive_concealed: usize::try_from(r.u64()?).unwrap_or(usize::MAX),
+                expected_sequence: r.opt_u32()?,
             },
-        ),
+            arq: ArqState {
+                pending: r.seq(4, ByteReader::u32)?,
+                attempts: r.seq(8, |r| Ok((r.u32()?, r.u32()?)))?,
+                budget_left: r.u64()?,
+            },
+            nacked: r.seq(4, ByteReader::u32)?.into_iter().collect(),
+            reorder: r.seq(13, |r| Ok((r.u32()?, r.u64()?, r.opt(decode_sections)?)))?,
+            next_release: r.u32()?,
+            highest_seen: r.opt_u32()?,
+            window_index: r.u64()?,
+            epoch: r.u64()?,
+            admitted_in_epoch: r.u32()?,
+            outputs: r.seq(1, decode_window)?,
+        })
+    }
+}
+
+fn encode_sections(w: &mut ByteWriter, frame: &ParsedSections) {
+    w.opt_u32(frame.sequence);
+    w.opt(frame.measurements.as_ref(), |w, m| w.f64s(m));
+    w.opt(frame.lowres.as_ref(), |w, lowres| {
+        w.bytes(&lowres.bytes);
+        w.u64(lowres.bit_len as u64);
+    });
+}
+
+fn decode_sections(r: &mut ByteReader<'_>) -> Result<ParsedSections, Malformed> {
+    Ok(ParsedSections {
+        sequence: r.opt_u32()?,
+        measurements: r.opt(ByteReader::f64s)?,
+        lowres: r.opt(|r| {
+            Ok(Payload {
+                bytes: r.bytes()?,
+                bit_len: usize::try_from(r.u64()?).unwrap_or(usize::MAX),
+            })
+        })?,
     })
 }
 
-pub(crate) fn ledger_to_parts(state: &LedgerState) -> (Option<Vec<f64>>, u64, Option<u32>) {
-    (
-        state.last_good.clone(),
-        state.consecutive_concealed as u64,
-        state.expected_sequence,
-    )
+/// Rungs travel as [`LadderRung::code`], demotion reasons as their
+/// [`DEMOTION_REASONS`] index.
+fn encode_window(w: &mut ByteWriter, window: &SupervisedWindow) {
+    w.opt_u32(window.sequence);
+    w.u8(window.rung.code());
+    w.f64s(&window.signal);
+    w.seq(window.demotions.iter(), |w, (rung, reason)| {
+        w.u8(rung.code());
+        w.u8(demotion_reason_code(reason));
+    });
+    w.opt(window.decoded.as_ref(), |w, decoded| {
+        w.f64s(&decoded.signal);
+        w.f64s(&decoded.recovery.signal);
+        w.u64(decoded.recovery.iterations as u64);
+        w.u8(u8::from(decoded.recovery.converged));
+        w.f64(decoded.recovery.residual);
+        w.f64(decoded.recovery.objective);
+        w.u8(u8::from(decoded.used_box));
+    });
 }
 
-pub(crate) fn ledger_from_parts(
-    last_good: Option<Vec<f64>>,
-    consecutive_concealed: u64,
-    expected_sequence: Option<u32>,
-) -> LedgerState {
-    LedgerState {
-        last_good,
-        consecutive_concealed: usize::try_from(consecutive_concealed).unwrap_or(usize::MAX),
-        expected_sequence,
+/// An unknown rung code is [`Malformed`]; a reason code past the table
+/// reads as `"unknown"` (the table only ever grows).
+fn decode_window(r: &mut ByteReader<'_>) -> Result<SupervisedWindow, Malformed> {
+    fn rung(r: &mut ByteReader<'_>) -> Result<LadderRung, Malformed> {
+        LadderRung::from_code(r.u8()?).ok_or(Malformed)
     }
-}
-
-pub(crate) fn arq_from_parts(
-    pending: Vec<u32>,
-    attempts: Vec<(u32, u32)>,
-    budget_left: u64,
-) -> ArqState {
-    ArqState {
-        pending,
-        attempts,
-        budget_left,
-    }
-}
-
-pub(crate) fn payload_from_parts(bytes: Vec<u8>, bit_len: u64) -> Payload {
-    Payload {
-        bytes,
-        bit_len: usize::try_from(bit_len).unwrap_or(usize::MAX),
-    }
+    Ok(SupervisedWindow {
+        sequence: r.opt_u32()?,
+        rung: rung(r)?,
+        signal: r.f64s()?,
+        demotions: r.seq(2, |r| {
+            let rung = rung(r)?;
+            let reason = DEMOTION_REASONS.get(usize::from(r.u8()?));
+            Ok((rung, reason.copied().unwrap_or("unknown")))
+        })?,
+        decoded: r.opt(|r| {
+            Ok(DecodedWindow {
+                signal: r.f64s()?,
+                recovery: RecoveryResult {
+                    signal: r.f64s()?,
+                    iterations: r.u64()? as usize,
+                    converged: r.u8()? != 0,
+                    residual: r.f64()?,
+                    objective: r.f64()?,
+                },
+                used_box: r.u8()? != 0,
+            })
+        })?,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -855,7 +665,7 @@ pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
 }
 
 /// The result of walking a journal image: the decodable record prefix,
-/// how many bytes it spans, and whether wreckage followed it.
+/// how many bytes it spans, and what ended it.
 #[derive(Debug)]
 pub struct ScannedJournal {
     /// Records decoded from the valid prefix, in order.
@@ -865,6 +675,10 @@ pub struct ScannedJournal {
     pub valid_bytes: u64,
     /// Whether bytes beyond the valid prefix existed (torn/corrupt tail).
     pub torn: bool,
+    /// Whether the walk stopped at an intact record — length and CRC
+    /// check out — that this build cannot decode. No crash makes one, so
+    /// the bytes from it on are not a torn tail to truncate.
+    pub undecodable: bool,
 }
 
 /// Walks `bytes` frame by frame, stopping at the first torn, oversized,
@@ -874,43 +688,34 @@ pub struct ScannedJournal {
 pub fn scan(bytes: &[u8]) -> ScannedJournal {
     let mut records = Vec::new();
     let mut pos = 0usize;
-    loop {
+    let (torn, undecodable) = loop {
         let rest = &bytes[pos..];
         if rest.len() < FRAME_HEADER_BYTES {
-            return ScannedJournal {
-                records,
-                valid_bytes: pos as u64,
-                torn: !rest.is_empty(),
-            };
+            break (!rest.is_empty(), false);
         }
         let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
         let crc = u32::from_le_bytes([rest[4], rest[5], rest[6], rest[7]]);
         if len > MAX_RECORD_BYTES || rest.len() - FRAME_HEADER_BYTES < len {
-            return ScannedJournal {
-                records,
-                valid_bytes: pos as u64,
-                torn: true,
-            };
+            break (true, false);
         }
         let payload = &rest[FRAME_HEADER_BYTES..FRAME_HEADER_BYTES + len];
-        if crc32(payload) != crc {
-            return ScannedJournal {
-                records,
-                valid_bytes: pos as u64,
-                torn: true,
-            };
+        // No writer emits an empty payload (every record starts with its
+        // tag), but a zero-filled tail frames as a run of them whose CRCs
+        // match: that is wreckage, like a CRC mismatch.
+        if payload.is_empty() || crc32(payload) != crc {
+            break (true, false);
         }
         match Record::decode(payload) {
             Ok(record) => records.push(record),
-            Err(Malformed) => {
-                return ScannedJournal {
-                    records,
-                    valid_bytes: pos as u64,
-                    torn: true,
-                };
-            }
+            Err(Malformed) => break (false, true),
         }
         pos += FRAME_HEADER_BYTES + len;
+    };
+    ScannedJournal {
+        records,
+        valid_bytes: pos as u64,
+        torn,
+        undecodable,
     }
 }
 
@@ -1077,66 +882,145 @@ mod tests {
         }
     }
 
-    #[test]
-    fn checkpoint_state_round_trips_bit_exact() {
-        let state = CheckpointState {
+    /// One session carrying every optional field in both states.
+    fn sample_checkpoint() -> CheckpointState {
+        CheckpointState {
             config_fp: 42,
             clock: 99,
             applied: 17,
             sessions: vec![SessionState {
                 id: 3,
                 shape_fp: 0xFEED,
-                phase: 2,
-                last_good: Some(vec![1.5, -0.0, f64::MIN_POSITIVE, 2.5e-300]),
-                consecutive_concealed: 2,
-                expected_sequence: Some(11),
-                arq_pending: vec![4, 5],
-                arq_attempts: vec![(4, 1), (5, 2)],
-                arq_budget_left: 250,
-                nacked: vec![4],
+                phase: SessionPhase::Repairing,
+                ledger: LedgerState {
+                    last_good: Some(vec![1.5, -0.0, f64::MIN_POSITIVE, 2.5e-300]),
+                    consecutive_concealed: 2,
+                    expected_sequence: Some(11),
+                },
+                arq: ArqState {
+                    pending: vec![4, 5],
+                    attempts: vec![(4, 1), (5, 2)],
+                    budget_left: 250,
+                },
+                nacked: BTreeSet::from([4]),
                 reorder: vec![
                     (
                         6,
-                        QueuedState {
-                            logical: 88,
-                            frame: Some((Some(6), Some(vec![0.25; 3]), Some((vec![9, 8], 12)))),
-                        },
+                        88,
+                        Some(ParsedSections {
+                            sequence: Some(6),
+                            measurements: Some(vec![0.25; 3]),
+                            lowres: Some(Payload {
+                                bytes: vec![9, 8],
+                                bit_len: 12,
+                            }),
+                        }),
                     ),
-                    (
-                        7,
-                        QueuedState {
-                            logical: 89,
-                            frame: None,
-                        },
-                    ),
+                    (7, 89, None),
                 ],
                 next_release: 5,
                 highest_seen: Some(7),
                 window_index: 5,
                 epoch: 1,
                 admitted_in_epoch: 1,
-                outputs: vec![WindowState {
+                outputs: vec![SupervisedWindow {
                     sequence: Some(4),
-                    rung: 0,
+                    rung: LadderRung::Hybrid,
                     signal: vec![0.125, -3.75],
-                    demotions: vec![(0, 1)],
-                    decoded: Some((
-                        vec![0.125, -3.75],
-                        vec![0.125, -3.75],
-                        200,
-                        true,
-                        1e-9,
-                        4.25,
-                        true,
-                    )),
+                    demotions: vec![(LadderRung::Hybrid, "watchdog")],
+                    decoded: Some(DecodedWindow {
+                        signal: vec![0.125, -3.75],
+                        recovery: RecoveryResult {
+                            signal: vec![0.125, -3.75],
+                            iterations: 200,
+                            converged: true,
+                            residual: 1e-9,
+                            objective: 4.25,
+                        },
+                        used_box: true,
+                    }),
                 }],
             }],
-        };
+        }
+    }
+
+    #[test]
+    fn checkpoint_state_round_trips_bit_exact() {
+        let state = sample_checkpoint();
         let record = Record::Checkpoint(state.clone());
         match Record::decode(&record.encode()).unwrap() {
             Record::Checkpoint(decoded) => assert_eq!(decoded, state),
             other => panic!("wrong record: {other:?}"),
         }
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The payload bytes of [`sample_checkpoint`], field by field.
+    const CHECKPOINT_HEX: &[&str] = &[
+        // tag, config_fp, clock, applied, session count
+        "082a000000000000006300000000000000110000000000000001000000",
+        // id, shape_fp, phase
+        "0300000000000000edfe00000000000002",
+        // ledger: last_good, consecutive_concealed, expected_sequence
+        "0104000000000000000000f83f000000000000008000000000000010002f30b7",
+        "b3a7c9ba010200000000000000010b000000",
+        // arq: pending, attempts, budget_left
+        "0200000004000000050000000200000004000000010000000500000002000000",
+        "fa00000000000000",
+        // nacked
+        "0100000004000000",
+        // reorder: slot 6, a frame with every section
+        "0200000006000000580000000000000001010600000001030000000000000000",
+        "00d03f000000000000d03f000000000000d03f010200000009080c0000000000",
+        "0000",
+        // reorder: slot 7, declared lost
+        "07000000590000000000000000",
+        // next_release, highest_seen, window_index, epoch, admitted_in_epoch
+        "0500000001070000000500000000000000010000000000000001000000",
+        // one output: sequence, rung, signal, demotions
+        "0100000001040000000002000000000000000000c03f0000000000000ec00100",
+        "00000001",
+        // its solver report
+        "0102000000000000000000c03f0000000000000ec002000000000000000000c0",
+        "3f0000000000000ec0c8000000000000000195d626e80b2e113e000000000000",
+        "114001",
+    ];
+
+    /// Round trips compare a record with its own decode, so a change of
+    /// field order or width would pass them; this pins the bytes, so
+    /// journals written by earlier builds keep recovering.
+    #[test]
+    fn record_bytes_are_pinned() {
+        let pinned = [
+            "00ab00000000000000",
+            "010700000000000000cd00000000000000",
+            "020700000000000000050000000102030405",
+            "03070000000000000009000000",
+            "040700000000000000",
+            "05",
+            "060700000000000000",
+            "070700000000000000",
+        ];
+        for (record, want) in command_records().iter().zip(pinned) {
+            assert_eq!(hex(&record.encode()), want, "{record:?}");
+        }
+        let checkpoint = Record::Checkpoint(sample_checkpoint()).encode();
+        assert_eq!(hex(&checkpoint), CHECKPOINT_HEX.concat());
+    }
+
+    #[test]
+    fn unknown_phase_and_rung_codes_do_not_decode() {
+        let mut bytes = Record::Checkpoint(sample_checkpoint()).encode();
+        bytes[45] = 9; // the phase, after the 29-byte header, id and shape
+        assert_eq!(Record::decode(&bytes), Err(Malformed));
+        let mut w = ByteWriter::new();
+        encode_window(&mut w, &sample_checkpoint().sessions[0].outputs[0]);
+        let mut bytes = w.finish();
+        bytes[5] = 9; // the rung, after the sequence
+        assert_eq!(decode_window(&mut ByteReader::new(&bytes)), Err(Malformed));
     }
 
     #[test]
@@ -1149,7 +1033,7 @@ mod tests {
         let clean = scan(&image);
         assert_eq!(clean.records, records);
         assert_eq!(clean.valid_bytes, image.len() as u64);
-        assert!(!clean.torn);
+        assert!(!clean.torn && !clean.undecodable);
 
         // Torn tail: half a record at the end.
         let mut torn = image.clone();
@@ -1174,6 +1058,24 @@ mod tests {
         let scanned = scan(&garbage);
         assert_eq!(scanned.records, records);
         assert!(scanned.torn);
+
+        // A zero-filled tail frames as empty payloads with matching CRCs:
+        // wreckage all the same.
+        let mut zeroed = image.clone();
+        zeroed.extend_from_slice(&[0; 24]);
+        let scanned = scan(&zeroed);
+        assert_eq!(scanned.records, records);
+        assert!(scanned.torn && !scanned.undecodable);
+
+        // An intact record of an unknown kind is not wreckage: the scan
+        // stops there and says so, leaving the records behind it alone.
+        let mut unknown = image.clone();
+        unknown.extend_from_slice(&frame(&[99]));
+        unknown.extend_from_slice(&frame(&Record::Flush.encode()));
+        let scanned = scan(&unknown);
+        assert_eq!(scanned.records, records);
+        assert_eq!(scanned.valid_bytes, image.len() as u64);
+        assert!(scanned.undecodable && !scanned.torn);
     }
 
     #[test]

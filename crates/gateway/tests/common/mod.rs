@@ -1,7 +1,7 @@
 //! Shared fixture for the crash-recovery and journal-fuzz suites: a
 //! trained rig, a scripted two-session run with a full repair cycle,
-//! and the durable-prefix oracle the recovered gateway is compared
-//! against.
+//! and the bit-identity checks a recovered gateway must pass against
+//! the durable-prefix oracle, `Gateway::from_records`.
 // Each test binary uses a different subset of the fixture.
 #![allow(dead_code)]
 #![allow(unused_imports)]
@@ -16,9 +16,7 @@ pub use hybridcs_core::{
 };
 use hybridcs_ecg::{EcgGenerator, GeneratorConfig};
 pub use hybridcs_faults::{ArqConfig, CrashPlan, CrashingStore, MemStore, TailFault};
-pub use hybridcs_gateway::{
-    scan, FileStore, Gateway, GatewayConfig, GatewayError, Record, SessionPhase,
-};
+pub use hybridcs_gateway::{scan, FileStore, Gateway, GatewayConfig, GatewayError, SessionPhase};
 
 pub struct Rig {
     pub system: SystemConfig,
@@ -150,40 +148,6 @@ pub fn drive(
     }
 }
 
-/// The oracle: executes the durable record prefix directly on a fresh
-/// non-journaling gateway via the public API — the state recovery must
-/// reproduce, whether it restored a checkpoint or replayed from genesis.
-pub fn oracle_from_records(records: &[Record], rig: &Rig, config: GatewayConfig) -> Gateway {
-    let mut gateway = Gateway::new(config).unwrap();
-    for record in records {
-        match record {
-            Record::Handshake { id, .. } => {
-                let _ = gateway.handshake(*id, &rig.system, rig.codec.clone());
-            }
-            Record::Push { id, packet } => {
-                let _ = gateway.push(*id, packet);
-            }
-            Record::NotifyLost { id, sequence } => {
-                let _ = gateway.notify_lost(*id, *sequence);
-            }
-            Record::TakeNacks { id } => {
-                let _ = gateway.take_nacks(*id);
-            }
-            Record::Flush => {
-                let _ = gateway.flush();
-            }
-            Record::TakeOutputs { id } => {
-                let _ = gateway.take_outputs(*id);
-            }
-            Record::Close { id } => {
-                let _ = gateway.close(*id);
-            }
-            Record::Genesis { .. } | Record::Checkpoint(_) => {}
-        }
-    }
-    gateway
-}
-
 pub fn assert_windows_eq(a: &[SupervisedWindow], b: &[SupervisedWindow], context: &str) {
     assert_eq!(a.len(), b.len(), "output count diverged: {context}");
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
@@ -196,6 +160,12 @@ pub fn assert_windows_eq(a: &[SupervisedWindow], b: &[SupervisedWindow], context
         let xb: Vec<u64> = x.signal.iter().map(|v| v.to_bits()).collect();
         let yb: Vec<u64> = y.signal.iter().map(|v| v.to_bits()).collect();
         assert_eq!(xb, yb, "signal bits of window {i}: {context}");
+        // Debug renders every f64 in its exact shortest round-trip form.
+        assert_eq!(
+            format!("{:?}", x.decoded),
+            format!("{:?}", y.decoded),
+            "solver report of window {i}: {context}"
+        );
     }
 }
 

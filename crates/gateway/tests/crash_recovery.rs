@@ -78,13 +78,56 @@ fn kill_point_sweep_recovers_the_durable_prefix_bit_identically() {
             if report.checkpoint_restored {
                 checkpoints_restored += 1;
             }
-            let mut oracle = oracle_from_records(&durable.records, &rig, config);
+            let (mut oracle, _) = Gateway::from_records(config, &shapes, &durable.records).unwrap();
             assert_equivalent(&mut recovered, &mut oracle, &context);
         }
     }
     assert!(
         checkpoints_restored > 0,
         "the sweep should exercise checkpoint restore, not just replay"
+    );
+}
+
+#[test]
+fn from_records_reproduces_the_live_run_it_journaled() {
+    let rig = rig();
+    let shapes = rig.shapes();
+    let config = sweep_config();
+    let store = MemStore::new();
+    let mut live = Gateway::with_journal(config, Box::new(store.clone())).unwrap();
+    let mut delivered = BTreeMap::new();
+    // `journal_group_bytes: 0` makes every record durable as it is
+    // appended, so after each call the journal holds the whole run.
+    for (step, op) in script().into_iter().enumerate() {
+        drive(&mut live, &rig, op, &mut delivered).unwrap();
+        let records = scan(&store.snapshot()).records;
+        let (oracle, replayed) = Gateway::from_records(config, &shapes, &records).unwrap();
+        let context = format!("after step {step}");
+        for id in SESSION_IDS {
+            assert_eq!(
+                oracle.phase(id),
+                live.phase(id),
+                "phase of session {id}: {context}"
+            );
+        }
+        assert_eq!(
+            replayed.keys().collect::<Vec<_>>(),
+            delivered.keys().collect::<Vec<_>>(),
+            "sessions with deliveries: {context}"
+        );
+        for (id, windows) in &delivered {
+            assert_windows_eq(&replayed[id], windows, &format!("session {id}: {context}"));
+        }
+    }
+    // Session 1's six windows (one concealed) and session 2's three.
+    assert_eq!(delivered.values().map(Vec::len).sum::<usize>(), 9);
+    let records = scan(&store.snapshot()).records;
+    assert!(
+        matches!(
+            Gateway::from_records(config, &[], &records),
+            Err(GatewayError::Recovery(_))
+        ),
+        "a handshake naming a shape missing from the table is refused"
     );
 }
 
@@ -122,7 +165,7 @@ fn recovery_reproduces_full_solver_outputs_bit_identically() {
     let durable = scan(&surviving);
     let (mut recovered, _) =
         Gateway::recover(config, Box::new(MemStore::from_bytes(surviving)), &shapes).unwrap();
-    let mut oracle = oracle_from_records(&durable.records, &rig, config);
+    let (mut oracle, _) = Gateway::from_records(config, &shapes, &durable.records).unwrap();
     let a = recovered.close(1).unwrap();
     let b = oracle.close(1).unwrap();
     assert!(
@@ -174,7 +217,7 @@ fn recovered_gateway_resumes_journaling_and_survives_a_second_crashless_run() {
     let (mut second, _) =
         Gateway::recover(config, Box::new(MemStore::from_bytes(final_image)), &shapes).unwrap();
     assert_eq!(second.phase(1), Some(SessionPhase::Closed));
-    let mut oracle = oracle_from_records(&durable.records, &rig, config);
+    let (mut oracle, _) = Gateway::from_records(config, &shapes, &durable.records).unwrap();
     assert_equivalent(&mut second, &mut oracle, "post-recovery journaling");
 }
 
@@ -212,7 +255,7 @@ fn file_store_round_trips_recovery_across_process_death() {
     // The file now holds the stitched run; recovering it once more agrees
     // with an oracle over every durable record.
     let bytes = std::fs::read(&path).unwrap();
-    let mut oracle = oracle_from_records(&scan(&bytes).records, &rig, config);
+    let (mut oracle, _) = Gateway::from_records(config, &shapes, &scan(&bytes).records).unwrap();
     let (mut third, _) =
         Gateway::recover(config, Box::new(FileStore::open(&path).unwrap()), &shapes).unwrap();
     assert_equivalent(&mut third, &mut oracle, "file store");

@@ -1,12 +1,15 @@
 //! Journal robustness properties: no byte sequence — truncated, bit
 //! flipped, or outright random — may panic the scanner or the recovery
-//! path, and whenever recovery *does* accept an image, the rebuilt
-//! gateway must agree with the durable-prefix oracle.
+//! path; whenever recovery *does* accept an image, the rebuilt gateway
+//! must agree with the durable-prefix oracle; and an intact record the
+//! build cannot decode refuses recovery instead of being cut off as a
+//! torn tail.
 
 mod common;
 use common::*;
 
-use hybridcs_rand::check::{check, u64_in, u8_any, usize_in, vec_of, zip2};
+use hybridcs_coding::crc32;
+use hybridcs_rand::check::{check, u32_in, u64_in, u8_any, usize_in, vec_of, zip2, zip3};
 
 /// A full scripted run's journal image — the corpus the mutations gnaw
 /// on.
@@ -58,7 +61,8 @@ fn truncated_and_bit_flipped_journals_never_panic_and_recover_consistently() {
                             report.replayed_events, commands
                         ));
                     }
-                    let mut oracle = oracle_from_records(&durable.records, &rig, config);
+                    let (mut oracle, _) =
+                        Gateway::from_records(config, &shapes, &durable.records).unwrap();
                     assert_equivalent(&mut recovered, &mut oracle, "mutated image");
                     Ok(())
                 }
@@ -86,6 +90,63 @@ fn arbitrary_bytes_never_panic_the_scanner_or_recovery() {
                 Box::new(MemStore::from_bytes(bytes.clone())),
                 &shapes,
             );
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn an_intact_undecodable_record_refuses_recovery_and_leaves_the_store_alone() {
+    let shapes = rig().shapes();
+    let config = sweep_config();
+    let base = base_image();
+    // Every record boundary of the base image, from before genesis to
+    // after the last record.
+    let mut boundaries = vec![0usize];
+    while let Some(&at) = boundaries.last().filter(|&&at| at < base.len()) {
+        let len = u32::from_le_bytes(base[at..at + 4].try_into().unwrap()) as usize;
+        boundaries.push(at + 8 + len);
+    }
+
+    check(
+        "an unknown record kind stops recovery without truncating",
+        &zip3(
+            usize_in(0, boundaries.len()),
+            u32_in(9, 256),
+            vec_of(u8_any(), 0, 16),
+        ),
+        |(at, tag, body)| {
+            // A well-framed record with a tag no build writes.
+            let mut payload = vec![u8::try_from(*tag).unwrap()];
+            payload.extend_from_slice(body);
+            let cut = boundaries[*at];
+            let mut bytes = base[..cut].to_vec();
+            bytes.extend_from_slice(&u32::try_from(payload.len()).unwrap().to_le_bytes());
+            bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+            bytes.extend_from_slice(&payload);
+            bytes.extend_from_slice(&base[cut..]);
+
+            let scanned = scan(&bytes);
+            if !scanned.undecodable || scanned.torn || scanned.valid_bytes != cut as u64 {
+                return Err(format!(
+                    "scan: undecodable {} torn {} valid {} (record at {cut})",
+                    scanned.undecodable, scanned.torn, scanned.valid_bytes
+                ));
+            }
+            let store = MemStore::from_bytes(bytes.clone());
+            let image = store.clone();
+            match Gateway::recover(config, Box::new(store), &shapes) {
+                Err(GatewayError::Recovery(_)) => {}
+                Err(e) => return Err(format!("wrong refusal: {e}")),
+                Ok((_, report)) => return Err(format!("recovered anyway: {report:?}")),
+            }
+            if image.snapshot() != bytes {
+                return Err(format!(
+                    "the store changed: {} bytes became {}",
+                    bytes.len(),
+                    image.snapshot().len()
+                ));
+            }
             Ok(())
         },
     );

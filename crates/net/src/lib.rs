@@ -22,9 +22,10 @@
 //!
 //! The protocol state machine, the backpressure → admission-quota
 //! coupling, and the determinism argument for the socket path (the
-//! [`IngestOp`] log and its replay audits) are documented in `DESIGN.md`
-//! §13; `examples/ingest_soak.rs` drives the whole tier over loopback at
-//! thousands of concurrent sessions.
+//! journal-[`Record`](hybridcs_gateway::Record) op log and its replay
+//! audits) are documented in `DESIGN.md` §13; `examples/ingest_soak.rs`
+//! drives the whole tier over loopback at thousands of concurrent
+//! sessions.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,9 +36,7 @@ pub mod server;
 
 pub use client::{ClientConfig, DeviceClient, DevicePhase, DeviceStats};
 pub use proto::{Message, RejectCode, StreamDecoder, MAX_PAYLOAD_BYTES, PROTO_VERSION};
-pub use server::{
-    replay_ops, session_major, IngestConfig, IngestOp, IngestServer, PollReport, ShapeTable,
-};
+pub use server::{session_major, IngestConfig, IngestServer, PollReport, ShapeTable};
 
 /// Errors surfaced by the ingest tier. Wire noise is *not* an error —
 /// garbled frames are resynced and counted; these are configuration

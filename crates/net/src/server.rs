@@ -36,13 +36,14 @@
 //! distilled (accept order, chunk boundaries, scheduler timing). The
 //! bridge therefore keeps the contract auditable instead of assuming it:
 //! with [`IngestConfig::record_ops`] set, every state-changing gateway
-//! call the poll loop makes is appended to an [`IngestOp`] log, and
-//! [`replay_ops`] re-executes a log against a fresh in-process gateway.
-//! Replaying the recorded global order must reproduce the live outputs
-//! bit-for-bit (the bridge adds no hidden state), and replaying the
-//! [`session_major`] reordering must too (socket interleaving does not
-//! leak into per-session results, provided queue-depth shedding is
-//! disabled — see DESIGN §13). The ingest soak asserts both.
+//! call the poll loop makes is logged as the journal [`Record`] the
+//! gateway would write for it, and [`Gateway::from_records`] re-executes
+//! a log against a fresh in-process gateway. Replaying the recorded
+//! global order must reproduce the live outputs bit-for-bit (the bridge
+//! adds no hidden state), and replaying the [`session_major`] reordering
+//! must too (socket interleaving does not leak into per-session results,
+//! provided queue-depth shedding is disabled — see DESIGN §13). The
+//! ingest soak asserts both.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{ErrorKind, Read, Write};
@@ -52,7 +53,7 @@ use std::time::Instant;
 use hybridcs_coding::LowResCodec;
 use hybridcs_core::{SupervisedWindow, SystemConfig};
 use hybridcs_gateway::{
-    config_fingerprint, shape_fingerprint, Gateway, GatewayConfig, GatewayError,
+    config_fingerprint, shape_fingerprint, Gateway, GatewayConfig, GatewayError, Record,
 };
 use hybridcs_obs::flight::emit_with;
 use hybridcs_obs::{EventContext, EventKind};
@@ -130,8 +131,9 @@ pub struct IngestConfig {
     pub read_budget: usize,
     /// Connections beyond this are rejected with `server_full`.
     pub max_connections: usize,
-    /// Record every state-changing gateway call as an [`IngestOp`] for
-    /// determinism audits ([`replay_ops`]).
+    /// Log every state-changing gateway call as the [`Record`] the
+    /// gateway's journal would hold for it, for determinism audits
+    /// ([`Gateway::from_records`], [`session_major`]).
     pub record_ops: bool,
 }
 
@@ -171,106 +173,24 @@ impl IngestConfig {
     }
 }
 
-/// One state-changing gateway call made by the bridge, in global
-/// execution order. See [`replay_ops`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum IngestOp {
-    /// `Gateway::handshake` for a device whose shape matched the table.
-    Handshake {
-        /// Device id (also the session id).
-        device: u64,
-        /// The matched shape's fingerprint.
-        shape_fp: u64,
-    },
-    /// `Gateway::push` of one opaque wire packet.
-    Push {
-        /// Session id.
-        session: u64,
-        /// The pushed packet bytes.
-        packet: Vec<u8>,
-    },
-    /// `Gateway::notify_lost` (device gave up on a retransmission, or a
-    /// heartbeat exposed a gap).
-    NotifyLost {
-        /// Session id.
-        session: u64,
-        /// The missing sequence.
-        sequence: u32,
-    },
-    /// `Gateway::take_nacks` (consumes ARQ budget, so it must replay).
-    TakeNacks {
-        /// Session id.
-        session: u64,
-    },
-    /// An explicit `Gateway::flush`.
-    Flush,
-    /// `Gateway::close`, collecting the session's outputs.
-    Close {
-        /// Session id.
-        session: u64,
-    },
-}
-
-/// Re-executes an op log against a fresh in-process gateway and returns
-/// each closed session's outputs. Used by the determinism audit: the
-/// result must be bit-identical to what the live socket path produced.
-pub fn replay_ops(
-    config: &GatewayConfig,
-    shapes: &ShapeTable,
-    ops: &[IngestOp],
-) -> Result<BTreeMap<u64, Vec<SupervisedWindow>>, NetError> {
-    let mut gateway = Gateway::new(*config).map_err(NetError::Gateway)?;
-    let mut outputs = BTreeMap::new();
-    for op in ops {
-        match op {
-            IngestOp::Handshake { device, shape_fp } => {
-                let (system, codec) = shapes
-                    .find(*shape_fp)
-                    .ok_or(NetError::Config("op log names an unknown shape"))?;
-                gateway
-                    .handshake(*device, system, codec.clone())
-                    .map_err(NetError::Gateway)?;
-            }
-            IngestOp::Push { session, packet } => {
-                gateway.push(*session, packet).map_err(NetError::Gateway)?;
-            }
-            IngestOp::NotifyLost { session, sequence } => {
-                gateway
-                    .notify_lost(*session, *sequence)
-                    .map_err(NetError::Gateway)?;
-            }
-            IngestOp::TakeNacks { session } => {
-                gateway.take_nacks(*session).map_err(NetError::Gateway)?;
-            }
-            IngestOp::Flush => {
-                gateway.flush().map_err(NetError::Gateway)?;
-            }
-            IngestOp::Close { session } => {
-                let windows = gateway.close(*session).map_err(NetError::Gateway)?;
-                outputs.insert(*session, windows);
-            }
-        }
-    }
-    Ok(outputs)
-}
-
 /// Reorders an op log session-major: sessions in ascending id order,
-/// each session's ops in their original relative order, explicit global
-/// flushes dropped (flush timing is output-neutral when queue-depth
-/// shedding is disabled). This is the canonical "in-process path" the
-/// determinism audit compares against: what a single-threaded caller
-/// feeding one session at a time would have executed.
+/// each session's records in their original relative order, explicit
+/// global flushes dropped (flush timing is output-neutral when
+/// queue-depth shedding is disabled). This is the canonical "in-process
+/// path" the determinism audit compares against: what a single-threaded
+/// caller feeding one session at a time would have executed.
 #[must_use]
-pub fn session_major(ops: &[IngestOp]) -> Vec<IngestOp> {
-    let mut by_session: BTreeMap<u64, Vec<IngestOp>> = BTreeMap::new();
+pub fn session_major(ops: &[Record]) -> Vec<Record> {
+    let mut by_session: BTreeMap<u64, Vec<Record>> = BTreeMap::new();
     for op in ops {
         let session = match op {
-            IngestOp::Handshake { device, .. } => *device,
-            IngestOp::Push { session, .. }
-            | IngestOp::NotifyLost { session, .. }
-            | IngestOp::TakeNacks { session }
-            | IngestOp::Close { session } => *session,
-            IngestOp::Flush => continue,
+            Record::Handshake { id, .. }
+            | Record::Push { id, .. }
+            | Record::NotifyLost { id, .. }
+            | Record::TakeNacks { id }
+            | Record::TakeOutputs { id }
+            | Record::Close { id } => *id,
+            Record::Flush | Record::Genesis { .. } | Record::Checkpoint(_) => continue,
         };
         by_session.entry(session).or_default().push(op.clone());
     }
@@ -357,6 +277,19 @@ impl Conn {
     fn outbox_drained(&self) -> bool {
         self.out_pos == self.outbox.len()
     }
+
+    /// Un-stalls the connection and moves its grant to `delivered +
+    /// recv_window`, sending a `Credit` when that extends it.
+    fn extend_grant(&mut self, recv_window: u64) {
+        self.stalled = false;
+        let target = self.delivered + recv_window;
+        if target > self.granted {
+            self.granted = target;
+            self.queue(&Message::Credit {
+                granted: self.granted,
+            });
+        }
+    }
 }
 
 /// Why a connection was retired (metric label, flight-event arg).
@@ -403,7 +336,7 @@ pub struct IngestServer {
     round: u64,
     overloaded: bool,
     outputs: BTreeMap<u64, Vec<SupervisedWindow>>,
-    ops: Vec<IngestOp>,
+    ops: Vec<Record>,
     /// Arrival stamp of each gateway-pending window, FIFO, for the
     /// frame-to-commit histogram.
     pending_arrivals: VecDeque<Instant>,
@@ -473,7 +406,7 @@ impl IngestServer {
 
     /// Drains the recorded op log (empty unless
     /// [`IngestConfig::record_ops`]).
-    pub fn take_ops(&mut self) -> Vec<IngestOp> {
+    pub fn take_ops(&mut self) -> Vec<Record> {
         std::mem::take(&mut self.ops)
     }
 
@@ -483,7 +416,7 @@ impl IngestServer {
         &self.gateway
     }
 
-    fn record(&mut self, op: IngestOp) {
+    fn record(&mut self, op: Record) {
         if self.config.record_ops {
             self.ops.push(op);
         }
@@ -598,7 +531,7 @@ impl IngestServer {
                 break;
             };
             report.messages += 1;
-            retire = self.handle_message(&mut conn, token, message)?;
+            retire = self.handle_message(&mut conn, message)?;
         }
         if retire.is_none() {
             retire = hangup;
@@ -615,7 +548,7 @@ impl IngestServer {
         if conn.nack_poll_due {
             conn.nack_poll_due = false;
             if let Some(session) = conn.session {
-                self.record(IngestOp::TakeNacks { session });
+                self.record(Record::TakeNacks { id: session });
                 let nacks = self
                     .gateway
                     .take_nacks(session)
@@ -642,7 +575,6 @@ impl IngestServer {
     fn handle_message(
         &mut self,
         conn: &mut Conn,
-        token: u64,
         message: Message,
     ) -> Result<Option<Retire>, NetError> {
         let registry = hybridcs_obs::global();
@@ -670,6 +602,10 @@ impl IngestServer {
                 } else {
                     let (system, codec) = self.shapes.find(shape_fp).expect("checked above");
                     let (system, codec) = (system.clone(), codec.clone());
+                    self.record(Record::Handshake {
+                        id: device,
+                        shape_fp,
+                    });
                     match self.gateway.handshake(device, &system, codec) {
                         Ok(()) => Ok(()),
                         Err(GatewayError::DuplicateHandshake(_)) => Err(RejectCode::Duplicate),
@@ -678,7 +614,6 @@ impl IngestServer {
                 };
                 match verdict {
                     Ok(()) => {
-                        self.record(IngestOp::Handshake { device, shape_fp });
                         conn.session = Some(device);
                         conn.phase = Phase::Streaming;
                         conn.granted = self.config.recv_window;
@@ -745,8 +680,8 @@ impl IngestServer {
                 }
                 let session = conn.session.expect("streaming implies session");
                 let before = self.gateway.pending_windows();
-                self.record(IngestOp::Push {
-                    session,
+                self.record(Record::Push {
+                    id: session,
                     packet: packet.clone(),
                 });
                 self.gateway
@@ -765,7 +700,10 @@ impl IngestServer {
             }
             (Phase::Streaming, Message::FrameLost { sequence }) => {
                 let session = conn.session.expect("streaming implies session");
-                self.record(IngestOp::NotifyLost { session, sequence });
+                self.record(Record::NotifyLost {
+                    id: session,
+                    sequence,
+                });
                 self.gateway
                     .notify_lost(session, sequence)
                     .map_err(NetError::Gateway)?;
@@ -780,7 +718,10 @@ impl IngestServer {
                 // the ARQ can nack or declare it.
                 for sequence in conn.heartbeat_floor..sent_through {
                     if !conn.seen.contains(&sequence) {
-                        self.record(IngestOp::NotifyLost { session, sequence });
+                        self.record(Record::NotifyLost {
+                            id: session,
+                            sequence,
+                        });
                         self.gateway
                             .notify_lost(session, sequence)
                             .map_err(NetError::Gateway)?;
@@ -799,7 +740,7 @@ impl IngestServer {
             }
             (Phase::Streaming, Message::Close) => {
                 let session = conn.session.expect("streaming implies session");
-                self.record(IngestOp::Close { session });
+                self.record(Record::Close { id: session });
                 let before = self.gateway.pending_windows();
                 let windows = self.gateway.close(session).map_err(NetError::Gateway)?;
                 self.note_pending_delta(before);
@@ -824,7 +765,6 @@ impl IngestServer {
                 registry
                     .counter("net_protocol_errors_total", &[("kind", other.name())])
                     .inc();
-                let _ = token;
                 Ok(Some(Retire::Protocol))
             }
         }
@@ -849,14 +789,7 @@ impl IngestServer {
             }
             return;
         }
-        conn.stalled = false;
-        let target = conn.delivered + self.config.recv_window;
-        if target > conn.granted {
-            conn.granted = target;
-            conn.queue(&Message::Credit {
-                granted: conn.granted,
-            });
-        }
+        conn.extend_grant(self.config.recv_window);
     }
 
     /// Tracks arrival stamps for windows entering the pending set, and
@@ -908,27 +841,15 @@ impl IngestServer {
         if pending == 0 || (pending < self.config.flush_pending && !idle_round) {
             return Ok(());
         }
-        self.record(IngestOp::Flush);
+        self.record(Record::Flush);
         self.gateway.flush().map_err(NetError::Gateway)?;
         self.settle_commits(Instant::now());
         self.update_overload_state();
         if !self.overloaded {
             let recv_window = self.config.recv_window;
-            let mut unstalled = Vec::new();
-            for (token, conn) in &mut self.conns {
-                if conn.stalled {
-                    conn.stalled = false;
-                    let target = conn.delivered + recv_window;
-                    if target > conn.granted {
-                        conn.granted = target;
-                        conn.queue(&Message::Credit {
-                            granted: conn.granted,
-                        });
-                    }
-                    unstalled.push(*token);
-                }
+            for conn in self.conns.values_mut().filter(|c| c.stalled) {
+                conn.extend_grant(recv_window);
             }
-            let _ = unstalled;
         }
         Ok(())
     }
@@ -1027,7 +948,7 @@ impl IngestServer {
         report: &mut PollReport,
     ) -> Result<(), NetError> {
         if let Some(session) = conn.session {
-            self.record(IngestOp::Close { session });
+            self.record(Record::Close { id: session });
             let before = self.gateway.pending_windows();
             let windows = self.gateway.close(session).map_err(NetError::Gateway)?;
             self.note_pending_delta(before);

@@ -1,25 +1,27 @@
 //! End-to-end loopback tests: real sockets, real poll loops, the full
 //! `Hello → TimeSync → frames → Close` lifecycle, with and without
-//! radio faults, plus the determinism audit (op-log replay in recorded
-//! and session-major order must both reproduce the live outputs
+//! radio faults, plus the determinism audit (the server's journal-record
+//! op log, replayed through `Gateway::from_records` in recorded and
+//! session-major order, must both reproduce the live outputs
 //! bit-for-bit).
 
 use std::collections::BTreeMap;
 
+use hybridcs_coding::LowResCodec;
 use hybridcs_core::experiment::default_training_windows;
 use hybridcs_core::telemetry::FrameCodec;
 use hybridcs_core::{train_lowres_codec, HybridFrontEnd, SupervisedWindow, SystemConfig};
 use hybridcs_ecg::{EcgGenerator, GeneratorConfig};
 use hybridcs_faults::{FaultyTransport, GilbertElliottConfig, TransportFaultConfig};
-use hybridcs_gateway::GatewayConfig;
+use hybridcs_gateway::{Gateway, GatewayConfig};
 use hybridcs_net::{
-    replay_ops, session_major, ClientConfig, DeviceClient, DevicePhase, IngestConfig, IngestServer,
-    RejectCode, ShapeTable,
+    session_major, ClientConfig, DeviceClient, DevicePhase, IngestConfig, IngestServer, RejectCode,
+    ShapeTable,
 };
 
 struct Rig {
     system: SystemConfig,
-    codec: hybridcs_coding::LowResCodec,
+    codec: LowResCodec,
     shape_fp: u64,
 }
 
@@ -35,6 +37,12 @@ fn rig() -> Rig {
         system,
         codec,
         shape_fp,
+    }
+}
+
+impl Rig {
+    fn shapes(&self) -> Vec<(SystemConfig, LowResCodec)> {
+        vec![(self.system.clone(), self.codec.clone())]
     }
 }
 
@@ -120,18 +128,20 @@ fn clean() -> FaultyTransport {
 fn assert_replays_match(
     server: &mut IngestServer,
     config: &GatewayConfig,
-    shapes: &ShapeTable,
+    rig: &Rig,
     live: &BTreeMap<u64, Vec<SupervisedWindow>>,
 ) {
     let ops = server.take_ops();
     assert!(!ops.is_empty(), "op log recorded");
-    let recorded_order = replay_ops(config, shapes, &ops).expect("replay recorded order");
+    let (_, recorded_order) =
+        Gateway::from_records(*config, &rig.shapes(), &ops).expect("replay recorded order");
     assert_eq!(
         &recorded_order, live,
         "recorded-order replay must be bit-identical to the live socket path"
     );
     let major = session_major(&ops);
-    let major_out = replay_ops(config, shapes, &major).expect("replay session-major");
+    let (_, major_out) =
+        Gateway::from_records(*config, &rig.shapes(), &major).expect("replay session-major");
     assert_eq!(
         &major_out, live,
         "session-major replay must be bit-identical to the live socket path"
@@ -142,9 +152,9 @@ fn assert_replays_match(
 fn clean_sessions_complete_and_replay_bit_identical() {
     let rig = rig();
     let config = test_config();
-    let shapes = ShapeTable::new(vec![(rig.system.clone(), rig.codec.clone())]);
     let mut server =
-        IngestServer::bind("127.0.0.1:0", config.clone(), shapes.clone()).expect("bind");
+        IngestServer::bind("127.0.0.1:0", config.clone(), ShapeTable::new(rig.shapes()))
+            .expect("bind");
 
     let windows = 4usize;
     let mut clients: Vec<DeviceClient> = (0..3u64)
@@ -165,16 +175,16 @@ fn clean_sessions_complete_and_replay_bit_identical() {
             assert_eq!(out.sequence, Some(i as u32));
         }
     }
-    assert_replays_match(&mut server, &config.gateway, &shapes, &live);
+    assert_replays_match(&mut server, &config.gateway, &rig, &live);
 }
 
 #[test]
 fn faulty_radio_sessions_still_complete_and_replay_bit_identical() {
     let rig = rig();
     let config = test_config();
-    let shapes = ShapeTable::new(vec![(rig.system.clone(), rig.codec.clone())]);
     let mut server =
-        IngestServer::bind("127.0.0.1:0", config.clone(), shapes.clone()).expect("bind");
+        IngestServer::bind("127.0.0.1:0", config.clone(), ShapeTable::new(rig.shapes()))
+            .expect("bind");
 
     let windows = 6usize;
     let fault = TransportFaultConfig {
@@ -211,15 +221,15 @@ fn faulty_radio_sessions_still_complete_and_replay_bit_identical() {
     for outputs in live.values() {
         assert_eq!(outputs.len(), windows);
     }
-    assert_replays_match(&mut server, &config.gateway, &shapes, &live);
+    assert_replays_match(&mut server, &config.gateway, &rig, &live);
 }
 
 #[test]
 fn handshake_rejections_name_their_reason() {
     let rig = rig();
     let config = test_config();
-    let shapes = ShapeTable::new(vec![(rig.system.clone(), rig.codec.clone())]);
-    let mut server = IngestServer::bind("127.0.0.1:0", config, shapes).expect("bind");
+    let mut server =
+        IngestServer::bind("127.0.0.1:0", config, ShapeTable::new(rig.shapes())).expect("bind");
     let addr = server.local_addr().to_string();
     let frames = frames_for(&rig, 9, 1);
 
@@ -272,8 +282,8 @@ fn handshake_rejections_name_their_reason() {
 fn duplicate_device_id_is_rejected_while_first_lives() {
     let rig = rig();
     let config = test_config();
-    let shapes = ShapeTable::new(vec![(rig.system.clone(), rig.codec.clone())]);
-    let mut server = IngestServer::bind("127.0.0.1:0", config, shapes).expect("bind");
+    let mut server =
+        IngestServer::bind("127.0.0.1:0", config, ShapeTable::new(rig.shapes())).expect("bind");
 
     let mut first = connect(&rig, &server, 42, frames_for(&rig, 42, 2), clean());
     // Let the first handshake land before the imposter shows up.
@@ -315,9 +325,9 @@ fn overload_withholds_credit_and_recovers() {
     config.overload_pending = 2;
     config.flush_pending = 4;
     config.recv_window = 4;
-    let shapes = ShapeTable::new(vec![(rig.system.clone(), rig.codec.clone())]);
     let mut server =
-        IngestServer::bind("127.0.0.1:0", config.clone(), shapes.clone()).expect("bind");
+        IngestServer::bind("127.0.0.1:0", config.clone(), ShapeTable::new(rig.shapes()))
+            .expect("bind");
 
     let windows = 8usize;
     let mut clients: Vec<DeviceClient> = (0..3u64)
@@ -332,5 +342,5 @@ fn overload_withholds_credit_and_recovers() {
     }
     let overloads: u64 = clients.iter().map(|c| c.stats().overloads).sum();
     assert!(overloads > 0, "overload notices reached the devices");
-    assert_replays_match(&mut server, &config.gateway, &shapes, &live);
+    assert_replays_match(&mut server, &config.gateway, &rig, &live);
 }

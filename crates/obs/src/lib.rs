@@ -7,13 +7,13 @@
 //! `metrics`, no `serde`) and consists of three layers:
 //!
 //! 1. a **metrics registry** ([`MetricsRegistry`]) — counters, gauges and
-//!    log₂-bucketed histograms, keyed by name + label set. Handles are
+//!    HDR-style log-linear histograms (bounded memory, ≤ 1/32 relative
+//!    quantile error), keyed by name + label set. Handles are
 //!    `Arc`-shared atomics, so recording never takes the registry lock
 //!    ("lock-free-enough"): the lock guards only registration lookups.
-//! 2. a **span/tracing API** ([`span!`]) — RAII guards feeding a
-//!    thread-local event buffer with monotonic-clock timings, mirrored
-//!    into `span_seconds{span=...}` histograms of the [`global()`]
-//!    registry. Span collection is **off by default** (a single relaxed
+//! 2. a **span/tracing API** ([`span!`]) — RAII guards timing a scope on
+//!    the monotonic clock into `span_seconds{span=...}` histograms of the
+//!    [`global()`] registry. Span collection is **off by default** (a single relaxed
 //!    atomic load on the hot path) and opt-in via `HYBRIDCS_OBS=1` or
 //!    [`set_enabled`].
 //! 3. pluggable **sinks** — an in-memory [`Snapshot`] for tests, a
@@ -71,7 +71,7 @@ pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricId, MetricsRegistry, Percentiles, Snapshot,
 };
 pub use slo::{AlertLevel, BurnPolicy, Objective, SloEngine, SloSpec, SloStatus};
-pub use span::{drain_events, span_depth, SpanEvent, SpanGuard};
+pub use span::SpanGuard;
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;

@@ -1,5 +1,6 @@
-//! The metrics registry: named, labelled counters, gauges, and
-//! log₂-bucketed histograms.
+//! The metrics registry: named, labelled counters, gauges, and HDR-style
+//! log-linear histograms (64 power-of-two majors × 16 linear sub-buckets,
+//! ≤ 1/32 relative quantile error).
 //!
 //! Registration (name → instrument lookup) takes a mutex; recording is
 //! pure atomics on `Arc`-shared cells, so hot paths never contend on the

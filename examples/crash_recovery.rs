@@ -22,8 +22,9 @@
 //!    image must recover without panicking; corrupt tails must be
 //!    CRC-detected; and the recovered gateway must be indistinguishable
 //!    (phases, pending nacks, bit-exact outputs on close) from a fresh
-//!    gateway that executed the durable record prefix directly — the
-//!    determinism contract makes replay re-execution.
+//!    gateway that executed the durable record prefix directly
+//!    (`Gateway::from_records`) — the determinism contract makes replay
+//!    re-execution.
 //! 4. **Checkpoint restore** — at least one recovery in the sweep must
 //!    restore from a snapshot checkpoint rather than replaying from
 //!    genesis.
@@ -51,9 +52,7 @@ use hybridcs::faults::{
     CrashPlan, CrashingStore, GilbertElliott, GilbertElliottConfig, JournalStore, MemStore,
     TailFault,
 };
-use hybridcs::gateway::{
-    scan, shape_fingerprint, Gateway, GatewayConfig, GatewayError, Record, SessionPhase,
-};
+use hybridcs::gateway::{scan, Gateway, GatewayConfig, GatewayError, SessionPhase};
 use std::time::Instant;
 
 /// Burst-loss rate the streams run over.
@@ -257,46 +256,6 @@ fn run(
     }
 }
 
-/// Executes the durable record prefix directly on a fresh non-journaling
-/// gateway via the public API — what recovery must be equivalent to.
-fn oracle_from_records(
-    records: &[Record],
-    shapes: &[Shape],
-) -> Result<Gateway, Box<dyn std::error::Error>> {
-    let mut gateway = Gateway::new(gateway_config())?;
-    for record in records {
-        match record {
-            Record::Handshake { id, shape_fp } => {
-                let shape = shapes
-                    .iter()
-                    .find(|s| shape_fingerprint(&s.system, &s.codec) == *shape_fp)
-                    .ok_or("journal names an unknown shape")?;
-                let _ = gateway.handshake(*id, &shape.system, shape.codec.clone());
-            }
-            Record::Push { id, packet } => {
-                let _ = gateway.push(*id, packet);
-            }
-            Record::NotifyLost { id, sequence } => {
-                let _ = gateway.notify_lost(*id, *sequence);
-            }
-            Record::TakeNacks { id } => {
-                let _ = gateway.take_nacks(*id);
-            }
-            Record::Flush => {
-                let _ = gateway.flush();
-            }
-            Record::TakeOutputs { id } => {
-                let _ = gateway.take_outputs(*id);
-            }
-            Record::Close { id } => {
-                let _ = gateway.close(*id);
-            }
-            Record::Genesis { .. } | Record::Checkpoint(_) => {}
-        }
-    }
-    Ok(gateway)
-}
-
 /// Drains both gateways to exhaustion and verifies bit-identical state:
 /// same phases, same pending nacks, same outputs on close.
 fn verify_equivalent(
@@ -458,7 +417,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if report.checkpoint_restored {
             checkpoints_restored += 1;
         }
-        let mut oracle = oracle_from_records(&prefix.records, &shapes)?;
+        let (mut oracle, _) =
+            Gateway::from_records(gateway_config(), &shape_table, &prefix.records)?;
         verify_equivalent(&mut recovered, &mut oracle, &streams, &context)?;
         sweeps += 1;
         let records_label = kill_at.to_string();

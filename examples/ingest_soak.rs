@@ -17,11 +17,14 @@
 //!    the low-resolution rung — the paper's aggregator under worst-case
 //!    load keeps absorbing instead of queueing. All sessions must
 //!    complete with every window accounted for.
-//! 2. **Determinism** — the server records every state-changing gateway
-//!    call ([`IngestOp`](hybridcs::net::IngestOp) log). Replaying that
-//!    log into a fresh in-process gateway — both in recorded order and
-//!    in session-major order (the canonical in-process schedule) — must
-//!    reproduce the live socket outputs bit-for-bit, for both phases.
+//! 2. **Determinism** — the server logs every state-changing gateway call
+//!    as the journal [`Record`](hybridcs::gateway::Record) the gateway
+//!    would write for it. Replaying that log into a fresh in-process
+//!    gateway with
+//!    [`Gateway::from_records`](hybridcs::gateway::Gateway::from_records)
+//!    — both in recorded order and in session-major order (the canonical
+//!    in-process schedule) — must reproduce the live socket outputs
+//!    bit-for-bit, for both phases.
 //! 3. **Fidelity** — a smaller cohort (16 sessions × 4 windows) runs
 //!    with real admission quotas (hybrid solves happening) and radio
 //!    faults on *every* device; same completion and determinism bars.
@@ -50,10 +53,9 @@ use hybridcs::codec::{
 };
 use hybridcs::coding::LowResCodec;
 use hybridcs::faults::{FaultyTransport, GilbertElliottConfig, TransportFaultConfig};
-use hybridcs::gateway::GatewayConfig;
+use hybridcs::gateway::{Gateway, GatewayConfig};
 use hybridcs::net::{
-    replay_ops, session_major, ClientConfig, DeviceClient, DevicePhase, IngestConfig, IngestServer,
-    ShapeTable,
+    session_major, ClientConfig, DeviceClient, DevicePhase, IngestConfig, IngestServer, ShapeTable,
 };
 use hybridcs::obs::flight::recorder;
 
@@ -161,8 +163,12 @@ fn run_phase(
     windows: usize,
     radio_for: impl Fn(u64) -> FaultyTransport,
 ) -> Result<PhaseOutcome, Box<dyn std::error::Error>> {
-    let shapes = ShapeTable::new(vec![(shape.system.clone(), shape.codec.clone())]);
-    let mut server = IngestServer::bind("127.0.0.1:0", config.clone(), shapes.clone())?;
+    let shapes = vec![(shape.system.clone(), shape.codec.clone())];
+    let mut server = IngestServer::bind(
+        "127.0.0.1:0",
+        config.clone(),
+        ShapeTable::new(shapes.clone()),
+    )?;
     let addr = server.local_addr().to_string();
     let client_config = ClientConfig {
         heartbeat_after: 24,
@@ -251,11 +257,11 @@ fn run_phase(
     // gateway — in recorded order (bridge purity) and session-major
     // order (interleaving independence) — must match bit-for-bit.
     let ops = server.take_ops();
-    let recorded = replay_ops(&config.gateway, &shapes, &ops)?;
+    let (_, recorded) = Gateway::from_records(config.gateway, &shapes, &ops)?;
     if recorded != live {
         return Err(format!("{name}: recorded-order replay diverged from live outputs").into());
     }
-    let major = replay_ops(&config.gateway, &shapes, &session_major(&ops))?;
+    let (_, major) = Gateway::from_records(config.gateway, &shapes, &session_major(&ops))?;
     if major != live {
         return Err(format!("{name}: session-major replay diverged from live outputs").into());
     }
