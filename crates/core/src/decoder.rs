@@ -1,15 +1,19 @@
 use crate::codec::{DecodedWindow, EncodedWindow};
 use crate::{CoreError, DecoderAlgorithm, SensingOperator, SystemConfig};
-use hybridcs_coding::LowResCodec;
+use hybridcs_coding::{LowResCodec, Payload};
 use hybridcs_dsp::Dwt;
 use hybridcs_frontend::{LowResChannel, LowResFrame, MeasurementQuantizer, SensingMatrix};
 use hybridcs_solver::{
     solve_admm, solve_pdhg, solve_pdhg_batch, solve_reweighted, BatchProblem, BpdnProblem,
-    IterationObserver, LinearOperator, NoopObserver, RecoveryResult, SolverError, SolverWorkspace,
+    IterationObserver, LinearOperator, NoopObserver, SolverWorkspace,
 };
 
 /// One window's entropy-decoded box bounds (`lo`, `hi`).
 type BoxBounds = (Vec<f64>, Vec<f64>);
+
+/// One window's sections as a decode reads them: the CS measurements and,
+/// for a box-constrained (hybrid) decode, the low-resolution payload.
+pub(crate) type Sections<'a> = (&'a [f64], Option<&'a Payload>);
 
 /// The receiver-side decoder: regenerates `Φ` from the shared seed,
 /// entropy-decodes the low-resolution stream into box bounds, and solves
@@ -127,17 +131,29 @@ impl HybridDecoder {
         observer: &mut dyn IterationObserver,
         ws: &mut SolverWorkspace,
     ) -> Result<DecodedWindow, CoreError> {
+        if encoded.window_len != self.config.window {
+            return Err(CoreError::WindowMismatch {
+                expected: self.config.window,
+                actual: encoded.window_len,
+            });
+        }
+        let lowres = use_box.then_some(&encoded.lowres);
+        self.decode_sections((&encoded.measurements, lowres), observer, ws)
+    }
+
+    /// [`decode_workspace`](HybridDecoder::decode_workspace) on one
+    /// window's borrowed sections: box-constrained when they carry a
+    /// low-res payload, plain CS when they do not.
+    fn decode_sections(
+        &self,
+        sections: Sections<'_>,
+        observer: &mut dyn IterationObserver,
+        ws: &mut SolverWorkspace,
+    ) -> Result<DecodedWindow, CoreError> {
         let _span = hybridcs_obs::span!("decode");
-        let bounds = self.prepare_window(encoded, use_box)?;
+        let bounds = self.box_bounds(sections)?;
         let operator = SensingOperator::with_norm(&self.sensing, self.sensing_norm);
-        let problem = BpdnProblem {
-            sensing: &operator,
-            dwt: &self.dwt,
-            measurements: &encoded.measurements,
-            sigma: self.sigma,
-            box_bounds: bounds.as_ref().map(|(lo, hi)| (&lo[..], &hi[..])),
-            coefficient_weights: None,
-        };
+        let problem = self.problem(&operator, sections.0, bounds.as_ref());
         let recovery = {
             let _span = hybridcs_obs::span!("decode.solve");
             match &self.config.algorithm {
@@ -151,157 +167,128 @@ impl HybridDecoder {
         Ok(DecodedWindow {
             signal: recovery.signal.clone(),
             recovery,
-            used_box: use_box,
+            used_box: bounds.is_some(),
         })
     }
 
-    /// Shape checks and (when `use_box`) entropy-decoding of the low-res
-    /// bounds for one window — everything in a decode that is per-window
-    /// and precedes the solver.
-    fn prepare_window(
+    /// The measurement-count check and, when the sections carry a low-res
+    /// payload, its entropy-decoded box bounds: everything in a decode
+    /// that is per window and precedes the solver.
+    fn box_bounds(
         &self,
-        encoded: &EncodedWindow,
-        use_box: bool,
+        (measurements, lowres): Sections<'_>,
     ) -> Result<Option<BoxBounds>, CoreError> {
-        if encoded.window_len != self.config.window {
-            return Err(CoreError::WindowMismatch {
-                expected: self.config.window,
-                actual: encoded.window_len,
-            });
-        }
-        if encoded.measurements.len() != self.config.measurements {
+        if measurements.len() != self.config.measurements {
             return Err(CoreError::WindowMismatch {
                 expected: self.config.measurements,
-                actual: encoded.measurements.len(),
+                actual: measurements.len(),
             });
         }
-        if use_box {
-            let _span = hybridcs_obs::span!("decode.bounds");
-            let codes = self
-                .lowres_codec
-                .decode(&encoded.lowres, encoded.window_len)?;
-            let frame = LowResFrame::from_codes(codes, &self.lowres_channel)?;
-            Ok(Some(frame.bounds()))
-        } else {
-            Ok(None)
+        let Some(payload) = lowres else {
+            return Ok(None);
+        };
+        let _span = hybridcs_obs::span!("decode.bounds");
+        Ok(Some(self.lowres_frame(payload)?.bounds()))
+    }
+
+    /// Entropy-decodes one window's low-resolution payload into its
+    /// quantization cells: the box of a hybrid decode, and the decode
+    /// ladder's cell-midpoint rung.
+    pub(crate) fn lowres_frame(&self, payload: &Payload) -> Result<LowResFrame, CoreError> {
+        let codes = self.lowres_codec.decode(payload, self.config.window)?;
+        Ok(LowResFrame::from_codes(codes, &self.lowres_channel)?)
+    }
+
+    /// Eq. (1) for one window: `Φ`, the wavelet and `σ` of this decoder,
+    /// the box when the window has one.
+    fn problem<'a>(
+        &'a self,
+        operator: &'a SensingOperator<'_>,
+        measurements: &'a [f64],
+        bounds: Option<&'a BoxBounds>,
+    ) -> BpdnProblem<'a> {
+        BpdnProblem {
+            sensing: operator,
+            dwt: &self.dwt,
+            measurements,
+            sigma: self.sigma,
+            box_bounds: bounds.map(|(lo, hi)| (&lo[..], &hi[..])),
+            coefficient_weights: None,
         }
     }
 
-    /// Decodes a batch of same-shape windows, bit-identical per window to
-    /// calling [`decode_workspace`](HybridDecoder::decode_workspace) on
-    /// each. Under PDHG the windows run as one lockstep solve over K-wide
-    /// panels, so the packed-sign and wavelet kernels amortize their table
-    /// work across the batch (and vectorize across it when SIMD is
-    /// enabled). PDHG is the only algorithm with a lockstep solver: under
-    /// ADMM or reweighted ℓ₁ each window goes through `decode_workspace` in
-    /// turn.
-    ///
-    /// Each window gets its own result slot in `out` (in input order) and
-    /// its own observer. Windows that fail their per-window pre-checks
-    /// (shape mismatch, undecodable low-res section) get exactly the error
-    /// the one-window path would produce, without disturbing their
-    /// batch-mates; a batch-level solver rejection (e.g. a non-finite
-    /// window) re-runs the group serially so per-window errors still land
-    /// in the right slots.
-    ///
-    /// # Errors
-    ///
-    /// Errs only on a malformed *batch* (observer count ≠ window count);
-    /// per-window failures are reported in `out`.
-    pub fn decode_batch_workspace(
+    /// Decodes a group of same-shape windows from their borrowed sections,
+    /// one result per window in input order, each bit-identical to that
+    /// window's one-window decode; `observers[w]` watches window `w`. Each
+    /// window first runs its own checks (measurement count, low-res
+    /// decode, problem validation), so one that fails gets its own error
+    /// and leaves the rest of the group alone. Under PDHG the windows that
+    /// pass run as one lockstep solve over K-wide panels, so the
+    /// packed-sign and wavelet kernels amortize their table work across
+    /// the group (and vectorize across it when SIMD is enabled). ADMM and
+    /// reweighted ℓ₁ have no lockstep solver: their windows decode one at
+    /// a time.
+    pub(crate) fn decode_batch(
         &self,
-        encoded: &[&EncodedWindow],
-        use_box: bool,
+        windows: &[Sections<'_>],
         observers: &mut [&mut dyn IterationObserver],
         ws: &mut SolverWorkspace,
-        out: &mut Vec<Result<DecodedWindow, CoreError>>,
-    ) -> Result<(), CoreError> {
+    ) -> Vec<Result<DecodedWindow, CoreError>> {
         let _span = hybridcs_obs::span!("decode.batch");
-        if observers.len() != encoded.len() {
-            return Err(CoreError::Solver(SolverError::DimensionMismatch {
-                what: "observers vs batch windows",
-                expected: encoded.len(),
-                actual: observers.len(),
-            }));
-        }
-        out.clear();
         let DecoderAlgorithm::Pdhg(options) = &self.config.algorithm else {
-            for (enc, obs) in encoded.iter().zip(observers.iter_mut()) {
-                out.push(self.decode_workspace(enc, use_box, &mut **obs, ws));
-            }
-            return Ok(());
-        };
-
-        let mut staged: Vec<Option<Result<DecodedWindow, CoreError>>> =
-            (0..encoded.len()).map(|_| None).collect();
-        let mut bounds: Vec<Option<BoxBounds>> = vec![None; encoded.len()];
-        let mut pending: Vec<usize> = Vec::new();
-        for (i, enc) in encoded.iter().enumerate() {
-            match self.prepare_window(enc, use_box) {
-                Ok(b) => {
-                    bounds[i] = b;
-                    pending.push(i);
-                }
-                Err(e) => staged[i] = Some(Err(e)),
-            }
-        }
-
-        if !pending.is_empty() {
-            let operator = SensingOperator::with_norm(&self.sensing, self.sensing_norm);
-            let problems: Vec<BpdnProblem<'_>> = pending
+            return windows
                 .iter()
-                .map(|&i| BpdnProblem {
-                    sensing: &operator,
-                    dwt: &self.dwt,
-                    measurements: &encoded[i].measurements,
-                    sigma: self.sigma,
-                    box_bounds: bounds[i].as_ref().map(|(lo, hi)| (&lo[..], &hi[..])),
-                    coefficient_weights: None,
-                })
+                .zip(observers)
+                .map(|(&sections, observer)| self.decode_sections(sections, &mut **observer, ws))
                 .collect();
-            let mut results: Vec<Option<RecoveryResult>> = Vec::new();
-            let solved = match BatchProblem::new(&problems) {
-                Err(_) => false,
-                Ok(batch) => {
-                    // The `as` cast re-derives the trait-object lifetime from
-                    // this short reborrow, so `observers` is usable again on
-                    // the serial fallback below.
-                    let mut refs: Vec<&mut dyn IterationObserver> = observers
-                        .iter_mut()
-                        .enumerate()
-                        .filter(|(i, _)| pending.binary_search(i).is_ok())
-                        .map(|(_, obs)| &mut **obs as &mut dyn IterationObserver)
-                        .collect();
-                    let _span = hybridcs_obs::span!("decode.solve");
-                    solve_pdhg_batch(&batch, options, &mut refs, ws, &mut results).is_ok()
-                }
-            };
-            if solved {
-                for (&slot, recovery) in pending.iter().zip(results) {
-                    let recovery = recovery.expect("batch solvers fill every window");
-                    staged[slot] = Some(Ok(DecodedWindow {
-                        signal: recovery.signal.clone(),
-                        recovery,
-                        used_box: use_box,
-                    }));
-                }
-            } else {
-                // Batch construction/validation rejected the group before a
-                // single iteration ran (e.g. one window's measurements are
-                // non-finite). Re-raise per window through the serial path so
-                // each slot gets exactly the one-window error or result.
-                for &i in &pending {
-                    staged[i] =
-                        Some(self.decode_workspace(encoded[i], use_box, &mut *observers[i], ws));
-                }
-            }
-        }
-        out.extend(
-            staged
-                .into_iter()
-                .map(|slot| slot.expect("every window staged")),
-        );
-        Ok(())
+        };
+        let operator = SensingOperator::with_norm(&self.sensing, self.sensing_norm);
+        let checked: Vec<Result<Option<BoxBounds>, CoreError>> = windows
+            .iter()
+            .map(|&sections| {
+                let bounds = self.box_bounds(sections)?;
+                self.problem(&operator, sections.0, bounds.as_ref())
+                    .validate()?;
+                Ok(bounds)
+            })
+            .collect();
+        let problems: Vec<BpdnProblem<'_>> = windows
+            .iter()
+            .zip(&checked)
+            .filter_map(|(&(measurements, _), bounds)| {
+                let bounds = bounds.as_ref().ok()?;
+                Some(self.problem(&operator, measurements, bounds.as_ref()))
+            })
+            .collect();
+        let mut refs: Vec<&mut dyn IterationObserver> = observers
+            .iter_mut()
+            .zip(&checked)
+            .filter(|(_, bounds)| bounds.is_ok())
+            .map(|(observer, _)| &mut **observer as &mut dyn IterationObserver)
+            .collect();
+        let mut results = Vec::new();
+        let solved = {
+            let _span = hybridcs_obs::span!("decode.solve");
+            BatchProblem::new(&problems)
+                .and_then(|batch| solve_pdhg_batch(&batch, options, &mut refs, ws, &mut results))
+        };
+        let mut results = results.into_iter();
+        checked
+            .into_iter()
+            .map(|bounds| {
+                let used_box = bounds?.is_some();
+                solved.clone()?;
+                let recovery = results
+                    .next()
+                    .flatten()
+                    .expect("the batch solver fills every window");
+                Ok(DecodedWindow {
+                    signal: recovery.signal.clone(),
+                    recovery,
+                    used_box,
+                })
+            })
+            .collect()
     }
 }
 
@@ -389,118 +376,6 @@ mod tests {
             dec.decode(&encoded),
             Err(CoreError::WindowMismatch { .. })
         ));
-    }
-
-    fn assert_window_bits(batch: &DecodedWindow, serial: &DecodedWindow) {
-        assert_eq!(batch.used_box, serial.used_box);
-        assert_eq!(batch.recovery.iterations, serial.recovery.iterations);
-        assert_eq!(batch.recovery.converged, serial.recovery.converged);
-        assert_eq!(
-            batch.recovery.residual.to_bits(),
-            serial.recovery.residual.to_bits()
-        );
-        assert_eq!(
-            batch.recovery.objective.to_bits(),
-            serial.recovery.objective.to_bits()
-        );
-        assert_eq!(batch.signal.len(), serial.signal.len());
-        for (a, b) in batch.signal.iter().zip(&serial.signal) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn batch_decode_bit_identical_to_serial() {
-        use hybridcs_solver::{AdmmOptions, PdhgOptions, ReweightedOptions};
-        let pdhg = PdhgOptions {
-            max_iterations: 300,
-            ..PdhgOptions::default()
-        };
-        let algorithms = [
-            DecoderAlgorithm::Pdhg(pdhg),
-            DecoderAlgorithm::Reweighted(ReweightedOptions {
-                outer_iterations: 2,
-                inner: pdhg,
-                ..ReweightedOptions::default()
-            }),
-            DecoderAlgorithm::Admm(AdmmOptions {
-                max_iterations: 60,
-                ..AdmmOptions::default()
-            }),
-        ];
-        for algorithm in algorithms {
-            let config = SystemConfig {
-                measurements: 64,
-                algorithm,
-                ..SystemConfig::default()
-            };
-            let (fe, dec) = pair(&config);
-            let encoded: Vec<EncodedWindow> = (0..3)
-                .map(|w| fe.encode(&ecg_window(&config, 23 + w)).unwrap())
-                .collect();
-            for use_box in [true, false] {
-                let mut ws = hybridcs_solver::SolverWorkspace::new();
-                let serial: Vec<DecodedWindow> = encoded
-                    .iter()
-                    .map(|enc| {
-                        dec.decode_workspace(enc, use_box, &mut NoopObserver, &mut ws)
-                            .unwrap()
-                    })
-                    .collect();
-                let refs: Vec<&EncodedWindow> = encoded.iter().collect();
-                let mut noops = vec![NoopObserver; refs.len()];
-                let mut obs: Vec<&mut dyn IterationObserver> = noops
-                    .iter_mut()
-                    .map(|o| o as &mut dyn IterationObserver)
-                    .collect();
-                let mut out = Vec::new();
-                dec.decode_batch_workspace(&refs, use_box, &mut obs, &mut ws, &mut out)
-                    .unwrap();
-                assert_eq!(out.len(), serial.len());
-                for (got, want) in out.iter().zip(&serial) {
-                    assert_window_bits(got.as_ref().unwrap(), want);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batch_decode_isolates_per_window_errors() {
-        let config = SystemConfig {
-            measurements: 64,
-            ..SystemConfig::default()
-        };
-        let (fe, dec) = pair(&config);
-        let good_a = fe.encode(&ecg_window(&config, 29)).unwrap();
-        let good_b = fe.encode(&ecg_window(&config, 31)).unwrap();
-        let mut bad = good_a.clone();
-        bad.window_len += 1;
-        let mut ws = hybridcs_solver::SolverWorkspace::new();
-        let serial_a = dec
-            .decode_workspace(&good_a, true, &mut NoopObserver, &mut ws)
-            .unwrap();
-        let serial_b = dec
-            .decode_workspace(&good_b, true, &mut NoopObserver, &mut ws)
-            .unwrap();
-        let refs: Vec<&EncodedWindow> = vec![&good_a, &bad, &good_b];
-        let mut noops = vec![NoopObserver; refs.len()];
-        let mut obs: Vec<&mut dyn IterationObserver> = noops
-            .iter_mut()
-            .map(|o| o as &mut dyn IterationObserver)
-            .collect();
-        let mut out = Vec::new();
-        dec.decode_batch_workspace(&refs, true, &mut obs, &mut ws, &mut out)
-            .unwrap();
-        assert_window_bits(out[0].as_ref().unwrap(), &serial_a);
-        assert!(matches!(out[1], Err(CoreError::WindowMismatch { .. })));
-        assert_window_bits(out[2].as_ref().unwrap(), &serial_b);
-
-        // The batch itself is only malformed when observers don't pair up.
-        let mut lone = NoopObserver;
-        let mut short: Vec<&mut dyn IterationObserver> = vec![&mut lone];
-        assert!(dec
-            .decode_batch_workspace(&refs, true, &mut short, &mut ws, &mut out)
-            .is_err());
     }
 
     #[test]

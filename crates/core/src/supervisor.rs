@@ -53,11 +53,11 @@
 //! the same bits; the watch itself costs two reductions and a few
 //! comparisons per iteration.
 
-use crate::codec::{DecodedWindow, EncodedWindow};
+use crate::codec::DecodedWindow;
+use crate::decoder::Sections;
 use crate::telemetry::FrameCodec;
 use crate::{CoreError, HybridDecoder, SystemConfig};
 use hybridcs_coding::{LowResCodec, Payload};
-use hybridcs_frontend::{LowResChannel, LowResFrame};
 use hybridcs_obs::{ConvergenceTrace, EventContext, IterationEvent, IterationObserver};
 use hybridcs_solver::{SolverWatchdog, SolverWorkspace, WatchdogConfig};
 
@@ -259,8 +259,6 @@ impl IterationObserver for ContextScoped<'_, '_> {
 pub struct DecodeLadder {
     frame_codec: FrameCodec,
     decoder: HybridDecoder,
-    lowres_channel: LowResChannel,
-    lowres_codec: LowResCodec,
     watchdog: WatchdogConfig,
 }
 
@@ -278,9 +276,7 @@ impl DecodeLadder {
     ) -> Result<Self, CoreError> {
         Ok(DecodeLadder {
             frame_codec: FrameCodec::new(system)?,
-            decoder: HybridDecoder::new(system, lowres_codec.clone())?,
-            lowres_channel: LowResChannel::new(system.lowres_bits)?,
-            lowres_codec,
+            decoder: HybridDecoder::new(system, lowres_codec)?,
             watchdog,
         })
     }
@@ -406,11 +402,11 @@ impl DecodeLadder {
                 }
             }
         }
-        let hybrid: Vec<usize> = jobs
+        let hybrid: Vec<(usize, Sections<'_>)> = jobs
             .iter()
             .enumerate()
-            .filter(|(_, j)| !j.skip_solvers && j.measurements.is_some() && j.lowres.is_some())
-            .map(|(i, _)| i)
+            .filter(|(_, job)| !job.skip_solvers)
+            .filter_map(|(i, job)| Some((i, (job.measurements?, Some(job.lowres?)))))
             .collect();
         self.rung_batch(
             jobs,
@@ -420,11 +416,11 @@ impl DecodeLadder {
             &mut chosen,
             &mut demotions,
         );
-        let cs_only: Vec<usize> = jobs
+        let cs_only: Vec<(usize, Sections<'_>)> = jobs
             .iter()
             .enumerate()
-            .filter(|(i, j)| !j.skip_solvers && j.measurements.is_some() && chosen[*i].is_none())
-            .map(|(i, _)| i)
+            .filter(|(i, job)| !job.skip_solvers && chosen[*i].is_none())
+            .filter_map(|(i, job)| Some((i, (job.measurements?, None))))
             .collect();
         self.rung_batch(
             jobs,
@@ -457,14 +453,14 @@ impl DecodeLadder {
     }
 
     /// One solver rung of [`solve_batch_with`](DecodeLadder::solve_batch_with):
-    /// a watched batched decode over `group`, scattering per-window success
-    /// into `chosen` and failure reasons into `demotions`: a solver error,
-    /// a watchdog trip or a non-finite output demotes instead of
-    /// propagating.
+    /// a watched batched decode of each `(job index, sections)` window of
+    /// `group`, scattering per-window success into `chosen` and failure
+    /// reasons into `demotions`: a decode error, a watchdog trip or a
+    /// non-finite output demotes instead of propagating.
     fn rung_batch(
         &self,
         jobs: &[LadderJob<'_>],
-        group: &[usize],
+        group: &[(usize, Sections<'_>)],
         rung: LadderRung,
         ws: &mut SolverWorkspace,
         chosen: &mut [Option<ChosenRung>],
@@ -473,29 +469,6 @@ impl DecodeLadder {
         if group.is_empty() {
             return;
         }
-        let system = self.decoder.config();
-        let use_box = rung == LadderRung::Hybrid;
-        let placeholder = Payload {
-            bytes: Vec::new(),
-            bit_len: 0,
-        };
-        let encoded: Vec<EncodedWindow> = group
-            .iter()
-            .map(|&i| EncodedWindow {
-                measurements: jobs[i]
-                    .measurements
-                    .expect("rung group has measurements")
-                    .to_vec(),
-                lowres: if use_box {
-                    jobs[i].lowres.expect("hybrid group has low-res").clone()
-                } else {
-                    placeholder.clone()
-                },
-                window_len: system.window,
-                measurement_bits: system.measurement_bits,
-            })
-            .collect();
-        let enc_refs: Vec<&EncodedWindow> = encoded.iter().collect();
         let mut dogs: Vec<SolverWatchdog<'_>> = group
             .iter()
             .map(|_| SolverWatchdog::new(self.watchdog))
@@ -503,7 +476,7 @@ impl DecodeLadder {
         let mut scoped: Vec<ContextScoped<'_, '_>> = dogs
             .iter_mut()
             .zip(group)
-            .map(|(dog, &i)| ContextScoped {
+            .map(|(dog, &(i, _))| ContextScoped {
                 inner: dog,
                 ctx: jobs[i].context,
             })
@@ -512,22 +485,11 @@ impl DecodeLadder {
             .iter_mut()
             .map(|s| s as &mut dyn IterationObserver)
             .collect();
-        let mut results = Vec::new();
-        let batch_ok = self
-            .decoder
-            .decode_batch_workspace(&enc_refs, use_box, &mut refs, ws, &mut results)
-            .is_ok();
+        let windows: Vec<Sections<'_>> = group.iter().map(|&(_, sections)| sections).collect();
+        let results = self.decoder.decode_batch(&windows, &mut refs, ws);
         drop(refs);
         drop(scoped);
-        if !batch_ok {
-            // Unreachable in practice (observers are built pairwise with the
-            // windows), but a malformed batch demotes instead of panicking.
-            for &i in group {
-                demotions[i].push((rung, "decode_error"));
-            }
-            return;
-        }
-        for ((&i, result), dog) in group.iter().zip(results).zip(dogs) {
+        for ((&(i, _), result), dog) in group.iter().zip(results).zip(dogs) {
             match result {
                 Err(_) => demotions[i].push((rung, "decode_error")),
                 Ok(decoded) => {
@@ -545,13 +507,10 @@ impl DecodeLadder {
 
     /// Cell-midpoint reconstruction from the low-resolution stream.
     fn lowres_midpoints(&self, lowres: &Payload) -> Result<Vec<f64>, &'static str> {
-        let window = self.decoder.config().window;
-        let codes = self
-            .lowres_codec
-            .decode(lowres, window)
+        let frame = self
+            .decoder
+            .lowres_frame(lowres)
             .map_err(|_| "decode_error")?;
-        let frame =
-            LowResFrame::from_codes(codes, &self.lowres_channel).map_err(|_| "decode_error")?;
         let half = frame.step() / 2.0;
         let signal: Vec<f64> = frame.samples().iter().map(|v| v + half).collect();
         if signal.iter().any(|v| !v.is_finite()) {
@@ -787,13 +746,20 @@ impl RecoverySupervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::EncodedWindow;
     use crate::experiment::default_training_windows;
-    use crate::{train_lowres_codec, HybridFrontEnd};
+    use crate::{train_lowres_codec, DecoderAlgorithm, HybridFrontEnd};
     use hybridcs_ecg::{EcgGenerator, GeneratorConfig};
+    use hybridcs_solver::{AdmmOptions, PdhgOptions, ReweightedOptions};
 
     fn setup() -> (HybridFrontEnd, RecoverySupervisor, Vec<f64>) {
+        setup_with(SystemConfig::default().algorithm)
+    }
+
+    fn setup_with(algorithm: DecoderAlgorithm) -> (HybridFrontEnd, RecoverySupervisor, Vec<f64>) {
         let config = SystemConfig {
             measurements: 64,
+            algorithm,
             ..SystemConfig::default()
         };
         let codec =
@@ -918,22 +884,138 @@ mod tests {
         assert_eq!(after.signal, vec![0.0; window.len()]);
     }
 
-    /// One group and four one-job walks give the same outcomes for every
-    /// section-survival pattern, including shed and lost windows, and the
-    /// solver rungs commit exactly the serial decoder's bits.
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Under every decoder algorithm (PDHG, which solves the group in
+    /// lockstep, and reweighted ℓ₁ and ADMM, which solve it one window at
+    /// a time), one group and four one-job walks give the same outcomes
+    /// for every section-survival pattern, including shed and lost
+    /// windows, and the solver rungs commit exactly the serial decoder's
+    /// bits.
     #[test]
     fn batched_ladder_matches_serial_per_window() {
+        let pdhg = PdhgOptions {
+            max_iterations: 300,
+            ..PdhgOptions::default()
+        };
+        let algorithms = [
+            SystemConfig::default().algorithm,
+            DecoderAlgorithm::Reweighted(ReweightedOptions {
+                outer_iterations: 2,
+                inner: pdhg,
+                ..ReweightedOptions::default()
+            }),
+            DecoderAlgorithm::Admm(AdmmOptions {
+                max_iterations: 60,
+                ..AdmmOptions::default()
+            }),
+        ];
+        for algorithm in algorithms {
+            let (frontend, supervisor, window) = setup_with(algorithm);
+            let ladder = supervisor.ladder();
+            let generator = EcgGenerator::new(GeneratorConfig::normal_sinus()).unwrap();
+            let windows: Vec<Vec<f64>> = (0..4)
+                .map(|w| generator.generate(2.0, 0x6E_00 + w)[..window.len()].to_vec())
+                .collect();
+            let parsed: Vec<ParsedSections> = windows
+                .iter()
+                .enumerate()
+                .map(|(i, w)| {
+                    let encoded = frontend.encode(w).unwrap();
+                    let bytes = ladder
+                        .frame_codec()
+                        .serialize(u32::try_from(i).unwrap(), &encoded)
+                        .unwrap();
+                    ladder.parse(Some(&bytes))
+                })
+                .collect();
+            // Full frame / measurements-only / low-res-only / shed — one of each.
+            let jobs: Vec<LadderJob<'_>> = parsed
+                .iter()
+                .enumerate()
+                .map(|(i, p)| LadderJob {
+                    measurements: if i == 2 {
+                        None
+                    } else {
+                        p.measurements.as_deref()
+                    },
+                    lowres: if i == 1 { None } else { p.lowres.as_ref() },
+                    skip_solvers: i == 3,
+                    context: None,
+                })
+                .collect();
+            let mut ws = SolverWorkspace::new();
+            let alone: Vec<LadderOutcome> = jobs
+                .iter()
+                .map(|j| ladder.solve_with(j.measurements, j.lowres, j.skip_solvers, &mut ws))
+                .collect();
+            let grouped = ladder.solve_batch_with(&jobs, &mut ws);
+            assert_eq!(grouped, alone);
+            let rungs: Vec<Option<LadderRung>> = grouped
+                .iter()
+                .map(|o| o.chosen.as_ref().map(|(rung, _, _)| *rung))
+                .collect();
+            assert_eq!(
+                rungs,
+                [
+                    LadderRung::Hybrid,
+                    LadderRung::CsOnly,
+                    LadderRung::LowResOnly,
+                    LadderRung::LowResOnly
+                ]
+                .map(Some)
+            );
+
+            // The hybrid and CS-only windows against the serial decoder, each
+            // under a fresh watchdog (without the box it reads no low-res).
+            for (i, use_box) in [(0, true), (1, false)] {
+                let encoded = EncodedWindow {
+                    measurements: parsed[i].measurements.clone().unwrap(),
+                    lowres: parsed[i].lowres.clone().unwrap(),
+                    window_len: window.len(),
+                    measurement_bits: ladder.config().measurement_bits,
+                };
+                let mut dog = SolverWatchdog::new(SupervisorConfig::default().watchdog);
+                let serial = ladder
+                    .decoder
+                    .decode_workspace(&encoded, use_box, &mut dog, &mut ws)
+                    .unwrap();
+                assert!(dog.trip().is_none());
+                let (_, signal, decoded) = grouped[i].chosen.as_ref().unwrap();
+                let decoded = decoded.as_ref().unwrap();
+                assert_eq!(bits(signal), bits(&serial.signal), "window {i}: signal");
+                assert_eq!(bits(&decoded.signal), bits(&serial.signal));
+                assert_eq!(decoded.used_box, use_box);
+                assert_eq!(decoded.recovery.iterations, serial.recovery.iterations);
+                assert_eq!(decoded.recovery.converged, serial.recovery.converged);
+                assert_eq!(
+                    decoded.recovery.residual.to_bits(),
+                    serial.recovery.residual.to_bits()
+                );
+                assert_eq!(
+                    decoded.recovery.objective.to_bits(),
+                    serial.recovery.objective.to_bits()
+                );
+            }
+        }
+    }
+
+    /// A window that fails its own decode checks (a non-finite
+    /// measurement, or a short measurement section) demotes alone with
+    /// `decode_error` on both solver rungs and falls to its low-res
+    /// midpoints, while its group-mates commit their one-job walks bit
+    /// for bit.
+    #[test]
+    fn failed_window_demotes_alone_in_its_group() {
         let (frontend, supervisor, window) = setup();
         let ladder = supervisor.ladder();
         let generator = EcgGenerator::new(GeneratorConfig::normal_sinus()).unwrap();
-        let windows: Vec<Vec<f64>> = (0..4)
-            .map(|w| generator.generate(2.0, 0x6E_00 + w)[..window.len()].to_vec())
-            .collect();
-        let parsed: Vec<ParsedSections> = windows
-            .iter()
-            .enumerate()
-            .map(|(i, w)| {
-                let encoded = frontend.encode(w).unwrap();
+        let parsed: Vec<ParsedSections> = (0..3)
+            .map(|i| {
+                let w = generator.generate(2.0, 0x7F_00 + i)[..window.len()].to_vec();
+                let encoded = frontend.encode(&w).unwrap();
                 let bytes = ladder
                     .frame_codec()
                     .serialize(u32::try_from(i).unwrap(), &encoded)
@@ -941,74 +1023,47 @@ mod tests {
                 ladder.parse(Some(&bytes))
             })
             .collect();
-        // Full frame / measurements-only / low-res-only / shed — one of each.
-        let jobs: Vec<LadderJob<'_>> = parsed
-            .iter()
-            .enumerate()
-            .map(|(i, p)| LadderJob {
-                measurements: if i == 2 {
-                    None
-                } else {
-                    p.measurements.as_deref()
-                },
-                lowres: if i == 1 { None } else { p.lowres.as_ref() },
-                skip_solvers: i == 3,
-                context: None,
-            })
-            .collect();
-        let mut ws = SolverWorkspace::new();
-        let alone: Vec<LadderOutcome> = jobs
-            .iter()
-            .map(|j| ladder.solve_with(j.measurements, j.lowres, j.skip_solvers, &mut ws))
-            .collect();
-        let grouped = ladder.solve_batch_with(&jobs, &mut ws);
-        assert_eq!(grouped, alone);
-        let rungs: Vec<Option<LadderRung>> = grouped
-            .iter()
-            .map(|o| o.chosen.as_ref().map(|(rung, _, _)| *rung))
-            .collect();
-        assert_eq!(
-            rungs,
-            [
-                LadderRung::Hybrid,
-                LadderRung::CsOnly,
-                LadderRung::LowResOnly,
-                LadderRung::LowResOnly
-            ]
-            .map(Some)
-        );
-
-        // The hybrid and CS-only windows against the serial decoder, each
-        // under a fresh watchdog (without the box it reads no low-res).
-        for (i, use_box) in [(0, true), (1, false)] {
-            let encoded = EncodedWindow {
-                measurements: parsed[i].measurements.clone().unwrap(),
-                lowres: parsed[i].lowres.clone().unwrap(),
-                window_len: window.len(),
-                measurement_bits: ladder.config().measurement_bits,
-            };
-            let mut dog = SolverWatchdog::new(SupervisorConfig::default().watchdog);
-            let serial = ladder
-                .decoder
-                .decode_workspace(&encoded, use_box, &mut dog, &mut ws)
-                .unwrap();
-            assert!(dog.trip().is_none());
-            let (_, signal, decoded) = grouped[i].chosen.as_ref().unwrap();
-            let decoded = decoded.as_ref().unwrap();
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(signal), bits(&serial.signal), "window {i}: signal");
-            assert_eq!(bits(&decoded.signal), bits(&serial.signal));
-            assert_eq!(decoded.used_box, use_box);
-            assert_eq!(decoded.recovery.iterations, serial.recovery.iterations);
-            assert_eq!(decoded.recovery.converged, serial.recovery.converged);
+        let measurements = parsed[1].measurements.clone().unwrap();
+        let mut non_finite = measurements.clone();
+        non_finite[5] = f64::NAN;
+        for bad in [&non_finite[..], &measurements[1..]] {
+            let jobs: Vec<LadderJob<'_>> = parsed
+                .iter()
+                .enumerate()
+                .map(|(i, p)| LadderJob {
+                    measurements: if i == 1 {
+                        Some(bad)
+                    } else {
+                        p.measurements.as_deref()
+                    },
+                    lowres: p.lowres.as_ref(),
+                    skip_solvers: false,
+                    context: None,
+                })
+                .collect();
+            let mut ws = SolverWorkspace::new();
+            let grouped = ladder.solve_batch_with(&jobs, &mut ws);
+            let (rung, _, decoded) = grouped[1].chosen.as_ref().unwrap();
+            assert_eq!(*rung, LadderRung::LowResOnly);
+            assert!(decoded.is_none());
             assert_eq!(
-                decoded.recovery.residual.to_bits(),
-                serial.recovery.residual.to_bits()
+                grouped[1].demotions,
+                vec![
+                    (LadderRung::Hybrid, "decode_error"),
+                    (LadderRung::CsOnly, "decode_error")
+                ]
             );
-            assert_eq!(
-                decoded.recovery.objective.to_bits(),
-                serial.recovery.objective.to_bits()
-            );
+            for (job, outcome) in jobs.iter().zip(&grouped) {
+                let alone = ladder.solve_with(job.measurements, job.lowres, false, &mut ws);
+                assert_eq!(*outcome, alone);
+                let (_, signal, _) = outcome.chosen.as_ref().unwrap();
+                let (_, alone_signal, _) = alone.chosen.as_ref().unwrap();
+                assert_eq!(bits(signal), bits(alone_signal));
+            }
+            for neighbour in [&grouped[0], &grouped[2]] {
+                assert!(neighbour.demotions.is_empty());
+                assert_eq!(neighbour.chosen.as_ref().unwrap().0, LadderRung::Hybrid);
+            }
         }
     }
 

@@ -137,8 +137,9 @@ impl UnpackedBernoulli {
     }
 }
 
-/// The bit-packed sensing fast path matches the unpacked f64-chip
-/// reference to 0 ULP — forward and adjoint — across seeded chip
+/// The bit-packed sensing fast paths match the unpacked f64-chip
+/// reference to 0 ULP — the term-by-term forward fold, the sign-table
+/// forward kernel every decode runs, and the adjoint — across seeded chip
 /// sequences, and the adjoint identity ⟨Φx, y⟩ ≈ ⟨x, Φᵀy⟩ still holds.
 #[test]
 fn packed_sensing_matches_unpacked_to_zero_ulp() {
@@ -156,10 +157,14 @@ fn packed_sensing_matches_unpacked_to_zero_ulp() {
             let reference = UnpackedBernoulli::of(&phi);
             let mut fast = vec![0.0; *m];
             let mut slow = vec![0.0; *m];
+            let mut table = vec![0.0; *m];
+            let mut scratch = vec![0.0; phi.forward_scratch_len()];
             phi.apply_into(x, &mut fast);
+            phi.apply_into_scratch(x, &mut table, &mut scratch);
             reference.apply_into(x, &mut slow);
-            for (a, b) in fast.iter().zip(&slow) {
+            for ((a, t), b) in fast.iter().zip(&table).zip(&slow) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
+                prop_assert_eq!(t.to_bits(), b.to_bits());
             }
             let y: Vec<f64> = (0..*m).map(|i| (i as f64 * 0.7).cos() * 2.0).collect();
             let mut fast_t = vec![0.0; n];

@@ -95,10 +95,9 @@ pub struct Gateway {
     ladders: Vec<LadderEntry>,
     sessions: BTreeMap<u64, Session>,
     batch: Batch,
-    /// One solver-buffer arena per shard, reused across flushes so
-    /// steady-state decodes never allocate inside the solver loops. A shard
-    /// is owned by exactly one worker per flush, so each arena moves into
-    /// that worker's closure and back — no locking.
+    /// One solver-buffer arena per worker, reused across flushes so
+    /// steady-state decodes never allocate inside the solver loops. Each
+    /// flush's worker `j` borrows arena `j` in place — no locking.
     workspaces: Vec<SolverWorkspace>,
     /// The deterministic logical clock: ticks once per ingest-tier call
     /// (`push`/`notify_lost`/`close`) on the caller thread, so frame
@@ -128,7 +127,9 @@ impl Gateway {
             ladders: Vec::new(),
             sessions: BTreeMap::new(),
             batch: Batch::new(config.shards),
-            workspaces: (0..config.shards).map(|_| SolverWorkspace::new()).collect(),
+            workspaces: (0..config.workers)
+                .map(|_| SolverWorkspace::new())
+                .collect(),
             clock: 0,
             journal: None,
             applied: 0,
@@ -649,33 +650,28 @@ impl Gateway {
         let workers = self.config.workers;
         let max_decode_batch = self.config.max_decode_batch;
         let jobs = &self.batch.jobs;
-        // Each worker takes ownership of the workspaces of the shards it
-        // owns this flush (shard ≡ worker mod workers) and returns them when
-        // done, so the warmed buffer pools persist across flushes.
-        let mut shard_workspaces: Vec<Vec<(usize, SolverWorkspace)>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        for (shard, ws) in std::mem::take(&mut self.workspaces).into_iter().enumerate() {
-            shard_workspaces[shard % workers].push((shard, ws));
-        }
         // Fan out: each worker walks the job list in order, solving only
         // its shards. Results carry the job index for exact scatter, plus
         // the solve and queue-wait durations for the stage histograms.
         let obs_on = hybridcs_obs::enabled();
         let mut solved: Vec<Option<(LadderOutcome, f64, f64)>> = vec![None; jobs.len()];
-        let mut returned: Vec<(usize, SolverWorkspace)> = Vec::with_capacity(self.config.shards);
         std::thread::scope(|scope| {
-            let handles: Vec<_> = shard_workspaces
-                .into_iter()
+            let handles: Vec<_> = self
+                .workspaces
+                .iter_mut()
                 .enumerate()
-                .map(|(worker, mut owned)| {
+                .map(|(worker, ws)| {
                     scope.spawn(move || {
                         let mut out = Vec::new();
                         // This worker's jobs, grouped per (shard, ladder):
                         // windows sharing operator state solve as one
                         // lockstep batch, so the packed-sign and wavelet
                         // kernels amortize across the group. A group never
-                        // crosses shards (one workspace per shard), and
-                        // chunking at `max_decode_batch` bounds panel width.
+                        // crosses shards, although the arena is the
+                        // worker's: a window's panel-mates, and with them
+                        // its solve time, stay independent of the worker
+                        // count. Chunking at `max_decode_batch` bounds
+                        // panel width.
                         let mut groups: Vec<(usize, &Arc<DecodeLadder>, Vec<usize>)> = Vec::new();
                         for (index, job) in jobs.iter().enumerate() {
                             if job.shard % workers != worker {
@@ -688,12 +684,7 @@ impl Gateway {
                                 None => groups.push((job.shard, &job.ladder, vec![index])),
                             }
                         }
-                        for (shard, ladder, members) in groups {
-                            let ws = &mut owned
-                                .iter_mut()
-                                .find(|(owned_shard, _)| *owned_shard == shard)
-                                .expect("worker owns its shards' workspaces")
-                                .1;
+                        for (_, ladder, members) in groups {
                             for chunk in members.chunks(max_decode_batch) {
                                 let started = Instant::now();
                                 // Flight contexts ride inside the jobs: a
@@ -724,27 +715,17 @@ impl Gateway {
                                 }
                             }
                         }
-                        (out, owned)
+                        out
                     })
                 })
                 .collect();
             for handle in handles {
-                let (out, owned) = handle.join().expect("gateway worker panicked");
+                let out = handle.join().expect("gateway worker panicked");
                 for (index, outcome, seconds, queued) in out {
                     solved[index] = Some((outcome, seconds, queued));
                 }
-                returned.extend(owned);
             }
         });
-        self.workspaces = {
-            let mut restored: Vec<SolverWorkspace> = (0..self.config.shards)
-                .map(|_| SolverWorkspace::new())
-                .collect();
-            for (shard, ws) in returned {
-                restored[shard] = ws;
-            }
-            restored
-        };
         // Commit on this thread in ingest order.
         let jobs = std::mem::take(&mut self.batch.jobs);
         let shed = std::mem::take(&mut self.batch.shed);

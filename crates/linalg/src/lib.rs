@@ -8,10 +8,11 @@
 //! * [`Matrix`] — a row-major dense matrix with mat-vec, transposed mat-vec,
 //!   Gram products and small-matrix algebra.
 //! * [`Cholesky`] — factorization/solve for symmetric positive-definite
-//!   systems (used by the greedy sparse solvers for their least-squares
-//!   refits).
+//!   systems (the direct reference the conjugate-gradient property tests
+//!   check [`conjugate_gradient`] against).
 //! * [`QrFactorization`] — Householder QR with a least-squares solver, the
-//!   numerically robust alternative to the normal equations.
+//!   numerically robust alternative to the normal equations (used by the
+//!   greedy sparse solvers for their least-squares refits).
 //! * [`conjugate_gradient`] — matrix-free CG for SPD operators.
 //! * [`operator_norm_est`] — power iteration on `AᵀA` to bound `‖A‖₂`, used
 //!   by the first-order solvers to pick safe step sizes.

@@ -712,6 +712,19 @@ impl IngestServer {
                 Ok(None)
             }
             (Phase::Streaming, Message::Heartbeat { sent_through }) => {
+                // A device sends first transmissions only within its
+                // grant, so a claim beyond it names no radio hole; opening
+                // one per claimed sequence would pin this thread and grow
+                // the reorder buffer without bound.
+                if u64::from(sent_through) > conn.granted {
+                    registry
+                        .counter(
+                            "net_protocol_errors_total",
+                            &[("kind", "heartbeat_beyond_grant")],
+                        )
+                        .inc();
+                    return Ok(Some(Retire::Protocol));
+                }
                 let session = conn.session.expect("streaming implies session");
                 // Any first-transmission the device claims to have sent
                 // but we never saw is a hole the radio ate; open it so
@@ -828,7 +841,7 @@ impl IngestServer {
                 conn_step::SHED,
                 pending as u64,
             );
-        } else if self.overloaded && pending < self.config.overload_pending / 2 {
+        } else if self.overloaded && 2 * pending < self.config.overload_pending {
             self.overloaded = false;
         }
     }

@@ -6,6 +6,8 @@
 //! bit-for-bit).
 
 use std::collections::BTreeMap;
+use std::io::Write;
+use std::net::TcpStream;
 
 use hybridcs_coding::LowResCodec;
 use hybridcs_core::experiment::default_training_windows;
@@ -13,10 +15,11 @@ use hybridcs_core::telemetry::FrameCodec;
 use hybridcs_core::{train_lowres_codec, HybridFrontEnd, SupervisedWindow, SystemConfig};
 use hybridcs_ecg::{EcgGenerator, GeneratorConfig};
 use hybridcs_faults::{FaultyTransport, GilbertElliottConfig, TransportFaultConfig};
-use hybridcs_gateway::{Gateway, GatewayConfig};
+use hybridcs_gateway::{Gateway, GatewayConfig, Record};
+use hybridcs_net::proto::encode;
 use hybridcs_net::{
-    session_major, ClientConfig, DeviceClient, DevicePhase, IngestConfig, IngestServer, RejectCode,
-    ShapeTable,
+    session_major, ClientConfig, DeviceClient, DevicePhase, IngestConfig, IngestServer, Message,
+    RejectCode, ShapeTable, PROTO_VERSION,
 };
 
 struct Rig {
@@ -316,31 +319,83 @@ fn duplicate_device_id_is_rejected_while_first_lives() {
     assert_eq!(clients[0].phase(), DevicePhase::Done);
 }
 
+/// Overload withholds credit, and every watermark lets it clear again
+/// once the flushes drain the pending windows, 1 included (it clears at
+/// zero pending).
 #[test]
 fn overload_withholds_credit_and_recovers() {
     let rig = rig();
-    let mut config = test_config();
-    // Enter overload almost immediately and keep batches tiny so the
-    // stall/recover cycle happens many times.
-    config.overload_pending = 2;
-    config.flush_pending = 4;
-    config.recv_window = 4;
+    for overload_pending in [1, 2] {
+        let mut config = test_config();
+        // Enter overload almost immediately and keep batches tiny so the
+        // stall/recover cycle happens many times.
+        config.overload_pending = overload_pending;
+        config.flush_pending = 4;
+        config.recv_window = 4;
+        let mut server =
+            IngestServer::bind("127.0.0.1:0", config.clone(), ShapeTable::new(rig.shapes()))
+                .expect("bind");
+
+        let windows = 8usize;
+        let mut clients: Vec<DeviceClient> = (0..3u64)
+            .map(|d| connect(&rig, &server, d, frames_for(&rig, d, windows), clean()))
+            .collect();
+        drive(&mut server, &mut clients);
+
+        let live = server.take_outputs();
+        assert_eq!(live.len(), 3);
+        for outputs in live.values() {
+            assert_eq!(outputs.len(), windows);
+        }
+        let overloads: u64 = clients.iter().map(|c| c.stats().overloads).sum();
+        assert!(overloads > 0, "overload notices reached the devices");
+        assert_replays_match(&mut server, &config.gateway, &rig, &live);
+    }
+}
+
+/// A heartbeat claiming more first transmissions than the connection was
+/// ever granted retires the connection as a protocol error, and opens no
+/// hole for any sequence it names.
+#[test]
+fn heartbeat_beyond_grant_is_a_protocol_error() {
+    let rig = rig();
+    let config = test_config();
     let mut server =
         IngestServer::bind("127.0.0.1:0", config.clone(), ShapeTable::new(rig.shapes()))
             .expect("bind");
-
-    let windows = 8usize;
-    let mut clients: Vec<DeviceClient> = (0..3u64)
-        .map(|d| connect(&rig, &server, d, frames_for(&rig, d, windows), clean()))
-        .collect();
-    drive(&mut server, &mut clients);
-
-    let live = server.take_outputs();
-    assert_eq!(live.len(), 3);
-    for outputs in live.values() {
-        assert_eq!(outputs.len(), windows);
+    let mut device = TcpStream::connect(server.local_addr()).expect("connect");
+    // `HelloAck` grants `recv_window` first transmissions.
+    let claim = u32::try_from(config.recv_window + 1).expect("small window");
+    for message in [
+        Message::Hello {
+            version: PROTO_VERSION,
+            device: 7,
+            shape_fp: rig.shape_fp,
+            config_fp: server.config_fingerprint(),
+        },
+        Message::Heartbeat {
+            sent_through: claim,
+        },
+    ] {
+        device.write_all(&encode(&message)).expect("write");
     }
-    let overloads: u64 = clients.iter().map(|c| c.stats().overloads).sum();
-    assert!(overloads > 0, "overload notices reached the devices");
-    assert_replays_match(&mut server, &config.gateway, &rig, &live);
+    for _ in 0..100_000 {
+        server.poll().expect("poll");
+        if server.sessions_closed() == 1 && server.active_connections() == 0 {
+            break;
+        }
+    }
+    assert_eq!(server.active_connections(), 0, "connection retired");
+    assert_eq!(server.sessions_closed(), 1);
+    let errors = hybridcs_obs::global().snapshot().counter_value(
+        "net_protocol_errors_total",
+        &[("kind", "heartbeat_beyond_grant")],
+    );
+    assert_eq!(errors, Some(1));
+    let ops = server.take_ops();
+    assert!(ops.iter().any(|op| matches!(op, Record::Close { id: 7 })));
+    assert!(
+        !ops.iter().any(|op| matches!(op, Record::NotifyLost { .. })),
+        "a claim beyond the grant opened holes: {ops:?}"
+    );
 }

@@ -15,9 +15,9 @@
 
 /// A pool of reusable `f64` buffers shared by the solver entry points.
 ///
-/// Not thread-safe by design — the gateway keeps one workspace per shard and
-/// each shard is owned by exactly one worker per flush, so no synchronization
-/// is needed on the hot path.
+/// Not thread-safe by design — the gateway keeps one workspace per worker and
+/// each flush's worker borrows only its own, so no synchronization is needed
+/// on the hot path.
 ///
 /// # Example
 ///

@@ -34,8 +34,10 @@ echo "==> SIMD kernel pins on both tiers (natural dispatch, then HYBRIDCS_FORCE_
 # re-running the linalg, solver, sensing (frontend) and wavelet (dsp)
 # suites with the scalar pin additionally drives every batch bit-identity
 # test through the fallback dispatch path that CI would otherwise only
-# exercise on non-AVX2 hosts.
-SIMD_CRATES=(-p hybridcs-linalg -p hybridcs-solver -p hybridcs-frontend -p hybridcs-dsp)
+# exercise on non-AVX2 hosts. The core (decode ladder) and gateway (flush)
+# suites ride along: their batched-vs-serial tests run the same kernels.
+SIMD_CRATES=(-p hybridcs-linalg -p hybridcs-solver -p hybridcs-frontend -p hybridcs-dsp
+    -p hybridcs-core -p hybridcs-gateway)
 cargo test -q --release --offline "${SIMD_CRATES[@]}"
 HYBRIDCS_FORCE_SCALAR=1 \
     cargo test -q --release --offline "${SIMD_CRATES[@]}"
