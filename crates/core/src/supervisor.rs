@@ -58,7 +58,8 @@ use crate::decoder::Sections;
 use crate::telemetry::FrameCodec;
 use crate::{CoreError, HybridDecoder, SystemConfig};
 use hybridcs_coding::{LowResCodec, Payload};
-use hybridcs_obs::{ConvergenceTrace, EventContext, IterationEvent, IterationObserver};
+use hybridcs_obs::flight::{demotion_reason_code, emit_with};
+use hybridcs_obs::{EventContext, EventKind, IterationObserver};
 use hybridcs_solver::{SolverWatchdog, SolverWorkspace, WatchdogConfig};
 
 /// Which rung of the decode ladder produced a window.
@@ -203,54 +204,9 @@ pub struct LadderJob<'a> {
     pub lowres: Option<&'a Payload>,
     /// Load shedding: demote the solver rungs with reason `"shed"`.
     pub skip_solvers: bool,
-    /// Flight-recorder context for this window's solver-side events
-    /// (watchdog trips). Batched solves interleave windows on one thread,
-    /// so a single ambient thread-local context would tag every window
-    /// alike; `None` leaves the ambient context untouched.
+    /// Flight-recorder attribution of this window's watchdog trips;
+    /// `None` records them under the default context.
     pub context: Option<EventContext>,
-}
-
-/// Runs every event-emitting observer callback under a fixed
-/// flight-recorder context, so watchdog trips fired from inside a batched
-/// solve attribute to the wrapped window rather than to whatever the
-/// thread-local happens to hold.
-struct ContextScoped<'a, 'w> {
-    inner: &'a mut SolverWatchdog<'w>,
-    ctx: Option<EventContext>,
-}
-
-impl<'w> ContextScoped<'_, 'w> {
-    fn scoped<T>(&mut self, f: impl FnOnce(&mut SolverWatchdog<'w>) -> T) -> T {
-        use hybridcs_obs::flight::{context, set_context};
-        match self.ctx {
-            None => f(self.inner),
-            Some(ctx) => {
-                let prev = context();
-                set_context(Some(ctx));
-                let out = f(self.inner);
-                set_context(prev);
-                out
-            }
-        }
-    }
-}
-
-impl IterationObserver for ContextScoped<'_, '_> {
-    fn active(&self) -> bool {
-        self.inner.active()
-    }
-
-    fn on_iteration(&mut self, event: &IterationEvent) {
-        self.scoped(|dog| dog.on_iteration(event));
-    }
-
-    fn on_complete(&mut self, trace: &ConvergenceTrace) {
-        self.scoped(|dog| dog.on_complete(trace));
-    }
-
-    fn should_abort(&self) -> bool {
-        self.inner.should_abort()
-    }
 }
 
 /// The stateless half of the decode ladder: parsing and solver-backed rung
@@ -456,7 +412,8 @@ impl DecodeLadder {
     /// a watched batched decode of each `(job index, sections)` window of
     /// `group`, scattering per-window success into `chosen` and failure
     /// reasons into `demotions`: a decode error, a watchdog trip or a
-    /// non-finite output demotes instead of propagating.
+    /// non-finite output demotes instead of propagating. Each trip is
+    /// recorded in the flight recorder under its job's context.
     fn rung_batch(
         &self,
         jobs: &[LadderJob<'_>],
@@ -469,31 +426,31 @@ impl DecodeLadder {
         if group.is_empty() {
             return;
         }
-        let mut dogs: Vec<SolverWatchdog<'_>> = group
+        let mut dogs: Vec<SolverWatchdog> = group
             .iter()
             .map(|_| SolverWatchdog::new(self.watchdog))
             .collect();
-        let mut scoped: Vec<ContextScoped<'_, '_>> = dogs
+        let mut refs: Vec<&mut dyn IterationObserver> = dogs
             .iter_mut()
-            .zip(group)
-            .map(|(dog, &(i, _))| ContextScoped {
-                inner: dog,
-                ctx: jobs[i].context,
-            })
-            .collect();
-        let mut refs: Vec<&mut dyn IterationObserver> = scoped
-            .iter_mut()
-            .map(|s| s as &mut dyn IterationObserver)
+            .map(|dog| dog as &mut dyn IterationObserver)
             .collect();
         let windows: Vec<Sections<'_>> = group.iter().map(|&(_, sections)| sections).collect();
         let results = self.decoder.decode_batch(&windows, &mut refs, ws);
         drop(refs);
-        drop(scoped);
         for ((&(i, _), result), dog) in group.iter().zip(results).zip(dogs) {
+            let trip = dog.trip();
+            if let Some(trip) = trip {
+                emit_with(
+                    jobs[i].context.unwrap_or_default(),
+                    EventKind::WatchdogTrip,
+                    trip.code(),
+                    trip.iteration() as u64,
+                );
+            }
             match result {
                 Err(_) => demotions[i].push((rung, "decode_error")),
                 Ok(decoded) => {
-                    if dog.trip().is_some() {
+                    if trip.is_some() {
                         demotions[i].push((rung, "watchdog"));
                     } else if decoded.signal.iter().any(|v| !v.is_finite()) {
                         demotions[i].push((rung, "non_finite"));
@@ -606,11 +563,15 @@ impl SessionLedger {
     }
 
     /// Books one window's outcome: counters, demotion trail, concealment
-    /// or last-good update. Always yields a finite window — the bottom
-    /// (concealment) rung cannot fail.
-    pub fn commit(&mut self, sequence: Option<u32>, outcome: LadderOutcome) -> SupervisedWindow {
-        use hybridcs_obs::flight::{demotion_reason_code, emit};
-        use hybridcs_obs::EventKind;
+    /// or last-good update, with the flight events attributed to `ctx`.
+    /// Always yields a finite window — the bottom (concealment) rung
+    /// cannot fail.
+    pub fn commit(
+        &mut self,
+        sequence: Option<u32>,
+        outcome: LadderOutcome,
+        ctx: EventContext,
+    ) -> SupervisedWindow {
         let registry = hybridcs_obs::global();
         registry.counter("supervisor_windows_total", &[]).inc();
         let commit_arg = sequence.map_or(u64::MAX, u64::from);
@@ -621,7 +582,8 @@ impl SessionLedger {
                     &[("rung", rung.name()), ("reason", reason)],
                 )
                 .inc();
-            emit(
+            emit_with(
+                ctx,
                 EventKind::Demotion,
                 rung.code(),
                 u64::from(demotion_reason_code(reason)),
@@ -632,7 +594,7 @@ impl SessionLedger {
                 registry
                     .counter("supervisor_rung_total", &[("rung", rung.name())])
                     .inc();
-                emit(EventKind::Commit, rung.code(), commit_arg);
+                emit_with(ctx, EventKind::Commit, rung.code(), commit_arg);
                 self.last_good = Some(signal.clone());
                 self.consecutive_concealed = 0;
                 SupervisedWindow {
@@ -658,7 +620,12 @@ impl SessionLedger {
                         &[("rung", LadderRung::Concealed.name())],
                     )
                     .inc();
-                emit(EventKind::Commit, LadderRung::Concealed.code(), commit_arg);
+                emit_with(
+                    ctx,
+                    EventKind::Commit,
+                    LadderRung::Concealed.code(),
+                    commit_arg,
+                );
                 SupervisedWindow {
                     sequence,
                     rung: LadderRung::Concealed,
@@ -739,7 +706,8 @@ impl RecoverySupervisor {
             false,
             &mut SolverWorkspace::new(),
         );
-        self.ledger.commit(parsed.sequence, outcome)
+        self.ledger
+            .commit(parsed.sequence, outcome, EventContext::default())
     }
 }
 
@@ -821,7 +789,7 @@ mod tests {
             false,
             &mut SolverWorkspace::new(),
         );
-        let split = ledger.commit(parsed.sequence, outcome);
+        let split = ledger.commit(parsed.sequence, outcome, EventContext::default());
 
         // ...and compare with the one-call path.
         let composed = supervisor.receive(Some(&bytes));
@@ -839,8 +807,9 @@ mod tests {
                 chosen: Some((LadderRung::LowResOnly, vec![0.5; 4], None)),
                 demotions: Vec::new(),
             },
+            EventContext::default(),
         );
-        ledger.commit(None, LadderOutcome::empty());
+        ledger.commit(None, LadderOutcome::empty(), EventContext::default());
         let state = ledger.state();
         assert_eq!(state.last_good, Some(vec![0.5; 4]));
         assert_eq!(state.consecutive_concealed, 1);
@@ -850,7 +819,7 @@ mod tests {
         let mut restored = SessionLedger::new(4, 2);
         restored.restore(state.clone());
         assert_eq!(restored.state(), state);
-        let concealed = restored.commit(None, LadderOutcome::empty());
+        let concealed = restored.commit(None, LadderOutcome::empty(), EventContext::default());
         assert_eq!(concealed.signal, vec![0.5; 4], "still within reuse budget");
 
         // Reset clears everything a reused session id could inherit.
@@ -863,7 +832,7 @@ mod tests {
                 expected_sequence: None,
             }
         );
-        let fresh = ledger.commit(None, LadderOutcome::empty());
+        let fresh = ledger.commit(None, LadderOutcome::empty(), EventContext::default());
         assert_eq!(fresh.signal, vec![0.0; 4], "no stale concealment source");
     }
 
@@ -1076,16 +1045,17 @@ mod tests {
                 chosen: Some((LadderRung::LowResOnly, vec![1.0; 4], None)),
                 demotions: Vec::new(),
             },
+            EventContext::default(),
         );
         assert_eq!(good.rung, LadderRung::LowResOnly);
         // Two concealments reuse the last good window...
         for _ in 0..2 {
-            let hidden = ledger.commit(None, LadderOutcome::empty());
+            let hidden = ledger.commit(None, LadderOutcome::empty(), EventContext::default());
             assert_eq!(hidden.rung, LadderRung::Concealed);
             assert_eq!(hidden.signal, vec![1.0; 4]);
         }
         // ...then the reuse budget is spent and the ledger flat-lines.
-        let stale = ledger.commit(None, LadderOutcome::empty());
+        let stale = ledger.commit(None, LadderOutcome::empty(), EventContext::default());
         assert_eq!(stale.signal, vec![0.0; 4]);
     }
 }

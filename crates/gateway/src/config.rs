@@ -34,7 +34,9 @@ pub struct GatewayConfig {
     /// windows are shed to the low-resolution rung.
     pub max_shard_queue: usize,
     /// Auto-flush threshold: when this many windows are queued across all
-    /// shards, `push` flushes the batch itself.
+    /// shards, `push` flushes the batch itself. It also bounds gap
+    /// repair: a header more than this many sequences past the highest
+    /// frame seen resyncs the session ([`push`](crate::Gateway::push)).
     pub batch_capacity: usize,
     /// Per-session admission quota: at most this many solver-admitted
     /// windows per `admit_window` consecutive windows of that session's

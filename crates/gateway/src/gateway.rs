@@ -10,7 +10,7 @@ use hybridcs_core::{
     DecodeLadder, LadderJob, LadderOutcome, SessionLedger, SupervisedWindow, SystemConfig,
 };
 use hybridcs_faults::{JournalStore, NackOutcome, RetryQueue};
-use hybridcs_obs::flight::{emit_with, set_context};
+use hybridcs_obs::flight::emit_with;
 use hybridcs_obs::{EventContext, EventKind};
 use hybridcs_solver::SolverWorkspace;
 
@@ -49,11 +49,17 @@ struct Job {
 
 impl Job {
     fn event_context(&self) -> EventContext {
-        EventContext {
-            logical: self.logical,
-            session: self.session,
-            shard: self.shard as u16,
-        }
+        event_context(self.logical, self.session, self.shard)
+    }
+}
+
+/// The flight-recorder attribution of an event of session `session`,
+/// pinned to `shard`, at logical stamp `logical`.
+fn event_context(logical: u64, session: u64, shard: usize) -> EventContext {
+    EventContext {
+        logical,
+        session,
+        shard: shard as u16,
     }
 }
 
@@ -285,7 +291,10 @@ impl Gateway {
     /// duplicate or late frame) is counted and absorbed, never an error.
     /// Detected sequence gaps are nacked through the session's ARQ; poll
     /// [`take_nacks`](Gateway::take_nacks) to collect retransmission
-    /// requests. May auto-flush when the batch reaches capacity.
+    /// requests. A header more than `batch_capacity` past the highest
+    /// frame seen resyncs the session instead: every hole up to that
+    /// frame is declared lost, and the skipped sequences get no window.
+    /// May auto-flush when the batch reaches capacity.
     ///
     /// # Errors
     ///
@@ -319,11 +328,8 @@ impl Gateway {
             registry.counter("gateway_closed_session_total", &[]).inc();
             return Err(GatewayError::SessionClosed(id));
         }
-        let ctx = EventContext {
-            logical,
-            session: id,
-            shard: session.shard as u16,
-        };
+        let ctx = event_context(logical, id, session.shard);
+        let mut resync = None;
         let parsed = session.ladder.parse(Some(packet));
         match parsed.sequence {
             None => {
@@ -356,28 +362,39 @@ impl Gateway {
                     emit_with(ctx, EventKind::Ingest, 2, u64::from(seq));
                     return Ok(());
                 }
-                registry
-                    .counter("gateway_frames_total", &[("result", "accepted")])
-                    .inc();
                 emit_with(ctx, EventKind::Ingest, 0, u64::from(seq));
                 if session.nacked.remove(&seq) {
                     session.arq.resolve(seq);
                     emit_with(ctx, EventKind::ArqVerdict, 1, u64::from(seq));
                 }
-                // Everything between the highest frame seen and this one
-                // is now a known hole: start the nack cycle for each.
-                for gap in session.next_unseen()..seq {
-                    Self::open_gap(session, id, logical, gap);
+                let queued = Queued {
+                    slot: Slot::Frame(parsed),
+                    logical,
+                    at: started,
+                };
+                // A jump past what one batch holds is not a gap the ARQ
+                // can repair (a sensor restart, or a corrupt counter under
+                // a valid CRC): repairing it would open one hole per
+                // skipped sequence.
+                if seq.saturating_sub(session.next_unseen()) as usize > self.config.batch_capacity {
+                    registry
+                        .counter("gateway_frames_total", &[("result", "resync")])
+                        .inc();
+                    Self::declare_holes_lost(session, id, logical);
+                    resync = Some((seq, queued));
+                } else {
+                    registry
+                        .counter("gateway_frames_total", &[("result", "accepted")])
+                        .inc();
+                    // Everything between the highest frame seen and this
+                    // one is now a known hole: start the nack cycle for
+                    // each.
+                    for gap in session.next_unseen()..seq {
+                        Self::open_gap(session, id, logical, gap);
+                    }
+                    session.highest_seen = Some(session.highest_seen.map_or(seq, |h| h.max(seq)));
+                    session.reorder.insert(seq, queued);
                 }
-                session.highest_seen = Some(session.highest_seen.map_or(seq, |h| h.max(seq)));
-                session.reorder.insert(
-                    seq,
-                    Queued {
-                        slot: Slot::Frame(parsed),
-                        logical,
-                        at: started,
-                    },
-                );
             }
         }
         if session.phase == SessionPhase::Handshake {
@@ -390,6 +407,14 @@ impl Gateway {
             );
         }
         self.release_ready(id);
+        if let Some((seq, queued)) = resync {
+            // The released prefix ends the old stream; it resumes at `seq`.
+            let session = self.sessions.get_mut(&id).expect("checked above");
+            session.next_release = seq;
+            session.highest_seen = Some(seq);
+            session.reorder.insert(seq, queued);
+            self.release_ready(id);
+        }
         registry
             .histogram("gateway_stage_seconds", &[("stage", "ingest")])
             .record(started.elapsed().as_secs_f64());
@@ -482,13 +507,34 @@ impl Gateway {
         Ok(out)
     }
 
+    /// Gives up on every hole up to the highest frame seen: each missing
+    /// slot is declared lost (it will conceal) and every outstanding nack
+    /// is abandoned, releasing its ARQ reservation.
+    fn declare_holes_lost(session: &mut Session, id: u64, logical: u64) {
+        let ctx = event_context(logical, id, session.shard);
+        if let Some(highest) = session.highest_seen {
+            for seq in session.next_release..=highest {
+                session.reorder.entry(seq).or_insert_with(|| {
+                    hybridcs_obs::global()
+                        .counter("gateway_declared_lost_total", &[])
+                        .inc();
+                    emit_with(ctx, EventKind::ArqVerdict, 2, u64::from(seq));
+                    Queued {
+                        slot: Slot::Lost,
+                        logical,
+                        at: Instant::now(),
+                    }
+                });
+            }
+        }
+        for seq in std::mem::take(&mut session.nacked) {
+            session.arq.abandon(seq);
+        }
+    }
+
     /// Nacks a fresh hole, or declares it lost when ARQ limits say no.
     fn open_gap(session: &mut Session, id: u64, logical: u64, sequence: u32) {
-        let ctx = EventContext {
-            logical,
-            session: id,
-            shard: session.shard as u16,
-        };
+        let ctx = event_context(logical, id, session.shard);
         match session.arq.nack(sequence) {
             NackOutcome::Queued => {
                 session.nacked.insert(sequence);
@@ -539,11 +585,7 @@ impl Gateway {
             if let Some(s) = sequence {
                 session.ledger.track_sequence(s);
             }
-            let ctx = EventContext {
-                logical,
-                session: id,
-                shard: session.shard as u16,
-            };
+            let ctx = event_context(logical, id, session.shard);
             let mut skip_solvers = false;
             if measurements.is_some() {
                 if session.admitted_in_epoch >= self.config.admit_quota {
@@ -588,11 +630,7 @@ impl Gateway {
         session.refresh_phase();
         if session.phase != phase_before {
             emit_with(
-                EventContext {
-                    logical: self.clock,
-                    session: id,
-                    shard: session.shard as u16,
-                },
+                event_context(self.clock, id, session.shard),
                 EventKind::StageTransition,
                 session.phase.code(),
                 0,
@@ -653,7 +691,6 @@ impl Gateway {
         // Fan out: each worker walks the job list in order, solving only
         // its shards. Results carry the job index for exact scatter, plus
         // the solve and queue-wait durations for the stage histograms.
-        let obs_on = hybridcs_obs::enabled();
         let mut solved: Vec<Option<(LadderOutcome, f64, f64)>> = vec![None; jobs.len()];
         std::thread::scope(|scope| {
             let handles: Vec<_> = self
@@ -687,10 +724,9 @@ impl Gateway {
                         for (_, ladder, members) in groups {
                             for chunk in members.chunks(max_decode_batch) {
                                 let started = Instant::now();
-                                // Flight contexts ride inside the jobs: a
-                                // batched solve interleaves windows, so the
-                                // ladder scopes each window's watchdog
-                                // events itself.
+                                // Each job carries its window's flight
+                                // context: the ladder records the window's
+                                // watchdog trips under it.
                                 let ladder_jobs: Vec<LadderJob<'_>> = chunk
                                     .iter()
                                     .map(|&index| {
@@ -699,7 +735,7 @@ impl Gateway {
                                             measurements: job.measurements.as_deref(),
                                             lowres: job.lowres.as_ref(),
                                             skip_solvers: job.skip_solvers,
-                                            context: obs_on.then(|| job.event_context()),
+                                            context: Some(job.event_context()),
                                         }
                                     })
                                     .collect();
@@ -748,11 +784,9 @@ impl Gateway {
                 .sessions
                 .get_mut(&job.session)
                 .expect("sessions outlive queued jobs");
-            if obs_on {
-                // Attribute the ledger's demotion/commit flight events.
-                set_context(Some(job.event_context()));
-            }
-            let window = session.ledger.commit(job.sequence, outcome);
+            let window = session
+                .ledger
+                .commit(job.sequence, outcome, job.event_context());
             session.outputs.push(window);
             registry
                 .histogram("gateway_stage_seconds", &[("stage", "commit")])
@@ -766,9 +800,6 @@ impl Gateway {
             if !job.skip_solvers && job.measurements.is_some() {
                 report.full_solves += 1;
             }
-        }
-        if obs_on {
-            set_context(None);
         }
         registry.counter("gateway_batches_total", &[]).inc();
         registry
@@ -829,7 +860,6 @@ impl Gateway {
     }
 
     fn close_inner(&mut self, id: u64) -> Result<Vec<SupervisedWindow>, GatewayError> {
-        let registry = hybridcs_obs::global();
         self.clock += 1;
         let logical = self.clock;
         {
@@ -839,45 +869,19 @@ impl Gateway {
             if session.phase == SessionPhase::Closed {
                 return Err(GatewayError::SessionClosed(id));
             }
-            let ctx = EventContext {
-                logical,
-                session: id,
-                shard: session.shard as u16,
-            };
-            if let Some(highest) = session.highest_seen {
-                for seq in session.next_release..=highest {
-                    session.reorder.entry(seq).or_insert_with(|| {
-                        registry.counter("gateway_declared_lost_total", &[]).inc();
-                        emit_with(ctx, EventKind::ArqVerdict, 2, u64::from(seq));
-                        Queued {
-                            slot: Slot::Lost,
-                            logical,
-                            at: Instant::now(),
-                        }
-                    });
-                }
-            }
+            Self::declare_holes_lost(session, id, logical);
         }
         self.release_ready(id);
         self.flush_inner()?;
         let session = self.sessions.get_mut(&id).expect("session still present");
         session.phase = SessionPhase::Closed;
-        // Release every outstanding ARQ reservation and reset the ledger's
+        // With every ARQ reservation released above, reset the ledger's
         // degradation counters, so nothing stale survives into a reuse of
         // this session id.
-        let abandoned: Vec<u32> = session.nacked.iter().copied().collect();
-        for seq in abandoned {
-            session.arq.abandon(seq);
-        }
         session.ledger.reset();
-        session.nacked.clear();
         session.reorder.clear();
         emit_with(
-            EventContext {
-                logical,
-                session: id,
-                shard: session.shard as u16,
-            },
+            event_context(logical, id, session.shard),
             EventKind::StageTransition,
             SessionPhase::Closed.code(),
             0,
@@ -955,11 +959,7 @@ impl Gateway {
             .counter("gateway_checkpoints_total", &[])
             .inc();
         emit_with(
-            EventContext {
-                logical: self.clock,
-                session: 0,
-                shard: 0,
-            },
+            event_context(self.clock, 0, 0),
             EventKind::Checkpoint,
             0,
             at,
@@ -1135,11 +1135,7 @@ impl Gateway {
         config.validate()?;
         let started = Instant::now();
         let registry = hybridcs_obs::global();
-        let ctx = EventContext {
-            logical: 0,
-            session: 0,
-            shard: 0,
-        };
+        let ctx = EventContext::default();
         emit_with(ctx, EventKind::Recover, 0, 0);
         let bytes = store.read_all().map_err(GatewayError::Journal)?;
         let ScannedJournal {

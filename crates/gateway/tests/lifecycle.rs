@@ -4,7 +4,9 @@
 use hybridcs_coding::LowResCodec;
 use hybridcs_core::experiment::default_training_windows;
 use hybridcs_core::telemetry::FrameCodec;
-use hybridcs_core::{train_lowres_codec, HybridFrontEnd, LadderRung, SystemConfig};
+use hybridcs_core::{
+    train_lowres_codec, HybridFrontEnd, LadderRung, SupervisedWindow, SystemConfig,
+};
 use hybridcs_ecg::{EcgGenerator, GeneratorConfig};
 use hybridcs_faults::ArqConfig;
 use hybridcs_gateway::{Gateway, GatewayConfig, GatewayError, SessionPhase};
@@ -371,4 +373,43 @@ fn close_declares_trailing_holes_lost() {
     assert_eq!(outputs[1].rung, LadderRung::Concealed);
     assert_eq!(outputs[2].rung, LadderRung::Concealed);
     assert_eq!(outputs[3].sequence, Some(3));
+}
+
+#[test]
+fn header_far_past_the_stream_resyncs_instead_of_opening_holes() {
+    let rig = rig();
+    let mut gateway = Gateway::new(GatewayConfig::default()).unwrap();
+    for id in [4, 5] {
+        gateway
+            .handshake(id, &rig.system, rig.codec.clone())
+            .unwrap();
+        gateway.push(id, &rig.frame(0)).unwrap();
+    }
+    // A valid header 200 000 frames on is no gap one batch could repair:
+    // the session resumes there, and the skipped sequences get no window.
+    gateway.push(4, &rig.frame(200_000)).unwrap();
+    assert!(gateway.take_nacks(4).unwrap().is_empty());
+    assert_eq!(gateway.phase(4), Some(SessionPhase::Streaming));
+    // Holes opened before the jump are declared lost and their nacks
+    // abandoned.
+    gateway.push(5, &rig.frame(3)).unwrap();
+    gateway.push(5, &rig.frame(200_003)).unwrap();
+    assert!(gateway.take_nacks(5).unwrap().is_empty());
+    assert_eq!(gateway.phase(5), Some(SessionPhase::Streaming));
+
+    gateway.flush().unwrap();
+    let sequences = |outputs: Vec<SupervisedWindow>| -> Vec<Option<u32>> {
+        outputs.iter().map(|w| w.sequence).collect()
+    };
+    assert_eq!(
+        sequences(gateway.take_outputs(4).unwrap()),
+        vec![Some(0), Some(200_000)]
+    );
+    let outputs = gateway.take_outputs(5).unwrap();
+    assert_eq!(outputs[1].rung, LadderRung::Concealed);
+    assert_eq!(outputs[2].rung, LadderRung::Concealed);
+    assert_eq!(
+        sequences(outputs),
+        vec![Some(0), None, None, Some(3), Some(200_003)]
+    );
 }

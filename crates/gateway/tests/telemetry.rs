@@ -180,6 +180,26 @@ fn injected_watchdog_trip_is_dumped_and_schema_valid() {
         assert!(dump.contains("\"event\":\"commit\""));
         assert!(dump.contains("\"event\":\"stage_transition\""));
         assert!(dump.contains("\"code\":\"closed\""));
+        // Each trip, demotion and commit names the window it belongs to:
+        // an event whose context fell back to zeros names no session.
+        let field = |line: &str, key: &str| -> u64 {
+            let (_, rest) = line
+                .split_once(&format!("\"{key}\":"))
+                .unwrap_or_else(|| panic!("no {key} in {line}"));
+            let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+            digits.parse().unwrap()
+        };
+        for line in dump.lines().filter(|line| {
+            ["watchdog_trip", "demotion", "commit"]
+                .iter()
+                .any(|event| line.contains(&format!("\"event\":\"{event}\"")))
+        }) {
+            assert!(
+                [11, 22, 33, 44].contains(&field(line, "session")),
+                "event attributed to no session: {line}"
+            );
+            assert!(field(line, "logical") >= 1, "event has no stamp: {line}");
+        }
     });
 }
 

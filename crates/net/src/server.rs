@@ -45,10 +45,9 @@
 //! provided queue-depth shedding is disabled — see DESIGN §13). The
 //! ingest soak asserts both.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::time::Instant;
 
 use hybridcs_coding::LowResCodec;
 use hybridcs_core::{SupervisedWindow, SystemConfig};
@@ -337,9 +336,6 @@ pub struct IngestServer {
     overloaded: bool,
     outputs: BTreeMap<u64, Vec<SupervisedWindow>>,
     ops: Vec<Record>,
-    /// Arrival stamp of each gateway-pending window, FIFO, for the
-    /// frame-to-commit histogram.
-    pending_arrivals: VecDeque<Instant>,
     sessions_closed: u64,
 }
 
@@ -370,7 +366,6 @@ impl IngestServer {
             overloaded: false,
             outputs: BTreeMap::new(),
             ops: Vec::new(),
-            pending_arrivals: VecDeque::new(),
             sessions_closed: 0,
         })
     }
@@ -679,7 +674,6 @@ impl IngestServer {
                     return Ok(Some(Retire::Protocol));
                 }
                 let session = conn.session.expect("streaming implies session");
-                let before = self.gateway.pending_windows();
                 self.record(Record::Push {
                     id: session,
                     packet: packet.clone(),
@@ -687,7 +681,6 @@ impl IngestServer {
                 self.gateway
                     .push(session, &packet)
                     .map_err(NetError::Gateway)?;
-                self.note_pending_delta(before);
                 conn.delivered += 1;
                 conn.nack_poll_due = true;
                 if sequence >= conn.heartbeat_floor {
@@ -754,9 +747,7 @@ impl IngestServer {
             (Phase::Streaming, Message::Close) => {
                 let session = conn.session.expect("streaming implies session");
                 self.record(Record::Close { id: session });
-                let before = self.gateway.pending_windows();
                 let windows = self.gateway.close(session).map_err(NetError::Gateway)?;
-                self.note_pending_delta(before);
                 let committed = windows.len() as u64;
                 self.outputs.insert(session, windows);
                 self.sessions_closed += 1;
@@ -805,29 +796,6 @@ impl IngestServer {
         conn.extend_grant(self.config.recv_window);
     }
 
-    /// Tracks arrival stamps for windows entering the pending set, and
-    /// observes commit latency for windows that left it (auto-flush).
-    fn note_pending_delta(&mut self, before: usize) {
-        let now = Instant::now();
-        let after = self.gateway.pending_windows();
-        for _ in before..after {
-            self.pending_arrivals.push_back(now);
-        }
-        self.settle_commits(now);
-    }
-
-    fn settle_commits(&mut self, now: Instant) {
-        let pending = self.gateway.pending_windows();
-        let histogram = hybridcs_obs::global().histogram("net_frame_to_commit_seconds", &[]);
-        while self.pending_arrivals.len() > pending {
-            let arrived = self
-                .pending_arrivals
-                .pop_front()
-                .expect("len checked above");
-            histogram.record(now.duration_since(arrived).as_secs_f64());
-        }
-    }
-
     fn update_overload_state(&mut self) {
         let pending = self.gateway.pending_windows();
         if !self.overloaded && pending >= self.config.overload_pending {
@@ -856,7 +824,6 @@ impl IngestServer {
         }
         self.record(Record::Flush);
         self.gateway.flush().map_err(NetError::Gateway)?;
-        self.settle_commits(Instant::now());
         self.update_overload_state();
         if !self.overloaded {
             let recv_window = self.config.recv_window;
@@ -962,9 +929,7 @@ impl IngestServer {
     ) -> Result<(), NetError> {
         if let Some(session) = conn.session {
             self.record(Record::Close { id: session });
-            let before = self.gateway.pending_windows();
             let windows = self.gateway.close(session).map_err(NetError::Gateway)?;
-            self.note_pending_delta(before);
             let committed = windows.len() as u64;
             self.outputs.insert(session, windows);
             self.sessions_closed += 1;

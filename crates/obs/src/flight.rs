@@ -18,9 +18,9 @@
 //!
 //! Every event carries a **logical stamp**: a deterministic tick assigned
 //! by the ingest tier (the gateway ticks once per frame on its caller
-//! thread) rather than a wall clock. Worker-side events (watchdog trips,
-//! demotions) inherit the stamp of the window they belong to through a
-//! thread-local [`EventContext`], so however many workers raced over the
+//! thread) rather than a wall clock. Events about a window (watchdog
+//! trips, demotions, commits) take that window's [`EventContext`] as an
+//! argument of [`emit_with`], so however many workers raced over the
 //! batch, sorting a dump by `(logical, kind, session, code, arg, shard)`
 //! yields the same event order for any worker count.
 //!
@@ -31,7 +31,6 @@
 //! ([`FlightRecorder::dump_jsonl`]) only then — or on demand — keeping
 //! the happy path write-only.
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -174,7 +173,7 @@ pub fn demotion_reason_code(reason: &str) -> u8 {
 /// One recorded event (the unpacked view of a 40-byte slot).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
-    /// Deterministic ingest-tier stamp (0 when no context was active).
+    /// Deterministic ingest-tier stamp (0 under the default context).
     pub logical: u64,
     /// Session id the event belongs to (0 when unknown).
     pub session: u64,
@@ -428,10 +427,9 @@ pub fn recorder() -> &'static FlightRecorder {
     GLOBAL.get_or_init(|| FlightRecorder::new(GLOBAL_SHARDS, GLOBAL_CAPACITY))
 }
 
-/// The ambient attribution for events emitted below the ingest tier
-/// (solver watchdogs, ladder commits): which window, session, and shard
-/// the current thread is working for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The attribution of one event: which window, session, and shard it
+/// belongs to. The default (all zeros) attributes to no window.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventContext {
     /// Deterministic ingest stamp of the window being worked.
     pub logical: u64,
@@ -441,45 +439,8 @@ pub struct EventContext {
     pub shard: u16,
 }
 
-thread_local! {
-    static CONTEXT: Cell<Option<EventContext>> = const { Cell::new(None) };
-}
-
-/// Sets (or clears, with `None`) this thread's event context.
-pub fn set_context(ctx: Option<EventContext>) {
-    CONTEXT.with(|c| c.set(ctx));
-}
-
-/// This thread's current event context, if any.
-#[must_use]
-pub fn context() -> Option<EventContext> {
-    CONTEXT.with(Cell::get)
-}
-
-/// Emits one event into the [global recorder](recorder) under the ambient
-/// [`EventContext`] (zeros when none is set). One relaxed atomic load and
-/// nothing else when telemetry is disabled.
-pub fn emit(kind: EventKind, code: u8, arg: u64) {
-    if !crate::enabled() {
-        return;
-    }
-    let ctx = context().unwrap_or(EventContext {
-        logical: 0,
-        session: 0,
-        shard: 0,
-    });
-    recorder().record(&Event {
-        logical: ctx.logical,
-        session: ctx.session,
-        shard: ctx.shard,
-        kind,
-        code,
-        arg,
-    });
-}
-
-/// [`emit`] with an explicit context (used by the ingest tier, which
-/// knows the attribution without thread-local plumbing).
+/// Emits one event into the [global recorder](recorder) under `ctx`.
+/// One relaxed atomic load and nothing else when telemetry is disabled.
 pub fn emit_with(ctx: EventContext, kind: EventKind, code: u8, arg: u64) {
     if !crate::enabled() {
         return;
@@ -610,20 +571,6 @@ mod tests {
         assert!(dump.contains("\"event\":\"demotion\""));
         assert!(dump.contains("\"reason\":\"watchdog\""));
         assert!(dump.contains("\"code\":\"iteration_budget\""));
-    }
-
-    #[test]
-    fn context_round_trips_per_thread() {
-        set_context(Some(EventContext {
-            logical: 9,
-            session: 3,
-            shard: 1,
-        }));
-        assert_eq!(context().map(|c| c.logical), Some(9));
-        let other = std::thread::spawn(|| context().is_none()).join().unwrap();
-        assert!(other, "context must be thread-local");
-        set_context(None);
-        assert!(context().is_none());
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //!
 //! Every trip is counted in the [global metrics
 //! registry](hybridcs_obs::global) under
-//! `solver_watchdog_trips{reason=...}`.
+//! `solver_watchdog_trips{reason=...}`; the decode ladder in
+//! `hybridcs-core`, which knows the window a solve belongs to, records it
+//! in the flight recorder.
 //!
 //! # Example
 //!
@@ -133,29 +135,19 @@ impl WatchdogTrip {
     }
 }
 
-/// The watchdog observer. Wraps an optional inner observer so convergence
-/// traces can still be recorded on the watched path.
-pub struct SolverWatchdog<'a> {
+/// The watchdog observer: watches one solve.
+#[derive(Debug)]
+pub struct SolverWatchdog {
     config: WatchdogConfig,
     started: Instant,
     best_objective: f64,
     offending_streak: usize,
     trip: Option<WatchdogTrip>,
     last_trace: Option<ConvergenceTrace>,
-    inner: Option<&'a mut dyn IterationObserver>,
 }
 
-impl std::fmt::Debug for SolverWatchdog<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SolverWatchdog")
-            .field("config", &self.config)
-            .field("trip", &self.trip)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'a> SolverWatchdog<'a> {
-    /// A standalone watchdog.
+impl SolverWatchdog {
+    /// A watchdog whose clock starts now.
     #[must_use]
     pub fn new(config: WatchdogConfig) -> Self {
         SolverWatchdog {
@@ -165,28 +157,7 @@ impl<'a> SolverWatchdog<'a> {
             offending_streak: 0,
             trip: None,
             last_trace: None,
-            inner: None,
         }
-    }
-
-    /// A watchdog that forwards events/traces to `inner` (e.g. a
-    /// [`RecordingObserver`](hybridcs_obs::RecordingObserver)).
-    #[must_use]
-    pub fn with_inner(config: WatchdogConfig, inner: &'a mut dyn IterationObserver) -> Self {
-        SolverWatchdog {
-            inner: Some(inner),
-            ..SolverWatchdog::new(config)
-        }
-    }
-
-    /// Re-arms the watchdog (clears the trip, restarts the clock) so one
-    /// instance can watch several solves in sequence.
-    pub fn rearm(&mut self) {
-        self.started = Instant::now();
-        self.best_objective = f64::INFINITY;
-        self.offending_streak = 0;
-        self.trip = None;
-        self.last_trace = None;
     }
 
     /// The trip verdict, if the watchdog fired during the last solve.
@@ -206,30 +177,18 @@ impl<'a> SolverWatchdog<'a> {
             hybridcs_obs::global()
                 .counter("solver_watchdog_trips", &[("reason", trip.reason())])
                 .inc();
-            // Flight-recorder breadcrumb, attributed to whatever window
-            // the calling thread's event context says is being solved.
-            hybridcs_obs::flight::emit(
-                hybridcs_obs::EventKind::WatchdogTrip,
-                trip.code(),
-                trip.iteration() as u64,
-            );
             self.trip = Some(trip);
         }
     }
 }
 
-impl IterationObserver for SolverWatchdog<'_> {
+impl IterationObserver for SolverWatchdog {
     fn active(&self) -> bool {
         // Always pull per-iteration diagnostics: the checks need them.
         true
     }
 
     fn on_iteration(&mut self, event: &IterationEvent) {
-        if let Some(inner) = self.inner.as_deref_mut() {
-            if inner.active() {
-                inner.on_iteration(event);
-            }
-        }
         if self.trip.is_some() {
             return;
         }
@@ -275,9 +234,6 @@ impl IterationObserver for SolverWatchdog<'_> {
             });
         }
         self.last_trace = Some(trace.clone());
-        if let Some(inner) = self.inner.as_deref_mut() {
-            inner.on_complete(trace);
-        }
     }
 
     fn should_abort(&self) -> bool {
@@ -288,7 +244,6 @@ impl IterationObserver for SolverWatchdog<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hybridcs_obs::RecordingObserver;
 
     fn event(iteration: usize, objective: f64) -> IterationEvent {
         IterationEvent {
@@ -386,28 +341,6 @@ mod tests {
             dog.trip(),
             Some(WatchdogTrip::IterationBudget { iteration: 3 })
         ));
-    }
-
-    #[test]
-    fn rearm_clears_state() {
-        let mut dog = SolverWatchdog::new(WatchdogConfig::default());
-        dog.on_iteration(&event(1, f64::INFINITY));
-        assert!(dog.should_abort());
-        dog.rearm();
-        assert!(!dog.should_abort());
-        assert!(dog.trip().is_none());
-    }
-
-    #[test]
-    fn forwards_to_inner_observer() {
-        let mut rec = RecordingObserver::new();
-        {
-            let mut dog = SolverWatchdog::with_inner(WatchdogConfig::default(), &mut rec);
-            dog.on_iteration(&event(1, 2.0));
-            dog.on_iteration(&event(2, 1.0));
-        }
-        assert_eq!(rec.events().len(), 2);
-        assert_eq!(rec.objectives(), vec![2.0, 1.0]);
     }
 
     #[test]

@@ -399,7 +399,7 @@ fn watched_pdhg_costs_no_extra_forward() {
     // Batched, under one watchdog per window: K·(iterations + 1) forwards.
     for k in [1, 5] {
         let batch = BatchProblem::new(&problems[..k]).unwrap();
-        let mut dogs: Vec<SolverWatchdog<'_>> = (0..k)
+        let mut dogs: Vec<SolverWatchdog> = (0..k)
             .map(|_| SolverWatchdog::new(WatchdogConfig::default()))
             .collect();
         let mut observers: Vec<&mut dyn IterationObserver> = dogs
@@ -475,7 +475,7 @@ fn non_finite_iterate_trips_watchdog_in_its_iteration() {
     };
     let problems = windows.problems(&batch_op, &dwt);
     let batch = BatchProblem::new(&problems).unwrap();
-    let mut dogs: Vec<SolverWatchdog<'_>> = (0..2)
+    let mut dogs: Vec<SolverWatchdog> = (0..2)
         .map(|_| SolverWatchdog::new(WatchdogConfig::default()))
         .collect();
     let mut observers: Vec<&mut dyn IterationObserver> = dogs

@@ -58,6 +58,7 @@ use hybridcs::net::{
     session_major, ClientConfig, DeviceClient, DevicePhase, IngestConfig, IngestServer, ShapeTable,
 };
 use hybridcs::obs::flight::recorder;
+use hybridcs::obs::HistogramSnapshot;
 
 /// Distinct pre-encoded physiologies shared across the scale cohort
 /// (encoding thousands of full streams would swamp the soak's budget
@@ -146,6 +147,8 @@ fn clean_radio(seed: u64) -> FaultyTransport {
 
 struct PhaseOutcome {
     live: BTreeMap<u64, Vec<SupervisedWindow>>,
+    /// The live run's `gateway_frame_to_commit_seconds` samples.
+    frame_to_commit: HistogramSnapshot,
     wall_seconds: f64,
     frames: u64,
     peak_sessions: usize,
@@ -201,6 +204,8 @@ fn run_phase(
         .into());
     }
 
+    let frame_to_commit = hybridcs::obs::global().histogram("gateway_frame_to_commit_seconds", &[]);
+    let before = frame_to_commit.snapshot();
     let started = Instant::now();
     let mut converged = false;
     for _ in 0..10_000_000u64 {
@@ -220,6 +225,9 @@ fn run_phase(
         return Err(format!("{name}: soak did not converge").into());
     }
     let wall_seconds = started.elapsed().as_secs_f64();
+    // Taken before the replays below, which commit through gateways of
+    // their own and record into the same histogram.
+    let frame_to_commit = frame_to_commit.snapshot().delta(&before);
 
     for client in &clients {
         if client.phase() != DevicePhase::Done {
@@ -268,6 +276,7 @@ fn run_phase(
 
     Ok(PhaseOutcome {
         live,
+        frame_to_commit,
         wall_seconds,
         frames: (sessions * windows) as u64,
         peak_sessions,
@@ -305,7 +314,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         record_ops: true,
         ..IngestConfig::default()
     };
-    let before_scale = registry.snapshot();
     let scale = run_phase(
         "scale",
         &scale_config,
@@ -321,7 +329,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         },
     )?;
-    let scale_window = registry.snapshot().delta(&before_scale);
     let sessions_per_second = sessions as f64 / scale.wall_seconds;
     println!(
         "ingest scale: {} concurrent sessions ({} with radio faults), {} frames in {:.2}s \
@@ -334,10 +341,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sessions_per_second
     );
 
-    let Some(p) = scale_window
-        .histogram_snapshot("net_frame_to_commit_seconds", &[])
-        .and_then(hybridcs::obs::HistogramSnapshot::percentiles)
-    else {
+    let Some(p) = scale.frame_to_commit.percentiles() else {
         eprintln!("error: no frame-to-commit samples in the scale phase");
         std::process::exit(1);
     };
@@ -444,8 +448,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     let exposition = hybridcs::obs::render_prometheus(&snapshot);
-    if !exposition.contains("# TYPE net_frame_to_commit_seconds histogram") {
-        eprintln!("error: exposition is missing the net frame-to-commit histogram");
+    if !exposition.contains("# TYPE gateway_frame_to_commit_seconds histogram") {
+        eprintln!("error: exposition is missing the frame-to-commit histogram");
         std::process::exit(1);
     }
     std::fs::write(&prom_path, &exposition)?;

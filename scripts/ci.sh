@@ -58,6 +58,8 @@ echo "==> benchmark smoke run (perfbench: every workload for 5 s, correctness au
 # the layer probe (the K = 1 and K = 16 ladder solves, the serial decode)
 # and the per-window parts-sum check.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
+# perfbench's own unit tests: its audit, statistics and argument parsing.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 for workload in capacity ward link; do
     cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
         --ward-sessions 8 --workload "$workload" --seed 1 --seconds 5 --trace 0
