@@ -61,7 +61,8 @@ impl LinearOperator for SensingOperator<'_> {
     }
 
     fn apply(&self, x: &[f64], out: &mut [f64]) {
-        self.matrix.apply_into(x, out);
+        let mut table = vec![0.0; self.scratch_len()];
+        self.matrix.apply_into_scratch(x, out, &mut table);
     }
 
     fn apply_adjoint(&self, y: &[f64], out: &mut [f64]) {
@@ -73,8 +74,7 @@ impl LinearOperator for SensingOperator<'_> {
     }
 
     fn apply_into(&self, x: &[f64], out: &mut [f64], scratch: &mut [f64]) {
-        // The table-driven forward kernel; bit-identical to `apply`, the
-        // scratch holding the shared per-4-column sign-sum table.
+        // The scratch holds the shared per-4-column sign-sum table.
         self.matrix.apply_into_scratch(x, out, scratch);
     }
 
@@ -115,10 +115,12 @@ impl LinearOperator for SensingOperator<'_> {
         match self.cached_norm {
             Some(norm) => norm,
             None => {
+                // One sign table serves every forward application.
+                let mut table = vec![0.0; self.scratch_len()];
                 let (norm, _) = hybridcs_linalg::operator_norm_est(
                     self.cols(),
                     self.rows(),
-                    |x, out| self.apply(x, out),
+                    |x, out| self.apply_into(x, out, &mut table),
                     |y, out| self.apply_adjoint(y, out),
                     hybridcs_linalg::PowerIterationOptions::default(),
                 );

@@ -752,6 +752,13 @@ fn synthesize_level(approx: &[f64], detail: &[f64], h: &[f64], g: &[f64], out: &
 /// so every lane is bit-identical regardless of tier; the `% n` wrap of
 /// the periodized form is pure index arithmetic (same as the serial
 /// bulk/tail split) and cannot change bits.
+///
+/// Unlike the element-wise kernels of `hybridcs_linalg::simd`, these keep
+/// a hand-written AVX2 tier. Compiled from the scalar source inside
+/// `hybridcs_linalg::simd::on_tier`'s AVX2 frame they ran 2–41 % slower
+/// in two interleaved `kernels_batch` pairs on a 2-vCPU AVX2 host: LLVM
+/// keeps the per-lane tap accumulators in memory, while the intrinsics
+/// hold them in registers across the taps.
 #[allow(unsafe_code)]
 mod panel_kernels {
     #[allow(clippy::too_many_arguments)]

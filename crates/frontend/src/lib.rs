@@ -44,8 +44,9 @@
 
 // `deny` rather than `forbid`: `sensing::batch_kernels` scopes a single
 // `allow(unsafe_code)` around its runtime-dispatched AVX2 twins of the
-// packed-sign kernels; everything else still refuses unsafe at compile
-// time.
+// packed-sign panel kernels, which stay hand-written because the scalar
+// source compiled for AVX2 runs slower (see that module's docs);
+// everything else still refuses unsafe at compile time.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

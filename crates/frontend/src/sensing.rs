@@ -167,7 +167,9 @@ impl SensingMatrix {
         self.n
     }
 
-    /// Forward application `y = Φx`.
+    /// Forward application `y = Φx`, drawing the
+    /// [`SensingMatrix::forward_scratch_len`] table for one
+    /// [`SensingMatrix::apply_into_scratch`].
     ///
     /// # Panics
     ///
@@ -175,43 +177,9 @@ impl SensingMatrix {
     #[must_use]
     pub fn apply(&self, x: &[f64]) -> Vec<f64> {
         let mut y = vec![0.0; self.m];
-        self.apply_into(x, &mut y);
+        let mut table = vec![0.0; self.forward_scratch_len()];
+        self.apply_into_scratch(x, &mut y, &mut table);
         y
-    }
-
-    /// Allocation-free forward application `out = Φx`.
-    ///
-    /// Accumulation order (shared with the unpacked ±1 reference of the
-    /// property tests, which is what makes their 0-ULP equivalence contract
-    /// hold): each row folds columns in ascending groups of four,
-    /// `acc += ((s₀+s₁)+s₂)+s₃` with `s_r = ±x[4g+r]`, then any `n mod 4`
-    /// tail columns one at a time. The grouping shortens the dependency
-    /// chain 4× over a serial fold and is what the table-driven fast path
-    /// ([`SensingMatrix::apply_into_scratch`]) reproduces via lookups.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.window()` or `out.len() !=
-    /// self.measurements()`.
-    pub fn apply_into(&self, x: &[f64], out: &mut [f64]) {
-        assert_eq!(x.len(), self.n, "sensing apply: length mismatch");
-        assert_eq!(out.len(), self.m, "sensing apply: output length mismatch");
-        match &self.kind {
-            Kind::DenseBernoulli { rows, scale, .. } => {
-                for (yi, row) in out.iter_mut().zip(rows) {
-                    *yi = scale * row_fold_grouped(row.sign_words(), x);
-                }
-            }
-            Kind::SparseBinary { cols, scale } => {
-                out.fill(0.0);
-                for (j, col) in cols.iter().enumerate() {
-                    let v = scale * x[j];
-                    for &i in col {
-                        out[i as usize] += v;
-                    }
-                }
-            }
-        }
     }
 
     /// Scratch length (in `f64`s) for [`SensingMatrix::apply_into_scratch`]:
@@ -224,15 +192,20 @@ impl SensingMatrix {
         }
     }
 
-    /// Forward application using caller-provided scratch — the decode
-    /// hot-path kernel.
+    /// Allocation-free forward application `out = Φx` using
+    /// caller-provided scratch — the one forward kernel, serving encode
+    /// and decode alike.
     ///
-    /// For the dense Bernoulli kind the scratch holds, per group of four
-    /// columns, the 16 signed sums `((±x₀±x₁)±x₂)±x₃` (built once, shared
-    /// by every row); each row then folds one table lookup per sign nibble
-    /// of its bitplane — 4 columns per lookup, no per-element sign
-    /// application. Bit-identical to [`SensingMatrix::apply_into`], which
-    /// evaluates the same grouped expressions term by term.
+    /// Accumulation order (shared with the unpacked ±1 reference of the
+    /// property tests, which is what makes their 0-ULP equivalence contract
+    /// hold): each row folds columns in ascending groups of four,
+    /// `acc += ((s₀+s₁)+s₂)+s₃` with `s_r = ±x[4g+r]`, then any `n mod 4`
+    /// tail columns one at a time. For the dense Bernoulli kind the scratch
+    /// holds, per group of four columns, the 16 signed sums
+    /// `((±x₀±x₁)±x₂)±x₃` (built once, shared by every row); each row then
+    /// folds one table lookup per sign nibble of its bitplane — 4 columns
+    /// per lookup, no per-element sign application. The sparse kind needs
+    /// no scratch.
     ///
     /// # Panics
     ///
@@ -241,9 +214,18 @@ impl SensingMatrix {
     pub fn apply_into_scratch(&self, x: &[f64], out: &mut [f64], scratch: &mut [f64]) {
         assert_eq!(x.len(), self.n, "sensing apply: length mismatch");
         assert_eq!(out.len(), self.m, "sensing apply: output length mismatch");
-        let Kind::DenseBernoulli { rows, scale, .. } = &self.kind else {
-            self.apply_into(x, out);
-            return;
+        let (rows, scale) = match &self.kind {
+            Kind::DenseBernoulli { rows, scale, .. } => (rows, *scale),
+            Kind::SparseBinary { cols, scale } => {
+                out.fill(0.0);
+                for (j, col) in cols.iter().enumerate() {
+                    let v = scale * x[j];
+                    for &i in col {
+                        out[i as usize] += v;
+                    }
+                }
+                return;
+            }
         };
         let groups = self.n / 4;
         let table = &mut scratch[..groups * 16];
@@ -373,8 +355,8 @@ impl SensingMatrix {
             // Per-lane serial apply: trivially bit-identical; the sparse
             // kind is ablation-only.
             Kind::SparseBinary { .. } => {
-                serial_lanes(x_panel, k, 0, out_panel, scratch, |x, y, _| {
-                    self.apply_into(x, y);
+                serial_lanes(x_panel, k, 0, out_panel, scratch, |x, y, s| {
+                    self.apply_into_scratch(x, y, s);
                 });
             }
         }
@@ -551,28 +533,7 @@ impl SensingMatrix {
 }
 
 /// One row's grouped fold `Σ_g ((±x₀±x₁)±x₂)±x₃` (plus the serial tail),
-/// evaluating each group's signed sum term by term from the sign bitplane.
-fn row_fold_grouped(words: &[u64], x: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for (g, v) in x.chunks_exact(4).enumerate() {
-        let nib = (words[g / 16] >> (4 * (g % 16))) & 15;
-        let s0 = if nib & 1 == 0 { v[0] } else { -v[0] };
-        let s1 = if nib & 2 == 0 { v[1] } else { -v[1] };
-        let s2 = if nib & 4 == 0 { v[2] } else { -v[2] };
-        let s3 = if nib & 8 == 0 { v[3] } else { -v[3] };
-        acc += ((s0 + s1) + s2) + s3;
-    }
-    for (j, &v) in x.iter().enumerate().skip(x.len() - x.len() % 4) {
-        acc += if (words[j >> 6] >> (j & 63)) & 1 == 1 {
-            -v
-        } else {
-            v
-        };
-    }
-    acc
-}
-
-/// The same fold with the group sums looked up from the shared sign table.
+/// with the group sums looked up from the shared sign table.
 fn row_fold_table(words: &[u64], x: &[f64], table: &[f64], groups: usize) -> f64 {
     let mut acc = 0.0;
     let mut g = 0;
@@ -605,6 +566,14 @@ fn row_fold_table(words: &[u64], x: &[f64], table: &[f64], groups: usize) -> f64
 /// lane is bit-identical to a serial application; the sign flips are exact
 /// negations (sign-bit xor) and the group sums use the same
 /// `((s₀+s₁)+s₂)+s₃` tree, so the SIMD tier cannot diverge either.
+///
+/// Unlike the element-wise kernels of [`hybridcs_linalg::simd`], these
+/// keep a hand-written AVX2 tier. Compiled from the scalar source inside
+/// [`on_tier`](hybridcs_linalg::simd::on_tier)'s AVX2 frame they ran
+/// 2–41 % slower in two interleaved `kernels_batch` pairs on a 2-vCPU AVX2
+/// host: LLVM keeps each row's per-lane accumulators in memory, while the
+/// intrinsics hold one 4-lane accumulator in a register across the whole
+/// fold.
 #[allow(unsafe_code)]
 mod batch_kernels {
     use crate::ChippingSequence;

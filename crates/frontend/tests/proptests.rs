@@ -137,10 +137,10 @@ impl UnpackedBernoulli {
     }
 }
 
-/// The bit-packed sensing fast paths match the unpacked f64-chip
-/// reference to 0 ULP — the term-by-term forward fold, the sign-table
-/// forward kernel every decode runs, and the adjoint — across seeded chip
-/// sequences, and the adjoint identity ⟨Φx, y⟩ ≈ ⟨x, Φᵀy⟩ still holds.
+/// The bit-packed sensing kernels match the unpacked f64-chip reference
+/// to 0 ULP — the sign-table forward kernel every encode and decode runs,
+/// and the adjoint — across seeded chip sequences, and the adjoint
+/// identity ⟨Φx, y⟩ ≈ ⟨x, Φᵀy⟩ still holds.
 #[test]
 fn packed_sensing_matches_unpacked_to_zero_ulp() {
     check(
@@ -155,15 +155,12 @@ fn packed_sensing_matches_unpacked_to_zero_ulp() {
             let n = x.len();
             let phi = SensingMatrix::bernoulli(*m, n, *seed).unwrap();
             let reference = UnpackedBernoulli::of(&phi);
-            let mut fast = vec![0.0; *m];
             let mut slow = vec![0.0; *m];
             let mut table = vec![0.0; *m];
             let mut scratch = vec![0.0; phi.forward_scratch_len()];
-            phi.apply_into(x, &mut fast);
             phi.apply_into_scratch(x, &mut table, &mut scratch);
             reference.apply_into(x, &mut slow);
-            for ((a, t), b) in fast.iter().zip(&table).zip(&slow) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
+            for (t, b) in table.iter().zip(&slow) {
                 prop_assert_eq!(t.to_bits(), b.to_bits());
             }
             let y: Vec<f64> = (0..*m).map(|i| (i as f64 * 0.7).cos() * 2.0).collect();
@@ -174,7 +171,7 @@ fn packed_sensing_matches_unpacked_to_zero_ulp() {
             for (a, b) in fast_t.iter().zip(&slow_t) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }
-            let lhs = vector::dot(&fast, &y);
+            let lhs = vector::dot(&table, &y);
             let rhs = vector::dot(x, &fast_t);
             prop_assert!(
                 (lhs - rhs).abs() < 1e-9 * lhs.abs().max(1.0),

@@ -40,9 +40,9 @@
 //! # }
 //! ```
 
-// `deny` rather than `forbid`: the `simd` module scopes a single
-// `allow(unsafe_code)` around its runtime-dispatched `std::arch`
-// kernels; everything else still refuses unsafe at compile time.
+// `deny` rather than `forbid`: `simd::on_tier` holds the crate's one
+// unsafe call, entering its AVX2 `target_feature` frame after runtime
+// detection; everything else still refuses unsafe at compile time.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

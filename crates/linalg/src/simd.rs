@@ -1,42 +1,37 @@
-//! Runtime-dispatched SIMD kernels for the batched decode path.
+//! Runtime-dispatched SIMD tier for the batched decode path.
 //!
-//! Every kernel here exists in two tiers — a hand-written AVX2 version and
-//! a scalar twin — selected once per call by [`simd_enabled`]. The contract
-//! is **0 ULP**: for any input, both tiers produce bit-identical output.
-//! That holds because every dispatched kernel is **element-wise** (one
-//! multiply/add/divide per output element, no reduction): IEEE-754
-//! arithmetic is deterministic per element, so vectorizing across elements
+//! Each element-wise kernel here is written once, as its safe scalar loop,
+//! and [`on_tier`] runs that one body on the tier [`simd_enabled`] picks:
+//! directly (the scalar tier, compiled for the crate's baseline target),
+//! or inlined into a frame compiled with
+//! `#[target_feature(enable = "avx2")]`, where LLVM vectorizes the same
+//! loop 256 bits wide (the AVX2 tier). The contract is **0 ULP**: for any
+//! input, both tiers produce bit-identical output. That holds because
+//! every dispatched kernel is **element-wise** (one multiply/add/divide
+//! per output element, no reduction): IEEE-754 arithmetic is
+//! deterministic per element, and rustc never contracts `a*b + c` into an
+//! FMA nor reassociates float arithmetic, so vectorizing across elements
 //! cannot change any bit.
-//!
-//! No FMA contraction is used anywhere: products and sums are separate
-//! `_mm256_mul_pd` / `_mm256_add_pd` instructions (rustc never contracts
-//! float expressions on its own), so `a*b + c` rounds exactly like the
-//! scalar code.
 //!
 //! # Dispatch policy
 //!
 //! [`simd_enabled`] requires `avx2` **and** `fma` at runtime (the paper's
 //! deployment tier; FMA presence implies the modern AVX2 implementations
-//! the kernels are tuned for, even though the kernels only emit AVX2
-//! instructions). Setting `HYBRIDCS_FORCE_SCALAR=1` pins the scalar tier
-//! process-wide — the CI knob that keeps the fallback exercised on AVX2
-//! hosts. [`set_override`] flips the tier in-process (benchmarks use it
-//! for the SIMD-on/off dimension); forcing SIMD on hardware without AVX2
-//! is ignored rather than honored.
+//! the kernels are tuned for, even though the frame only enables AVX2).
+//! Setting `HYBRIDCS_FORCE_SCALAR=1` pins the scalar tier process-wide —
+//! the CI knob that keeps the fallback exercised on AVX2 hosts.
+//! [`set_override`] flips the tier in-process (benchmarks use it for the
+//! SIMD-on/off dimension); forcing SIMD on hardware without AVX2 is
+//! ignored rather than honored.
 //!
 //! # Lane reductions stay scalar
 //!
 //! The per-lane norm helpers ([`norm1_lane`], [`norm2_lane`],
-//! [`dist2_lane`], [`dist2_lane_vs`]) are deliberately scalar-only: they
-//! replicate the exact fold order of [`vector`](crate::vector) on a
-//! strided lane, and the max-based reductions cannot use `_mm256_max_pd`
-//! (its NaN semantics — return the second operand — differ from
-//! `f64::max`). They run once per convergence check, not per iteration
-//! element, so they are not hot.
-
-// The one unsafe surface in this crate: `std::arch` intrinsics behind the
-// runtime feature check above.
-#![allow(unsafe_code)]
+//! [`dist2_lane`], [`dist2_lane_vs`]) replicate the exact fold order of
+//! [`vector`](crate::vector) on a strided lane. A strict-order float fold
+//! is one dependency chain that no compiler vectorizes without
+//! reassociating it, so they do not go through [`on_tier`]. They run once
+//! per convergence check, not per iteration element, so they are not hot.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -54,10 +49,8 @@ pub fn simd_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         static AVAILABLE: OnceLock<bool> = OnceLock::new();
-        *AVAILABLE.get_or_init(|| {
-            std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-        })
+        *AVAILABLE
+            .get_or_init(|| is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"))
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -98,22 +91,46 @@ pub fn set_override(tier: Option<bool>) {
     OVERRIDE.store(code, Ordering::Relaxed);
 }
 
-/// `y += alpha * x`, element-wise — the SIMD twin of
-/// [`vector::axpy`](crate::vector::axpy), bit-identical to it for any
-/// `alpha` (each element computes `y + alpha*x` exactly like the scalar
-/// loop).
+/// Runs `kernel` on the AVX2 tier when `simd` holds and the host has
+/// AVX2, and directly otherwise. Both tiers execute the same source: the
+/// AVX2 tier inlines `kernel` into a frame compiled with
+/// `#[target_feature(enable = "avx2")]`, so an element-wise loop in it
+/// vectorizes 256 bits wide and rounds exactly like the scalar tier.
+/// Kernels pass [`simd_enabled`] as `simd`.
+#[allow(unsafe_code)]
+#[inline]
+pub fn on_tier<R>(simd: bool, kernel: impl FnOnce() -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    if simd && simd_available() {
+        // SAFETY: `simd_available` detected AVX2 on this host at runtime,
+        // the one precondition of calling the `target_feature` frame.
+        return unsafe { avx2_frame(kernel) };
+    }
+    let _ = simd;
+    kernel()
+}
+
+/// The AVX2 frame of [`on_tier`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn avx2_frame<R>(kernel: impl FnOnce() -> R) -> R {
+    kernel()
+}
+
+/// `y += alpha * x`, element-wise — bit-identical to
+/// [`vector::axpy`](crate::vector::axpy) for any `alpha` on either tier.
 ///
 /// # Panics
 ///
 /// Panics if `x.len() != y.len()`.
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    if simd_enabled() {
-        // SAFETY: `simd_enabled` implies AVX2 support was detected.
-        unsafe { avx::axpy(alpha, x, y) }
-    } else {
-        scalar::axpy(alpha, x, y);
-    }
+    on_tier(simd_enabled(), || {
+        for (yi, &xi) in y.iter_mut().zip(x) {
+            *yi += alpha * xi;
+        }
+    });
 }
 
 /// `y -= alpha * x`, element-wise (`y - alpha*x` per element, matching the
@@ -124,12 +141,11 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
 /// Panics if `x.len() != y.len()`.
 pub fn sub_scaled(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "sub_scaled: length mismatch");
-    if simd_enabled() {
-        // SAFETY: `simd_enabled` implies AVX2 support was detected.
-        unsafe { avx::sub_scaled(alpha, x, y) }
-    } else {
-        scalar::sub_scaled(alpha, x, y);
-    }
+    on_tier(simd_enabled(), || {
+        for (yi, &xi) in y.iter_mut().zip(x) {
+            *yi -= alpha * xi;
+        }
+    });
 }
 
 /// `out = x / divisor`, element-wise (IEEE division is exact per element;
@@ -141,21 +157,17 @@ pub fn sub_scaled(alpha: f64, x: &[f64], y: &mut [f64]) {
 /// Panics if `x.len() != out.len()`.
 pub fn div_by(x: &[f64], divisor: f64, out: &mut [f64]) {
     assert_eq!(x.len(), out.len(), "div_by: length mismatch");
-    if simd_enabled() {
-        // SAFETY: `simd_enabled` implies AVX2 support was detected.
-        unsafe { avx::div_by(x, divisor, out) }
-    } else {
-        scalar::div_by(x, divisor, out);
-    }
+    on_tier(simd_enabled(), || {
+        for (o, &xi) in out.iter_mut().zip(x) {
+            *o = xi / divisor;
+        }
+    });
 }
 
 // -- scalar-only per-lane reductions -----------------------------------------
 //
 // These replicate the exact algorithms of `crate::vector` on one strided
-// lane of a column-major panel. They have no SIMD tier on purpose: the
-// norm kernels reduce with `f64::max`, whose NaN handling (`max` returns
-// the non-NaN operand) differs from `_mm256_max_pd` (returns the second
-// operand), and they only run at convergence checks.
+// lane of a column-major panel (see "Lane reductions stay scalar" above).
 
 /// [`vector::norm1`](crate::vector::norm1) of lane `lane` over the first
 /// `len` panel rows.
@@ -311,101 +323,20 @@ pub fn drop_lane(panel: &mut [f64], k: usize, lane: usize, rows: usize) {
     }
 }
 
-/// The scalar twins. Public within the crate for the pin tests; the
-/// dispatched wrappers above are the API.
-pub(crate) mod scalar {
-    pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-        for (yi, &xi) in y.iter_mut().zip(x) {
-            *yi += alpha * xi;
-        }
-    }
-
-    pub fn sub_scaled(alpha: f64, x: &[f64], y: &mut [f64]) {
-        for (yi, &xi) in y.iter_mut().zip(x) {
-            *yi -= alpha * xi;
-        }
-    }
-
-    pub fn div_by(x: &[f64], divisor: f64, out: &mut [f64]) {
-        for (o, &xi) in out.iter_mut().zip(x) {
-            *o = xi / divisor;
-        }
-    }
-}
-
-/// The AVX2 tier. Every function is `#[target_feature(enable = "avx2")]`
-/// and only called behind [`simd_enabled`]. Products and sums stay
-/// separate instructions (no FMA) so rounding matches the scalar twins.
-#[cfg(target_arch = "x86_64")]
-mod avx {
-    use std::arch::x86_64::{
-        _mm256_add_pd, _mm256_div_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd,
-        _mm256_storeu_pd, _mm256_sub_pd,
-    };
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-        let n = x.len();
-        let a = _mm256_set1_pd(alpha);
-        let chunks = n / 4;
-        for c in 0..chunks {
-            let i = c * 4;
-            let xv = _mm256_loadu_pd(x.as_ptr().add(i));
-            let yv = _mm256_loadu_pd(y.as_ptr().add(i));
-            _mm256_storeu_pd(
-                y.as_mut_ptr().add(i),
-                _mm256_add_pd(yv, _mm256_mul_pd(a, xv)),
-            );
-        }
-        for i in chunks * 4..n {
-            y[i] += alpha * x[i];
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn sub_scaled(alpha: f64, x: &[f64], y: &mut [f64]) {
-        let n = x.len();
-        let a = _mm256_set1_pd(alpha);
-        let chunks = n / 4;
-        for c in 0..chunks {
-            let i = c * 4;
-            let xv = _mm256_loadu_pd(x.as_ptr().add(i));
-            let yv = _mm256_loadu_pd(y.as_ptr().add(i));
-            _mm256_storeu_pd(
-                y.as_mut_ptr().add(i),
-                _mm256_sub_pd(yv, _mm256_mul_pd(a, xv)),
-            );
-        }
-        for i in chunks * 4..n {
-            y[i] -= alpha * x[i];
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn div_by(x: &[f64], divisor: f64, out: &mut [f64]) {
-        let n = x.len();
-        let d = _mm256_set1_pd(divisor);
-        let chunks = n / 4;
-        for c in 0..chunks {
-            let i = c * 4;
-            let xv = _mm256_loadu_pd(x.as_ptr().add(i));
-            _mm256_storeu_pd(out.as_mut_ptr().add(i), _mm256_div_pd(xv, d));
-        }
-        for i in chunks * 4..n {
-            out[i] = x[i] / divisor;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     use hybridcs_rand::{RngExt, SeedableRng};
 
-    /// Deterministic mixed-magnitude data, including subnormals-adjacent
-    /// scales and negative zeros, across awkward (non-multiple-of-4)
-    /// lengths.
+    /// Element-wise lengths the tier pins sweep: empty, every length
+    /// below one 4-wide vector, and each side of 16, 32 and 64, so the
+    /// AVX2 tier's unrolled vector body, its remainder and its scalar tail
+    /// all run.
+    const PIN_LENS: [usize; 16] = [0, 1, 2, 3, 4, 5, 15, 16, 17, 31, 32, 33, 63, 64, 65, 257];
+
+    /// Deterministic mixed-magnitude data, including negative zeros,
+    /// across awkward (non-multiple-of-4) lengths.
     fn noise(len: usize, seed: u64) -> Vec<f64> {
         let mut rng = hybridcs_rand::rngs::StdRng::seed_from_u64(seed);
         (0..len)
@@ -419,6 +350,26 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    /// [`noise`] with NaN, ±∞, +0 and subnormals mixed in, at positions
+    /// that shift with `seed` so each kind reaches vector slots and the
+    /// tail. Broadcast scalars in the pins stay finite: where two
+    /// different NaNs meet in one commutative operation, IEEE-754 lets
+    /// either propagate.
+    fn specials(len: usize, seed: u64) -> Vec<f64> {
+        let mut v = noise(len, seed);
+        for (i, x) in v.iter_mut().enumerate() {
+            match (i + seed as usize) % 13 {
+                0 => *x = f64::NAN,
+                1 => *x = f64::INFINITY,
+                2 => *x = f64::NEG_INFINITY,
+                3 => *x = 0.0,
+                4 => *x *= f64::MIN_POSITIVE,
+                _ => {}
+            }
+        }
+        v
     }
 
     /// Serializes tests that flip the process-global dispatch override.
@@ -443,10 +394,10 @@ mod tests {
 
     #[test]
     fn axpy_pins_zero_ulp_across_shapes() {
-        for len in [0, 1, 3, 4, 7, 16, 33, 257] {
+        for len in PIN_LENS {
             for seed in 0..4 {
-                let x = noise(len, 100 + seed);
-                let y0 = noise(len, 200 + seed);
+                let x = specials(len, 100 + seed);
+                let y0 = specials(len, 200 + seed);
                 let alpha = noise(1, 300 + seed)[0];
                 pin_both_tiers(|| {
                     let mut y = y0.clone();
@@ -459,9 +410,9 @@ mod tests {
 
     #[test]
     fn sub_scaled_pins_zero_ulp_across_shapes() {
-        for len in [1, 5, 8, 31, 130] {
-            let x = noise(len, 41);
-            let y0 = noise(len, 42);
+        for len in PIN_LENS {
+            let x = specials(len, 41);
+            let y0 = specials(len, 42);
             pin_both_tiers(|| {
                 let mut y = y0.clone();
                 sub_scaled(0.73, &x, &mut y);
@@ -472,13 +423,15 @@ mod tests {
 
     #[test]
     fn div_by_pins_zero_ulp_across_shapes() {
-        for len in [2, 6, 12, 65] {
-            let x = noise(len, 51);
-            pin_both_tiers(|| {
-                let mut out = vec![0.0; len];
-                div_by(&x, 0.3127, &mut out);
-                out
-            });
+        for len in PIN_LENS {
+            let x = specials(len, 51);
+            for divisor in [0.3127, -0.0, 5e-324] {
+                pin_both_tiers(|| {
+                    let mut out = vec![0.0; len];
+                    div_by(&x, divisor, &mut out);
+                    out
+                });
+            }
         }
     }
 

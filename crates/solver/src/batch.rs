@@ -19,12 +19,15 @@
 //! for any batch size and any SIMD tier (`wall_time` in the completion
 //! trace is telemetry and may differ). This holds because:
 //!
-//! * panel kernels ([`hybridcs_linalg::simd`], [`crate::simd`], the DWT
-//!   panel transforms, the batched sensing operators) vectorize across
-//!   *lanes* only — per-lane operation order never changes — and each AVX2
-//!   tier is pinned 0-ULP against its scalar twin; the sensing and DWT
-//!   lanes outside a 4-wide vector (every lane when K < 4) run the serial
-//!   kernels themselves;
+//! * the element-wise lane kernels ([`hybridcs_linalg::simd`],
+//!   [`crate::simd`]) are one scalar loop each, which the AVX2 tier runs
+//!   compiled with AVX2 enabled, so both tiers perform the same
+//!   per-element operations;
+//! * the DWT panel transforms and the batched sensing operators vectorize
+//!   across *lanes* only — per-lane operation order never changes — and
+//!   their hand-written AVX2 tier is pinned 0-ULP against its scalar twin;
+//!   their lanes outside a 4-wide vector (every lane when K < 4) run the
+//!   serial kernels themselves;
 //! * per-lane reductions (norms, distances) are scalar strided replicas of
 //!   the [`hybridcs_linalg::vector`] fold orders;
 //! * converged/aborted windows **retire**: their lane is repacked out of
@@ -483,19 +486,11 @@ pub fn solve_pdhg_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tier_lock;
     use crate::{solve_pdhg, DenseOperator, NoopObserver, RecordingObserver};
     use hybridcs_dsp::{Dwt, Wavelet};
     use hybridcs_linalg::simd::{set_override, simd_available};
     use hybridcs_linalg::Matrix;
-    use std::sync::{Mutex, MutexGuard, OnceLock};
-
-    /// Serializes tests that flip the global SIMD dispatch override.
-    fn tier_lock() -> MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-    }
 
     fn bernoulli_like(m: usize, n: usize, seed: u64) -> Matrix {
         let mut state = seed;

@@ -62,10 +62,10 @@
 //! # }
 //! ```
 
-// `deny` rather than `forbid`: `simd` scopes a single `allow(unsafe_code)`
-// around its runtime-dispatched AVX2 twins of the batched update kernels;
-// everything else still refuses unsafe at compile time.
-#![deny(unsafe_code)]
+// The SIMD tier of the batched update kernels is their safe scalar loop
+// run through `hybridcs_linalg::simd::on_tier`, so this crate holds no
+// unsafe code at all.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod admm;
@@ -95,6 +95,15 @@ pub use reweighted::{solve_reweighted, ReweightedOptions};
 pub use watchdog::{SolverWatchdog, WatchdogConfig, WatchdogTrip};
 pub use weights::band_weights;
 pub use workspace::SolverWorkspace;
+
+/// Serializes the unit tests that flip the process-global SIMD dispatch
+/// override, so no test reads a tier another test has just switched.
+#[cfg(test)]
+fn tier_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 // Observability vocabulary re-exported so downstream crates can pass an
 // observer to any `solve_*` function without depending on `hybridcs-obs`.

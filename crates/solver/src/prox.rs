@@ -13,6 +13,7 @@
 /// assert_eq!(soft_threshold(0.5, 1.0), 0.0);
 /// ```
 #[must_use]
+#[inline]
 pub fn soft_threshold(v: f64, t: f64) -> f64 {
     if v > t {
         v - t

@@ -29,13 +29,17 @@
 //!    with real admission quotas (hybrid solves happening) and radio
 //!    faults on *every* device; same completion and determinism bars.
 //! 4. **Telemetry** — `net_*` connection-lifecycle counters must be
-//!    present in the Prometheus exposition, and the flight recorder's
-//!    `conn` events must produce a schema-valid JSONL dump.
+//!    present in the Prometheus exposition, the exported
+//!    `gateway_windows_committed_total` must equal the windows the live
+//!    runs committed, and the flight recorder's `conn` events must
+//!    produce a schema-valid JSONL dump.
 //!
 //! The bench report (`BENCH_ingest.json`, JSONL in the `hybridcs-obs`
 //! export schema) carries sessions/sec, p50/p99 frame-to-commit
 //! latency, and the full `net_*`/`gateway_*` counter snapshot; the same
-//! snapshot is rendered to `METRICS_ingest.prom`.
+//! snapshot is rendered to `METRICS_ingest.prom`. All three exports are
+//! taken after both live phases and before the determinism audits, whose
+//! replays commit into the same process-global registry and recorder.
 //!
 //! Environment knobs: `HYBRIDCS_INGEST_SESSIONS`,
 //! `HYBRIDCS_INGEST_WINDOWS`, `HYBRIDCS_INGEST_BENCH_PATH` (default
@@ -53,7 +57,7 @@ use hybridcs::codec::{
 };
 use hybridcs::coding::LowResCodec;
 use hybridcs::faults::{FaultyTransport, GilbertElliottConfig, TransportFaultConfig};
-use hybridcs::gateway::{Gateway, GatewayConfig};
+use hybridcs::gateway::{Gateway, GatewayConfig, Record};
 use hybridcs::net::{
     session_major, ClientConfig, DeviceClient, DevicePhase, IngestConfig, IngestServer, ShapeTable,
 };
@@ -147,6 +151,8 @@ fn clean_radio(seed: u64) -> FaultyTransport {
 
 struct PhaseOutcome {
     live: BTreeMap<u64, Vec<SupervisedWindow>>,
+    /// The server's gateway-call log, replayed by [`audit`].
+    ops: Vec<Record>,
     /// The live run's `gateway_frame_to_commit_seconds` samples.
     frame_to_commit: HistogramSnapshot,
     wall_seconds: f64,
@@ -155,8 +161,8 @@ struct PhaseOutcome {
 }
 
 /// Connects `sessions` devices (in backlog-safe batches), drives server
-/// and clients to completion on one thread, audits determinism, and
-/// returns the live outputs.
+/// and clients to completion on one thread, and returns the live outputs
+/// with the op log that [`audit`] replays.
 fn run_phase(
     name: &str,
     config: &IngestConfig,
@@ -166,11 +172,10 @@ fn run_phase(
     windows: usize,
     radio_for: impl Fn(u64) -> FaultyTransport,
 ) -> Result<PhaseOutcome, Box<dyn std::error::Error>> {
-    let shapes = vec![(shape.system.clone(), shape.codec.clone())];
     let mut server = IngestServer::bind(
         "127.0.0.1:0",
         config.clone(),
-        ShapeTable::new(shapes.clone()),
+        ShapeTable::new(vec![(shape.system.clone(), shape.codec.clone())]),
     )?;
     let addr = server.local_addr().to_string();
     let client_config = ClientConfig {
@@ -225,8 +230,6 @@ fn run_phase(
         return Err(format!("{name}: soak did not converge").into());
     }
     let wall_seconds = started.elapsed().as_secs_f64();
-    // Taken before the replays below, which commit through gateways of
-    // their own and record into the same histogram.
     let frame_to_commit = frame_to_commit.snapshot().delta(&before);
 
     for client in &clients {
@@ -261,26 +264,37 @@ fn run_phase(
         }
     }
 
-    // Determinism audit: the op log replayed into a fresh in-process
-    // gateway — in recorded order (bridge purity) and session-major
-    // order (interleaving independence) — must match bit-for-bit.
-    let ops = server.take_ops();
-    let (_, recorded) = Gateway::from_records(config.gateway, &shapes, &ops)?;
-    if recorded != live {
-        return Err(format!("{name}: recorded-order replay diverged from live outputs").into());
-    }
-    let (_, major) = Gateway::from_records(config.gateway, &shapes, &session_major(&ops))?;
-    if major != live {
-        return Err(format!("{name}: session-major replay diverged from live outputs").into());
-    }
-
     Ok(PhaseOutcome {
         live,
+        ops: server.take_ops(),
         frame_to_commit,
         wall_seconds,
         frames: (sessions * windows) as u64,
         peak_sessions,
     })
+}
+
+/// Determinism audit: the phase's op log replayed into a fresh in-process
+/// gateway — in recorded order (bridge purity) and session-major order
+/// (interleaving independence) — must match the live outputs bit for bit.
+/// The replays commit into the same process-global registry and flight
+/// recorder as the live run, so `main` audits only after its exports.
+fn audit(
+    name: &str,
+    config: &IngestConfig,
+    shape: &Shape,
+    phase: &PhaseOutcome,
+) -> Result<(), Box<dyn std::error::Error>> {
+    let shapes = vec![(shape.system.clone(), shape.codec.clone())];
+    let (_, recorded) = Gateway::from_records(config.gateway, &shapes, &phase.ops)?;
+    if recorded != phase.live {
+        return Err(format!("{name}: recorded-order replay diverged from live outputs").into());
+    }
+    let (_, major) = Gateway::from_records(config.gateway, &shapes, &session_major(&phase.ops))?;
+    if major != phase.live {
+        return Err(format!("{name}: session-major replay diverged from live outputs").into());
+    }
+    Ok(())
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -330,26 +344,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
     )?;
     let sessions_per_second = sessions as f64 / scale.wall_seconds;
-    println!(
-        "ingest scale: {} concurrent sessions ({} with radio faults), {} frames in {:.2}s \
-         -> {:.0} sessions/s, outputs bit-identical to in-process replay \
-         (recorded + session-major)",
-        scale.peak_sessions,
-        sessions.div_ceil(FAULTY_EVERY as usize),
-        scale.frames,
-        scale.wall_seconds,
-        sessions_per_second
-    );
-
     let Some(p) = scale.frame_to_commit.percentiles() else {
         eprintln!("error: no frame-to-commit samples in the scale phase");
         std::process::exit(1);
     };
-    println!(
-        "ingest latency: frame-to-commit p50 {:.2} ms, p99 {:.2} ms",
-        p.p50 * 1e3,
-        p.p99 * 1e3
-    );
 
     // --- phase 2: fidelity -------------------------------------------
     // Real admission quotas (hybrid solves happen) and faults on every
@@ -390,13 +388,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("error: fidelity phase admitted no hybrid solves");
         std::process::exit(1);
     }
-    println!(
-        "ingest fidelity: {} faulty-radio sessions, {} windows ({solved} hybrid-solved), \
-         outputs bit-identical to in-process replay (recorded + session-major)",
-        fidelity_sessions, fidelity.frames
-    );
 
     // --- telemetry: flight dump + exposition -------------------------
+    // Exported before the determinism audits, whose replays would count
+    // every window again.
     let dump = recorder().dump_jsonl("ingest_soak");
     for line in dump.lines() {
         if let Err(e) = hybridcs::obs::jsonl::validate_line(line) {
@@ -447,6 +442,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             std::process::exit(1);
         }
     }
+    let live_windows: usize = [&scale, &fidelity]
+        .iter()
+        .flat_map(|phase| phase.live.values())
+        .map(Vec::len)
+        .sum();
+    let exported_windows = snapshot
+        .counter_value("gateway_windows_committed_total", &[])
+        .unwrap_or(0);
+    if exported_windows != live_windows as u64 {
+        eprintln!(
+            "error: exported gateway_windows_committed_total {exported_windows} != \
+             {live_windows} live committed windows"
+        );
+        std::process::exit(1);
+    }
     let exposition = hybridcs::obs::render_prometheus(&snapshot);
     if !exposition.contains("# TYPE gateway_frame_to_commit_seconds histogram") {
         eprintln!("error: exposition is missing the frame-to-commit histogram");
@@ -457,9 +467,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     hybridcs::obs::export::write_jsonl(&path, "ingest_soak", &snapshot, &[])?;
     hybridcs::obs::set_enabled(false);
     println!(
-        "ingest bench: report written to {}, prometheus exposition ({} lines) to {prom_path}",
+        "ingest bench: report written to {}, prometheus exposition ({} lines) to {prom_path}, \
+         gateway_windows_committed_total {exported_windows} = live committed windows",
         path.display(),
         exposition.lines().count()
+    );
+
+    // --- determinism audits ------------------------------------------
+    audit("scale", &scale_config, &shape, &scale)?;
+    println!(
+        "ingest scale: {} concurrent sessions ({} with radio faults), {} frames in {:.2}s \
+         -> {:.0} sessions/s, outputs bit-identical to in-process replay \
+         (recorded + session-major)",
+        scale.peak_sessions,
+        sessions.div_ceil(FAULTY_EVERY as usize),
+        scale.frames,
+        scale.wall_seconds,
+        sessions_per_second
+    );
+    println!(
+        "ingest latency: frame-to-commit p50 {:.2} ms, p99 {:.2} ms",
+        p.p50 * 1e3,
+        p.p99 * 1e3
+    );
+    audit("fidelity", &fidelity_config, &shape, &fidelity)?;
+    println!(
+        "ingest fidelity: {} faulty-radio sessions, {} windows ({solved} hybrid-solved), \
+         outputs bit-identical to in-process replay (recorded + session-major)",
+        fidelity_sessions, fidelity.frames
     );
     Ok(())
 }

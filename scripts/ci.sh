@@ -30,12 +30,17 @@ echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
 echo "==> SIMD kernel pins on both tiers (natural dispatch, then HYBRIDCS_FORCE_SCALAR=1)"
-# The 0-ULP twin tests compare the AVX2 and scalar kernel bodies directly;
-# re-running the linalg, solver, sensing (frontend) and wavelet (dsp)
-# suites with the scalar pin additionally drives every batch bit-identity
-# test through the fallback dispatch path that CI would otherwise only
-# exercise on non-AVX2 hosts. The core (decode ladder) and gateway (flush)
-# suites ride along: their batched-vs-serial tests run the same kernels.
+# The 0-ULP tier pins run each kernel on both tiers in one process: the
+# element-wise linalg/solver kernels are one scalar source compiled twice
+# (baseline, and inside the AVX2 frame of `simd::on_tier`), while the
+# sensing (frontend) and wavelet (dsp) panel kernels compare hand-written
+# AVX2 twins with their scalar loops. Only these release runs reach the
+# vector code: the test profile's opt-level 1 does not vectorize.
+# Re-running the suites with the scalar pin additionally drives every
+# batch bit-identity test through the fallback dispatch path that CI
+# would otherwise only exercise on non-AVX2 hosts. The core (decode
+# ladder) and gateway (flush) suites ride along: their batched-vs-serial
+# tests run the same kernels.
 SIMD_CRATES=(-p hybridcs-linalg -p hybridcs-solver -p hybridcs-frontend -p hybridcs-dsp
     -p hybridcs-core -p hybridcs-gateway)
 cargo test -q --release --offline "${SIMD_CRATES[@]}"
@@ -178,6 +183,19 @@ if [ "$ABLATION_ROWS" != "$ABLATION_PINNED" ]; then
     diff <(echo "$ABLATION_PINNED") <(echo "$ABLATION_ROWS") >&2 || true
     exit 1
 fi
+
+echo "==> committed single-window results (four regenerators diffed against results/)"
+# Each bin decodes one generated window serially and prints no time
+# column, so its output is fixed (identical under HYBRIDCS_FORCE_SCALAR=1):
+# a change that moves it must regenerate the committed file, which
+# EXPERIMENTS.md quotes.
+for bin in ablation_resolution ablation_wavelets fig2_lowres_window fig9_examples; do
+    if ! diff -u "results/$bin.txt" \
+        <(cargo run -q --release --offline -p hybridcs-bench --bin "$bin"); then
+        echo "error: $bin output drifted from results/$bin.txt" >&2
+        exit 1
+    fi
+done
 
 echo "==> gateway soak (8 sessions: determinism across worker counts + interleavings)"
 # The soak exits non-zero if any session's output differs across worker
