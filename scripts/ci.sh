@@ -184,12 +184,15 @@ if [ "$ABLATION_ROWS" != "$ABLATION_PINNED" ]; then
     exit 1
 fi
 
-echo "==> committed single-window results (four regenerators diffed against results/)"
+echo "==> committed single-window results (six regenerators diffed against results/)"
 # Each bin decodes one generated window serially and prints no time
 # column, so its output is fixed (identical under HYBRIDCS_FORCE_SCALAR=1):
 # a change that moves it must regenerate the committed file, which
-# EXPERIMENTS.md quotes.
-for bin in ablation_resolution ablation_wavelets fig2_lowres_window fig9_examples; do
+# EXPERIMENTS.md quotes. `ablation_weighted_l1` and `ablation_matrix` are
+# the only end-to-end runs of weighted PDHG, `solve_reweighted` and the
+# sparse-binary sensing kind.
+for bin in ablation_resolution ablation_wavelets fig2_lowres_window fig9_examples \
+    ablation_weighted_l1 ablation_matrix; do
     if ! diff -u "results/$bin.txt" \
         <(cargo run -q --release --offline -p hybridcs-bench --bin "$bin"); then
         echo "error: $bin output drifted from results/$bin.txt" >&2
