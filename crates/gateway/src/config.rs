@@ -21,13 +21,12 @@ pub struct GatewayConfig {
     pub workers: usize,
     /// Largest group of same-shape windows a worker solves as one batched
     /// (lockstep, K-wide-panel) decode. Like `workers`, purely a
-    /// throughput knob: the batched solvers are bit-identical to serial
-    /// per window, so outputs do not depend on this value. The panel
-    /// kernels vectorize the first `4⌊K/4⌋` lanes and run every other
-    /// lane through the contiguous serial sensing and wavelet kernels.
-    /// `1` still solves through the lockstep path, one window per panel:
-    /// the kernels then cost what a serial decode's do, plus the
-    /// lockstep bookkeeping around them.
+    /// throughput knob: every window of a batched solve is bit-identical
+    /// to solving it alone, so outputs do not depend on this value. The
+    /// panel kernels vectorize the first `4⌊K/4⌋` lanes and run every
+    /// other lane through the contiguous serial sensing and wavelet
+    /// kernels. `1` solves one window per panel, which is exactly the
+    /// one-window decode.
     pub max_decode_batch: usize,
     /// Bounded per-shard solver queue: at most this many *full* (solver
     /// admitted) windows may be queued per shard within one batch; excess

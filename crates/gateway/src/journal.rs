@@ -273,8 +273,8 @@ pub fn shape_fingerprint(system: &SystemConfig, codec: &LowResCodec) -> u64 {
 
 /// Fingerprint of the gateway policy a journal was written under. The
 /// worker count and decode-batch width are canonicalized out — both are
-/// pure throughput knobs with no effect on outputs (DESIGN §9 and §14: the
-/// batched solvers are bit-identical to serial per window), so a journal
+/// pure throughput knobs with no effect on outputs (DESIGN §9 and §14: each
+/// window of a batched solve is bit-identical to solving it alone), so a journal
 /// may be recovered into a gateway with a different pool size or batch
 /// width. Everything else must match: shards, admission, ARQ, and
 /// supervisor policy all shape the journaled decisions.

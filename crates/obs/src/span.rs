@@ -7,7 +7,8 @@
 //! including the per-iteration wavelet transforms inside the solvers —
 //! can stay instrumented unconditionally.
 
-use std::cell::RefCell;
+use crate::Histogram;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// RAII guard created by [`span!`](crate::span!). Records on drop — which
@@ -15,58 +16,40 @@ use std::time::Instant;
 #[derive(Debug)]
 pub struct SpanGuard {
     name: &'static str,
+    histogram: &'static OnceLock<Histogram>,
     start: Option<Instant>,
 }
 
 impl SpanGuard {
-    /// Opens a span. Inert (no clock read, nothing recorded) when span
-    /// collection is disabled.
+    /// Opens a span recording into `histogram`, the call site's handle of
+    /// `span_seconds{span=name}`, resolved through the registry on the
+    /// first recorded span. Inert (no clock read, nothing recorded) when
+    /// span collection is disabled.
     #[must_use]
-    pub fn enter(name: &'static str) -> SpanGuard {
+    pub fn enter(name: &'static str, histogram: &'static OnceLock<Histogram>) -> SpanGuard {
         let start = crate::enabled().then(Instant::now);
-        SpanGuard { name, start }
+        SpanGuard {
+            name,
+            histogram,
+            start,
+        }
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(start) = self.start {
-            span_histogram(self.name).record(start.elapsed().as_secs_f64());
+            self.histogram
+                .get_or_init(|| crate::global().histogram("span_seconds", &[("span", self.name)]))
+                .record(start.elapsed().as_secs_f64());
         }
     }
 }
 
-thread_local! {
-    /// Per-thread cache of `span_seconds{span=...}` histogram handles.
-    /// Span names are `&'static str`s from `span!` call sites, so there
-    /// are only ever a handful per thread — a linear scan over a small
-    /// vec beats taking the registry mutex (and allocating the label
-    /// strings for the lookup key) on every guard drop, which matters for
-    /// spans that fire once per solver iteration.
-    static SPAN_HISTOGRAMS: RefCell<Vec<(&'static str, crate::Histogram)>> =
-        const { RefCell::new(Vec::new()) };
-}
-
-fn span_histogram(name: &'static str) -> crate::Histogram {
-    SPAN_HISTOGRAMS.with(|cache| {
-        if let Ok(mut cache) = cache.try_borrow_mut() {
-            if let Some((_, h)) = cache
-                .iter()
-                .find(|(n, _)| std::ptr::eq(*n, name) || *n == name)
-            {
-                return h.clone();
-            }
-            let h = crate::global().histogram("span_seconds", &[("span", name)]);
-            cache.push((name, h.clone()));
-            h
-        } else {
-            // Re-entrant drop during unwinding: fall back to the registry.
-            crate::global().histogram("span_seconds", &[("span", name)])
-        }
-    })
-}
-
-/// Opens a named span for the current scope:
+/// Opens a named span for the current scope. The name is a string
+/// literal, and each call site keeps its own histogram handle in a
+/// `static`, so a recorded span never looks its histogram up in the
+/// registry after the first, on any thread:
 ///
 /// ```
 /// hybridcs_obs::set_enabled(true);
@@ -80,9 +63,10 @@ fn span_histogram(name: &'static str) -> crate::Histogram {
 /// ```
 #[macro_export]
 macro_rules! span {
-    ($name:expr) => {
-        $crate::SpanGuard::enter($name)
-    };
+    ($name:literal) => {{
+        static HISTOGRAM: ::std::sync::OnceLock<$crate::Histogram> = ::std::sync::OnceLock::new();
+        $crate::SpanGuard::enter($name, &HISTOGRAM)
+    }};
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Batched multi-window decode: lockstep PDHG over K same-shape windows.
+//! The PDHG body: lockstep PDHG over K same-shape windows.
 //!
 //! A gateway shard flush typically holds many pending windows that share one
 //! [`DecodeLadder`-style configuration]: the same sensing operator, the same
@@ -7,17 +7,20 @@
 //! [`solve_pdhg_batch`] iterates all K windows in lockstep over
 //! **column-major panels**: element `i` of window-lane `l` lives at
 //! `i * k + l`, so one SIMD vector spans 4 adjacent lanes of the same row
-//! and the per-window accumulation order is *exactly* the serial scalar
-//! order. PDHG is the only solver with a lockstep body; the others solve
-//! one window at a time.
+//! and the per-window accumulation order is *exactly* the one-window order.
+//! This is PDHG's only iteration loop: [`solve_pdhg`](crate::solve_pdhg) runs
+//! it on a one-window batch, whose one-lane panels *are* the window's
+//! vectors. The other solvers solve one window at a time.
 //!
 //! # Bit-identity contract
 //!
-//! For every window, batch solve results (`signal`, `iterations`,
-//! `converged`, `residual`, `objective`) and the observer event stream are
-//! **bit-identical** to the serial [`solve_pdhg`](crate::solve_pdhg) call,
-//! for any batch size and any SIMD tier (`wall_time` in the completion
-//! trace is telemetry and may differ). This holds because:
+//! Every window of a K-wide solve is **bit-identical** to solving it alone:
+//! its results (`signal`, `iterations`, `converged`, `residual`,
+//! `objective`) and its observer event stream equal those of
+//! [`solve_pdhg`](crate::solve_pdhg) on that window, for any batch size and
+//! any SIMD tier (`wall_time` in the completion trace is telemetry and may
+//! differ). This holds because, per lane, every step runs the operations of
+//! its contiguous reference:
 //!
 //! * the element-wise lane kernels ([`hybridcs_linalg::simd`],
 //!   [`crate::simd`]) are one scalar loop each, which the AVX2 tier runs
@@ -28,17 +31,21 @@
 //!   their hand-written AVX2 tier is pinned 0-ULP against its scalar twin;
 //!   their lanes outside a 4-wide vector (every lane when K < 4) run the
 //!   serial kernels themselves;
+//! * the ℓ₂-ball projection, box clamp and soft-threshold run the
+//!   [`crate::prox`] functions on a one-lane panel (which *is* the vector)
+//!   and replicate them element for element on each strided lane otherwise;
 //! * per-lane reductions (norms, distances) are scalar strided replicas of
 //!   the [`hybridcs_linalg::vector`] fold orders;
 //! * converged/aborted windows **retire**: their lane is repacked out of
 //!   every persistent panel ([`hybridcs_linalg::simd::drop_lane`]) so
 //!   surviving windows keep iterating on the exact values they would have
-//!   had serially, with a shrinking stride.
+//!   had alone, with a shrinking stride.
 //!
 //! Windows may stop at different iterations (per-window stopping masks);
-//! retirement happens the same iteration the serial solver would break.
+//! each retires on the iteration its one-window solve stops.
 
 use crate::pdhg;
+use crate::prox;
 use crate::{BpdnProblem, PdhgOptions, RecoveryResult, SolverError, SolverWorkspace};
 use hybridcs_linalg::{simd, vector};
 use hybridcs_obs::{ConvergenceTrace, IterationEvent, IterationObserver, StopReason};
@@ -134,23 +141,12 @@ impl<'a, 'p> BatchProblem<'a, 'p> {
     }
 }
 
-fn check_observers(
-    observers: &[&mut dyn IterationObserver],
-    windows: usize,
-) -> Result<(), SolverError> {
-    if observers.len() != windows {
-        return Err(SolverError::DimensionMismatch {
-            what: "observers vs batch windows",
-            expected: windows,
-            actual: observers.len(),
-        });
-    }
-    Ok(())
-}
-
-/// [`crate::prox::project_l2_ball`] on one strided lane of a panel, against
-/// a contiguous center — the same dist/scale arithmetic element for element.
+/// [`prox::project_l2_ball`] on one lane of a panel, against a contiguous
+/// center — the prox itself at `k == 1`, else the same arithmetic strided.
 fn project_l2_ball_lane(v: &mut [f64], center: &[f64], radius: f64, k: usize, lane: usize) {
+    if k == 1 {
+        return prox::project_l2_ball(v, center, radius);
+    }
     let dist = simd::dist2_lane_vs(v, center, k, lane);
     if dist <= radius || dist == 0.0 {
         return;
@@ -162,8 +158,12 @@ fn project_l2_ball_lane(v: &mut [f64], center: &[f64], radius: f64, k: usize, la
     }
 }
 
-/// [`crate::prox::project_box`] on one strided lane of a panel.
+/// [`prox::project_box`] on one lane of a panel — the prox itself at
+/// `k == 1`, else the same clamp strided.
 fn clamp_box_lane(v: &mut [f64], lo: &[f64], hi: &[f64], k: usize, lane: usize) {
+    if k == 1 {
+        return prox::project_box(v, lo, hi);
+    }
     for (i, (&l, &h)) in lo.iter().zip(hi).enumerate() {
         let idx = i * k + lane;
         v[idx] = v[idx].clamp(l, h);
@@ -196,10 +196,10 @@ fn finalize_pdhg_lane(
     fin_op_scratch: &mut [f64],
     ws: &mut SolverWorkspace,
 ) -> RecoveryResult {
-    // Gather to a contiguous vector and run the exact serial epilogue.
+    // Gather to a contiguous vector and run the one-window epilogue.
     simd::gather_lane(x_panel, k, lane, fin_sig);
     if let Some((lo, hi)) = p.box_bounds {
-        crate::prox::project_box(fin_sig, lo, hi);
+        prox::project_box(fin_sig, lo, hi);
     }
     p.sensing.apply_into(fin_sig, fin_ax, fin_op_scratch);
     let residual = vector::dist2(fin_ax, p.measurements);
@@ -229,10 +229,10 @@ fn finalize_pdhg_lane(
 
 /// Lockstep batched [`solve_pdhg`](crate::solve_pdhg): solves every window
 /// of `batch` simultaneously over K-wide panels, filling `out[w]` with
-/// window `w`'s result. Per window, the result and the
-/// observer event stream are **bit-identical** to the serial solve: SIMD runs
+/// window `w`'s result. Per window, the result and the observer event
+/// stream are **bit-identical** to solving that window alone: SIMD runs
 /// across windows, never within one, and each window retires on the
-/// iteration its serial solve would stop. `observers[w]` observes window `w`.
+/// iteration its one-window solve stops. `observers[w]` observes window `w`.
 ///
 /// `out` is an out-parameter (cleared and refilled) so a caller looping over
 /// shard flushes reuses its capacity; returned signals are workspace buffers
@@ -250,13 +250,34 @@ pub fn solve_pdhg_batch(
     ws: &mut SolverWorkspace,
     out: &mut Vec<Option<RecoveryResult>>,
 ) -> Result<(), SolverError> {
-    let started = Instant::now();
     pdhg::validate_options(options)?;
-    check_observers(observers, batch.len())?;
+    if observers.len() != batch.len() {
+        return Err(SolverError::DimensionMismatch {
+            what: "observers vs batch windows",
+            expected: batch.len(),
+            actual: observers.len(),
+        });
+    }
     out.clear();
     out.resize_with(batch.len(), || None);
+    solve_lockstep(batch, options, observers, ws, out);
+    Ok(())
+}
+
+/// The PDHG iteration behind [`solve_pdhg`](crate::solve_pdhg) and
+/// [`solve_pdhg_batch`]: fills `out[w]` (one slot per window) with window
+/// `w`'s result. The callers have validated the options and matched
+/// `observers` to the batch.
+pub(crate) fn solve_lockstep(
+    batch: &BatchProblem<'_, '_>,
+    options: &PdhgOptions,
+    observers: &mut [&mut dyn IterationObserver],
+    ws: &mut SolverWorkspace,
+    out: &mut [Option<RecoveryResult>],
+) {
+    let started = Instant::now();
     let Some(first) = batch.problems().first() else {
-        return Ok(());
+        return;
     };
 
     let n = first.signal_len();
@@ -279,8 +300,8 @@ pub fn solve_pdhg_batch(
     let mut x = ws.acquire_panel(n, k0);
     let mut x_bar = ws.acquire_panel(n, k0);
     let mut z1 = ws.acquire_panel(m, k0);
-    // `z2` stays zero-filled without a box so the primal gradient computes
-    // `at + 0.0` exactly like the serial loop (signed zeros included).
+    // `z2` stays zero-filled without a box, so the primal gradient computes
+    // `at + 0.0` in every lane (signed zeros included).
     let mut z2 = ws.acquire_panel(n, k0);
     let mut snapshot = ws.acquire_panel(n, k0);
     let mut weight_panel = ws.acquire_panel(if has_weights { n } else { 0 }, k0);
@@ -295,7 +316,7 @@ pub fn solve_pdhg_batch(
     let mut x_new = ws.acquire_panel(n, k0);
     let mut dwt_scratch = ws.acquire(hybridcs_dsp::Dwt::panel_scratch_len(n, k0));
     let mut op_scratch = ws.acquire(a.batch_scratch_len(k0));
-    // Serial-shape scratch for per-window init and finalisation.
+    // One-window scratch for per-window init and finalisation.
     let mut fin_sig = ws.acquire(n);
     let mut fin_ax = ws.acquire(m);
     let mut fin_coeffs = ws.acquire(n);
@@ -367,8 +388,8 @@ pub fn solve_pdhg_batch(
         std::mem::swap(&mut x, &mut x_new);
 
         if lane2win.iter().any(|&win| observers[win].active()) {
-            // `ax` still holds this iteration's `Φx̄` panel, exactly as in
-            // the serial loop, so the residuals cost no forward.
+            // `ax` still holds this iteration's `Φx̄` panel (the ball
+            // projection works on `ball_point`): the residuals cost no forward.
             for (lane, &win) in lane2win.iter().enumerate() {
                 if observers[win].active() {
                     let p = &batch.problems()[win];
@@ -432,7 +453,7 @@ pub fn solve_pdhg_batch(
         }
     }
 
-    // Budget exhausted: remaining lanes report MaxIterations, like serial.
+    // Budget exhausted: the remaining lanes report MaxIterations.
     for (lane, &win) in lane2win.iter().enumerate() {
         out[win] = Some(finalize_pdhg_lane(
             &batch.problems()[win],
@@ -480,7 +501,6 @@ pub fn solve_pdhg_batch(
     }
     ws.release_indices(lane2win);
     ws.release_indices(retire);
-    Ok(())
 }
 
 #[cfg(test)]
@@ -807,10 +827,14 @@ mod tests {
         }
     }
 
+    /// K = 16 is the gateway's default panel width. Lanes retire at
+    /// different iterations, and at k = 2, 4 and 7 one lane outlives the
+    /// rest, so it crosses from the strided helpers to the one-lane prox
+    /// path mid-solve.
     #[test]
     fn pdhg_batch_bit_identical_to_serial_all_k() {
         for_each_tier(|tier| {
-            for k in [1, 2, 3, 4, 7, 8] {
+            for k in [2, 3, 4, 7, 8, 16] {
                 run_pdhg_equivalence(false, false, k, &format!("pdhg/{tier}"));
             }
         });

@@ -12,9 +12,10 @@
 //! family of classic CS baselines:
 //!
 //! * [`solve_pdhg`] — Chambolle–Pock primal–dual splitting with the stacked
-//!   operator `K = [Φ; I]`; the workhorse decoder. [`solve_pdhg_batch`]
-//!   runs it over K same-shape windows in lockstep, bit-identical per
-//!   window; it is the only batched solver.
+//!   operator `K = [Φ; I]`; the workhorse decoder. Its one iteration loop
+//!   is the lockstep body of [`solve_pdhg_batch`], which solves K
+//!   same-shape windows at once, each bit-identical to solving it alone;
+//!   `solve_pdhg` is the K = 1 case. It is the only batched solver.
 //! * [`solve_admm`] — ADMM with three splits (ℓ₂-ball, box, ℓ₁), solving
 //!   its x-subproblem by conjugate gradient; cross-checks PDHG in tests and
 //!   powers the solver ablation.

@@ -1,8 +1,6 @@
-use crate::prox;
+use crate::batch::{self, BatchProblem};
 use crate::{BpdnProblem, RecoveryResult, SolverError, SolverWorkspace};
-use hybridcs_linalg::vector;
-use hybridcs_obs::{ConvergenceTrace, IterationEvent, IterationObserver, StopReason};
-use std::time::Instant;
+use hybridcs_obs::IterationObserver;
 
 /// Options for [`solve_pdhg`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,11 +47,17 @@ impl Default for PdhgOptions {
 /// the output (the true signal lies in the box, so clamping can only help).
 ///
 /// When `observer` is [active](IterationObserver::active), every iteration
-/// emits an [`IterationEvent`] with the new iterate's ℓ₁ objective `‖Ψᵀx‖₁`
-/// and the residual `‖Φx̄ − y‖₂` at the extrapolated point its dual step
-/// used, both already in hand, so watching costs no extra `Φ`-application;
-/// completion emits a [`ConvergenceTrace`] with the exact final `‖Φx − y‖₂`.
-/// The observer never changes the arithmetic.
+/// emits an [`IterationEvent`](crate::IterationEvent) with the new
+/// iterate's ℓ₁ objective `‖Ψᵀx‖₁` and the residual `‖Φx̄ − y‖₂` at the
+/// extrapolated point its dual step used, both already in hand, so
+/// watching costs no extra `Φ`-application; completion emits a
+/// [`ConvergenceTrace`](crate::ConvergenceTrace) with the exact final
+/// `‖Φx − y‖₂`. The observer never changes the arithmetic.
+///
+/// This is the one-window case of
+/// [`solve_pdhg_batch`](crate::solve_pdhg_batch): the lockstep body runs on
+/// one-lane panels, which are the window's own vectors, so a window solved
+/// here and the same window in any K-wide batch agree bit for bit.
 ///
 /// Every iteration buffer comes from `ws`, so a workspace reused across
 /// windows keeps the inner loop free of heap allocations after warm-up.
@@ -75,175 +79,12 @@ pub fn solve_pdhg(
     observer: &mut dyn IterationObserver,
     ws: &mut SolverWorkspace,
 ) -> Result<RecoveryResult, SolverError> {
-    let started = Instant::now();
-    problem.validate()?;
+    let batch = BatchProblem::new(std::slice::from_ref(problem))?;
     validate_options(options)?;
-
-    let n = problem.signal_len();
-    let m = problem.measurement_len();
-    let a = problem.sensing;
-    let dwt = problem.dwt;
-    let y = problem.measurements;
-    let has_box = problem.box_bounds.is_some();
-
-    // Step sizes from the stacked operator norm ‖K‖² = ‖Φ‖² (+ 1 with box).
-    let norm_a = a.norm_est();
-    let norm_k = (norm_a * norm_a + if has_box { 1.0 } else { 0.0 })
-        .sqrt()
-        .max(1e-12);
-    let gamma = 0.99 / norm_k;
-    let tau = gamma * options.step_ratio;
-    let dual_step = gamma / options.step_ratio;
-
-    let mut x = ws.acquire(n);
-    problem.initial_point_into(&mut x);
-    let mut x_bar = ws.acquire(n);
-    x_bar.copy_from_slice(&x);
-    let mut z1 = ws.acquire(m);
-    let mut z2 = ws.acquire(n); // unused without a box
-    let mut ax = ws.acquire(m);
-    let mut at_z1 = ws.acquire(n);
-    let mut snapshot = ws.acquire(n);
-    snapshot.copy_from_slice(&x);
-    let mut ball_point = ws.acquire(m);
-    let mut box_point = ws.acquire(n);
-    let mut w = ws.acquire(n);
-    let mut coeffs = ws.acquire(n);
-    let mut x_new = ws.acquire(n);
-    let mut dwt_scratch = ws.acquire(hybridcs_dsp::Dwt::scratch_len(n));
-    let mut op_scratch = ws.acquire(a.scratch_len());
-
-    let mut iterations = 0;
-    let mut converged = false;
-    let mut aborted = false;
-
-    for iter in 1..=options.max_iterations {
-        iterations = iter;
-
-        // Dual ascent on the fidelity ball: z1 ← v − ς·Π_ball(v/ς).
-        a.apply_into(&x_bar, &mut ax, &mut op_scratch);
-        for (z, &axi) in z1.iter_mut().zip(&ax) {
-            *z += dual_step * axi;
-        }
-        for (b, &z) in ball_point.iter_mut().zip(&z1) {
-            *b = z / dual_step;
-        }
-        prox::project_l2_ball(&mut ball_point, y, problem.sigma);
-        for (z, &p) in z1.iter_mut().zip(&ball_point) {
-            *z -= dual_step * p;
-        }
-
-        // Dual ascent on the box: z2 ← v − ς·Π_box(v/ς).
-        if let Some((lo, hi)) = problem.box_bounds {
-            for (z, &xb) in z2.iter_mut().zip(&x_bar) {
-                *z += dual_step * xb;
-            }
-            for (b, &z) in box_point.iter_mut().zip(&z2) {
-                *b = z / dual_step;
-            }
-            prox::project_box(&mut box_point, lo, hi);
-            for (z, &p) in z2.iter_mut().zip(&box_point) {
-                *z -= dual_step * p;
-            }
-        }
-
-        // Primal descent with the ℓ₁-in-Ψ prox.
-        a.apply_adjoint_into(&z1, &mut at_z1, &mut op_scratch);
-        w.copy_from_slice(&x);
-        for i in 0..n {
-            let grad = at_z1[i] + if has_box { z2[i] } else { 0.0 };
-            w[i] -= tau * grad;
-        }
-        dwt.forward_into(&w, &mut coeffs, &mut dwt_scratch)
-            .expect("length validated");
-        match problem.coefficient_weights {
-            Some(weights) => prox::soft_threshold_weighted(&mut coeffs, tau, weights),
-            None => prox::soft_threshold_slice(&mut coeffs, tau),
-        }
-        dwt.inverse_into(&coeffs, &mut x_new, &mut dwt_scratch)
-            .expect("length validated");
-
-        // Over-relaxation (θ = 1) and shift.
-        for i in 0..n {
-            x_bar[i] = 2.0 * x_new[i] - x[i];
-        }
-        std::mem::swap(&mut x, &mut x_new);
-
-        if observer.active() {
-            // `ax` still holds this iteration's `Φx̄` (the ball projection
-            // works on `ball_point`), so the residual costs no forward.
-            observer.on_iteration(&IterationEvent {
-                iteration: iter,
-                objective: vector::norm1(&coeffs),
-                residual: vector::dist2(&ax, y),
-                step_size: Some(tau),
-            });
-        }
-
-        if observer.should_abort() {
-            aborted = true;
-            break;
-        }
-
-        if iter % options.check_interval == 0 {
-            let change = vector::dist2(&x, &snapshot);
-            let scale = vector::norm2(&x).max(1e-12);
-            snapshot.copy_from_slice(&x);
-            if change <= options.tolerance * scale {
-                converged = true;
-                break;
-            }
-        }
-    }
-
-    // Enforce the bound exactly on the way out.
-    if let Some((lo, hi)) = problem.box_bounds {
-        prox::project_box(&mut x, lo, hi);
-    }
-
-    a.apply_into(&x, &mut ax, &mut op_scratch);
-    let residual = vector::dist2(&ax, y);
-    dwt.forward_into(&x, &mut coeffs, &mut dwt_scratch)
-        .expect("length validated");
-    let objective = vector::norm1(&coeffs);
-
-    ws.release(x_bar);
-    ws.release(z1);
-    ws.release(z2);
-    ws.release(ax);
-    ws.release(at_z1);
-    ws.release(snapshot);
-    ws.release(ball_point);
-    ws.release(box_point);
-    ws.release(w);
-    ws.release(coeffs);
-    ws.release(x_new);
-    ws.release(dwt_scratch);
-    ws.release(op_scratch);
-
-    observer.on_complete(&ConvergenceTrace {
-        solver: "pdhg",
-        iterations,
-        stop_reason: if aborted {
-            StopReason::Aborted
-        } else if converged {
-            StopReason::Converged
-        } else {
-            StopReason::MaxIterations
-        },
-        wall_time: started.elapsed(),
-        converged,
-        final_objective: objective,
-        final_residual: residual,
-    });
-
-    Ok(RecoveryResult {
-        signal: x,
-        iterations,
-        converged,
-        residual,
-        objective,
-    })
+    let mut out = [None];
+    batch::solve_lockstep(&batch, options, &mut [observer], ws, &mut out);
+    let [result] = out;
+    Ok(result.expect("the lockstep body fills every window's slot"))
 }
 
 pub(crate) fn validate_options(options: &PdhgOptions) -> Result<(), SolverError> {
@@ -279,6 +120,7 @@ mod tests {
     use super::*;
     use crate::{DenseOperator, NoopObserver};
     use hybridcs_dsp::{Dwt, Wavelet};
+    use hybridcs_linalg::vector;
     use hybridcs_linalg::Matrix;
 
     /// Deterministic ±1/√n pseudo-Bernoulli sensing matrix.

@@ -14,14 +14,17 @@
 //! nor reassociates float arithmetic, so each vector lane computes the
 //! identical IEEE-754 operation sequence as the scalar loop. The
 //! per-element results are therefore bit-identical across tiers, which is
-//! what lets the batched solver promise bit-identical results to its
-//! serial counterpart regardless of the dispatch decision.
+//! what lets the batched solver promise bit-identical results regardless
+//! of the dispatch decision.
 //!
 //! Per-lane thresholds follow the batch panel layout of
 //! [`hybridcs_linalg::simd`]: a panel stores element `i` of lane `l` at
-//! `i * k + l`, and a threshold slice `t` holds one value per lane.
+//! `i * k + l`, and a threshold slice `t` holds one value per lane. A
+//! one-lane panel runs the contiguous prox in an `on_tier` call of its
+//! own: a `k == 1` branch inside the row loop's closure kept LLVM from
+//! vectorizing that loop.
 
-use crate::prox::soft_threshold;
+use crate::prox::{soft_threshold, soft_threshold_slice, soft_threshold_weighted};
 use hybridcs_linalg::simd::{on_tier, simd_enabled};
 
 /// Panel soft-threshold with a per-lane threshold: for every row `i` and
@@ -29,7 +32,7 @@ use hybridcs_linalg::simd::{on_tier, simd_enabled};
 /// to `panel[i*k + l]` in place.
 ///
 /// Matches the scalar [`crate::prox::soft_threshold_slice`] applied per
-/// lane, bit for bit.
+/// lane, bit for bit, and runs it at `k == 1`, where the panel is the vector.
 ///
 /// # Panics
 ///
@@ -43,6 +46,9 @@ pub fn soft_threshold_lanes(panel: &mut [f64], t: &[f64], k: usize) {
         0,
         "soft_threshold_lanes: panel not a multiple of k"
     );
+    if k == 1 {
+        return on_tier(simd_enabled(), || soft_threshold_slice(panel, t[0]));
+    }
     on_tier(simd_enabled(), || {
         for row in panel.chunks_exact_mut(k) {
             for (v, &tl) in row.iter_mut().zip(t) {
@@ -54,7 +60,8 @@ pub fn soft_threshold_lanes(panel: &mut [f64], t: &[f64], k: usize) {
 
 /// Weighted panel soft-threshold: element `(i, l)` is thresholded at
 /// `t[l] * w_panel[i*k + l]`, matching the scalar
-/// [`crate::prox::soft_threshold_weighted`] applied per lane, bit for bit.
+/// [`crate::prox::soft_threshold_weighted`] applied per lane, bit for bit
+/// (and runs it at `k == 1`).
 ///
 /// # Panics
 ///
@@ -77,6 +84,11 @@ pub fn soft_threshold_weighted_lanes(panel: &mut [f64], t: &[f64], w_panel: &[f6
         panel.len(),
         "soft_threshold_weighted_lanes: weight panel length mismatch"
     );
+    if k == 1 {
+        return on_tier(simd_enabled(), || {
+            soft_threshold_weighted(panel, t[0], w_panel)
+        });
+    }
     on_tier(simd_enabled(), || {
         for (row, w_row) in panel.chunks_exact_mut(k).zip(w_panel.chunks_exact(k)) {
             for ((v, &tl), &w) in row.iter_mut().zip(t).zip(w_row) {
@@ -89,9 +101,8 @@ pub fn soft_threshold_weighted_lanes(panel: &mut [f64], t: &[f64], w_panel: &[f6
 /// Proximal gradient step `out[i] = x[i] − τ·(at_z1[i] + z2[i])`.
 ///
 /// This is the PDHG primal update written as one element-wise pass; the
-/// `z2` slice must be zero-filled when the problem has no box constraint so
-/// the arithmetic (`at + 0.0`) replicates the serial path exactly,
-/// including its signed-zero behaviour.
+/// `z2` slice must be zero-filled when the problem has no box constraint,
+/// so the arithmetic is `at + 0.0` either way, signed zeros included.
 ///
 /// # Panics
 ///
@@ -268,8 +279,8 @@ mod tests {
 
     #[test]
     fn grad_step_zero_z2_matches_serial_signed_zero() {
-        // Serial PDHG computes `at + 0.0` even without a box; -0.0 inputs
-        // must round to +0.0 identically through the panel kernel.
+        // Without a box PDHG still computes `at + 0.0` (`z2` stays zero);
+        // -0.0 inputs must round to +0.0 through the panel kernel.
         let at = [-0.0, 0.0, -1.5, 2.5];
         let x = [0.0; 4];
         let z2 = [0.0; 4];

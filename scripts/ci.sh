@@ -347,10 +347,9 @@ echo "==> decode-throughput gates (zero-alloc hot path + speedup floors + batche
 # a span of steady-state workspace solves (serial or batched) performs any
 # heap allocation, if the optimized decode path fails its 2x throughput
 # floor over the retained pre-optimization baseline, if the best
-# batched+SIMD configuration fails its 3x floor (AVX2 hosts), if K = 1
-# through the batched path falls below 0.8x the serial decode (either
-# tier; each speed floor compares medians of interleaved passes), or if
-# any batched configuration is not bit-identical to the serial decode. Its
+# batched+SIMD configuration fails its 3x floor (AVX2 hosts; each speed
+# floor compares medians of interleaved passes), or if any batched
+# configuration is not bit-identical to the serial decode. Its
 # bench report must pass the shared JSONL schema checker; the K-sweep
 # throughput lines and the gate ratios are republished below so CI logs
 # carry the numbers.
