@@ -19,7 +19,11 @@
 //!    (`soft_threshold_lanes`, `grad_step_lanes`).
 //!
 //! Shapes match the default decode configuration (512-sample windows,
-//! m = 96) at the gateway's default batch width K = 16. Every tier pair
+//! m = 96) at the gateway's default batch width K = 16. The sensing and
+//! wavelet rows also run at K = 1, where the batch entry points run the
+//! serial kernels in place (`apply_into_scratch`, the serial adjoint, the
+//! one-window DWT): the kernels of every lane outside a 4-wide vector,
+//! which is every lane of a panel narrower than four. Every tier pair
 //! computes bit-identical outputs (the 0-ULP contract pinned by the
 //! kernel tests); these numbers only rank how fast each tier produces
 //! those bits. Timings use the [`Micro`] harness: median per iteration
@@ -76,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &[(false, "scalar")]
     };
     println!(
-        "kernels_batch: n = {N}, m = {M}, K = {K}, {} samples x ~{} ms",
+        "kernels_batch: n = {N}, m = {M}, K = 1 and {K}, {} samples x ~{} ms",
         harness.samples,
         harness.sample_budget.as_millis()
     );
@@ -84,29 +88,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for &(simd_on, tier) in tiers {
         set_override(Some(simd_on));
 
-        harness.bench(&format!("sensing_forward_batch/k{K}/{tier}"), || {
-            sensing.apply_batch_into_scratch(
-                black_box(&x_panel),
-                K,
-                &mut out_m,
-                &mut sense_scratch,
-            );
-        });
-        harness.bench(&format!("sensing_adjoint_batch/k{K}/{tier}"), || {
-            sensing.apply_adjoint_batch_into_scratch(
-                black_box(&y_panel),
-                K,
-                &mut out_n,
-                &mut sense_scratch,
-            );
-        });
+        for k in [1, K] {
+            let (x, y) = (&x_panel[..N * k], &y_panel[..M * k]);
+            harness.bench(&format!("sensing_forward_batch/k{k}/{tier}"), || {
+                sensing.apply_batch_into_scratch(
+                    black_box(x),
+                    k,
+                    &mut out_m[..M * k],
+                    &mut sense_scratch,
+                );
+            });
+            harness.bench(&format!("sensing_adjoint_batch/k{k}/{tier}"), || {
+                sensing.apply_adjoint_batch_into_scratch(
+                    black_box(y),
+                    k,
+                    &mut out_n[..N * k],
+                    &mut sense_scratch,
+                );
+            });
 
-        harness.bench(&format!("dwt_forward_panel/k{K}/{tier}"), || {
-            dwt.forward_panel_into(black_box(&x_panel), K, &mut out_n, &mut dwt_scratch)
-        });
-        harness.bench(&format!("dwt_inverse_panel/k{K}/{tier}"), || {
-            dwt.inverse_panel_into(black_box(&x_panel), K, &mut out_n, &mut dwt_scratch)
-        });
+            harness.bench(&format!("dwt_forward_panel/k{k}/{tier}"), || {
+                dwt.forward_panel_into(black_box(x), k, &mut out_n[..N * k], &mut dwt_scratch)
+            });
+            harness.bench(&format!("dwt_inverse_panel/k{k}/{tier}"), || {
+                dwt.inverse_panel_into(black_box(x), k, &mut out_n[..N * k], &mut dwt_scratch)
+            });
+        }
 
         harness.bench(&format!("linalg_axpy/nk{}/{tier}", N * K), || {
             simd::axpy(black_box(0.125), &x_panel, &mut out_n);

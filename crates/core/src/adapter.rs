@@ -66,7 +66,8 @@ impl LinearOperator for SensingOperator<'_> {
     }
 
     fn apply_adjoint(&self, y: &[f64], out: &mut [f64]) {
-        self.matrix.apply_adjoint_into(y, out);
+        let mut tables = vec![0.0; self.scratch_len()];
+        self.matrix.apply_adjoint_into_scratch(y, out, &mut tables);
     }
 
     fn scratch_len(&self) -> usize {
@@ -79,8 +80,8 @@ impl LinearOperator for SensingOperator<'_> {
     }
 
     fn apply_adjoint_into(&self, y: &[f64], out: &mut [f64], scratch: &mut [f64]) {
-        let _ = scratch;
-        self.matrix.apply_adjoint_into(y, out);
+        // The scratch holds the adjoint's per-4-row sign tables.
+        self.matrix.apply_adjoint_into_scratch(y, out, scratch);
     }
 
     fn batch_scratch_len(&self, k: usize) -> usize {
@@ -115,13 +116,15 @@ impl LinearOperator for SensingOperator<'_> {
         match self.cached_norm {
             Some(norm) => norm,
             None => {
-                // One sign table serves every forward application.
+                // One sign table serves every forward application, one
+                // more every adjoint.
                 let mut table = vec![0.0; self.scratch_len()];
+                let mut adjoint_tables = vec![0.0; self.scratch_len()];
                 let (norm, _) = hybridcs_linalg::operator_norm_est(
                     self.cols(),
                     self.rows(),
                     |x, out| self.apply_into(x, out, &mut table),
-                    |y, out| self.apply_adjoint(y, out),
+                    |y, out| self.apply_adjoint_into(y, out, &mut adjoint_tables),
                     hybridcs_linalg::PowerIterationOptions::default(),
                 );
                 norm

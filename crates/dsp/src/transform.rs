@@ -748,19 +748,36 @@ fn synthesize_level(approx: &[f64], detail: &[f64], h: &[f64], g: &[f64], out: &
 
 /// Lane-parallel twins of [`analyze_level`] / [`synthesize_level`] over
 /// the first `lanes` lanes (a multiple of four) of column-major panels of
-/// stride `k`. Per lane the tap order is identical to the serial kernels,
-/// so every lane is bit-identical regardless of tier; the `% n` wrap of
-/// the periodized form is pure index arithmetic (same as the serial
-/// bulk/tail split) and cannot change bits.
+/// stride `k`.
 ///
-/// Unlike the element-wise kernels of `hybridcs_linalg::simd`, these keep
-/// a hand-written AVX2 tier. Compiled from the scalar source inside
-/// `hybridcs_linalg::simd::on_tier`'s AVX2 frame they ran 2–41 % slower
-/// in two interleaved `kernels_batch` pairs on a 2-vCPU AVX2 host: LLVM
-/// keeps the per-lane tap accumulators in memory, while the intrinsics
-/// hold them in registers across the taps.
+/// Every output lane folds in a register from `0.0` and is stored once.
+/// Analysis: `a[p]` and `d[p]` add their taps `j = 0, 1, …` in ascending
+/// order, as [`analyze_level`] does. Synthesis gathers: output `2p + e`
+/// (`e` ∈ {0, 1}) adds `h[2t+e]·a[i] + g[2t+e]·d[i]` over the rows
+/// `i = (p − t) mod n/2` that touch it, in ascending `i`, which is the
+/// order [`synthesize_level`]'s scatter delivers them, wrapped rows last.
+/// So every lane is bit-identical to the serial kernels whatever the tier;
+/// the `% n` wrap is pure index arithmetic and cannot change bits.
+/// [`lane_blocks`] hands out one row (analysis) or one output pair
+/// (synthesis) × sixteen lanes at a time: eight 4-lane chains, approx and
+/// detail (even and odd) × four vectors, whose adds hide each other's
+/// latency. Against one 4-lane chain per output (and, for synthesis, a
+/// scatter that added into the output panel tap by tap), a K = 16 panel
+/// of 512 samples, db4 at 4 levels (2-vCPU AVX2 host, medians of six
+/// interleaved `kernels_batch` pairs) fell from 38.3 to 23.2 µs for
+/// analysis and from 37.6 to 26.4 µs for synthesis on the AVX2 tier, and
+/// from 155.1 to 47.0 and 79.4 to 43.2 µs on the scalar tier.
+///
+/// The AVX2 tier is hand-written. The scalar twin takes the same loop
+/// order with its accumulators in local arrays, but compiled for AVX2 it
+/// is not as fast: `hybridcs_linalg::simd::on_tier` does not inline a
+/// block into its AVX2 frame, and in a `target_feature` function of its
+/// own it ran 1.30× (analysis) and 1.15× (synthesis) slower than the
+/// intrinsics (DESIGN §14).
 #[allow(unsafe_code)]
 mod panel_kernels {
+    use hybridcs_linalg::simd::{lane_blocks, simd_available, LaneBlock};
+
     #[allow(clippy::too_many_arguments)]
     pub fn analyze(
         x: &[f64],
@@ -772,17 +789,23 @@ mod panel_kernels {
         detail: &mut [f64],
         simd: bool,
     ) {
-        // Every 4-wide access below stays inside the first `lanes` lanes.
+        // With the block bounds checked in `block`, these keep every
+        // access of either twin inside the panels.
         assert!(lanes > 0 && lanes.is_multiple_of(4) && lanes <= k);
-        #[cfg(target_arch = "x86_64")]
-        if simd {
-            // SAFETY: `simd` comes from `simd_enabled`, which requires
-            // runtime AVX2 support; the assert above bounds every access.
-            unsafe { analyze_avx(x, k, lanes, h, g, approx, detail) };
-            return;
-        }
-        let _ = simd;
-        analyze_scalar(x, k, lanes, h, g, approx, detail);
+        let n = x.len() / k;
+        assert!(x.len() == n * k && n >= h.len() && h.len() == g.len());
+        assert!(approx.len() == n / 2 * k && detail.len() == n / 2 * k);
+        let mut fold = Analyze {
+            x,
+            k,
+            lanes,
+            h,
+            g,
+            approx,
+            detail,
+            simd: simd && simd_available(),
+        };
+        lane_blocks::<1>(&mut fold, n / 2, lanes);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -796,150 +819,230 @@ mod panel_kernels {
         out: &mut [f64],
         simd: bool,
     ) {
-        // Every 4-wide access below stays inside the first `lanes` lanes.
+        // With the block bounds checked in `block`, these keep every
+        // access of either twin inside the panels.
         assert!(lanes > 0 && lanes.is_multiple_of(4) && lanes <= k);
-        out.fill(0.0);
-        #[cfg(target_arch = "x86_64")]
-        if simd {
-            // SAFETY: `simd` comes from `simd_enabled`, which requires
-            // runtime AVX2 support; the assert above bounds every access.
-            unsafe { synthesize_avx(approx, detail, k, lanes, h, g, out) };
-            return;
-        }
-        let _ = simd;
-        synthesize_scalar(approx, detail, k, lanes, h, g, out);
+        let half = approx.len() / k;
+        assert!(approx.len() == half * k && detail.len() == half * k);
+        assert!(out.len() == 2 * half * k && h.len() == g.len() && h.len().is_multiple_of(2));
+        // Rows `(p − t) mod half` for `t < h.len() / 2` are distinct, so
+        // each touches an output once; `Dwt::check_len` guarantees it.
+        assert!(h.len() / 2 <= half);
+        let mut fold = Synthesize {
+            approx,
+            detail,
+            k,
+            lanes,
+            h,
+            g,
+            out,
+            simd: simd && simd_available(),
+        };
+        lane_blocks::<1>(&mut fold, half, lanes);
     }
 
-    fn analyze_scalar(
-        x: &[f64],
+    /// One analysis level: block `(p, lane)` folds rows `p..p + R` of both
+    /// bands.
+    struct Analyze<'a> {
+        x: &'a [f64],
         k: usize,
         lanes: usize,
-        h: &[f64],
-        g: &[f64],
-        approx: &mut [f64],
-        detail: &mut [f64],
-    ) {
-        let n = x.len() / k;
-        let half = n / 2;
-        for row in 0..half {
-            let base = 2 * row;
-            for lane in 0..lanes {
-                let mut a = 0.0;
-                let mut d = 0.0;
-                for (j, (&hj, &gj)) in h.iter().zip(g).enumerate() {
-                    let mut idx = base + j;
-                    if idx >= n {
-                        idx -= n;
-                    }
-                    let xv = x[idx * k + lane];
-                    a += hj * xv;
-                    d += gj * xv;
+        h: &'a [f64],
+        g: &'a [f64],
+        approx: &'a mut [f64],
+        detail: &'a mut [f64],
+        simd: bool,
+    }
+
+    impl LaneBlock for Analyze<'_> {
+        fn block<const R: usize, const V: usize>(&mut self, p: usize, lane: usize) {
+            assert!((p + R) * self.k <= self.approx.len() && lane + 4 * V <= self.lanes);
+            #[cfg(target_arch = "x86_64")]
+            if self.simd {
+                // SAFETY: `simd` holds only after `simd_available`
+                // detected AVX2; the assert above and `analyze`'s bound
+                // every access.
+                unsafe { analyze_avx::<R, V>(self, p, lane) };
+                return;
+            }
+            analyze_scalar::<R, V>(self, p, lane);
+        }
+    }
+
+    /// Row of the filter window's tap `j` for output row `p`, wrapped
+    /// once (`n ≥ taps`).
+    #[inline]
+    fn tap_row(p: usize, j: usize, n: usize) -> usize {
+        let idx = 2 * p + j;
+        if idx >= n {
+            idx - n
+        } else {
+            idx
+        }
+    }
+
+    fn analyze_scalar<const R: usize, const V: usize>(f: &mut Analyze<'_>, p: usize, lane: usize) {
+        let n = f.x.len() / f.k;
+        let mut a = [[0.0f64; 16]; R];
+        let mut d = [[0.0f64; 16]; R];
+        for (j, (&hj, &gj)) in f.h.iter().zip(f.g).enumerate() {
+            for (r, (a, d)) in a.iter_mut().zip(&mut d).enumerate() {
+                let at = tap_row(p + r, j, n) * f.k + lane;
+                for ((a, d), &xv) in a.iter_mut().zip(d).zip(&f.x[at..at + 4 * V]) {
+                    *a += hj * xv;
+                    *d += gj * xv;
                 }
-                approx[row * k + lane] = a;
-                detail[row * k + lane] = d;
             }
         }
+        for (r, (a, d)) in a.iter().zip(&d).enumerate() {
+            let at = (p + r) * f.k + lane;
+            f.approx[at..at + 4 * V].copy_from_slice(&a[..4 * V]);
+            f.detail[at..at + 4 * V].copy_from_slice(&d[..4 * V]);
+        }
     }
 
-    fn synthesize_scalar(
-        approx: &[f64],
-        detail: &[f64],
+    /// One synthesis level: block `(p, lane)` folds output pairs
+    /// `2p, 2p + 1` through `2(p + R) − 1`.
+    struct Synthesize<'a> {
+        approx: &'a [f64],
+        detail: &'a [f64],
         k: usize,
         lanes: usize,
-        h: &[f64],
-        g: &[f64],
-        out: &mut [f64],
+        h: &'a [f64],
+        g: &'a [f64],
+        out: &'a mut [f64],
+        simd: bool,
+    }
+
+    impl LaneBlock for Synthesize<'_> {
+        fn block<const R: usize, const V: usize>(&mut self, p: usize, lane: usize) {
+            assert!((p + R) * self.k <= self.approx.len() && lane + 4 * V <= self.lanes);
+            #[cfg(target_arch = "x86_64")]
+            if self.simd {
+                // SAFETY: `simd` holds only after `simd_available`
+                // detected AVX2; the assert above and `synthesize`'s bound
+                // every access.
+                unsafe { synthesize_avx::<R, V>(self, p, lane) };
+                return;
+            }
+            synthesize_scalar::<R, V>(self, p, lane);
+        }
+    }
+
+    /// Term `s` of output pair `p`'s gather: the tap pair `t` and the row
+    /// `(p − t) mod half` it reads, in ascending row order. Rows `p − t`
+    /// come first (`t` from `min(p, T − 1)` down to 0), then the wrapped
+    /// rows `p − t + half` (`t` from `T − 1` down to `p + 1`).
+    #[inline]
+    fn gather_term(p: usize, s: usize, pairs: usize, half: usize) -> (usize, usize) {
+        let q = p.min(pairs - 1);
+        let t = if s <= q { q - s } else { q + pairs - s };
+        (t, if t <= p { p - t } else { p + half - t })
+    }
+
+    fn synthesize_scalar<const R: usize, const V: usize>(
+        f: &mut Synthesize<'_>,
+        p: usize,
+        lane: usize,
     ) {
-        let n = out.len() / k;
-        let half = n / 2;
-        for row in 0..half {
-            let base = 2 * row;
-            for (j, (&hj, &gj)) in h.iter().zip(g).enumerate() {
-                let mut idx = base + j;
-                if idx >= n {
-                    idx -= n;
+        let half = f.approx.len() / f.k;
+        let pairs = f.h.len() / 2;
+        let mut even = [[0.0f64; 16]; R];
+        let mut odd = [[0.0f64; 16]; R];
+        for s in 0..pairs {
+            for (r, (even, odd)) in even.iter_mut().zip(&mut odd).enumerate() {
+                let (t, row) = gather_term(p + r, s, pairs, half);
+                let at = row * f.k + lane;
+                let (he, ge) = (f.h[2 * t], f.g[2 * t]);
+                let (ho, go) = (f.h[2 * t + 1], f.g[2 * t + 1]);
+                let terms = f.approx[at..at + 4 * V]
+                    .iter()
+                    .zip(&f.detail[at..at + 4 * V]);
+                for ((e, o), (&a, &d)) in even.iter_mut().zip(odd.iter_mut()).zip(terms) {
+                    *e += he * a + ge * d;
+                    *o += ho * a + go * d;
                 }
-                for lane in 0..lanes {
-                    let a = approx[row * k + lane];
-                    let d = detail[row * k + lane];
-                    out[idx * k + lane] += hj * a + gj * d;
+            }
+        }
+        for (r, (even, odd)) in even.iter().zip(&odd).enumerate() {
+            let at = 2 * (p + r) * f.k + lane;
+            f.out[at..at + 4 * V].copy_from_slice(&even[..4 * V]);
+            f.out[at + f.k..at + f.k + 4 * V].copy_from_slice(&odd[..4 * V]);
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    use std::arch::x86_64::{
+        _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd,
+        _mm256_storeu_pd,
+    };
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn analyze_avx<const R: usize, const V: usize>(
+        f: &mut Analyze<'_>,
+        p: usize,
+        lane: usize,
+    ) {
+        let n = f.x.len() / f.k;
+        let mut a = [[_mm256_setzero_pd(); V]; R];
+        let mut d = [[_mm256_setzero_pd(); V]; R];
+        for (j, (&hj, &gj)) in f.h.iter().zip(f.g).enumerate() {
+            let (hv, gv) = (_mm256_set1_pd(hj), _mm256_set1_pd(gj));
+            for r in 0..R {
+                let x = f.x.as_ptr().add(tap_row(p + r, j, n) * f.k + lane);
+                for v in 0..V {
+                    let xv = _mm256_loadu_pd(x.add(4 * v));
+                    a[r][v] = _mm256_add_pd(a[r][v], _mm256_mul_pd(hv, xv));
+                    d[r][v] = _mm256_add_pd(d[r][v], _mm256_mul_pd(gv, xv));
                 }
+            }
+        }
+        for r in 0..R {
+            let at = (p + r) * f.k + lane;
+            for v in 0..V {
+                _mm256_storeu_pd(f.approx.as_mut_ptr().add(at + 4 * v), a[r][v]);
+                _mm256_storeu_pd(f.detail.as_mut_ptr().add(at + 4 * v), d[r][v]);
             }
         }
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn analyze_avx(
-        x: &[f64],
-        k: usize,
-        lanes: usize,
-        h: &[f64],
-        g: &[f64],
-        approx: &mut [f64],
-        detail: &mut [f64],
+    unsafe fn synthesize_avx<const R: usize, const V: usize>(
+        f: &mut Synthesize<'_>,
+        p: usize,
+        lane: usize,
     ) {
-        use std::arch::x86_64::{
-            _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd,
-            _mm256_storeu_pd,
-        };
-        let n = x.len() / k;
-        let half = n / 2;
-        for row in 0..half {
-            let base = 2 * row;
-            for lane in (0..lanes).step_by(4) {
-                let mut a = _mm256_setzero_pd();
-                let mut d = _mm256_setzero_pd();
-                for (j, (&hj, &gj)) in h.iter().zip(g).enumerate() {
-                    let mut idx = base + j;
-                    if idx >= n {
-                        idx -= n;
-                    }
-                    let xv = _mm256_loadu_pd(x.as_ptr().add(idx * k + lane));
-                    a = _mm256_add_pd(a, _mm256_mul_pd(_mm256_set1_pd(hj), xv));
-                    d = _mm256_add_pd(d, _mm256_mul_pd(_mm256_set1_pd(gj), xv));
+        let half = f.approx.len() / f.k;
+        let pairs = f.h.len() / 2;
+        let mut even = [[_mm256_setzero_pd(); V]; R];
+        let mut odd = [[_mm256_setzero_pd(); V]; R];
+        for s in 0..pairs {
+            for r in 0..R {
+                let (t, row) = gather_term(p + r, s, pairs, half);
+                let (he, ge) = (_mm256_set1_pd(f.h[2 * t]), _mm256_set1_pd(f.g[2 * t]));
+                let (ho, go) = (
+                    _mm256_set1_pd(f.h[2 * t + 1]),
+                    _mm256_set1_pd(f.g[2 * t + 1]),
+                );
+                let a = f.approx.as_ptr().add(row * f.k + lane);
+                let d = f.detail.as_ptr().add(row * f.k + lane);
+                for v in 0..V {
+                    let av = _mm256_loadu_pd(a.add(4 * v));
+                    let dv = _mm256_loadu_pd(d.add(4 * v));
+                    let e = _mm256_add_pd(_mm256_mul_pd(he, av), _mm256_mul_pd(ge, dv));
+                    let o = _mm256_add_pd(_mm256_mul_pd(ho, av), _mm256_mul_pd(go, dv));
+                    even[r][v] = _mm256_add_pd(even[r][v], e);
+                    odd[r][v] = _mm256_add_pd(odd[r][v], o);
                 }
-                _mm256_storeu_pd(approx.as_mut_ptr().add(row * k + lane), a);
-                _mm256_storeu_pd(detail.as_mut_ptr().add(row * k + lane), d);
             }
         }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn synthesize_avx(
-        approx: &[f64],
-        detail: &[f64],
-        k: usize,
-        lanes: usize,
-        h: &[f64],
-        g: &[f64],
-        out: &mut [f64],
-    ) {
-        use std::arch::x86_64::{
-            _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_storeu_pd,
-        };
-        let n = out.len() / k;
-        let half = n / 2;
-        for row in 0..half {
-            let base = 2 * row;
-            for (j, (&hj, &gj)) in h.iter().zip(g).enumerate() {
-                let mut idx = base + j;
-                if idx >= n {
-                    idx -= n;
-                }
-                let hv = _mm256_set1_pd(hj);
-                let gv = _mm256_set1_pd(gj);
-                for lane in (0..lanes).step_by(4) {
-                    let a = _mm256_loadu_pd(approx.as_ptr().add(row * k + lane));
-                    let d = _mm256_loadu_pd(detail.as_ptr().add(row * k + lane));
-                    let contrib = _mm256_add_pd(_mm256_mul_pd(hv, a), _mm256_mul_pd(gv, d));
-                    let o = _mm256_loadu_pd(out.as_ptr().add(idx * k + lane));
-                    _mm256_storeu_pd(
-                        out.as_mut_ptr().add(idx * k + lane),
-                        _mm256_add_pd(o, contrib),
-                    );
-                }
+        for r in 0..R {
+            let at = 2 * (p + r) * f.k + lane;
+            for v in 0..V {
+                _mm256_storeu_pd(f.out.as_mut_ptr().add(at + 4 * v), even[r][v]);
+                _mm256_storeu_pd(f.out.as_mut_ptr().add(at + f.k + 4 * v), odd[r][v]);
             }
         }
     }
@@ -1162,7 +1265,7 @@ mod tests {
             for levels in 1..=3 {
                 let dwt = Dwt::new(w, levels).unwrap();
                 let n = 64;
-                for &k in &[1usize, 2, 3, 4, 5, 7, 8] {
+                for &k in &[1usize, 2, 3, 4, 5, 7, 8, 12, 15, 16, 17, 20, 33] {
                     // Column-major panel with distinct per-lane signals.
                     let mut panel = vec![0.0; n * k];
                     let mut lanes: Vec<Vec<f64>> = Vec::new();

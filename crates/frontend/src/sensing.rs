@@ -183,7 +183,10 @@ impl SensingMatrix {
     }
 
     /// Scratch length (in `f64`s) for [`SensingMatrix::apply_into_scratch`]:
-    /// room for the per-4-column sign-sum table shared by all rows.
+    /// room for the per-4-column sign-sum table shared by all rows. It
+    /// also holds the `m/4` plane tables of
+    /// [`SensingMatrix::apply_adjoint_into_scratch`] (16 entries each,
+    /// and `m ≤ n`).
     #[must_use]
     pub fn forward_scratch_len(&self) -> usize {
         match self.kind {
@@ -284,11 +287,13 @@ impl SensingMatrix {
     /// width `k`.
     #[must_use]
     pub fn batch_scratch_len(&self, k: usize) -> usize {
-        // Panel tables for the vector lanes (forward: groups·16 per lane,
-        // adjoint: 16 per lane), then one lane's gather/scatter buffers
-        // and, for the forward, the serial kernel's table: a panel with
-        // lanes outside a 4-wide vector covers at most `k − 1` with
-        // tables, which leaves room for the serial one.
+        // Panel tables for the vector lanes (forward: 16 per 4-column
+        // group per lane; adjoint: 16 per 4-row plane per lane, no more
+        // than the forward's since m ≤ n), then one lane's gather/scatter
+        // buffers and the serial kernel's tables (the forward's
+        // `forward_scratch_len`, the adjoint's planes): a panel with lanes
+        // outside a 4-wide vector covers at most `k − 1` with panel
+        // tables, which leaves room for the serial ones.
         self.forward_scratch_len() * k + 16 * k + self.n + self.m
     }
 
@@ -363,10 +368,10 @@ impl SensingMatrix {
     }
 
     /// Batched adjoint application over a column-major panel — the lane-wise
-    /// twin of [`SensingMatrix::apply_adjoint_into`], bit-identical per
+    /// twin of [`SensingMatrix::apply_adjoint_into_scratch`], bit-identical per
     /// lane, with the same split as [`SensingMatrix::apply_batch_into_scratch`]:
     /// the lane-parallel kernel covers the first `4⌊k/4⌋` lanes and
-    /// [`SensingMatrix::apply_adjoint_into`] runs the rest.
+    /// [`SensingMatrix::apply_adjoint_into_scratch`] runs the rest.
     ///
     /// # Panics
     ///
@@ -410,25 +415,27 @@ impl SensingMatrix {
                 scale,
             } => {
                 let lanes = vector_lanes(k);
-                let (table16, rest) = scratch.split_at_mut(16 * lanes);
+                let (table, rest) = scratch.split_at_mut(nibbles.len() * 16 * lanes);
                 if lanes > 0 {
                     batch_kernels::adjoint(
-                        rows, nibbles, *scale, y_panel, k, lanes, self.n, out_panel, table16, simd,
+                        rows, nibbles, *scale, y_panel, k, lanes, self.n, out_panel, table, simd,
                     );
                 }
-                serial_lanes(y_panel, k, lanes, out_panel, rest, |y, x, _| {
-                    self.apply_adjoint_into(y, x);
+                serial_lanes(y_panel, k, lanes, out_panel, rest, |y, x, s| {
+                    self.apply_adjoint_into_scratch(y, x, s);
                 });
             }
             Kind::SparseBinary { .. } => {
-                serial_lanes(y_panel, k, 0, out_panel, scratch, |y, x, _| {
-                    self.apply_adjoint_into(y, x);
+                serial_lanes(y_panel, k, 0, out_panel, scratch, |y, x, s| {
+                    self.apply_adjoint_into_scratch(y, x, s);
                 });
             }
         }
     }
 
-    /// Adjoint application `x = Φᵀy`.
+    /// Adjoint application `x = Φᵀy`, drawing the
+    /// [`SensingMatrix::forward_scratch_len`] tables for one
+    /// [`SensingMatrix::apply_adjoint_into_scratch`].
     ///
     /// # Panics
     ///
@@ -436,24 +443,30 @@ impl SensingMatrix {
     #[must_use]
     pub fn apply_adjoint(&self, y: &[f64]) -> Vec<f64> {
         let mut x = vec![0.0; self.n];
-        self.apply_adjoint_into(y, &mut x);
+        let mut tables = vec![0.0; self.forward_scratch_len()];
+        self.apply_adjoint_into_scratch(y, &mut x, &mut tables);
         x
     }
 
-    /// Allocation-free adjoint application `out = Φᵀy`.
+    /// Allocation-free adjoint application `out = Φᵀy` using
+    /// caller-provided scratch.
     ///
-    /// Rows accumulate into `out` in ascending groups of four (the order
-    /// the property tests' unpacked ±1 reference shares): each element
-    /// receives `((±w₀±w₁)±w₂)±w₃` with `w_r = scale·y[4g+r]`, looked up
-    /// from a 16-entry sign table by the column's precomputed sign nibble —
-    /// one lookup replaces four sign applications. Any `m mod 4` tail rows
-    /// accumulate one at a time.
+    /// Every element sums its rows in ascending groups of four (the order
+    /// the property tests' unpacked ±1 reference shares): it starts at
+    /// `0.0` and adds `((±w₀±w₁)±w₂)±w₃` with `w_r = scale·y[4g+r]` for
+    /// `g = 0, 1, …`, then any `m mod 4` tail rows `±w_i` one at a time.
+    /// The scratch holds the `m/4` 16-entry sign tables, one per group of
+    /// four rows, built first; each element then looks its group sums up by
+    /// its precomputed sign nibble — one lookup replaces four sign
+    /// applications. Sixteen elements (one nibble word) fold side by side
+    /// in sixteen independent accumulators and are stored once. The sparse
+    /// kind needs no scratch.
     ///
     /// # Panics
     ///
-    /// Panics if `y.len() != self.measurements()` or `out.len() !=
-    /// self.window()`.
-    pub fn apply_adjoint_into(&self, y: &[f64], out: &mut [f64]) {
+    /// Panics if `y.len() != self.measurements()`, `out.len() !=
+    /// self.window()` or `scratch.len() < self.forward_scratch_len()`.
+    pub fn apply_adjoint_into_scratch(&self, y: &[f64], out: &mut [f64], scratch: &mut [f64]) {
         assert_eq!(y.len(), self.m, "sensing adjoint: length mismatch");
         assert_eq!(out.len(), self.n, "sensing adjoint: output length mismatch");
         match &self.kind {
@@ -462,32 +475,35 @@ impl SensingMatrix {
                 nibbles,
                 scale,
             } => {
-                out.fill(0.0);
-                for (g, plane) in nibbles.iter().enumerate() {
-                    let t = sign_table([
-                        scale * y[4 * g],
-                        scale * y[4 * g + 1],
-                        scale * y[4 * g + 2],
-                        scale * y[4 * g + 3],
-                    ]);
-                    for (chunk, &word0) in out.chunks_mut(16).zip(plane) {
-                        let mut word = word0;
-                        for xj in chunk {
-                            *xj += t[(word & 15) as usize];
+                let quads = nibbles.len() * 4;
+                let tables = &mut scratch[..quads * 4];
+                for (t, w) in tables.chunks_exact_mut(16).zip(y.chunks_exact(4)) {
+                    t.copy_from_slice(&sign_table([
+                        scale * w[0],
+                        scale * w[1],
+                        scale * w[2],
+                        scale * w[3],
+                    ]));
+                }
+                for (c, chunk) in out.chunks_mut(16).enumerate() {
+                    let mut acc = [0.0f64; 16];
+                    for (t, plane) in tables.chunks_exact(16).zip(nibbles) {
+                        let mut word = plane[c];
+                        for a in &mut acc {
+                            *a += t[(word & 15) as usize];
                             word >>= 4;
                         }
                     }
-                }
-                for i in nibbles.len() * 4..rows.len() {
-                    let w = scale * y[i];
-                    let sw = [w, -w];
-                    for (chunk, &word0) in out.chunks_mut(64).zip(rows[i].sign_words()) {
-                        let mut word = word0;
-                        for xj in chunk {
-                            *xj += sw[(word & 1) as usize];
-                            word >>= 1;
+                    for (row, &yi) in rows[quads..].iter().zip(&y[quads..]) {
+                        let w = scale * yi;
+                        let sw = [w, -w];
+                        let mut bits = row.sign_words()[c / 4] >> (16 * (c % 4));
+                        for a in &mut acc {
+                            *a += sw[(bits & 1) as usize];
+                            bits >>= 1;
                         }
                     }
+                    chunk.copy_from_slice(&acc[..chunk.len()]);
                 }
             }
             Kind::SparseBinary { cols, scale } => {
@@ -560,27 +576,46 @@ fn row_fold_table(words: &[u64], x: &[f64], table: &[f64], groups: usize) -> f64
 
 /// Lane-parallel twins of the packed-sign kernels over column-major
 /// panels of stride `k`, covering the first `lanes` lanes (a multiple of
-/// four, see [`hybridcs_linalg::simd::vector_lanes`]). Per lane the
-/// group/tail accumulation order is identical to
-/// [`SensingMatrix::apply_into_scratch`] / `apply_adjoint_into`, so every
-/// lane is bit-identical to a serial application; the sign flips are exact
-/// negations (sign-bit xor) and the group sums use the same
-/// `((s₀+s₁)+s₂)+s₃` tree, so the SIMD tier cannot diverge either.
+/// four, see [`hybridcs_linalg::simd::vector_lanes`]).
 ///
-/// Unlike the element-wise kernels of [`hybridcs_linalg::simd`], these
-/// keep a hand-written AVX2 tier. Compiled from the scalar source inside
-/// [`on_tier`](hybridcs_linalg::simd::on_tier)'s AVX2 frame they ran
-/// 2–41 % slower in two interleaved `kernels_batch` pairs on a 2-vCPU AVX2
-/// host: LLVM keeps each row's per-lane accumulators in memory, while the
-/// intrinsics hold one 4-lane accumulator in a register across the whole
-/// fold.
+/// Both kernels first build their sign-sum tables, shared by every
+/// output: the forward's per 4-column group of `x`, the adjoint's per
+/// 4-row plane of `scale·y`. Then each output lane folds
+/// in a register: it starts at `0.0`, adds its table entry for group
+/// (plane) `0, 1, 2, …` in ascending order, then its `n mod 4` tail
+/// columns (`m mod 4` tail rows) in ascending order, and is stored once,
+/// the forward's multiplied by `scale`. That is the per-element order of
+/// the serial kernels ([`SensingMatrix::apply_into_scratch`],
+/// `apply_adjoint_into_scratch`), so every lane is bit-identical to a serial
+/// application; the sign flips are exact negations (sign-bit xor) and the
+/// table entries use the same `((s₀+s₁)+s₂)+s₃` tree, so the tiers cannot
+/// diverge either. The blocking changes only which independent folds run
+/// side by side: [`lane_blocks`] hands out two outputs (rows for the
+/// forward, columns for the adjoint) × sixteen lanes at a time, eight
+/// 4-lane chains whose adds hide each other's latency. A fold of one
+/// 4-lane chain per output waits on add latency at every table entry,
+/// and an adjoint that adds into the output panel plane by plane pays a
+/// read-modify-write sweep per plane. Against those, a K = 16 panel
+/// (n = 512, m = 96, 2-vCPU AVX2 host, medians of six interleaved
+/// `kernels_batch` pairs) fell from 146.7 to 66.6 µs forward and from
+/// 81.8 to 45.6 µs adjoint on the AVX2 tier, and from 178.7 to 112.4 and
+/// 142.3 to 73.4 µs on the scalar tier.
+///
+/// The AVX2 tier is hand-written. The scalar twin takes the same loop
+/// order with its accumulators in a local array, but compiled for AVX2 it
+/// is not as fast: [`on_tier`](hybridcs_linalg::simd::on_tier) does not
+/// inline a block into its AVX2 frame, and in a `target_feature` function
+/// of its own it ran 1.38× (forward) and 1.48× (adjoint) slower than the
+/// intrinsics (DESIGN §14).
 #[allow(unsafe_code)]
 mod batch_kernels {
     use crate::ChippingSequence;
+    use hybridcs_linalg::simd::{lane_blocks, simd_available, LaneBlock};
 
-    /// Sign nibble of group `g` in a row's sign bitplane.
+    /// Nibble `g` of a bitplane: the signs of group `g` in a row's sign
+    /// words, or of column `g` in a column-nibble plane.
     #[inline]
-    fn group_nibble(words: &[u64], g: usize) -> usize {
+    fn nibble(words: &[u64], g: usize) -> usize {
         ((words[g / 16] >> (4 * (g % 16))) & 15) as usize
     }
 
@@ -602,17 +637,27 @@ mod batch_kernels {
         table: &mut [f64],
         simd: bool,
     ) {
-        // Every 4-wide access below stays inside the first `lanes` lanes.
+        // With the block bounds checked in `block`, these keep every
+        // access of either twin inside the panels and the table.
         assert!(lanes > 0 && lanes.is_multiple_of(4) && lanes <= k);
-        #[cfg(target_arch = "x86_64")]
-        if simd {
-            // SAFETY: `simd` comes from `simd_enabled`, which requires
-            // runtime AVX2 support; the assert above bounds every access.
-            unsafe { forward_avx(rows, scale, x_panel, k, lanes, n, out_panel, table) };
-            return;
-        }
-        let _ = simd;
-        forward_scalar(rows, scale, x_panel, k, lanes, n, out_panel, table);
+        assert_eq!(x_panel.len(), n * k);
+        assert_eq!(out_panel.len(), rows.len() * k);
+        let simd = simd && simd_available();
+        let groups = n / 4;
+        let table = &mut table[..groups * 16 * lanes];
+        fill_tables(x_panel, k, lanes, None, table, simd);
+        let mut fold = Forward {
+            rows,
+            scale,
+            x: x_panel,
+            k,
+            lanes,
+            n,
+            table,
+            out: out_panel,
+            simd,
+        };
+        lane_blocks::<2>(&mut fold, rows.len(), lanes);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -625,177 +670,185 @@ mod batch_kernels {
         lanes: usize,
         n: usize,
         out_panel: &mut [f64],
-        table16: &mut [f64],
+        table: &mut [f64],
         simd: bool,
     ) {
-        // Every 4-wide access below stays inside the first `lanes` lanes.
+        // With the block bounds checked in `block`, these keep every
+        // access of either twin inside the panels and the tables.
         assert!(lanes > 0 && lanes.is_multiple_of(4) && lanes <= k);
+        assert_eq!(y_panel.len(), rows.len() * k);
+        assert_eq!(out_panel.len(), n * k);
+        assert!(nibbles.iter().all(|plane| plane.len() == n.div_ceil(16)));
+        let simd = simd && simd_available();
+        let table = &mut table[..nibbles.len() * 16 * lanes];
+        // w_r = scale · y-row, scaled before the sign tree exactly like
+        // the serial adjoint's `sign_table([scale*y, ...])`.
+        fill_tables(y_panel, k, lanes, Some(scale), table, simd);
+        let mut fold = Adjoint {
+            rows,
+            nibbles,
+            scale,
+            y: y_panel,
+            k,
+            lanes,
+            table,
+            out: out_panel,
+            simd,
+        };
+        lane_blocks::<2>(&mut fold, n, lanes);
+    }
+
+    /// Fills `table` with the sign-sum tables of consecutive row quads of
+    /// the stride-`k` panel `src`: entry `(g·16 + idx)·lanes + lane` is
+    /// `((s₀ + s₁) + s₂) + s₃`, where `s_r = ±q_r` (negated ⇔ bit `r` of
+    /// `idx`) and `q_r = src[(4g + r)·k + lane]`, times `scale` if given —
+    /// `sign_table` per lane.
+    fn fill_tables(
+        src: &[f64],
+        k: usize,
+        lanes: usize,
+        scale: Option<f64>,
+        table: &mut [f64],
+        simd: bool,
+    ) {
+        assert!(4 * (table.len() / (16 * lanes)) * k <= src.len());
         #[cfg(target_arch = "x86_64")]
         if simd {
-            // SAFETY: `simd` comes from `simd_enabled`, which requires
-            // runtime AVX2 support; the assert above bounds every access.
-            unsafe {
-                adjoint_avx(
-                    rows, nibbles, scale, y_panel, k, lanes, n, out_panel, table16,
-                )
-            };
+            // SAFETY: callers pass `simd` only after `simd_available`
+            // detected AVX2; the assert bounds every read, `table` every
+            // write.
+            unsafe { fill_tables_avx(src, k, lanes, scale, table) };
             return;
         }
         let _ = simd;
-        adjoint_scalar(
-            rows, nibbles, scale, y_panel, k, lanes, n, out_panel, table16,
-        );
-    }
-
-    /// Builds the lane-wide sign-sum table rows for one 4-column group:
-    /// `table[idx*lanes + lane] = ((±q₀ ± q₁) ± q₂) ± q₃` over the four
-    /// quad rows, matching `sign_table` per lane.
-    #[inline]
-    fn fill_group_table(quad: [&[f64]; 4], table: &mut [f64]) {
-        let lanes = quad[0].len();
-        for (idx, row) in table.chunks_exact_mut(lanes).enumerate() {
-            for (lane, slot) in row.iter_mut().enumerate() {
-                let s0 = if idx & 1 == 0 {
-                    quad[0][lane]
-                } else {
-                    -quad[0][lane]
-                };
-                let s1 = if idx & 2 == 0 {
-                    quad[1][lane]
-                } else {
-                    -quad[1][lane]
-                };
-                let s2 = if idx & 4 == 0 {
-                    quad[2][lane]
-                } else {
-                    -quad[2][lane]
-                };
-                let s3 = if idx & 8 == 0 {
-                    quad[3][lane]
-                } else {
-                    -quad[3][lane]
-                };
-                *slot = ((s0 + s1) + s2) + s3;
+        for (g, tg) in table.chunks_exact_mut(16 * lanes).enumerate() {
+            for lane in 0..lanes {
+                let q: [f64; 4] = std::array::from_fn(|r| {
+                    let v = src[(4 * g + r) * k + lane];
+                    scale.map_or(v, |s| s * v)
+                });
+                for (idx, &t) in super::sign_table(q).iter().enumerate() {
+                    tg[idx * lanes + lane] = t;
+                }
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn forward_scalar(
-        rows: &[ChippingSequence],
+    /// The forward fold: block `(i, lane)` folds rows `i..i + R` of `Φx`.
+    struct Forward<'a> {
+        rows: &'a [ChippingSequence],
         scale: f64,
-        x_panel: &[f64],
+        x: &'a [f64],
         k: usize,
         lanes: usize,
         n: usize,
-        out_panel: &mut [f64],
-        table: &mut [f64],
-    ) {
-        let groups = n / 4;
-        for g in 0..groups {
-            let base = g * 4 * k;
-            fill_group_table(
-                [
-                    &x_panel[base..base + lanes],
-                    &x_panel[base + k..base + k + lanes],
-                    &x_panel[base + 2 * k..base + 2 * k + lanes],
-                    &x_panel[base + 3 * k..base + 3 * k + lanes],
-                ],
-                &mut table[g * 16 * lanes..(g + 1) * 16 * lanes],
-            );
+        table: &'a [f64],
+        out: &'a mut [f64],
+        simd: bool,
+    }
+
+    impl LaneBlock for Forward<'_> {
+        fn block<const R: usize, const V: usize>(&mut self, i: usize, lane: usize) {
+            assert!(i + R <= self.rows.len() && lane + 4 * V <= self.lanes);
+            #[cfg(target_arch = "x86_64")]
+            if self.simd {
+                // SAFETY: `simd` holds only after `simd_available`
+                // detected AVX2; the assert above and `forward`'s bound
+                // every access.
+                unsafe { forward_avx::<R, V>(self, i, lane) };
+                return;
+            }
+            forward_scalar::<R, V>(self, i, lane);
         }
-        for (i, row) in rows.iter().enumerate() {
-            let words = row.sign_words();
-            let out_row = &mut out_panel[i * k..i * k + lanes];
-            out_row.fill(0.0);
-            for g in 0..groups {
-                let at = (g * 16 + group_nibble(words, g)) * lanes;
-                for (o, &t) in out_row.iter_mut().zip(&table[at..at + lanes]) {
-                    *o += t;
+    }
+
+    fn forward_scalar<const R: usize, const V: usize>(f: &mut Forward<'_>, i: usize, lane: usize) {
+        let words: [&[u64]; R] = std::array::from_fn(|r| f.rows[i + r].sign_words());
+        let mut acc = [[0.0f64; 16]; R];
+        for g in 0..f.n / 4 {
+            for (acc, words) in acc.iter_mut().zip(words) {
+                let at = (g * 16 + nibble(words, g)) * f.lanes + lane;
+                for (a, &t) in acc[..4 * V].iter_mut().zip(&f.table[at..at + 4 * V]) {
+                    *a += t;
                 }
             }
-            for j in groups * 4..n {
-                let xr = &x_panel[j * k..j * k + lanes];
-                if sign_bit(words, j) {
-                    for (o, &v) in out_row.iter_mut().zip(xr) {
-                        *o += -v;
-                    }
-                } else {
-                    for (o, &v) in out_row.iter_mut().zip(xr) {
-                        *o += v;
-                    }
+        }
+        for j in f.n / 4 * 4..f.n {
+            let xr = &f.x[j * f.k + lane..j * f.k + lane + 4 * V];
+            for (acc, words) in acc.iter_mut().zip(words) {
+                let neg = sign_bit(words, j);
+                for (a, &v) in acc[..4 * V].iter_mut().zip(xr) {
+                    *a += if neg { -v } else { v };
                 }
             }
-            for o in out_row.iter_mut() {
-                *o *= scale;
+        }
+        for (r, acc) in acc.iter().enumerate() {
+            let at = (i + r) * f.k + lane;
+            for (o, &a) in f.out[at..at + 4 * V].iter_mut().zip(acc) {
+                *o = f.scale * a;
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn adjoint_scalar(
-        rows: &[ChippingSequence],
-        nibbles: &[Vec<u64>],
+    /// The adjoint fold: block `(j, lane)` folds columns `j..j + R` of
+    /// `Φᵀy`.
+    struct Adjoint<'a> {
+        rows: &'a [ChippingSequence],
+        nibbles: &'a [Vec<u64>],
         scale: f64,
-        y_panel: &[f64],
+        y: &'a [f64],
         k: usize,
         lanes: usize,
-        n: usize,
-        out_panel: &mut [f64],
-        table16: &mut [f64],
-    ) {
-        out_panel.fill(0.0);
-        for (g, plane) in nibbles.iter().enumerate() {
-            // w_r = scale · y-row — scaled before the sign tree, exactly
-            // like the serial adjoint's `sign_table([scale*y, ...])`.
-            let base = 4 * g * k;
-            for (idx, row) in table16[..16 * lanes].chunks_exact_mut(lanes).enumerate() {
-                for (lane, slot) in row.iter_mut().enumerate() {
-                    let w0 = scale * y_panel[base + lane];
-                    let w1 = scale * y_panel[base + k + lane];
-                    let w2 = scale * y_panel[base + 2 * k + lane];
-                    let w3 = scale * y_panel[base + 3 * k + lane];
-                    let s0 = if idx & 1 == 0 { w0 } else { -w0 };
-                    let s1 = if idx & 2 == 0 { w1 } else { -w1 };
-                    let s2 = if idx & 4 == 0 { w2 } else { -w2 };
-                    let s3 = if idx & 8 == 0 { w3 } else { -w3 };
-                    *slot = ((s0 + s1) + s2) + s3;
-                }
+        table: &'a [f64],
+        out: &'a mut [f64],
+        simd: bool,
+    }
+
+    impl LaneBlock for Adjoint<'_> {
+        fn block<const R: usize, const V: usize>(&mut self, j: usize, lane: usize) {
+            assert!((j + R) * self.k <= self.out.len() && lane + 4 * V <= self.lanes);
+            #[cfg(target_arch = "x86_64")]
+            if self.simd {
+                // SAFETY: `simd` holds only after `simd_available`
+                // detected AVX2; the assert above and `adjoint`'s bound
+                // every access.
+                unsafe { adjoint_avx::<R, V>(self, j, lane) };
+                return;
             }
-            for j in 0..n {
-                let nib = ((plane[j / 16] >> (4 * (j % 16))) & 15) as usize;
-                let trow = &table16[nib * lanes..(nib + 1) * lanes];
-                let or = &mut out_panel[j * k..j * k + lanes];
-                for (o, &t) in or.iter_mut().zip(trow) {
-                    *o += t;
+            adjoint_scalar::<R, V>(self, j, lane);
+        }
+    }
+
+    fn adjoint_scalar<const R: usize, const V: usize>(f: &mut Adjoint<'_>, j: usize, lane: usize) {
+        let mut acc = [[0.0f64; 16]; R];
+        for (g, plane) in f.nibbles.iter().enumerate() {
+            for (r, acc) in acc.iter_mut().enumerate() {
+                let at = (g * 16 + nibble(plane, j + r)) * f.lanes + lane;
+                for (a, &t) in acc[..4 * V].iter_mut().zip(&f.table[at..at + 4 * V]) {
+                    *a += t;
                 }
             }
         }
-        for (i, row) in rows.iter().enumerate().skip(nibbles.len() * 4) {
-            let words = row.sign_words();
-            let wrow = &mut table16[..lanes];
-            for (w, y) in wrow.iter_mut().zip(&y_panel[i * k..i * k + lanes]) {
-                *w = scale * y;
-            }
-            for j in 0..n {
-                let or = &mut out_panel[j * k..j * k + lanes];
-                if sign_bit(words, j) {
-                    for (o, &w) in or.iter_mut().zip(wrow.iter()) {
-                        *o += -w;
-                    }
-                } else {
-                    for (o, &w) in or.iter_mut().zip(wrow.iter()) {
-                        *o += w;
-                    }
+        for (i, row) in f.rows.iter().enumerate().skip(4 * f.nibbles.len()) {
+            let yr = &f.y[i * f.k + lane..i * f.k + lane + 4 * V];
+            for (r, acc) in acc.iter_mut().enumerate() {
+                let neg = sign_bit(row.sign_words(), j + r);
+                for (a, &y) in acc[..4 * V].iter_mut().zip(yr) {
+                    let w = f.scale * y;
+                    *a += if neg { -w } else { w };
                 }
             }
+        }
+        for (r, acc) in acc.iter().enumerate() {
+            let at = (j + r) * f.k + lane;
+            f.out[at..at + 4 * V].copy_from_slice(&acc[..4 * V]);
         }
     }
 
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::{
-        __m256d, _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_storeu_pd,
-        _mm256_sub_pd, _mm256_xor_pd,
+        __m256d, _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd,
+        _mm256_storeu_pd, _mm256_sub_pd, _mm256_xor_pd,
     };
 
     /// Exact 4-lane negation (sign-bit xor — identical bits to scalar `-x`).
@@ -807,152 +860,112 @@ mod batch_kernels {
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn fill_group_table_avx(quad: [*const f64; 4], lanes: usize, table: &mut [f64]) {
-        for lane in (0..lanes).step_by(4) {
-            let q = [
-                _mm256_loadu_pd(quad[0].add(lane)),
-                _mm256_loadu_pd(quad[1].add(lane)),
-                _mm256_loadu_pd(quad[2].add(lane)),
-                _mm256_loadu_pd(quad[3].add(lane)),
-            ];
-            for idx in 0..16usize {
-                let s0 = if idx & 1 == 0 { q[0] } else { neg4(q[0]) };
-                let s1 = if idx & 2 == 0 { q[1] } else { neg4(q[1]) };
-                let s2 = if idx & 4 == 0 { q[2] } else { neg4(q[2]) };
-                let s3 = if idx & 8 == 0 { q[3] } else { neg4(q[3]) };
-                let sum = _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(s0, s1), s2), s3);
-                _mm256_storeu_pd(table.as_mut_ptr().add(idx * lanes + lane), sum);
-            }
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2")]
-    unsafe fn forward_avx(
-        rows: &[ChippingSequence],
-        scale: f64,
-        x_panel: &[f64],
+    unsafe fn fill_tables_avx(
+        src: &[f64],
         k: usize,
         lanes: usize,
-        n: usize,
-        out_panel: &mut [f64],
+        scale: Option<f64>,
         table: &mut [f64],
     ) {
-        let groups = n / 4;
-        for g in 0..groups {
-            let base = g * 4 * k;
-            fill_group_table_avx(
-                [
-                    x_panel.as_ptr().add(base),
-                    x_panel.as_ptr().add(base + k),
-                    x_panel.as_ptr().add(base + 2 * k),
-                    x_panel.as_ptr().add(base + 3 * k),
-                ],
-                lanes,
-                &mut table[g * 16 * lanes..(g + 1) * 16 * lanes],
-            );
-        }
-        let sv = _mm256_set1_pd(scale);
-        for (i, row) in rows.iter().enumerate() {
-            let words = row.sign_words();
+        for (g, tg) in table.chunks_exact_mut(16 * lanes).enumerate() {
             for lane in (0..lanes).step_by(4) {
-                let mut acc = std::arch::x86_64::_mm256_setzero_pd();
-                for g in 0..groups {
-                    let nib = group_nibble(words, g);
-                    let t = _mm256_loadu_pd(table.as_ptr().add((g * 16 + nib) * lanes + lane));
-                    acc = _mm256_add_pd(acc, t);
-                }
-                for j in groups * 4..n {
-                    let xv = _mm256_loadu_pd(x_panel.as_ptr().add(j * k + lane));
-                    acc = if sign_bit(words, j) {
-                        _mm256_sub_pd(acc, xv)
-                    } else {
-                        _mm256_add_pd(acc, xv)
+                let mut q = [_mm256_setzero_pd(); 4];
+                for (r, qr) in q.iter_mut().enumerate() {
+                    let v = _mm256_loadu_pd(src.as_ptr().add((4 * g + r) * k + lane));
+                    *qr = match scale {
+                        Some(s) => _mm256_mul_pd(_mm256_set1_pd(s), v),
+                        None => v,
                     };
                 }
-                _mm256_storeu_pd(
-                    out_panel.as_mut_ptr().add(i * k + lane),
-                    _mm256_mul_pd(acc, sv),
-                );
-            }
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2")]
-    unsafe fn adjoint_avx(
-        rows: &[ChippingSequence],
-        nibbles: &[Vec<u64>],
-        scale: f64,
-        y_panel: &[f64],
-        k: usize,
-        lanes: usize,
-        n: usize,
-        out_panel: &mut [f64],
-        table16: &mut [f64],
-    ) {
-        out_panel.fill(0.0);
-        let sv = _mm256_set1_pd(scale);
-        for (g, plane) in nibbles.iter().enumerate() {
-            let base = 4 * g * k;
-            // Scaled quad rows: the serial adjoint scales before the sign
-            // tree, so multiply each load by `scale` before the tree.
-            for lane in (0..lanes).step_by(4) {
-                let q = [
-                    _mm256_mul_pd(sv, _mm256_loadu_pd(y_panel.as_ptr().add(base + lane))),
-                    _mm256_mul_pd(sv, _mm256_loadu_pd(y_panel.as_ptr().add(base + k + lane))),
-                    _mm256_mul_pd(
-                        sv,
-                        _mm256_loadu_pd(y_panel.as_ptr().add(base + 2 * k + lane)),
-                    ),
-                    _mm256_mul_pd(
-                        sv,
-                        _mm256_loadu_pd(y_panel.as_ptr().add(base + 3 * k + lane)),
-                    ),
-                ];
                 for idx in 0..16usize {
                     let s0 = if idx & 1 == 0 { q[0] } else { neg4(q[0]) };
                     let s1 = if idx & 2 == 0 { q[1] } else { neg4(q[1]) };
                     let s2 = if idx & 4 == 0 { q[2] } else { neg4(q[2]) };
                     let s3 = if idx & 8 == 0 { q[3] } else { neg4(q[3]) };
                     let sum = _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(s0, s1), s2), s3);
-                    _mm256_storeu_pd(table16.as_mut_ptr().add(idx * lanes + lane), sum);
-                }
-            }
-            for j in 0..n {
-                let nib = ((plane[j / 16] >> (4 * (j % 16))) & 15) as usize;
-                for lane in (0..lanes).step_by(4) {
-                    let t = _mm256_loadu_pd(table16.as_ptr().add(nib * lanes + lane));
-                    let o = _mm256_loadu_pd(out_panel.as_ptr().add(j * k + lane));
-                    _mm256_storeu_pd(
-                        out_panel.as_mut_ptr().add(j * k + lane),
-                        _mm256_add_pd(o, t),
-                    );
+                    _mm256_storeu_pd(tg.as_mut_ptr().add(idx * lanes + lane), sum);
                 }
             }
         }
-        for (i, row) in rows.iter().enumerate().skip(nibbles.len() * 4) {
-            let words = row.sign_words();
-            for (w, y) in table16[..lanes]
-                .iter_mut()
-                .zip(&y_panel[i * k..i * k + lanes])
-            {
-                *w = scale * y;
-            }
-            for j in 0..n {
-                let neg = sign_bit(words, j);
-                for lane in (0..lanes).step_by(4) {
-                    let wv = _mm256_loadu_pd(table16.as_ptr().add(lane));
-                    let o = _mm256_loadu_pd(out_panel.as_ptr().add(j * k + lane));
-                    let r = if neg {
-                        _mm256_sub_pd(o, wv)
-                    } else {
-                        _mm256_add_pd(o, wv)
-                    };
-                    _mm256_storeu_pd(out_panel.as_mut_ptr().add(j * k + lane), r);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn forward_avx<const R: usize, const V: usize>(
+        f: &mut Forward<'_>,
+        i: usize,
+        lane: usize,
+    ) {
+        let words: [&[u64]; R] = std::array::from_fn(|r| f.rows[i + r].sign_words());
+        let mut acc = [[_mm256_setzero_pd(); V]; R];
+        let table = f.table.as_ptr().add(lane);
+        for g in 0..f.n / 4 {
+            for (acc, words) in acc.iter_mut().zip(words) {
+                let t = table.add((g * 16 + nibble(words, g)) * f.lanes);
+                for (v, a) in acc.iter_mut().enumerate() {
+                    *a = _mm256_add_pd(*a, _mm256_loadu_pd(t.add(4 * v)));
                 }
+            }
+        }
+        for j in f.n / 4 * 4..f.n {
+            let x = f.x.as_ptr().add(j * f.k + lane);
+            for (acc, words) in acc.iter_mut().zip(words) {
+                let neg = sign_bit(words, j);
+                for (v, a) in acc.iter_mut().enumerate() {
+                    let xv = _mm256_loadu_pd(x.add(4 * v));
+                    *a = if neg {
+                        _mm256_sub_pd(*a, xv)
+                    } else {
+                        _mm256_add_pd(*a, xv)
+                    };
+                }
+            }
+        }
+        let sv = _mm256_set1_pd(f.scale);
+        for (r, acc) in acc.iter().enumerate() {
+            let o = f.out.as_mut_ptr().add((i + r) * f.k + lane);
+            for (v, &a) in acc.iter().enumerate() {
+                _mm256_storeu_pd(o.add(4 * v), _mm256_mul_pd(a, sv));
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn adjoint_avx<const R: usize, const V: usize>(
+        f: &mut Adjoint<'_>,
+        j: usize,
+        lane: usize,
+    ) {
+        let mut acc = [[_mm256_setzero_pd(); V]; R];
+        let table = f.table.as_ptr().add(lane);
+        for (g, plane) in f.nibbles.iter().enumerate() {
+            for (r, acc) in acc.iter_mut().enumerate() {
+                let t = table.add((g * 16 + nibble(plane, j + r)) * f.lanes);
+                for (v, a) in acc.iter_mut().enumerate() {
+                    *a = _mm256_add_pd(*a, _mm256_loadu_pd(t.add(4 * v)));
+                }
+            }
+        }
+        let sv = _mm256_set1_pd(f.scale);
+        for (i, row) in f.rows.iter().enumerate().skip(4 * f.nibbles.len()) {
+            let y = f.y.as_ptr().add(i * f.k + lane);
+            for (r, acc) in acc.iter_mut().enumerate() {
+                let neg = sign_bit(row.sign_words(), j + r);
+                for (v, a) in acc.iter_mut().enumerate() {
+                    let wv = _mm256_mul_pd(sv, _mm256_loadu_pd(y.add(4 * v)));
+                    *a = if neg {
+                        _mm256_sub_pd(*a, wv)
+                    } else {
+                        _mm256_add_pd(*a, wv)
+                    };
+                }
+            }
+        }
+        for (r, acc) in acc.iter().enumerate() {
+            let o = f.out.as_mut_ptr().add((j + r) * f.k + lane);
+            for (v, &a) in acc.iter().enumerate() {
+                _mm256_storeu_pd(o.add(4 * v), a);
             }
         }
     }
@@ -1091,11 +1104,12 @@ mod tests {
         let mats = [
             SensingMatrix::bernoulli(8, 32, 3).unwrap(),
             SensingMatrix::bernoulli(6, 37, 11).unwrap(),
+            SensingMatrix::bernoulli(7, 37, 5).unwrap(),
             SensingMatrix::sparse_binary(8, 32, 3, 7).unwrap(),
         ];
         for phi in &mats {
             let (m, n) = (phi.measurements(), phi.window());
-            for &k in &[1usize, 2, 3, 4, 5, 7, 8] {
+            for &k in &[1usize, 2, 3, 4, 5, 7, 8, 12, 15, 16, 17, 20, 33] {
                 let mut x_panel = vec![0.0; n * k];
                 let mut y_panel = vec![0.0; m * k];
                 let mut lanes_x: Vec<Vec<f64>> = Vec::new();
@@ -1140,7 +1154,7 @@ mod tests {
                     phi.apply_adjoint_batch_tier(&y_panel, k, &mut adj, &mut scratch, simd);
                     for (lane, sy) in lanes_y.iter().enumerate() {
                         let mut want = vec![0.0; n];
-                        phi.apply_adjoint_into(sy, &mut want);
+                        phi.apply_adjoint_into_scratch(sy, &mut want, &mut serial_scratch);
                         for (i, w) in want.iter().enumerate() {
                             assert_eq!(
                                 adj[i * k + lane].to_bits(),

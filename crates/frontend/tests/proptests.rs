@@ -166,7 +166,7 @@ fn packed_sensing_matches_unpacked_to_zero_ulp() {
             let y: Vec<f64> = (0..*m).map(|i| (i as f64 * 0.7).cos() * 2.0).collect();
             let mut fast_t = vec![0.0; n];
             let mut slow_t = vec![0.0; n];
-            phi.apply_adjoint_into(&y, &mut fast_t);
+            phi.apply_adjoint_into_scratch(&y, &mut fast_t, &mut scratch);
             reference.apply_adjoint_into(&y, &mut slow_t);
             for (a, b) in fast_t.iter().zip(&slow_t) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());

@@ -256,6 +256,52 @@ pub const fn vector_lanes(k: usize) -> usize {
     k - k % 4
 }
 
+/// A lane-panel kernel that folds one block at a time: `R` outputs
+/// (panel rows) × `V` four-lane vectors, every output lane held in its
+/// own accumulator from the first term of its fold to its one store.
+/// The `R·V` vector chains of a block are independent, so the adds of
+/// one overlap the latency of the others; [`lane_blocks`] picks the
+/// blocks.
+pub trait LaneBlock {
+    /// Folds outputs `first..first + R` over lanes `lane..lane + 4·V`.
+    fn block<const R: usize, const V: usize>(&mut self, first: usize, lane: usize);
+}
+
+/// Covers `outputs` × the first `lanes` lanes (a multiple of four) with
+/// `kernel`'s blocks: `R` outputs per pass (any left over run one at a
+/// time), lanes sixteen at a time (four vectors), then one block of the
+/// 4, 8 or 12 lanes left over. Blocks partition the panel, so each
+/// output lane is folded exactly once.
+///
+/// # Panics
+///
+/// Panics if `R == 0`.
+pub fn lane_blocks<const R: usize>(kernel: &mut impl LaneBlock, outputs: usize, lanes: usize) {
+    fn row_blocks<const R: usize>(kernel: &mut impl LaneBlock, first: usize, lanes: usize) {
+        let mut lane = 0;
+        while lane + 16 <= lanes {
+            kernel.block::<R, 4>(first, lane);
+            lane += 16;
+        }
+        match (lanes - lane) / 4 {
+            0 => {}
+            1 => kernel.block::<R, 1>(first, lane),
+            2 => kernel.block::<R, 2>(first, lane),
+            _ => kernel.block::<R, 3>(first, lane),
+        }
+    }
+    assert!(R > 0, "lane_blocks: zero outputs per pass");
+    let mut first = 0;
+    while first + R <= outputs {
+        row_blocks::<R>(kernel, first, lanes);
+        first += R;
+    }
+    while first < outputs {
+        row_blocks::<1>(kernel, first, lanes);
+        first += 1;
+    }
+}
+
 /// Runs lanes `first..k` of the column-major panel `input` (stride `k`)
 /// through a contiguous single-vector kernel
 /// `kernel(lane_in, lane_out, kernel_scratch)`, writing the same lanes of

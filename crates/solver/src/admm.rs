@@ -90,7 +90,7 @@ pub fn solve_admm(
 
     // Splits and duals.
     let mut x = ws.acquire(n);
-    problem.initial_point_into(&mut x);
+    problem.initial_point_into(&mut x, &mut op_scratch);
     let mut ax = ws.acquire(m);
     a.apply_into(&x, &mut ax, &mut op_scratch);
     let mut z1 = ws.acquire(m);

@@ -329,7 +329,7 @@ pub(crate) fn solve_lockstep(
     let mut retire = ws.acquire_indices(k0);
 
     for (lane, p) in batch.problems().iter().enumerate() {
-        p.initial_point_into(&mut fin_sig);
+        p.initial_point_into(&mut fin_sig, &mut fin_op_scratch);
         simd::scatter_lane(&fin_sig, k0, lane, &mut x);
         if let Some(wc) = p.coefficient_weights {
             simd::scatter_lane(wc, k0, lane, &mut weight_panel);

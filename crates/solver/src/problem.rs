@@ -133,17 +133,20 @@ impl BpdnProblem<'_> {
     #[must_use]
     pub fn initial_point(&self) -> Vec<f64> {
         let mut x0 = vec![0.0; self.signal_len()];
-        self.initial_point_into(&mut x0);
+        let mut op_scratch = vec![0.0; self.sensing.scratch_len()];
+        self.initial_point_into(&mut x0, &mut op_scratch);
         x0
     }
 
     /// Allocation-free [`BpdnProblem::initial_point`]: writes the starting
-    /// point into `out` (length `n`).
+    /// point into `out` (length `n`), drawing the adjoint's operator
+    /// scratch from `op_scratch`.
     ///
     /// # Panics
     ///
-    /// Panics if `out.len() != self.signal_len()`.
-    pub fn initial_point_into(&self, out: &mut [f64]) {
+    /// Panics if `out.len() != self.signal_len()`, or without box bounds
+    /// if `op_scratch` is shorter than the operator's `scratch_len()`.
+    pub fn initial_point_into(&self, out: &mut [f64], op_scratch: &mut [f64]) {
         assert_eq!(out.len(), self.signal_len(), "initial point length");
         match self.box_bounds {
             Some((lo, hi)) => {
@@ -151,7 +154,9 @@ impl BpdnProblem<'_> {
                     *o = 0.5 * (l + h);
                 }
             }
-            None => self.sensing.apply_adjoint(self.measurements, out),
+            None => self
+                .sensing
+                .apply_adjoint_into(self.measurements, out, op_scratch),
         }
     }
 }

@@ -244,9 +244,9 @@ impl LinearOperator for CountingForward {
 
 /// A [`DenseOperator`] whose adjoint writes `+∞` into the first entry of
 /// its output from iteration `from_iteration` on. PDHG applies the adjoint
-/// once per lane and iteration through `apply_adjoint_into` (the initial
-/// point and the norm estimate use `apply_adjoint`), so `lanes` calls make
-/// one iteration. A single infinite entry keeps some wavelet coefficients
+/// once per lane and iteration through `apply_adjoint_into` (the norm
+/// estimate uses `apply_adjoint`, and these boxed windows start at their
+/// box midpoints), so `lanes` calls make one iteration. A single infinite entry keeps some wavelet coefficients
 /// at ±∞; NaN would not do, since soft thresholding maps it to 0.
 struct PoisonedAdjoint {
     inner: DenseOperator,

@@ -184,15 +184,17 @@ if [ "$ABLATION_ROWS" != "$ABLATION_PINNED" ]; then
     exit 1
 fi
 
-echo "==> committed single-window results (six regenerators diffed against results/)"
-# Each bin decodes one generated window serially and prints no time
-# column, so its output is fixed (identical under HYBRIDCS_FORCE_SCALAR=1):
-# a change that moves it must regenerate the committed file, which
-# EXPERIMENTS.md quotes. `ablation_weighted_l1` and `ablation_matrix` are
-# the only end-to-end runs of weighted PDHG, `solve_reweighted` and the
-# sparse-binary sensing kind.
+echo "==> committed results (eight regenerators diffed against results/)"
+# The first six bins decode one generated window serially; the Fig. 7 and
+# Fig. 8 sweeps decode the 48-record corpus (a few minutes each), every
+# record into its own slot whatever the thread count. None prints a time
+# column, so each output is fixed (identical under
+# HYBRIDCS_FORCE_SCALAR=1): a change that moves it must regenerate the
+# committed file, which EXPERIMENTS.md quotes. `ablation_weighted_l1` and
+# `ablation_matrix` are the only end-to-end runs of weighted PDHG,
+# `solve_reweighted` and the sparse-binary sensing kind.
 for bin in ablation_resolution ablation_wavelets fig2_lowres_window fig9_examples \
-    ablation_weighted_l1 ablation_matrix; do
+    ablation_weighted_l1 ablation_matrix fig7_quality_vs_cr fig8_boxplots; do
     if ! diff -u "results/$bin.txt" \
         <(cargo run -q --release --offline -p hybridcs-bench --bin "$bin"); then
         echo "error: $bin output drifted from results/$bin.txt" >&2
