@@ -14,16 +14,21 @@
 //!    [`SensingMatrix::apply_adjoint_batch_into_scratch`]);
 //! 2. wavelet panel transforms ([`Dwt::forward_panel_into`] /
 //!    [`Dwt::inverse_panel_into`]);
-//! 3. the `hybridcs-linalg` lane kernel `axpy`;
+//! 3. the `hybridcs-linalg` lane kernel `axpy` and the panel reductions
+//!    (`norm1_lanes`, `norm2_lanes`, `dist2_lanes`);
 //! 4. `hybridcs-solver` prox/update lane kernels
-//!    (`soft_threshold_lanes`, `grad_step_lanes`).
+//!    (`soft_threshold_lanes`, `grad_step_lanes`) and the PDHG dual passes
+//!    (`box_dual_lanes`, `ball_ascent_lanes`, `ball_project_lanes`).
 //!
 //! Shapes match the default decode configuration (512-sample windows,
-//! m = 96) at the gateway's default batch width K = 16. The sensing and
-//! wavelet rows also run at K = 1, where the batch entry points run the
-//! serial kernels in place (`apply_into_scratch`, the serial adjoint, the
-//! one-window DWT): the kernels of every lane outside a 4-wide vector,
-//! which is every lane of a panel narrower than four. Every tier pair
+//! m = 96) at the gateway's default batch width K = 16. The sensing,
+//! wavelet, dual-pass and reduction rows also run at K = 1. There the
+//! sensing and wavelet batch entry points run the serial kernels in place
+//! (`apply_into_scratch`, the serial adjoint, the one-window DWT): the
+//! kernels of every lane outside a 4-wide vector, which is every lane of
+//! a panel narrower than four. The dual passes and reductions run their
+//! contiguous one-lane loops at K = 1, the glue of a one-window solve,
+//! and their panel loops at K = 16, the gateway panel's. Every tier pair
 //! computes bit-identical outputs (the 0-ULP contract pinned by the
 //! kernel tests); these numbers only rank how fast each tier produces
 //! those bits. Timings use the [`Micro`] harness: median per iteration
@@ -72,6 +77,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     fill(&mut x_panel, 0x5EED_0001);
     fill(&mut y_panel, 0x5EED_0002);
     fill(&mut vector, 0x5EED_0003);
+    // Box bounds a quarter wide, placed independently of the iterate, so
+    // the box pass clamps most elements and passes the rest; per-lane
+    // radii that leave every other lane outside its ball.
+    let lo: Vec<f64> = vector.iter().map(|v| v * 0.5 - 0.125).collect();
+    let hi: Vec<f64> = lo.iter().map(|l| l + 0.25).collect();
+    let radius: Vec<f64> = (0..K)
+        .map(|l| if l % 2 == 0 { 1e-3 } else { 1e3 })
+        .collect();
+    let mut z1 = vec![0.0; M * K];
+    let mut ball = vec![0.0; M * K];
+    let mut dist_sq = [0.0; K];
+    let mut lane_out = [0.0; K];
+    let mut lane_max = [0.0; K];
 
     let tiers: &[(bool, &str)] = if simd_available() {
         &[(false, "scalar"), (true, "simd")]
@@ -112,6 +130,47 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             });
             harness.bench(&format!("dwt_inverse_panel/k{k}/{tier}"), || {
                 dwt.inverse_panel_into(black_box(x), k, &mut out_n[..N * k], &mut dwt_scratch)
+            });
+
+            // The PDHG dual passes. At a unit step the box pass leaves
+            // each element's clamp decision the same from call to call;
+            // the ball passes take a step small enough that repeated
+            // calls barely move `z1`.
+            let (lo, hi, v) = (&lo[..N * k], &hi[..N * k], &vector[..N * k]);
+            harness.bench(&format!("solver_box_dual_lanes/k{k}/{tier}"), || {
+                solver_simd::box_dual_lanes(black_box(x), lo, hi, 1.0, &mut out_n[..N * k]);
+            });
+            harness.bench(&format!("solver_ball_ascent_lanes/k{k}/{tier}"), || {
+                solver_simd::ball_ascent_lanes(
+                    black_box(&out_m[..M * k]),
+                    y,
+                    1e-9,
+                    &mut z1[..M * k],
+                    &mut ball[..M * k],
+                    &mut dist_sq[..k],
+                    &mut lane_out[..k],
+                );
+            });
+            harness.bench(&format!("solver_ball_project_lanes/k{k}/{tier}"), || {
+                dist_sq[..k].fill(1.0);
+                solver_simd::ball_project_lanes(
+                    black_box(&ball[..M * k]),
+                    y,
+                    &radius[..k],
+                    &mut dist_sq[..k],
+                    1e-9,
+                    &mut z1[..M * k],
+                );
+            });
+
+            harness.bench(&format!("linalg_norm1_lanes/k{k}/{tier}"), || {
+                simd::norm1_lanes(black_box(x), &mut lane_out[..k]);
+            });
+            harness.bench(&format!("linalg_norm2_lanes/k{k}/{tier}"), || {
+                simd::norm2_lanes(black_box(x), &mut lane_max[..k], &mut lane_out[..k]);
+            });
+            harness.bench(&format!("linalg_dist2_lanes/k{k}/{tier}"), || {
+                simd::dist2_lanes(black_box(x), v, &mut lane_out[..k]);
             });
         }
 

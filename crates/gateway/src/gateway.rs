@@ -18,7 +18,7 @@ use crate::journal::{
     self, config_fingerprint, shape_fingerprint, CheckpointState, Journal, Record, RecoveryReport,
     ScannedJournal, SessionState,
 };
-use crate::session::{Queued, Session, SessionPhase, Slot};
+use crate::session::{PhaseCounts, Queued, Session, SessionPhase, Slot};
 use crate::{GatewayConfig, GatewayError};
 
 /// One shape-keyed entry in the shared operator cache.
@@ -100,6 +100,8 @@ pub struct Gateway {
     config: GatewayConfig,
     ladders: Vec<LadderEntry>,
     sessions: BTreeMap<u64, Session>,
+    /// `sessions` counted by phase, kept in step with every phase change.
+    phases: PhaseCounts,
     batch: Batch,
     /// One solver-buffer arena per worker, reused across flushes so
     /// steady-state decodes never allocate inside the solver loops. Each
@@ -132,6 +134,7 @@ impl Gateway {
             config,
             ladders: Vec::new(),
             sessions: BTreeMap::new(),
+            phases: PhaseCounts::default(),
             batch: Batch::new(config.shards),
             workspaces: (0..config.workers)
                 .map(|_| SolverWorkspace::new())
@@ -235,9 +238,9 @@ impl Gateway {
             None => {}
         }
         let session = self.fresh_session(id, shape_fingerprint(system, &codec), system, codec)?;
-        self.sessions.insert(id, session);
+        let replaced = self.sessions.insert(id, session).map(|s| s.phase);
+        self.phases.moved(replaced, SessionPhase::Handshake);
         registry.counter("gateway_sessions_total", &[]).inc();
-        self.refresh_session_gauge();
         Ok(())
     }
 
@@ -399,6 +402,8 @@ impl Gateway {
         }
         if session.phase == SessionPhase::Handshake {
             session.phase = SessionPhase::Streaming;
+            self.phases
+                .moved(Some(SessionPhase::Handshake), SessionPhase::Streaming);
             emit_with(
                 ctx,
                 EventKind::StageTransition,
@@ -629,6 +634,7 @@ impl Gateway {
         }
         session.refresh_phase();
         if session.phase != phase_before {
+            self.phases.moved(Some(phase_before), session.phase);
             emit_with(
                 event_context(self.clock, id, session.shard),
                 EventKind::StageTransition,
@@ -874,6 +880,7 @@ impl Gateway {
         self.release_ready(id);
         self.flush_inner()?;
         let session = self.sessions.get_mut(&id).expect("session still present");
+        self.phases.moved(Some(session.phase), SessionPhase::Closed);
         session.phase = SessionPhase::Closed;
         // With every ARQ reservation released above, reset the ledger's
         // degradation counters, so nothing stale survives into a reuse of
@@ -887,7 +894,6 @@ impl Gateway {
             0,
         );
         let outputs = std::mem::take(&mut session.outputs);
-        self.refresh_session_gauge();
         Ok(outputs)
     }
 
@@ -1060,6 +1066,8 @@ impl Gateway {
             session.outputs = s.outputs;
             self.sessions.insert(s.id, session);
         }
+        // `recover` publishes the counts once its replay is done.
+        self.phases = PhaseCounts::of(self.sessions.values().map(|s| s.phase));
         Ok(())
     }
 
@@ -1218,7 +1226,7 @@ impl Gateway {
             .record(replayed as f64);
         emit_with(ctx, EventKind::Recover, 1, replayed);
         emit_with(ctx, EventKind::Recover, 2, replayed);
-        gateway.refresh_session_gauge();
+        gateway.phases.publish();
         Ok((
             gateway,
             RecoveryReport {
@@ -1279,21 +1287,5 @@ impl Gateway {
             }
         }
         Ok((gateway, delivered))
-    }
-
-    /// Re-publishes the per-phase session gauge.
-    fn refresh_session_gauge(&self) {
-        let registry = hybridcs_obs::global();
-        for phase in [
-            SessionPhase::Handshake,
-            SessionPhase::Streaming,
-            SessionPhase::Repairing,
-            SessionPhase::Closed,
-        ] {
-            let count = self.sessions.values().filter(|s| s.phase == phase).count();
-            registry
-                .gauge("gateway_sessions", &[("phase", phase.name())])
-                .set(count as f64);
-        }
     }
 }

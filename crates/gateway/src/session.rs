@@ -59,6 +59,54 @@ impl SessionPhase {
     }
 }
 
+/// Sessions per lifecycle phase, indexed by [`SessionPhase::code`]: the
+/// counts behind the `gateway_sessions{phase}` gauges. The gateway moves
+/// a session between counts wherever it changes that session's phase and
+/// sets the four gauges from them, however many sessions it holds. All
+/// four are set, not just the two that moved: the gauges are
+/// process-wide, and another gateway in the process may have set them.
+#[derive(Debug, Default)]
+pub(crate) struct PhaseCounts([usize; 4]);
+
+impl PhaseCounts {
+    /// Counts the phases of `phases` without publishing them.
+    pub(crate) fn of(phases: impl Iterator<Item = SessionPhase>) -> Self {
+        let mut counts = PhaseCounts::default();
+        for phase in phases {
+            counts.0[usize::from(phase.code())] += 1;
+        }
+        counts
+    }
+
+    /// Moves one session from `from` (`None` for a session new to the
+    /// gateway) to `to` and publishes the counts.
+    pub(crate) fn moved(&mut self, from: Option<SessionPhase>, to: SessionPhase) {
+        if from == Some(to) {
+            return;
+        }
+        if let Some(from) = from {
+            self.0[usize::from(from.code())] -= 1;
+        }
+        self.0[usize::from(to.code())] += 1;
+        self.publish();
+    }
+
+    /// Sets the four `gateway_sessions{phase}` gauges.
+    pub(crate) fn publish(&self) {
+        let registry = hybridcs_obs::global();
+        for phase in [
+            SessionPhase::Handshake,
+            SessionPhase::Streaming,
+            SessionPhase::Repairing,
+            SessionPhase::Closed,
+        ] {
+            registry
+                .gauge("gateway_sessions", &[("phase", phase.name())])
+                .set(self.0[usize::from(phase.code())] as f64);
+        }
+    }
+}
+
 /// One position in the reorder buffer.
 #[derive(Debug, Clone)]
 pub(crate) enum Slot {

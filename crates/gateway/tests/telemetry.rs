@@ -8,7 +8,7 @@ use hybridcs_core::telemetry::FrameCodec;
 use hybridcs_core::{train_lowres_codec, HybridFrontEnd, SupervisorConfig, SystemConfig};
 use hybridcs_ecg::{EcgGenerator, GeneratorConfig};
 use hybridcs_faults::{ArqConfig, CrashPlan, CrashingStore, MemStore, TailFault};
-use hybridcs_gateway::{Gateway, GatewayConfig};
+use hybridcs_gateway::{Gateway, GatewayConfig, SessionPhase};
 use hybridcs_obs::flight::recorder;
 use hybridcs_solver::WatchdogConfig;
 use std::sync::{Mutex, PoisonError};
@@ -313,5 +313,83 @@ fn latency_histograms_cover_every_stage_and_end_to_end() {
         );
         let p = e2e.percentiles().expect("non-empty histogram");
         assert!(p.p50 >= 0.0 && p.p99 >= p.p50);
+    });
+}
+
+/// After every step of a session script, each `gateway_sessions{phase}`
+/// gauge equals a recount of the gateway's sessions in that phase: the
+/// first push (handshake → streaming), a gap and its repair (streaming ↔
+/// repairing), a close, a recovery and a reused id.
+#[test]
+fn session_gauges_follow_every_phase_change() {
+    with_telemetry(|| {
+        let rig = rig();
+        let config = GatewayConfig {
+            checkpoint_every: 4,
+            ..GatewayConfig::default()
+        };
+        let ids = [1u64, 2, 3];
+        let check = |gateway: &Gateway, step: &str| {
+            for phase in [
+                SessionPhase::Handshake,
+                SessionPhase::Streaming,
+                SessionPhase::Repairing,
+                SessionPhase::Closed,
+            ] {
+                let recount = ids
+                    .iter()
+                    .filter(|&&id| gateway.phase(id) == Some(phase))
+                    .count();
+                let gauge = hybridcs_obs::global()
+                    .gauge("gateway_sessions", &[("phase", phase.name())])
+                    .value();
+                assert_eq!(gauge, recount as f64, "{step}: {} sessions", phase.name());
+            }
+        };
+
+        let store = MemStore::new();
+        let mut gateway = Gateway::with_journal(config, Box::new(store.clone())).unwrap();
+        for id in ids {
+            gateway
+                .handshake(id, &rig.system, rig.codec.clone())
+                .unwrap();
+            check(&gateway, &format!("handshake {id}"));
+        }
+        for seq in 0..2 {
+            gateway.push(1, &rig.frame(seq)).unwrap();
+            check(&gateway, &format!("in-order push {seq}"));
+        }
+        gateway.push(2, &rig.frame(0)).unwrap();
+        gateway.push(2, &rig.frame(2)).unwrap();
+        assert_eq!(gateway.phase(2), Some(SessionPhase::Repairing));
+        check(&gateway, "gap push");
+        for seq in gateway.take_nacks(2).unwrap() {
+            gateway.push(2, &rig.frame(seq)).unwrap();
+        }
+        assert_eq!(gateway.phase(2), Some(SessionPhase::Streaming));
+        check(&gateway, "repaired gap");
+        // A first push past a gap: handshake → streaming → repairing.
+        gateway.push(3, &rig.frame(1)).unwrap();
+        assert_eq!(gateway.phase(3), Some(SessionPhase::Repairing));
+        check(&gateway, "first push past a gap");
+        gateway.close(1).unwrap();
+        check(&gateway, "close");
+        drop(gateway);
+
+        let shapes = vec![(rig.system.clone(), rig.codec.clone())];
+        let (mut recovered, report) = Gateway::recover(
+            config,
+            Box::new(MemStore::from_bytes(store.snapshot())),
+            &shapes,
+        )
+        .unwrap();
+        assert!(report.checkpoint_restored);
+        check(&recovered, "recover");
+        recovered
+            .handshake(1, &rig.system, rig.codec.clone())
+            .unwrap();
+        check(&recovered, "reused id");
+        recovered.close(3).unwrap();
+        check(&recovered, "close after recovery");
     });
 }

@@ -8,10 +8,11 @@
 //! loop 256 bits wide (the AVX2 tier). The contract is **0 ULP**: for any
 //! input, both tiers produce bit-identical output. That holds because
 //! every dispatched kernel is **element-wise** (one multiply/add/divide
-//! per output element, no reduction): IEEE-754 arithmetic is
+//! per output element) or a **lane reduction** whose vectors span lanes,
+//! never the rows of one lane's fold: IEEE-754 arithmetic is
 //! deterministic per element, and rustc never contracts `a*b + c` into an
 //! FMA nor reassociates float arithmetic, so vectorizing across elements
-//! cannot change any bit.
+//! or lanes cannot change any bit.
 //!
 //! # Dispatch policy
 //!
@@ -24,14 +25,21 @@
 //! SIMD-on/off dimension); forcing SIMD on hardware without AVX2 is
 //! ignored rather than honored.
 //!
-//! # Lane reductions stay scalar
+//! # Lane reductions
 //!
-//! The per-lane norm helpers ([`norm1_lane`], [`norm2_lane`],
-//! [`dist2_lane`], [`dist2_lane_vs`]) replicate the exact fold order of
-//! [`vector`](crate::vector) on a strided lane. A strict-order float fold
-//! is one dependency chain that no compiler vectorizes without
-//! reassociating it, so they do not go through [`on_tier`]. They run once
-//! per convergence check, not per iteration element, so they are not hot.
+//! [`norm1_lanes`], [`norm2_lanes`] and [`dist2_lanes`] fold every lane of
+//! a column-major panel in one pass: row by row, lane `l` adds its term to
+//! its own accumulator `out[l]`, with the operations and order of the
+//! [`vector`](crate::vector) fold. One strict-order float fold is a single
+//! dependency chain that no compiler vectorizes without reassociating it;
+//! the K folds of a panel are independent chains, so the row loop
+//! vectorizes across lanes and each vector slot carries one lane's chain.
+//! They are hot: the lockstep PDHG body takes every lane's ℓ₁ norm each
+//! iteration for its observers (the gateway's solver watchdog is always
+//! active), and the distance and norm at every convergence check. A
+//! one-lane panel is a contiguous vector, so it runs the `vector` fold
+//! itself: the panel loop, one lane wide, would carry its sum through
+//! memory from row to row.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -133,93 +141,116 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     });
 }
 
-/// `y -= alpha * x`, element-wise (`y - alpha*x` per element, matching the
-/// solver's explicit dual-update loops bit-for-bit).
-///
-/// # Panics
-///
-/// Panics if `x.len() != y.len()`.
-pub fn sub_scaled(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "sub_scaled: length mismatch");
-    on_tier(simd_enabled(), || {
-        for (yi, &xi) in y.iter_mut().zip(x) {
-            *yi -= alpha * xi;
-        }
-    });
-}
-
-/// `out = x / divisor`, element-wise (IEEE division is exact per element;
-/// this must stay a division — multiplying by a reciprocal would change
-/// bits).
-///
-/// # Panics
-///
-/// Panics if `x.len() != out.len()`.
-pub fn div_by(x: &[f64], divisor: f64, out: &mut [f64]) {
-    assert_eq!(x.len(), out.len(), "div_by: length mismatch");
-    on_tier(simd_enabled(), || {
-        for (o, &xi) in out.iter_mut().zip(x) {
-            *o = xi / divisor;
-        }
-    });
-}
-
-// -- scalar-only per-lane reductions -----------------------------------------
+// -- lane reductions ---------------------------------------------------------
 //
-// These replicate the exact algorithms of `crate::vector` on one strided
-// lane of a column-major panel (see "Lane reductions stay scalar" above).
+// Each folds every lane of a column-major panel at once: row by row, lane
+// `l` accumulates into `out[l]` with the operations of its `crate::vector`
+// fold, in row order (see "Lane reductions" above).
 
-/// [`vector::norm1`](crate::vector::norm1) of lane `lane` over the first
-/// `len` panel rows.
-#[must_use]
-pub fn norm1_lane(panel: &[f64], k: usize, lane: usize, len: usize) -> f64 {
-    (0..len).map(|i| panel[i * k + lane].abs()).sum()
+/// Lane count of a panel reduction writing `out`, checking the shape.
+fn lanes_of(panel_len: usize, out: &[f64], what: &str) -> usize {
+    let k = out.len();
+    assert!(k > 0, "{what}: no lanes");
+    assert_eq!(panel_len % k, 0, "{what}: panel not a multiple of k");
+    k
 }
 
-/// [`vector::norm2`](crate::vector::norm2) of lane `lane` over the first
-/// `len` panel rows — the same overflow-safe scaled form, fold for fold.
-#[must_use]
-pub fn norm2_lane(panel: &[f64], k: usize, lane: usize, len: usize) -> f64 {
-    let max = (0..len).fold(0.0_f64, |m, i| m.max(panel[i * k + lane].abs()));
-    if max == 0.0 || !max.is_finite() {
-        let has_nan = (0..len).any(|i| panel[i * k + lane].is_nan());
-        return if has_nan { f64::NAN } else { max };
+/// [`vector::norm1`](crate::vector::norm1) of every lane: `out[l]` is the
+/// ℓ₁ norm of lane `l` of the `out.len()`-wide panel `panel`, bit for bit
+/// on either tier.
+///
+/// # Panics
+///
+/// Panics if `out` is empty or `panel.len()` is not a multiple of
+/// `out.len()`.
+pub fn norm1_lanes(panel: &[f64], out: &mut [f64]) {
+    let k = lanes_of(panel.len(), out, "norm1_lanes");
+    if k == 1 {
+        out[0] = crate::vector::norm1(panel);
+        return;
     }
-    let sum: f64 = (0..len)
-        .map(|i| {
-            let r = panel[i * k + lane] / max;
-            r * r
-        })
-        .sum();
-    max * sum.sqrt()
+    // `-0.0` is the identity `Sum` folds from, as `vector::norm1` does.
+    out.fill(-0.0);
+    on_tier(simd_enabled(), || {
+        for row in panel.chunks_exact(k) {
+            for (o, &v) in out.iter_mut().zip(row) {
+                *o += v.abs();
+            }
+        }
+    });
 }
 
-/// [`vector::dist2`](crate::vector::dist2) between lane `lane` of two
-/// same-shape panels.
-#[must_use]
-pub fn dist2_lane(a: &[f64], b: &[f64], k: usize, lane: usize, len: usize) -> f64 {
-    let sum: f64 = (0..len)
-        .map(|i| {
-            let d = a[i * k + lane] - b[i * k + lane];
-            d * d
-        })
-        .sum();
-    sum.sqrt()
+/// [`vector::norm2`](crate::vector::norm2) of every lane, with its
+/// overflow-safe scaling: `out[l]` is lane `l`'s norm, and `max` (one
+/// slot per lane) is scratch for the lanes' largest magnitudes. A lane
+/// whose maximum is zero or not finite takes the reference's early
+/// return; every other lane folds its scaled squares, so each lane's bits
+/// are the reference's on either tier.
+///
+/// # Panics
+///
+/// Panics if `out` is empty, `max.len() != out.len()`, or `panel.len()`
+/// is not a multiple of `out.len()`.
+pub fn norm2_lanes(panel: &[f64], max: &mut [f64], out: &mut [f64]) {
+    let k = lanes_of(panel.len(), out, "norm2_lanes");
+    assert_eq!(max.len(), k, "norm2_lanes: max length mismatch");
+    if k == 1 {
+        out[0] = crate::vector::norm2(panel);
+        return;
+    }
+    max.fill(0.0);
+    out.fill(-0.0);
+    on_tier(simd_enabled(), || {
+        for row in panel.chunks_exact(k) {
+            for (m, &v) in max.iter_mut().zip(row) {
+                *m = m.max(v.abs());
+            }
+        }
+        for row in panel.chunks_exact(k) {
+            for ((o, &m), &v) in out.iter_mut().zip(&*max).zip(row) {
+                *o += (v / m) * (v / m);
+            }
+        }
+    });
+    for (o, &m) in out.iter_mut().zip(&*max) {
+        *o = if m == 0.0 || !m.is_finite() {
+            if m.is_nan() {
+                f64::NAN
+            } else {
+                m
+            }
+        } else {
+            m * o.sqrt()
+        };
+    }
 }
 
-/// [`vector::dist2`](crate::vector::dist2) between lane `lane` of a panel
-/// and a contiguous vector `b` (the per-window measurement slice).
-#[must_use]
-pub fn dist2_lane_vs(a: &[f64], b: &[f64], k: usize, lane: usize) -> f64 {
-    let sum: f64 = b
-        .iter()
-        .enumerate()
-        .map(|(i, &bi)| {
-            let d = a[i * k + lane] - bi;
-            d * d
-        })
-        .sum();
-    sum.sqrt()
+/// [`vector::dist2`](crate::vector::dist2) between the same lanes of two
+/// panels: `out[l] = ‖a_l − b_l‖₂`, bit for bit on either tier.
+///
+/// # Panics
+///
+/// Panics if `out` is empty, `a.len() != b.len()`, or `a.len()` is not a
+/// multiple of `out.len()`.
+pub fn dist2_lanes(a: &[f64], b: &[f64], out: &mut [f64]) {
+    let k = lanes_of(a.len(), out, "dist2_lanes");
+    assert_eq!(a.len(), b.len(), "dist2_lanes: length mismatch");
+    if k == 1 {
+        out[0] = crate::vector::dist2(a, b);
+        return;
+    }
+    out.fill(0.0);
+    on_tier(simd_enabled(), || {
+        for (ra, rb) in a.chunks_exact(k).zip(b.chunks_exact(k)) {
+            for ((o, &va), &vb) in out.iter_mut().zip(ra).zip(rb) {
+                let d = va - vb;
+                *o += d * d;
+            }
+        }
+    });
+    for o in out.iter_mut() {
+        *o = o.sqrt();
+    }
 }
 
 /// Copies lane `lane` of a column-major panel into a contiguous vector.
@@ -454,70 +485,96 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sub_scaled_pins_zero_ulp_across_shapes() {
-        for len in PIN_LENS {
-            let x = specials(len, 41);
-            let y0 = specials(len, 42);
-            pin_both_tiers(|| {
-                let mut y = y0.clone();
-                sub_scaled(0.73, &x, &mut y);
-                y
-            });
-        }
-    }
+    /// Panel widths the lane pins sweep: every width up to two 4-wide
+    /// vectors plus one, the gateway's width 16, and one past 16 and 32.
+    const PIN_WIDTHS: [usize; 12] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 33];
 
-    #[test]
-    fn div_by_pins_zero_ulp_across_shapes() {
-        for len in PIN_LENS {
-            let x = specials(len, 51);
-            for divisor in [0.3127, -0.0, 5e-324] {
-                pin_both_tiers(|| {
-                    let mut out = vec![0.0; len];
-                    div_by(&x, divisor, &mut out);
-                    out
-                });
+    /// Panel heights the lane pins sweep: one row, a few, the measurement
+    /// count and the window length of the paper's operating point.
+    const PIN_ROWS: [usize; 4] = [1, 5, 96, 512];
+
+    /// A `rows × k` panel whose every lane mixes ±0, subnormals, huge,
+    /// tiny and ordinary values. Lane `l` is also shaped by `(l + seed) %
+    /// 6`: 0 and 1 stay finite, 2 carries one NaN, 3 one +∞ and one −∞
+    /// (when it has two rows), 4 is all ±0, and 5 is ±0 with one NaN. A
+    /// lane never holds two different NaNs, which IEEE-754 lets either
+    /// propagate through a commutative add.
+    fn lane_panel(rows: usize, k: usize, seed: u64) -> Vec<f64> {
+        let mut panel = noise(rows * k, seed);
+        for (i, row) in panel.chunks_exact_mut(k).enumerate() {
+            for (l, v) in row.iter_mut().enumerate() {
+                match ((l + seed as usize) % 6, (i + l) % 5) {
+                    (4 | 5, _) => *v = if (i + l) % 2 == 0 { 0.0 } else { -0.0 },
+                    (_, 3) => *v *= f64::MIN_POSITIVE,
+                    _ => {}
+                }
             }
         }
+        for l in 0..k {
+            let at = |r: usize| (r % rows) * k + l;
+            match (l + seed as usize) % 6 {
+                2 | 5 => panel[at(3 * l + 1)] = f64::NAN,
+                3 => {
+                    panel[at(l)] = f64::INFINITY;
+                    if rows > 1 {
+                        panel[at(l + 1)] = f64::NEG_INFINITY;
+                    }
+                }
+                _ => {}
+            }
+        }
+        panel
+    }
+
+    /// Lane `lane` of a column-major `k`-wide panel, as a vector.
+    fn lane_of(panel: &[f64], k: usize, lane: usize) -> Vec<f64> {
+        let mut v = vec![0.0; panel.len() / k];
+        gather_lane(panel, k, lane, &mut v);
+        v
+    }
+
+    /// Runs `body(tier)` under forced scalar dispatch and, when the host
+    /// has AVX2, forced SIMD dispatch. Restores the default tier.
+    fn on_each_tier(mut body: impl FnMut(&str)) {
+        let _guard = tier_lock();
+        set_override(Some(false));
+        body("scalar");
+        if simd_available() {
+            set_override(Some(true));
+            body("avx2");
+        }
+        set_override(None);
     }
 
     #[test]
-    fn lane_reductions_match_vector_reference() {
-        let rows = 37;
-        let k = 5;
-        let a = noise(rows * k, 81);
-        let b = noise(rows * k, 82);
-        for lane in 0..k {
-            let la: Vec<f64> = (0..rows).map(|i| a[i * k + lane]).collect();
-            let lb: Vec<f64> = (0..rows).map(|i| b[i * k + lane]).collect();
-            assert_eq!(
-                norm1_lane(&a, k, lane, rows).to_bits(),
-                crate::vector::norm1(&la).to_bits()
-            );
-            assert_eq!(
-                norm2_lane(&a, k, lane, rows).to_bits(),
-                crate::vector::norm2(&la).to_bits()
-            );
-            assert_eq!(
-                dist2_lane(&a, &b, k, lane, rows).to_bits(),
-                crate::vector::dist2(&la, &lb).to_bits()
-            );
-            assert_eq!(
-                dist2_lane_vs(&a, &lb, k, lane).to_bits(),
-                crate::vector::dist2(&la, &lb).to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn norm_lanes_handle_nan_and_zero_like_vector() {
-        let k = 2;
-        for pattern in [vec![0.0, 0.0, -0.0, 0.0], vec![f64::NAN, 1.0, 2.0, 3.0]] {
-            let lane: Vec<f64> = pattern.iter().step_by(k).copied().collect();
-            let n_panel = norm2_lane(&pattern, k, 0, lane.len());
-            let n_ref = crate::vector::norm2(&lane);
-            assert_eq!(n_panel.to_bits(), n_ref.to_bits());
-        }
+    fn lane_reductions_match_vector_reference_on_both_tiers() {
+        on_each_tier(|tier| {
+            for k in PIN_WIDTHS {
+                for rows in PIN_ROWS {
+                    let seed = (rows * 64 + k) as u64;
+                    let a = lane_panel(rows, k, seed);
+                    // `b` is finite: a lane of `a − b` then meets at most
+                    // one kind of NaN, as in `lane_panel`.
+                    let b = noise(rows * k, seed + 1);
+                    let mut norm1 = vec![f64::NAN; k];
+                    let (mut max, mut norm2) = (vec![f64::NAN; k], vec![f64::NAN; k]);
+                    let mut dist = vec![f64::NAN; k];
+                    norm1_lanes(&a, &mut norm1);
+                    norm2_lanes(&a, &mut max, &mut norm2);
+                    dist2_lanes(&a, &b, &mut dist);
+                    for lane in 0..k {
+                        let (la, lb) = (lane_of(&a, k, lane), lane_of(&b, k, lane));
+                        let at = format!("{tier} k{k} rows{rows} lane{lane}");
+                        let norm1_ref = crate::vector::norm1(&la);
+                        let norm2_ref = crate::vector::norm2(&la);
+                        let dist_ref = crate::vector::dist2(&la, &lb);
+                        assert_eq!(norm1[lane].to_bits(), norm1_ref.to_bits(), "norm1 {at}");
+                        assert_eq!(norm2[lane].to_bits(), norm2_ref.to_bits(), "norm2 {at}");
+                        assert_eq!(dist[lane].to_bits(), dist_ref.to_bits(), "dist2 {at}");
+                    }
+                }
+            }
+        });
     }
 
     #[test]

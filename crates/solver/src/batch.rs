@@ -31,15 +31,24 @@
 //!   their hand-written AVX2 tier is pinned 0-ULP against its scalar twin;
 //!   their lanes outside a 4-wide vector (every lane when K < 4) run the
 //!   serial kernels themselves;
-//! * the ℓ₂-ball projection, box clamp and soft-threshold run the
-//!   [`crate::prox`] functions on a one-lane panel (which *is* the vector)
-//!   and replicate them element for element on each strided lane otherwise;
-//! * per-lane reductions (norms, distances) are scalar strided replicas of
-//!   the [`hybridcs_linalg::vector`] fold orders;
+//! * the box and ℓ₂-ball dual steps run every lane in one pass each over
+//!   per-window bound and measurement panels, scattered once at solve
+//!   start ([`crate::simd::box_dual_lanes`],
+//!   [`crate::simd::ball_ascent_lanes`],
+//!   [`crate::simd::ball_project_lanes`]); per lane they perform the
+//!   element operations of [`crate::prox`]'s projections and the sum
+//!   order of its distance, and the soft-threshold runs
+//!   [`crate::prox::soft_threshold`] element for element;
+//! * per-lane reductions (the observers' objective and residual, the stop
+//!   test's distance and norm) fold every lane at once, each lane in the
+//!   row order of its [`hybridcs_linalg::vector`] fold
+//!   ([`hybridcs_linalg::simd::norm1_lanes`] and its siblings); a one-lane
+//!   panel runs the contiguous loops themselves;
 //! * converged/aborted windows **retire**: their lane is repacked out of
-//!   every persistent panel ([`hybridcs_linalg::simd::drop_lane`]) so
-//!   surviving windows keep iterating on the exact values they would have
-//!   had alone, with a shrinking stride.
+//!   every persistent panel, bounds and measurements included
+//!   ([`hybridcs_linalg::simd::drop_lane`]), so surviving windows keep
+//!   iterating on the exact values they would have had alone, with a
+//!   shrinking stride.
 //!
 //! Windows may stop at different iterations (per-window stopping masks);
 //! each retires on the iteration its one-window solve stops.
@@ -138,43 +147,6 @@ impl<'a, 'p> BatchProblem<'a, 'p> {
     #[must_use]
     pub fn problems(&self) -> &'p [BpdnProblem<'a>] {
         self.problems
-    }
-}
-
-/// [`prox::project_l2_ball`] on one lane of a panel, against a contiguous
-/// center — the prox itself at `k == 1`, else the same arithmetic strided.
-fn project_l2_ball_lane(v: &mut [f64], center: &[f64], radius: f64, k: usize, lane: usize) {
-    if k == 1 {
-        return prox::project_l2_ball(v, center, radius);
-    }
-    let dist = simd::dist2_lane_vs(v, center, k, lane);
-    if dist <= radius || dist == 0.0 {
-        return;
-    }
-    let scale = radius / dist;
-    for (i, &ci) in center.iter().enumerate() {
-        let idx = i * k + lane;
-        v[idx] = ci + scale * (v[idx] - ci);
-    }
-}
-
-/// [`prox::project_box`] on one lane of a panel — the prox itself at
-/// `k == 1`, else the same clamp strided.
-fn clamp_box_lane(v: &mut [f64], lo: &[f64], hi: &[f64], k: usize, lane: usize) {
-    if k == 1 {
-        return prox::project_box(v, lo, hi);
-    }
-    for (i, (&l, &h)) in lo.iter().zip(hi).enumerate() {
-        let idx = i * k + lane;
-        v[idx] = v[idx].clamp(l, h);
-    }
-}
-
-/// Copies lane `lane` of `src` into the same lane of `dst` (both `len × k`
-/// panels) — the per-lane snapshot update of the PDHG convergence check.
-fn copy_lane(src: &[f64], dst: &mut [f64], k: usize, lane: usize, len: usize) {
-    for i in 0..len {
-        dst[i * k + lane] = src[i * k + lane];
     }
 }
 
@@ -304,13 +276,15 @@ pub(crate) fn solve_lockstep(
     // `at + 0.0` in every lane (signed zeros included).
     let mut z2 = ws.acquire_panel(n, k0);
     let mut snapshot = ws.acquire_panel(n, k0);
+    let mut y = ws.acquire_panel(m, k0);
+    let mut lo = ws.acquire_panel(if has_box { n } else { 0 }, k0);
+    let mut hi = ws.acquire_panel(if has_box { n } else { 0 }, k0);
     let mut weight_panel = ws.acquire_panel(if has_weights { n } else { 0 }, k0);
     // Transient panels — fully rewritten every iteration, never repacked;
     // the live region is always the `rows * k` prefix.
     let mut ax = ws.acquire_panel(m, k0);
     let mut at_z1 = ws.acquire_panel(n, k0);
-    let mut ball_point = ws.acquire_panel(m, k0);
-    let mut box_point = ws.acquire_panel(n, k0);
+    let mut ball = ws.acquire_panel(m, k0);
     let mut w = ws.acquire_panel(n, k0);
     let mut coeffs = ws.acquire_panel(n, k0);
     let mut x_new = ws.acquire_panel(n, k0);
@@ -322,8 +296,17 @@ pub(crate) fn solve_lockstep(
     let mut fin_coeffs = ws.acquire(n);
     let mut fin_dwt_scratch = ws.acquire(hybridcs_dsp::Dwt::scratch_len(n));
     let mut fin_op_scratch = ws.acquire(a.scratch_len());
+    // Per-lane values: `tau_lane` and `radius` repack with the panels; the
+    // accumulators are rewritten by each pass that fills them.
     let mut tau_lane = ws.acquire(k0);
     tau_lane.iter_mut().for_each(|t| *t = tau);
+    let mut radius = ws.acquire(k0);
+    let mut ball_sq = ws.acquire(k0);
+    let mut residual_sq = ws.acquire(k0);
+    let mut objective = ws.acquire(k0);
+    let mut change = ws.acquire(k0);
+    let mut x_max = ws.acquire(k0);
+    let mut x_norm = ws.acquire(k0);
     let mut lane2win = ws.acquire_indices(k0);
     lane2win.extend(0..k0);
     let mut retire = ws.acquire_indices(k0);
@@ -331,6 +314,12 @@ pub(crate) fn solve_lockstep(
     for (lane, p) in batch.problems().iter().enumerate() {
         p.initial_point_into(&mut fin_sig, &mut fin_op_scratch);
         simd::scatter_lane(&fin_sig, k0, lane, &mut x);
+        simd::scatter_lane(p.measurements, k0, lane, &mut y);
+        radius[lane] = p.sigma;
+        if let Some((l, h)) = p.box_bounds {
+            simd::scatter_lane(l, k0, lane, &mut lo);
+            simd::scatter_lane(h, k0, lane, &mut hi);
+        }
         if let Some(wc) = p.coefficient_weights {
             simd::scatter_lane(wc, k0, lane, &mut weight_panel);
         }
@@ -344,27 +333,36 @@ pub(crate) fn solve_lockstep(
         iter += 1;
         let (nk, mk) = (n * k, m * k);
 
-        // Dual ascent on the fidelity ball: z1 ← v − ς·Π_ball(v/ς).
+        // Dual ascent on the fidelity ball: z1 ← v − ς·Π_ball(v/ς), with
+        // v = z1 + ς·Φx̄. The first pass also folds ‖Φx̄ − y‖² per lane.
         a.apply_batch_into(&x_bar[..nk], k, &mut ax[..mk], &mut op_scratch);
-        simd::axpy(dual_step, &ax[..mk], &mut z1[..mk]);
-        simd::div_by(&z1[..mk], dual_step, &mut ball_point[..mk]);
-        for (lane, &win) in lane2win.iter().enumerate() {
-            let p = &batch.problems()[win];
-            project_l2_ball_lane(&mut ball_point[..mk], p.measurements, p.sigma, k, lane);
-        }
-        simd::sub_scaled(dual_step, &ball_point[..mk], &mut z1[..mk]);
+        crate::simd::ball_ascent_lanes(
+            &ax[..mk],
+            &y[..mk],
+            dual_step,
+            &mut z1[..mk],
+            &mut ball[..mk],
+            &mut ball_sq[..k],
+            &mut residual_sq[..k],
+        );
+        crate::simd::ball_project_lanes(
+            &ball[..mk],
+            &y[..mk],
+            &radius[..k],
+            &mut ball_sq[..k],
+            dual_step,
+            &mut z1[..mk],
+        );
 
-        // Dual ascent on the box: z2 ← v − ς·Π_box(v/ς).
+        // Dual ascent on the box: z2 ← v − ς·Π_box(v/ς), v = z2 + ς·x̄.
         if has_box {
-            simd::axpy(dual_step, &x_bar[..nk], &mut z2[..nk]);
-            simd::div_by(&z2[..nk], dual_step, &mut box_point[..nk]);
-            for (lane, &win) in lane2win.iter().enumerate() {
-                let (lo, hi) = batch.problems()[win]
-                    .box_bounds
-                    .expect("uniform box presence");
-                clamp_box_lane(&mut box_point[..nk], lo, hi, k, lane);
-            }
-            simd::sub_scaled(dual_step, &box_point[..nk], &mut z2[..nk]);
+            crate::simd::box_dual_lanes(
+                &x_bar[..nk],
+                &lo[..nk],
+                &hi[..nk],
+                dual_step,
+                &mut z2[..nk],
+            );
         }
 
         // Primal descent with the ℓ₁-in-Ψ prox.
@@ -388,34 +386,32 @@ pub(crate) fn solve_lockstep(
         std::mem::swap(&mut x, &mut x_new);
 
         if lane2win.iter().any(|&win| observers[win].active()) {
-            // `ax` still holds this iteration's `Φx̄` panel (the ball
-            // projection works on `ball_point`): the residuals cost no forward.
+            simd::norm1_lanes(&coeffs[..nk], &mut objective[..k]);
             for (lane, &win) in lane2win.iter().enumerate() {
                 if observers[win].active() {
-                    let p = &batch.problems()[win];
                     observers[win].on_iteration(&IterationEvent {
                         iteration: iter,
-                        objective: simd::norm1_lane(&coeffs[..nk], k, lane, n),
-                        residual: simd::dist2_lane_vs(&ax[..mk], p.measurements, k, lane),
+                        objective: objective[lane],
+                        residual: residual_sq[lane].sqrt(),
                         step_size: Some(tau),
                     });
                 }
             }
         }
 
+        // `iter` is shared, so every lane checks on the same iteration.
+        let check = iter % options.check_interval == 0;
+        if check {
+            simd::dist2_lanes(&x[..nk], &snapshot[..nk], &mut change[..k]);
+            simd::norm2_lanes(&x[..nk], &mut x_max[..k], &mut x_norm[..k]);
+            snapshot[..nk].copy_from_slice(&x[..nk]);
+        }
         retire.clear();
         for (lane, &win) in lane2win.iter().enumerate() {
             if observers[win].should_abort() {
                 retire.push(lane * 4 + RETIRE_ABORTED);
-                continue;
-            }
-            if iter % options.check_interval == 0 {
-                let change = simd::dist2_lane(&x[..nk], &snapshot[..nk], k, lane, n);
-                let scale = simd::norm2_lane(&x[..nk], k, lane, n).max(1e-12);
-                copy_lane(&x[..nk], &mut snapshot[..nk], k, lane, n);
-                if change <= options.tolerance * scale {
-                    retire.push(lane * 4 + RETIRE_CONVERGED);
-                }
+            } else if check && change[lane] <= options.tolerance * x_norm[lane].max(1e-12) {
+                retire.push(lane * 4 + RETIRE_CONVERGED);
             }
         }
         for &mark in retire.iter().rev() {
@@ -439,15 +435,25 @@ pub(crate) fn solve_lockstep(
                 &mut fin_op_scratch,
                 ws,
             ));
-            simd::drop_lane(&mut x, k, lane, n);
-            simd::drop_lane(&mut x_bar, k, lane, n);
-            simd::drop_lane(&mut z1, k, lane, m);
-            simd::drop_lane(&mut z2, k, lane, n);
-            simd::drop_lane(&mut snapshot, k, lane, n);
+            for (panel, rows) in [
+                (&mut x, n),
+                (&mut x_bar, n),
+                (&mut z1, m),
+                (&mut z2, n),
+                (&mut snapshot, n),
+                (&mut y, m),
+            ] {
+                simd::drop_lane(panel, k, lane, rows);
+            }
+            if has_box {
+                simd::drop_lane(&mut lo, k, lane, n);
+                simd::drop_lane(&mut hi, k, lane, n);
+            }
             if has_weights {
                 simd::drop_lane(&mut weight_panel, k, lane, n);
             }
             tau_lane.remove(lane);
+            radius.remove(lane);
             lane2win.remove(lane);
             k -= 1;
         }
@@ -480,11 +486,13 @@ pub(crate) fn solve_lockstep(
         z1,
         z2,
         snapshot,
+        y,
+        lo,
+        hi,
         weight_panel,
         ax,
         at_z1,
-        ball_point,
-        box_point,
+        ball,
         w,
         coeffs,
         x_new,
@@ -496,6 +504,13 @@ pub(crate) fn solve_lockstep(
         fin_dwt_scratch,
         fin_op_scratch,
         tau_lane,
+        radius,
+        ball_sq,
+        residual_sq,
+        objective,
+        change,
+        x_max,
+        x_norm,
     ] {
         ws.release(buf);
     }
@@ -827,14 +842,15 @@ mod tests {
         }
     }
 
-    /// K = 16 is the gateway's default panel width. Lanes retire at
-    /// different iterations, and at k = 2, 4 and 7 one lane outlives the
-    /// rest, so it crosses from the strided helpers to the one-lane prox
-    /// path mid-solve.
+    /// K = 16 is the gateway's default panel width and k = 17 leaves one
+    /// lane past its last 4-wide vector. Lanes retire at different
+    /// iterations, and at k = 2, 4 and 7 one lane outlives the rest, so
+    /// it crosses from the panel loops to the one-lane contiguous loops
+    /// mid-solve.
     #[test]
     fn pdhg_batch_bit_identical_to_serial_all_k() {
         for_each_tier(|tier| {
-            for k in [2, 3, 4, 7, 8, 16] {
+            for k in [2, 3, 4, 7, 8, 16, 17] {
                 run_pdhg_equivalence(false, false, k, &format!("pdhg/{tier}"));
             }
         });

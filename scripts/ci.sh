@@ -63,6 +63,35 @@ echo "==> benchmark smoke run (perfbench: every workload for 5 s, correctness au
 # the layer probe (the K = 1 and K = 16 ladder solves, the serial decode)
 # and the per-window parts-sum check.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "==> codegen guard (every AVX2 frame of simd::on_tier holds vector code)"
+# `hybridcs_linalg::simd::on_tier` runs a kernel inlined into
+# `avx2_frame`, a frame compiled with AVX2 enabled. When LLVM declines to
+# inline the kernel, the frame compiles to a bare call of baseline code:
+# the AVX2 tier then runs scalar code, with the same bits, so no test can
+# see it. Thin LTO vectorizes after the link step, so the guard
+# disassembles the linked perfbench binary, which runs every kernel of the
+# gateway's decode, and fails when an instance of the frame holds no ymm
+# instruction or when it finds no instance at all. The frame exists on
+# x86_64 only.
+if [ "$(uname -m)" = "x86_64" ]; then
+    AVX2_FRAMES="$(objdump -d --no-show-raw-insn perfbench/target/release/perfbench | awk '
+        /^[0-9a-f]+ <.*avx2_frame.*>:$/ { f = $2; n = 0; next }
+        f && /ymm/ { n++ }
+        /^$/ && f { print n, f; f = "" }
+        END { if (f) print n, f }')"
+    echo "ymm instructions per avx2_frame instance:"
+    echo "$AVX2_FRAMES"
+    if [ -z "$AVX2_FRAMES" ]; then
+        echo "error: found no avx2_frame instance in perfbench" >&2
+        exit 1
+    fi
+    if awk '$1 == 0 { bad = 1 } END { exit !bad }' <<<"$AVX2_FRAMES"; then
+        echo "error: an avx2_frame instance holds no ymm instruction (kernel not inlined)" >&2
+        exit 1
+    fi
+fi
+
 # perfbench's own unit tests: its audit, statistics and argument parsing.
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 for workload in capacity ward link; do
