@@ -1,13 +1,14 @@
-//! Micro-benchmarks for the batched decode kernels at both SIMD tiers.
+//! Micro-benchmarks for the batched decode kernels on every SIMD tier.
 //!
 //! ```sh
 //! cargo run --release --bin kernels_batch
 //! ```
 //!
 //! Covers the four kernel families the batched solvers spend their time
-//! in, each timed under the scalar tier and — when the host supports
-//! AVX2+FMA — the SIMD tier, driven through the in-process
-//! [`set_override`] so one run reports both:
+//! in, each timed on every tier the host has — scalar, AVX2 (AVX2+FMA
+//! hosts) and AVX-512 (`avx512f` hosts) — pinned through the in-process
+//! [`set_override`], so one run reports one row per kernel per tier
+//! (`…/scalar`, `…/avx2`, `…/avx512`):
 //!
 //! 1. packed-Bernoulli sensing, batched forward and adjoint
 //!    ([`SensingMatrix::apply_batch_into_scratch`] /
@@ -28,7 +29,7 @@
 //! kernels of every lane outside a 4-wide vector, which is every lane of
 //! a panel narrower than four. The dual passes and reductions run their
 //! contiguous one-lane loops at K = 1, the glue of a one-window solve,
-//! and their panel loops at K = 16, the gateway panel's. Every tier pair
+//! and their panel loops at K = 16, the gateway panel's. Every tier
 //! computes bit-identical outputs (the 0-ULP contract pinned by the
 //! kernel tests); these numbers only rank how fast each tier produces
 //! those bits. Timings use the [`Micro`] harness: median per iteration
@@ -41,7 +42,7 @@
 use hybridcs_bench::micro::{black_box, Micro};
 use hybridcs_dsp::{Dwt, Wavelet};
 use hybridcs_frontend::SensingMatrix;
-use hybridcs_linalg::simd::{self, set_override, simd_available};
+use hybridcs_linalg::simd::{self, available_tiers, set_override, Tier};
 use hybridcs_solver::simd as solver_simd;
 
 const N: usize = 512;
@@ -91,20 +92,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut lane_out = [0.0; K];
     let mut lane_max = [0.0; K];
 
-    let tiers: &[(bool, &str)] = if simd_available() {
-        &[(false, "scalar"), (true, "simd")]
-    } else {
-        println!("kernels_batch: host lacks AVX2+FMA — scalar tier only");
-        &[(false, "scalar")]
-    };
+    let missing: Vec<&str> = Tier::ALL
+        .iter()
+        .filter(|t| !t.available())
+        .map(|t| t.name())
+        .collect();
+    if !missing.is_empty() {
+        println!(
+            "kernels_batch: host lacks {} — no rows for that tier",
+            missing.join(" and ")
+        );
+    }
     println!(
         "kernels_batch: n = {N}, m = {M}, K = 1 and {K}, {} samples x ~{} ms",
         harness.samples,
         harness.sample_budget.as_millis()
     );
 
-    for &(simd_on, tier) in tiers {
-        set_override(Some(simd_on));
+    for pinned in available_tiers() {
+        set_override(Some(pinned));
+        let tier = pinned.name();
 
         for k in [1, K] {
             let (x, y) = (&x_panel[..N * k], &y_panel[..M * k]);

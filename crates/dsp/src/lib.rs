@@ -31,8 +31,9 @@
 //! ```
 
 // `deny` rather than `forbid`: `transform::panel_kernels` scopes a single
-// `allow(unsafe_code)` around its runtime-dispatched AVX2 twins of the
-// filter-bank loops; everything else still refuses unsafe at compile time.
+// `allow(unsafe_code)` around its width-generic filter-bank bodies, which
+// read and write the panels through raw pointers; everything else still
+// refuses unsafe at compile time.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -1,5 +1,5 @@
 use crate::{DspError, Wavelet};
-use hybridcs_linalg::simd::{serial_lanes, vector_lanes};
+use hybridcs_linalg::simd::{serial_lanes, vector_lanes, Tier};
 
 /// Describes how [`Dwt`] lays out coefficients in its output vector.
 ///
@@ -370,9 +370,9 @@ impl Dwt {
     /// `x_panel` (elements `x_panel[i*k + l]`) is transformed exactly as
     /// [`Dwt::forward_into`] would transform it, writing lane `l` of
     /// `out_panel`. The first `4⌊k/4⌋` lanes run lane-parallel kernels in
-    /// the identical per-lane tap order — the SIMD tier (when
-    /// [`simd_enabled`](hybridcs_linalg::simd::simd_enabled)) vectorizes
-    /// across lanes only — and every remaining lane (all of them when
+    /// the identical per-lane tap order — a vector tier (whichever
+    /// [`active_tier`](hybridcs_linalg::simd::active_tier) picks)
+    /// vectorizes across lanes only — and every remaining lane (all of them when
     /// `k < 4`) runs the serial transform itself, in place at `k = 1`. So
     /// every lane is bit-identical to the serial transform.
     ///
@@ -398,7 +398,7 @@ impl Dwt {
             k,
             out_panel,
             scratch,
-            hybridcs_linalg::simd::simd_enabled(),
+            hybridcs_linalg::simd::active_tier(),
         )
     }
 
@@ -408,7 +408,7 @@ impl Dwt {
         k: usize,
         out_panel: &mut [f64],
         scratch: &mut [f64],
-        simd: bool,
+        tier: Tier,
     ) -> Result<(), DspError> {
         let _span = hybridcs_obs::span!("wavelet.forward_panel");
         assert!(k > 0, "forward_panel_into: zero lanes");
@@ -429,7 +429,7 @@ impl Dwt {
         );
         let lanes = vector_lanes(k);
         if lanes > 0 {
-            self.analyze_panel_levels(x_panel, k, lanes, out_panel, scratch, simd);
+            self.analyze_panel_levels(x_panel, k, lanes, out_panel, scratch, tier);
         }
         serial_lanes(x_panel, k, lanes, out_panel, scratch, |x, c, s| {
             self.analyze_levels(x, c, s);
@@ -446,7 +446,7 @@ impl Dwt {
         lanes: usize,
         out_panel: &mut [f64],
         scratch: &mut [f64],
-        simd: bool,
+        tier: Tier,
     ) {
         let n = x_panel.len() / k;
         let h = self.wavelet.lowpass();
@@ -462,7 +462,7 @@ impl Dwt {
             g,
             &mut ping[..cur * k],
             &mut out_panel[(write_end - cur) * k..write_end * k],
-            simd,
+            tier,
         );
         write_end -= cur;
         let mut src_is_ping = true;
@@ -478,7 +478,7 @@ impl Dwt {
                     g,
                     &mut pong[..half * k],
                     detail_slot,
-                    simd,
+                    tier,
                 );
             } else {
                 panel_kernels::analyze(
@@ -489,7 +489,7 @@ impl Dwt {
                     g,
                     &mut ping[..half * k],
                     detail_slot,
-                    simd,
+                    tier,
                 );
             }
             write_end -= half;
@@ -531,7 +531,7 @@ impl Dwt {
             k,
             out_panel,
             scratch,
-            hybridcs_linalg::simd::simd_enabled(),
+            hybridcs_linalg::simd::active_tier(),
         )
     }
 
@@ -541,7 +541,7 @@ impl Dwt {
         k: usize,
         out_panel: &mut [f64],
         scratch: &mut [f64],
-        simd: bool,
+        tier: Tier,
     ) -> Result<(), DspError> {
         let _span = hybridcs_obs::span!("wavelet.inverse_panel");
         assert!(k > 0, "inverse_panel_into: zero lanes");
@@ -562,7 +562,7 @@ impl Dwt {
         );
         let lanes = vector_lanes(k);
         if lanes > 0 {
-            self.synthesize_panel_levels(coeffs_panel, k, lanes, out_panel, scratch, simd);
+            self.synthesize_panel_levels(coeffs_panel, k, lanes, out_panel, scratch, tier);
         }
         serial_lanes(coeffs_panel, k, lanes, out_panel, scratch, |c, x, s| {
             self.synthesize_levels(c, x, s);
@@ -579,7 +579,7 @@ impl Dwt {
         lanes: usize,
         out_panel: &mut [f64],
         scratch: &mut [f64],
-        simd: bool,
+        tier: Tier,
     ) {
         let n = coeffs_panel.len() / k;
         let h = self.wavelet.lowpass();
@@ -594,7 +594,7 @@ impl Dwt {
                 h,
                 g,
                 out_panel,
-                simd,
+                tier,
             );
             return;
         }
@@ -607,7 +607,7 @@ impl Dwt {
             h,
             g,
             &mut ping[..2 * coarse * k],
-            simd,
+            tier,
         );
         let mut read_start = 2 * coarse;
         let mut cur = 2 * coarse;
@@ -625,7 +625,7 @@ impl Dwt {
                     h,
                     g,
                     &mut pong[..band_len * 2 * k],
-                    simd,
+                    tier,
                 );
             } else {
                 panel_kernels::synthesize(
@@ -636,7 +636,7 @@ impl Dwt {
                     h,
                     g,
                     &mut ping[..band_len * 2 * k],
-                    simd,
+                    tier,
                 );
             }
             read_start += band_len;
@@ -649,7 +649,7 @@ impl Dwt {
         } else {
             &pong[..cur * k]
         };
-        panel_kernels::synthesize(src, detail, k, lanes, h, g, out_panel, simd);
+        panel_kernels::synthesize(src, detail, k, lanes, h, g, out_panel, tier);
     }
 
     /// Counts coefficients whose magnitude is at least `threshold` times the
@@ -746,7 +746,7 @@ fn synthesize_level(approx: &[f64], detail: &[f64], h: &[f64], g: &[f64], out: &
     }
 }
 
-/// Lane-parallel twins of [`analyze_level`] / [`synthesize_level`] over
+/// Lane-parallel forms of [`analyze_level`] / [`synthesize_level`] over
 /// the first `lanes` lanes (a multiple of four) of column-major panels of
 /// stride `k`.
 ///
@@ -758,25 +758,25 @@ fn synthesize_level(approx: &[f64], detail: &[f64], h: &[f64], g: &[f64], out: &
 /// order [`synthesize_level`]'s scatter delivers them, wrapped rows last.
 /// So every lane is bit-identical to the serial kernels whatever the tier;
 /// the `% n` wrap is pure index arithmetic and cannot change bits.
-/// [`lane_blocks`] hands out one row (analysis) or one output pair
-/// (synthesis) × sixteen lanes at a time: eight 4-lane chains, approx and
-/// detail (even and odd) × four vectors, whose adds hide each other's
-/// latency. Against one 4-lane chain per output (and, for synthesis, a
-/// scatter that added into the output panel tap by tap), a K = 16 panel
-/// of 512 samples, db4 at 4 levels (2-vCPU AVX2 host, medians of six
-/// interleaved `kernels_batch` pairs) fell from 38.3 to 23.2 µs for
-/// analysis and from 37.6 to 26.4 µs for synthesis on the AVX2 tier, and
-/// from 155.1 to 47.0 and 79.4 to 43.2 µs on the scalar tier.
 ///
-/// The AVX2 tier is hand-written. The scalar twin takes the same loop
-/// order with its accumulators in local arrays, but compiled for AVX2 it
-/// is not as fast: `hybridcs_linalg::simd::on_tier` does not inline a
-/// block into its AVX2 frame, and in a `target_feature` function of its
-/// own it ran 1.30× (analysis) and 1.15× (synthesis) slower than the
-/// intrinsics (DESIGN §14).
+/// Each kernel is one `#[inline(always)]` body, generic over
+/// [`F64Vector`], that [`lane_blocks`] instantiates per tier: `[f64; 4]`
+/// on the scalar tier, `__m256d` on AVX2 and `__m512d` on AVX-512. A
+/// block is one row (analysis) or output pair (synthesis) × sixteen lanes
+/// on the scalar and AVX2 tiers, eight 4-lane chains (approx and detail,
+/// or even and odd, × four vectors) in AVX2's sixteen registers. On
+/// AVX-512 it is four rows × two `__m512d` for analysis, sixteen chains in
+/// its thirty-two registers, and two output pairs × two `__m512d` for
+/// synthesis, whose four broadcast taps per pair spilled registers at
+/// four pairs. Against one 4-lane chain per output (and, for synthesis,
+/// a scatter that added into the output panel tap by tap), a K = 16
+/// panel of 512 samples, db4 at 4 levels (2-vCPU AVX2 host, medians of
+/// six interleaved `kernels_batch` pairs) fell from 38.3 to 23.2 µs for
+/// analysis and from 37.6 to 26.4 µs for synthesis on the AVX2 tier
+/// (DESIGN §14 has the AVX-512 and scalar rows).
 #[allow(unsafe_code)]
 mod panel_kernels {
-    use hybridcs_linalg::simd::{lane_blocks, simd_available, LaneBlock};
+    use hybridcs_linalg::simd::{lane_blocks, F64Vector, LaneBlock, Tier};
 
     #[allow(clippy::too_many_arguments)]
     pub fn analyze(
@@ -787,10 +787,10 @@ mod panel_kernels {
         g: &[f64],
         approx: &mut [f64],
         detail: &mut [f64],
-        simd: bool,
+        tier: Tier,
     ) {
         // With the block bounds checked in `block`, these keep every
-        // access of either twin inside the panels.
+        // access of every instantiation inside the panels.
         assert!(lanes > 0 && lanes.is_multiple_of(4) && lanes <= k);
         let n = x.len() / k;
         assert!(x.len() == n * k && n >= h.len() && h.len() == g.len());
@@ -803,9 +803,11 @@ mod panel_kernels {
             g,
             approx,
             detail,
-            simd: simd && simd_available(),
         };
-        lane_blocks::<1>(&mut fold, n / 2, lanes);
+        match tier {
+            Tier::Avx512 => lane_blocks::<4>(&mut fold, tier, n / 2, lanes),
+            _ => lane_blocks::<1>(&mut fold, tier, n / 2, lanes),
+        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -817,10 +819,10 @@ mod panel_kernels {
         h: &[f64],
         g: &[f64],
         out: &mut [f64],
-        simd: bool,
+        tier: Tier,
     ) {
         // With the block bounds checked in `block`, these keep every
-        // access of either twin inside the panels.
+        // access of every instantiation inside the panels.
         assert!(lanes > 0 && lanes.is_multiple_of(4) && lanes <= k);
         let half = approx.len() / k;
         assert!(approx.len() == half * k && detail.len() == half * k);
@@ -836,9 +838,11 @@ mod panel_kernels {
             h,
             g,
             out,
-            simd: simd && simd_available(),
         };
-        lane_blocks::<1>(&mut fold, half, lanes);
+        match tier {
+            Tier::Avx512 => lane_blocks::<2>(&mut fold, tier, half, lanes),
+            _ => lane_blocks::<1>(&mut fold, tier, half, lanes),
+        }
     }
 
     /// One analysis level: block `(p, lane)` folds rows `p..p + R` of both
@@ -851,22 +855,6 @@ mod panel_kernels {
         g: &'a [f64],
         approx: &'a mut [f64],
         detail: &'a mut [f64],
-        simd: bool,
-    }
-
-    impl LaneBlock for Analyze<'_> {
-        fn block<const R: usize, const V: usize>(&mut self, p: usize, lane: usize) {
-            assert!((p + R) * self.k <= self.approx.len() && lane + 4 * V <= self.lanes);
-            #[cfg(target_arch = "x86_64")]
-            if self.simd {
-                // SAFETY: `simd` holds only after `simd_available`
-                // detected AVX2; the assert above and `analyze`'s bound
-                // every access.
-                unsafe { analyze_avx::<R, V>(self, p, lane) };
-                return;
-            }
-            analyze_scalar::<R, V>(self, p, lane);
-        }
     }
 
     /// Row of the filter window's tap `j` for output row `p`, wrapped
@@ -881,23 +869,35 @@ mod panel_kernels {
         }
     }
 
-    fn analyze_scalar<const R: usize, const V: usize>(f: &mut Analyze<'_>, p: usize, lane: usize) {
-        let n = f.x.len() / f.k;
-        let mut a = [[0.0f64; 16]; R];
-        let mut d = [[0.0f64; 16]; R];
-        for (j, (&hj, &gj)) in f.h.iter().zip(f.g).enumerate() {
-            for (r, (a, d)) in a.iter_mut().zip(&mut d).enumerate() {
-                let at = tap_row(p + r, j, n) * f.k + lane;
-                for ((a, d), &xv) in a.iter_mut().zip(d).zip(&f.x[at..at + 4 * V]) {
-                    *a += hj * xv;
-                    *d += gj * xv;
+    impl LaneBlock for Analyze<'_> {
+        #[inline(always)]
+        unsafe fn block<T: F64Vector, const R: usize, const V: usize>(
+            &mut self,
+            p: usize,
+            lane: usize,
+        ) {
+            assert!((p + R) * self.k <= self.approx.len() && lane + V * T::LANES <= self.lanes);
+            let n = self.x.len() / self.k;
+            let mut a = [[T::zero(); V]; R];
+            let mut d = [[T::zero(); V]; R];
+            for (j, (&hj, &gj)) in self.h.iter().zip(self.g).enumerate() {
+                let (hv, gv) = (T::splat(hj), T::splat(gj));
+                for (r, (a, d)) in a.iter_mut().zip(&mut d).enumerate() {
+                    let x = self.x.as_ptr().add(tap_row(p + r, j, n) * self.k + lane);
+                    for (v, (a, d)) in a.iter_mut().zip(d).enumerate() {
+                        let xv = T::load(x.add(v * T::LANES));
+                        *a = a.add(hv.mul(xv));
+                        *d = d.add(gv.mul(xv));
+                    }
                 }
             }
-        }
-        for (r, (a, d)) in a.iter().zip(&d).enumerate() {
-            let at = (p + r) * f.k + lane;
-            f.approx[at..at + 4 * V].copy_from_slice(&a[..4 * V]);
-            f.detail[at..at + 4 * V].copy_from_slice(&d[..4 * V]);
+            for (r, (a, d)) in a.iter().zip(&d).enumerate() {
+                let at = (p + r) * self.k + lane;
+                for (v, (a, d)) in a.iter().zip(d).enumerate() {
+                    a.store(self.approx.as_mut_ptr().add(at + v * T::LANES));
+                    d.store(self.detail.as_mut_ptr().add(at + v * T::LANES));
+                }
+            }
         }
     }
 
@@ -911,22 +911,6 @@ mod panel_kernels {
         h: &'a [f64],
         g: &'a [f64],
         out: &'a mut [f64],
-        simd: bool,
-    }
-
-    impl LaneBlock for Synthesize<'_> {
-        fn block<const R: usize, const V: usize>(&mut self, p: usize, lane: usize) {
-            assert!((p + R) * self.k <= self.approx.len() && lane + 4 * V <= self.lanes);
-            #[cfg(target_arch = "x86_64")]
-            if self.simd {
-                // SAFETY: `simd` holds only after `simd_available`
-                // detected AVX2; the assert above and `synthesize`'s bound
-                // every access.
-                unsafe { synthesize_avx::<R, V>(self, p, lane) };
-                return;
-            }
-            synthesize_scalar::<R, V>(self, p, lane);
-        }
     }
 
     /// Term `s` of output pair `p`'s gather: the tap pair `t` and the row
@@ -940,109 +924,39 @@ mod panel_kernels {
         (t, if t <= p { p - t } else { p + half - t })
     }
 
-    fn synthesize_scalar<const R: usize, const V: usize>(
-        f: &mut Synthesize<'_>,
-        p: usize,
-        lane: usize,
-    ) {
-        let half = f.approx.len() / f.k;
-        let pairs = f.h.len() / 2;
-        let mut even = [[0.0f64; 16]; R];
-        let mut odd = [[0.0f64; 16]; R];
-        for s in 0..pairs {
-            for (r, (even, odd)) in even.iter_mut().zip(&mut odd).enumerate() {
-                let (t, row) = gather_term(p + r, s, pairs, half);
-                let at = row * f.k + lane;
-                let (he, ge) = (f.h[2 * t], f.g[2 * t]);
-                let (ho, go) = (f.h[2 * t + 1], f.g[2 * t + 1]);
-                let terms = f.approx[at..at + 4 * V]
-                    .iter()
-                    .zip(&f.detail[at..at + 4 * V]);
-                for ((e, o), (&a, &d)) in even.iter_mut().zip(odd.iter_mut()).zip(terms) {
-                    *e += he * a + ge * d;
-                    *o += ho * a + go * d;
+    impl LaneBlock for Synthesize<'_> {
+        #[inline(always)]
+        unsafe fn block<T: F64Vector, const R: usize, const V: usize>(
+            &mut self,
+            p: usize,
+            lane: usize,
+        ) {
+            assert!((p + R) * self.k <= self.approx.len() && lane + V * T::LANES <= self.lanes);
+            let half = self.approx.len() / self.k;
+            let pairs = self.h.len() / 2;
+            let mut even = [[T::zero(); V]; R];
+            let mut odd = [[T::zero(); V]; R];
+            for s in 0..pairs {
+                for (r, (even, odd)) in even.iter_mut().zip(&mut odd).enumerate() {
+                    let (t, row) = gather_term(p + r, s, pairs, half);
+                    let (he, ge) = (T::splat(self.h[2 * t]), T::splat(self.g[2 * t]));
+                    let (ho, go) = (T::splat(self.h[2 * t + 1]), T::splat(self.g[2 * t + 1]));
+                    let a = self.approx.as_ptr().add(row * self.k + lane);
+                    let d = self.detail.as_ptr().add(row * self.k + lane);
+                    for (v, (e, o)) in even.iter_mut().zip(odd.iter_mut()).enumerate() {
+                        let av = T::load(a.add(v * T::LANES));
+                        let dv = T::load(d.add(v * T::LANES));
+                        *e = e.add(he.mul(av).add(ge.mul(dv)));
+                        *o = o.add(ho.mul(av).add(go.mul(dv)));
+                    }
                 }
             }
-        }
-        for (r, (even, odd)) in even.iter().zip(&odd).enumerate() {
-            let at = 2 * (p + r) * f.k + lane;
-            f.out[at..at + 4 * V].copy_from_slice(&even[..4 * V]);
-            f.out[at + f.k..at + f.k + 4 * V].copy_from_slice(&odd[..4 * V]);
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    use std::arch::x86_64::{
-        _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd,
-        _mm256_storeu_pd,
-    };
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn analyze_avx<const R: usize, const V: usize>(
-        f: &mut Analyze<'_>,
-        p: usize,
-        lane: usize,
-    ) {
-        let n = f.x.len() / f.k;
-        let mut a = [[_mm256_setzero_pd(); V]; R];
-        let mut d = [[_mm256_setzero_pd(); V]; R];
-        for (j, (&hj, &gj)) in f.h.iter().zip(f.g).enumerate() {
-            let (hv, gv) = (_mm256_set1_pd(hj), _mm256_set1_pd(gj));
-            for r in 0..R {
-                let x = f.x.as_ptr().add(tap_row(p + r, j, n) * f.k + lane);
-                for v in 0..V {
-                    let xv = _mm256_loadu_pd(x.add(4 * v));
-                    a[r][v] = _mm256_add_pd(a[r][v], _mm256_mul_pd(hv, xv));
-                    d[r][v] = _mm256_add_pd(d[r][v], _mm256_mul_pd(gv, xv));
+            for (r, (even, odd)) in even.iter().zip(&odd).enumerate() {
+                let at = 2 * (p + r) * self.k + lane;
+                for (v, (e, o)) in even.iter().zip(odd).enumerate() {
+                    e.store(self.out.as_mut_ptr().add(at + v * T::LANES));
+                    o.store(self.out.as_mut_ptr().add(at + self.k + v * T::LANES));
                 }
-            }
-        }
-        for r in 0..R {
-            let at = (p + r) * f.k + lane;
-            for v in 0..V {
-                _mm256_storeu_pd(f.approx.as_mut_ptr().add(at + 4 * v), a[r][v]);
-                _mm256_storeu_pd(f.detail.as_mut_ptr().add(at + 4 * v), d[r][v]);
-            }
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn synthesize_avx<const R: usize, const V: usize>(
-        f: &mut Synthesize<'_>,
-        p: usize,
-        lane: usize,
-    ) {
-        let half = f.approx.len() / f.k;
-        let pairs = f.h.len() / 2;
-        let mut even = [[_mm256_setzero_pd(); V]; R];
-        let mut odd = [[_mm256_setzero_pd(); V]; R];
-        for s in 0..pairs {
-            for r in 0..R {
-                let (t, row) = gather_term(p + r, s, pairs, half);
-                let (he, ge) = (_mm256_set1_pd(f.h[2 * t]), _mm256_set1_pd(f.g[2 * t]));
-                let (ho, go) = (
-                    _mm256_set1_pd(f.h[2 * t + 1]),
-                    _mm256_set1_pd(f.g[2 * t + 1]),
-                );
-                let a = f.approx.as_ptr().add(row * f.k + lane);
-                let d = f.detail.as_ptr().add(row * f.k + lane);
-                for v in 0..V {
-                    let av = _mm256_loadu_pd(a.add(4 * v));
-                    let dv = _mm256_loadu_pd(d.add(4 * v));
-                    let e = _mm256_add_pd(_mm256_mul_pd(he, av), _mm256_mul_pd(ge, dv));
-                    let o = _mm256_add_pd(_mm256_mul_pd(ho, av), _mm256_mul_pd(go, dv));
-                    even[r][v] = _mm256_add_pd(even[r][v], e);
-                    odd[r][v] = _mm256_add_pd(odd[r][v], o);
-                }
-            }
-        }
-        for r in 0..R {
-            let at = 2 * (p + r) * f.k + lane;
-            for v in 0..V {
-                _mm256_storeu_pd(f.out.as_mut_ptr().add(at + 4 * v), even[r][v]);
-                _mm256_storeu_pd(f.out.as_mut_ptr().add(at + f.k + 4 * v), odd[r][v]);
             }
         }
     }
@@ -1252,20 +1166,18 @@ mod tests {
     #[test]
     fn panel_transforms_bit_identical_to_serial_per_lane() {
         // Every lane of the panel transforms must reproduce the serial
-        // `_into` bits exactly, for both dispatch tiers, across lane
-        // counts that exercise the 4-wide vector lanes and the lanes
-        // outside them that run the serial kernel (a lone lane, a pair,
-        // a triple, one lane past a vector).
-        let tiers: &[bool] = if hybridcs_linalg::simd::simd_available() {
-            &[false, true]
-        } else {
-            &[false]
-        };
+        // `_into` bits exactly, on every tier the host has, across lane
+        // counts that exercise the 4-wide vector lanes, the lanes outside
+        // them that run the serial kernel (a lone lane, a pair, a triple,
+        // one lane past a vector), and the widths where an AVX-512 panel
+        // mixes two-`__m512d`, one-`__m512d` and `__m256d` blocks (24, 28,
+        // 32). At n = 72 the deeper levels have 18 and 9 rows, so passes
+        // of four rows end in leftover rows.
+        let tiers: Vec<Tier> = hybridcs_linalg::simd::available_tiers().collect();
         for w in Wavelet::ALL {
-            for levels in 1..=3 {
+            for (levels, n) in (1..=3).flat_map(|levels| [(levels, 64), (levels, 72)]) {
                 let dwt = Dwt::new(w, levels).unwrap();
-                let n = 64;
-                for &k in &[1usize, 2, 3, 4, 5, 7, 8, 12, 15, 16, 17, 20, 33] {
+                for &k in &[1usize, 2, 3, 4, 5, 7, 8, 12, 15, 16, 17, 20, 24, 28, 32, 33] {
                     // Column-major panel with distinct per-lane signals.
                     let mut panel = vec![0.0; n * k];
                     let mut lanes: Vec<Vec<f64>> = Vec::new();
@@ -1282,10 +1194,10 @@ mod tests {
                         }
                         lanes.push(sig);
                     }
-                    for &simd in tiers {
+                    for &tier in &tiers {
                         let mut out = vec![f64::NAN; n * k];
                         let mut scratch = vec![f64::NAN; Dwt::panel_scratch_len(n, k)];
-                        dwt.forward_panel_into_tier(&panel, k, &mut out, &mut scratch, simd)
+                        dwt.forward_panel_into_tier(&panel, k, &mut out, &mut scratch, tier)
                             .unwrap();
                         for (lane, sig) in lanes.iter().enumerate() {
                             let serial = dwt.forward(sig).unwrap();
@@ -1293,12 +1205,13 @@ mod tests {
                                 assert_eq!(
                                     out[i * k + lane].to_bits(),
                                     want.to_bits(),
-                                    "{w} L{levels} k{k} lane{lane} fwd simd={simd}"
+                                    "{w} L{levels} k{k} lane{lane} fwd {}",
+                                    tier.name()
                                 );
                             }
                         }
                         let mut back = vec![f64::NAN; n * k];
-                        dwt.inverse_panel_into_tier(&out, k, &mut back, &mut scratch, simd)
+                        dwt.inverse_panel_into_tier(&out, k, &mut back, &mut scratch, tier)
                             .unwrap();
                         for (lane, sig) in lanes.iter().enumerate() {
                             let serial = dwt.inverse(&dwt.forward(sig).unwrap()).unwrap();
@@ -1306,7 +1219,8 @@ mod tests {
                                 assert_eq!(
                                     back[i * k + lane].to_bits(),
                                     want.to_bits(),
-                                    "{w} L{levels} k{k} lane{lane} inv simd={simd}"
+                                    "{w} L{levels} k{k} lane{lane} inv {}",
+                                    tier.name()
                                 );
                             }
                         }

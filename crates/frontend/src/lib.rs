@@ -43,10 +43,9 @@
 //! ```
 
 // `deny` rather than `forbid`: `sensing::batch_kernels` scopes a single
-// `allow(unsafe_code)` around its runtime-dispatched AVX2 twins of the
-// packed-sign panel kernels, which stay hand-written because the scalar
-// source compiled for AVX2 runs slower (see that module's docs);
-// everything else still refuses unsafe at compile time.
+// `allow(unsafe_code)` around its width-generic packed-sign panel
+// bodies, which read and write the panels and tables through raw
+// pointers; everything else still refuses unsafe at compile time.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -1,5 +1,5 @@
 use crate::{ChippingSequence, FrontEndError};
-use hybridcs_linalg::simd::{serial_lanes, vector_lanes};
+use hybridcs_linalg::simd::{serial_lanes, vector_lanes, Tier};
 use hybridcs_linalg::Matrix;
 use hybridcs_rand::{Rng, SeedableRng};
 
@@ -59,7 +59,11 @@ enum Kind {
 /// The 16 signed sums `((±w₀ ± w₁) ± w₂) ± w₃` indexed by sign nibble (bit
 /// `r` set ⇔ term `r` negated). Negation of an f64 is exact, so entry
 /// `idx` is bit-identical to evaluating the grouped expression with chips
-/// `c_r = ±1` multiplied in (`±1·w` is exactly `±w`).
+/// `c_r = ±1` multiplied in (`±1·w` is exactly `±w`). Each entry folds its
+/// own three adds: compiled for the baseline target, this form ran faster
+/// than one that shares the pair and triple sums across entries (fewer
+/// adds, but shuffles between them), which the panel fill's whole-vector
+/// operations do share.
 #[inline]
 fn sign_table(w: [f64; 4]) -> [f64; 16] {
     let mut t = [0.0; 16];
@@ -284,17 +288,26 @@ impl SensingMatrix {
     /// Scratch length (in `f64`s) for the batched kernels
     /// ([`SensingMatrix::apply_batch_into_scratch`] /
     /// [`SensingMatrix::apply_adjoint_batch_into_scratch`]) at batch
-    /// width `k`.
+    /// width `k` and at every narrower width, so a solve whose lanes
+    /// retire keeps the scratch it started with.
     #[must_use]
     pub fn batch_scratch_len(&self, k: usize) -> usize {
-        // Panel tables for the vector lanes (forward: 16 per 4-column
-        // group per lane; adjoint: 16 per 4-row plane per lane, no more
-        // than the forward's since m ≤ n), then one lane's gather/scatter
-        // buffers and the serial kernel's tables (the forward's
-        // `forward_scratch_len`, the adjoint's planes): a panel with lanes
-        // outside a 4-wide vector covers at most `k − 1` with panel
-        // tables, which leaves room for the serial ones.
-        self.forward_scratch_len() * k + 16 * k + self.n + self.m
+        // The panel kernels run first and hold one chunk of sign tables:
+        // 16 entries per group (plane) per lane, `chunk_groups` groups at
+        // a time. Lanes outside a 4-wide vector run next, through one
+        // lane's gather/scatter buffers (`n + m`) and the serial kernel's
+        // tables (`forward_scratch_len`, which also holds the adjoint's
+        // planes since m ≤ n); at k = 1 the serial kernel runs in place on
+        // the tables alone. The two never overlap in time, so they share
+        // the scratch. A chunk of `l` lanes holds `16·l·min(n/4, ⌊128/l⌋)`
+        // entries, at most `16·min(l·n/4, max(l, 128))`, which grows with
+        // `l`; every narrower width has fewer vector lanes.
+        let lanes = vector_lanes(k);
+        let tables = match self.kind {
+            Kind::DenseBernoulli { .. } => 16 * (lanes * (self.n / 4)).min(lanes.max(128)),
+            Kind::SparseBinary { .. } => 0,
+        };
+        tables.max(self.n + self.m + self.forward_scratch_len())
     }
 
     /// Batched forward application over a column-major panel: lane `l` of
@@ -325,7 +338,7 @@ impl SensingMatrix {
             k,
             out_panel,
             scratch,
-            hybridcs_linalg::simd::simd_enabled(),
+            hybridcs_linalg::simd::active_tier(),
         );
     }
 
@@ -335,7 +348,7 @@ impl SensingMatrix {
         k: usize,
         out_panel: &mut [f64],
         scratch: &mut [f64],
-        simd: bool,
+        tier: Tier,
     ) {
         assert!(k > 0, "sensing batch apply: zero lanes");
         assert_eq!(x_panel.len(), self.n * k, "sensing batch apply: panel");
@@ -347,13 +360,12 @@ impl SensingMatrix {
         match &self.kind {
             Kind::DenseBernoulli { rows, scale, .. } => {
                 let lanes = vector_lanes(k);
-                let (table, rest) = scratch.split_at_mut(self.forward_scratch_len() * lanes);
                 if lanes > 0 {
                     batch_kernels::forward(
-                        rows, *scale, x_panel, k, lanes, self.n, out_panel, table, simd,
+                        rows, *scale, x_panel, k, lanes, self.n, out_panel, scratch, tier,
                     );
                 }
-                serial_lanes(x_panel, k, lanes, out_panel, rest, |x, y, s| {
+                serial_lanes(x_panel, k, lanes, out_panel, scratch, |x, y, s| {
                     self.apply_into_scratch(x, y, s);
                 });
             }
@@ -389,7 +401,7 @@ impl SensingMatrix {
             k,
             out_panel,
             scratch,
-            hybridcs_linalg::simd::simd_enabled(),
+            hybridcs_linalg::simd::active_tier(),
         );
     }
 
@@ -399,7 +411,7 @@ impl SensingMatrix {
         k: usize,
         out_panel: &mut [f64],
         scratch: &mut [f64],
-        simd: bool,
+        tier: Tier,
     ) {
         assert!(k > 0, "sensing batch adjoint: zero lanes");
         assert_eq!(y_panel.len(), self.m * k, "sensing batch adjoint: panel");
@@ -415,13 +427,12 @@ impl SensingMatrix {
                 scale,
             } => {
                 let lanes = vector_lanes(k);
-                let (table, rest) = scratch.split_at_mut(nibbles.len() * 16 * lanes);
                 if lanes > 0 {
                     batch_kernels::adjoint(
-                        rows, nibbles, *scale, y_panel, k, lanes, self.n, out_panel, table, simd,
+                        rows, nibbles, *scale, y_panel, k, lanes, self.n, out_panel, scratch, tier,
                     );
                 }
-                serial_lanes(y_panel, k, lanes, out_panel, rest, |y, x, s| {
+                serial_lanes(y_panel, k, lanes, out_panel, scratch, |y, x, s| {
                     self.apply_adjoint_into_scratch(y, x, s);
                 });
             }
@@ -574,43 +585,56 @@ fn row_fold_table(words: &[u64], x: &[f64], table: &[f64], groups: usize) -> f64
     acc
 }
 
-/// Lane-parallel twins of the packed-sign kernels over column-major
+/// Lane-parallel forms of the packed-sign kernels over column-major
 /// panels of stride `k`, covering the first `lanes` lanes (a multiple of
 /// four, see [`hybridcs_linalg::simd::vector_lanes`]).
 ///
-/// Both kernels first build their sign-sum tables, shared by every
-/// output: the forward's per 4-column group of `x`, the adjoint's per
-/// 4-row plane of `scale·y`. Then each output lane folds
-/// in a register: it starts at `0.0`, adds its table entry for group
-/// (plane) `0, 1, 2, …` in ascending order, then its `n mod 4` tail
-/// columns (`m mod 4` tail rows) in ascending order, and is stored once,
-/// the forward's multiplied by `scale`. That is the per-element order of
-/// the serial kernels ([`SensingMatrix::apply_into_scratch`],
-/// `apply_adjoint_into_scratch`), so every lane is bit-identical to a serial
-/// application; the sign flips are exact negations (sign-bit xor) and the
-/// table entries use the same `((s₀+s₁)+s₂)+s₃` tree, so the tiers cannot
-/// diverge either. The blocking changes only which independent folds run
-/// side by side: [`lane_blocks`] hands out two outputs (rows for the
-/// forward, columns for the adjoint) × sixteen lanes at a time, eight
-/// 4-lane chains whose adds hide each other's latency. A fold of one
+/// Both kernels work through their sign-sum tables a chunk at a time: the
+/// forward's per 4-column group of `x`, the adjoint's per 4-row plane of
+/// `scale·y`, [`chunk_groups`] groups (planes) per chunk, about 16 KiB of
+/// tables whatever the lane count, so a chunk is built and then read back
+/// from L1 by every output. Each output lane folds in a register: it
+/// starts at `0.0`, adds its table entry for group (plane) `0, 1, 2, …`
+/// in ascending order, then its `n mod 4` tail columns (`m mod 4` tail
+/// rows) in ascending order, and is stored once, the forward's multiplied
+/// by `scale`. Between chunks its partial sum waits in the output panel;
+/// storing and reloading an `f64` is exact. That is the per-element order
+/// of the serial kernels ([`SensingMatrix::apply_into_scratch`],
+/// `apply_adjoint_into_scratch`), so every lane is bit-identical to a
+/// serial application; the sign flips are exact negations (sign-bit xor)
+/// and every table entry is the same `((s₀+s₁)+s₂)+s₃` as
+/// [`super::sign_table`]'s, so the tiers cannot diverge either.
+///
+/// Each kernel (the table fill, the forward and the adjoint) is one
+/// `#[inline(always)]` body, generic over [`F64Vector`], that
+/// [`lane_blocks`] instantiates per tier: `[f64; 4]` on the scalar tier,
+/// `__m256d` on AVX2 and `__m512d` on AVX-512. The blocking changes only
+/// which independent folds run side by side: two outputs (rows for the
+/// forward, columns for the adjoint) × sixteen lanes on the scalar and
+/// AVX2 tiers, eight 4-lane chains in AVX2's sixteen registers, and four
+/// outputs × two `__m512d` on AVX-512, eight 8-lane chains. A fold of one
 /// 4-lane chain per output waits on add latency at every table entry,
 /// and an adjoint that adds into the output panel plane by plane pays a
 /// read-modify-write sweep per plane. Against those, a K = 16 panel
 /// (n = 512, m = 96, 2-vCPU AVX2 host, medians of six interleaved
 /// `kernels_batch` pairs) fell from 146.7 to 66.6 µs forward and from
-/// 81.8 to 45.6 µs adjoint on the AVX2 tier, and from 178.7 to 112.4 and
-/// 142.3 to 73.4 µs on the scalar tier.
-///
-/// The AVX2 tier is hand-written. The scalar twin takes the same loop
-/// order with its accumulators in a local array, but compiled for AVX2 it
-/// is not as fast: [`on_tier`](hybridcs_linalg::simd::on_tier) does not
-/// inline a block into its AVX2 frame, and in a `target_feature` function
-/// of its own it ran 1.38× (forward) and 1.48× (adjoint) slower than the
-/// intrinsics (DESIGN §14).
+/// 81.8 to 45.6 µs adjoint on the AVX2 tier, before the chunked tables
+/// (DESIGN §14 has the rows since).
 #[allow(unsafe_code)]
 mod batch_kernels {
     use crate::ChippingSequence;
-    use hybridcs_linalg::simd::{lane_blocks, simd_available, LaneBlock};
+    use hybridcs_linalg::simd::{lane_blocks, F64Vector, LaneBlock, Tier};
+
+    /// Groups (planes) of sign tables built and folded per chunk: 16
+    /// entries per lane each, so a chunk of `lanes` lanes holds about 2048
+    /// `f64`s (16 KiB), half a typical L1d, for every lane count up to 128.
+    pub const fn chunk_groups(lanes: usize) -> usize {
+        if lanes >= 128 {
+            1
+        } else {
+            128 / lanes
+        }
+    }
 
     /// Nibble `g` of a bitplane: the signs of group `g` in a row's sign
     /// words, or of column `g` in a column-nibble plane.
@@ -635,29 +659,40 @@ mod batch_kernels {
         n: usize,
         out_panel: &mut [f64],
         table: &mut [f64],
-        simd: bool,
+        tier: Tier,
     ) {
         // With the block bounds checked in `block`, these keep every
-        // access of either twin inside the panels and the table.
+        // access of every instantiation inside the panels and the table.
         assert!(lanes > 0 && lanes.is_multiple_of(4) && lanes <= k);
         assert_eq!(x_panel.len(), n * k);
         assert_eq!(out_panel.len(), rows.len() * k);
-        let simd = simd && simd_available();
         let groups = n / 4;
-        let table = &mut table[..groups * 16 * lanes];
-        fill_tables(x_panel, k, lanes, None, table, simd);
-        let mut fold = Forward {
-            rows,
-            scale,
-            x: x_panel,
-            k,
-            lanes,
-            n,
-            table,
-            out: out_panel,
-            simd,
-        };
-        lane_blocks::<2>(&mut fold, rows.len(), lanes);
+        let chunk = chunk_groups(lanes);
+        let mut g0 = 0;
+        loop {
+            let g1 = groups.min(g0 + chunk);
+            let table = &mut table[..(g1 - g0) * 16 * lanes];
+            fill_tables(x_panel, k, lanes, g0, None, table, tier);
+            let mut fold = Forward {
+                rows,
+                scale,
+                x: x_panel,
+                k,
+                lanes,
+                n,
+                groups: g0..g1,
+                table,
+                out: out_panel,
+            };
+            match tier {
+                Tier::Avx512 => lane_blocks::<4>(&mut fold, tier, rows.len(), lanes),
+                _ => lane_blocks::<2>(&mut fold, tier, rows.len(), lanes),
+            }
+            if g1 == groups {
+                break;
+            }
+            g0 = g1;
+        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -671,70 +706,131 @@ mod batch_kernels {
         n: usize,
         out_panel: &mut [f64],
         table: &mut [f64],
-        simd: bool,
+        tier: Tier,
     ) {
         // With the block bounds checked in `block`, these keep every
-        // access of either twin inside the panels and the tables.
+        // access of every instantiation inside the panels and the tables.
         assert!(lanes > 0 && lanes.is_multiple_of(4) && lanes <= k);
         assert_eq!(y_panel.len(), rows.len() * k);
         assert_eq!(out_panel.len(), n * k);
         assert!(nibbles.iter().all(|plane| plane.len() == n.div_ceil(16)));
-        let simd = simd && simd_available();
-        let table = &mut table[..nibbles.len() * 16 * lanes];
-        // w_r = scale · y-row, scaled before the sign tree exactly like
-        // the serial adjoint's `sign_table([scale*y, ...])`.
-        fill_tables(y_panel, k, lanes, Some(scale), table, simd);
-        let mut fold = Adjoint {
-            rows,
-            nibbles,
-            scale,
-            y: y_panel,
-            k,
-            lanes,
-            table,
-            out: out_panel,
-            simd,
-        };
-        lane_blocks::<2>(&mut fold, n, lanes);
+        let planes = nibbles.len();
+        let chunk = chunk_groups(lanes);
+        let mut p0 = 0;
+        loop {
+            let p1 = planes.min(p0 + chunk);
+            let table = &mut table[..(p1 - p0) * 16 * lanes];
+            // w_r = scale · y-row, scaled before the sign tree exactly
+            // like the serial adjoint's `sign_table([scale*y, ...])`.
+            fill_tables(y_panel, k, lanes, p0, Some(scale), table, tier);
+            let mut fold = Adjoint {
+                rows,
+                nibbles,
+                scale,
+                y: y_panel,
+                k,
+                lanes,
+                planes: p0..p1,
+                table,
+                out: out_panel,
+            };
+            match tier {
+                Tier::Avx512 => lane_blocks::<4>(&mut fold, tier, n, lanes),
+                _ => lane_blocks::<2>(&mut fold, tier, n, lanes),
+            }
+            if p1 == planes {
+                break;
+            }
+            p0 = p1;
+        }
     }
 
-    /// Fills `table` with the sign-sum tables of consecutive row quads of
-    /// the stride-`k` panel `src`: entry `(g·16 + idx)·lanes + lane` is
-    /// `((s₀ + s₁) + s₂) + s₃`, where `s_r = ±q_r` (negated ⇔ bit `r` of
-    /// `idx`) and `q_r = src[(4g + r)·k + lane]`, times `scale` if given —
+    /// Fills `table` with the sign-sum tables of the row quads `first,
+    /// first + 1, …` of the stride-`k` panel `src`: entry
+    /// `(g·16 + idx)·lanes + lane` is `((s₀ + s₁) + s₂) + s₃`, where
+    /// `s_r = ±q_r` (negated ⇔ bit `r` of `idx`) and
+    /// `q_r = src[(4(first + g) + r)·k + lane]`, times `scale` if given —
     /// `sign_table` per lane.
     fn fill_tables(
         src: &[f64],
         k: usize,
         lanes: usize,
+        first: usize,
         scale: Option<f64>,
         table: &mut [f64],
-        simd: bool,
+        tier: Tier,
     ) {
-        assert!(4 * (table.len() / (16 * lanes)) * k <= src.len());
-        #[cfg(target_arch = "x86_64")]
-        if simd {
-            // SAFETY: callers pass `simd` only after `simd_available`
-            // detected AVX2; the assert bounds every read, `table` every
-            // write.
-            unsafe { fill_tables_avx(src, k, lanes, scale, table) };
-            return;
-        }
-        let _ = simd;
-        for (g, tg) in table.chunks_exact_mut(16 * lanes).enumerate() {
-            for lane in 0..lanes {
-                let q: [f64; 4] = std::array::from_fn(|r| {
-                    let v = src[(4 * g + r) * k + lane];
-                    scale.map_or(v, |s| s * v)
-                });
-                for (idx, &t) in super::sign_table(q).iter().enumerate() {
-                    tg[idx * lanes + lane] = t;
+        let groups = table.len() / (16 * lanes);
+        assert!(4 * (first + groups) * k <= src.len());
+        let mut fill = Tables {
+            src,
+            k,
+            lanes,
+            first,
+            scale,
+            table,
+        };
+        lane_blocks::<1>(&mut fill, tier, groups, lanes);
+    }
+
+    /// The table fill: block `(g, lane)` builds the tables of chunk groups
+    /// `g..g + R`.
+    struct Tables<'a> {
+        src: &'a [f64],
+        k: usize,
+        lanes: usize,
+        first: usize,
+        scale: Option<f64>,
+        table: &'a mut [f64],
+    }
+
+    impl LaneBlock for Tables<'_> {
+        #[inline(always)]
+        unsafe fn block<T: F64Vector, const R: usize, const V: usize>(
+            &mut self,
+            g: usize,
+            lane: usize,
+        ) {
+            assert!((g + R) * 16 * self.lanes <= self.table.len());
+            assert!(lane + V * T::LANES <= self.lanes);
+            for r in 0..R {
+                let src = self
+                    .src
+                    .as_ptr()
+                    .add(4 * (self.first + g + r) * self.k + lane);
+                let out = self
+                    .table
+                    .as_mut_ptr()
+                    .add((g + r) * 16 * self.lanes + lane);
+                for v in 0..V {
+                    let q: [T; 4] = std::array::from_fn(|s| {
+                        let x = T::load(src.add(s * self.k + v * T::LANES));
+                        self.scale.map_or(x, |c| T::splat(c).mul(x))
+                    });
+                    for (idx, t) in sign_tree(q).into_iter().enumerate() {
+                        t.store(out.add(idx * self.lanes + v * T::LANES));
+                    }
                 }
             }
         }
     }
 
-    /// The forward fold: block `(i, lane)` folds rows `i..i + R` of `Φx`.
+    /// [`super::sign_table`] across the lanes of one vector, sharing its
+    /// partial sums: the four pair sums `s₀ + s₁`, the eight triple sums
+    /// `(s₀ + s₁) + s₂`, then the sixteen entries, 28 adds instead of 48,
+    /// every entry adding the same operands in the same order.
+    #[inline(always)]
+    unsafe fn sign_tree<T: F64Vector>(q: [T; 4]) -> [T; 16] {
+        let neg = q.map(|v| v.neg());
+        let s = |r: usize, idx: usize| if (idx >> r) & 1 == 0 { q[r] } else { neg[r] };
+        let pair: [T; 4] = std::array::from_fn(|i| s(0, i).add(s(1, i)));
+        let triple: [T; 8] = std::array::from_fn(|i| pair[i & 3].add(s(2, i)));
+        std::array::from_fn(|i| triple[i & 7].add(s(3, i)))
+    }
+
+    /// The forward fold over one chunk: block `(i, lane)` adds rows
+    /// `i..i + R` of `Φx`'s entries for `groups`, finishing the rows on
+    /// the last chunk.
     struct Forward<'a> {
         rows: &'a [ChippingSequence],
         scale: f64,
@@ -742,56 +838,64 @@ mod batch_kernels {
         k: usize,
         lanes: usize,
         n: usize,
+        groups: std::ops::Range<usize>,
         table: &'a [f64],
         out: &'a mut [f64],
-        simd: bool,
     }
 
     impl LaneBlock for Forward<'_> {
-        fn block<const R: usize, const V: usize>(&mut self, i: usize, lane: usize) {
-            assert!(i + R <= self.rows.len() && lane + 4 * V <= self.lanes);
-            #[cfg(target_arch = "x86_64")]
-            if self.simd {
-                // SAFETY: `simd` holds only after `simd_available`
-                // detected AVX2; the assert above and `forward`'s bound
-                // every access.
-                unsafe { forward_avx::<R, V>(self, i, lane) };
-                return;
+        #[inline(always)]
+        unsafe fn block<T: F64Vector, const R: usize, const V: usize>(
+            &mut self,
+            i: usize,
+            lane: usize,
+        ) {
+            assert!(i + R <= self.rows.len() && lane + V * T::LANES <= self.lanes);
+            let words: [&[u64]; R] = std::array::from_fn(|r| self.rows[i + r].sign_words());
+            let out = self.out.as_mut_ptr().add(i * self.k + lane);
+            let mut acc = [[T::zero(); V]; R];
+            if self.groups.start > 0 {
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    for (v, a) in acc.iter_mut().enumerate() {
+                        *a = T::load(out.add(r * self.k + v * T::LANES));
+                    }
+                }
             }
-            forward_scalar::<R, V>(self, i, lane);
-        }
-    }
-
-    fn forward_scalar<const R: usize, const V: usize>(f: &mut Forward<'_>, i: usize, lane: usize) {
-        let words: [&[u64]; R] = std::array::from_fn(|r| f.rows[i + r].sign_words());
-        let mut acc = [[0.0f64; 16]; R];
-        for g in 0..f.n / 4 {
-            for (acc, words) in acc.iter_mut().zip(words) {
-                let at = (g * 16 + nibble(words, g)) * f.lanes + lane;
-                for (a, &t) in acc[..4 * V].iter_mut().zip(&f.table[at..at + 4 * V]) {
-                    *a += t;
+            let table = self.table.as_ptr().add(lane);
+            for (c, g) in self.groups.clone().enumerate() {
+                for (acc, words) in acc.iter_mut().zip(words) {
+                    let t = table.add((c * 16 + nibble(words, g)) * self.lanes);
+                    for (v, a) in acc.iter_mut().enumerate() {
+                        *a = a.add(T::load(t.add(v * T::LANES)));
+                    }
+                }
+            }
+            let finish = self.groups.end == self.n / 4;
+            if finish {
+                for j in self.n / 4 * 4..self.n {
+                    let x = self.x.as_ptr().add(j * self.k + lane);
+                    for (acc, words) in acc.iter_mut().zip(words) {
+                        let neg = sign_bit(words, j);
+                        for (v, a) in acc.iter_mut().enumerate() {
+                            let xv = T::load(x.add(v * T::LANES));
+                            *a = a.add(if neg { xv.neg() } else { xv });
+                        }
+                    }
+                }
+            }
+            let sv = T::splat(self.scale);
+            for (r, acc) in acc.iter().enumerate() {
+                for (v, &a) in acc.iter().enumerate() {
+                    let a = if finish { a.mul(sv) } else { a };
+                    a.store(out.add(r * self.k + v * T::LANES));
                 }
             }
         }
-        for j in f.n / 4 * 4..f.n {
-            let xr = &f.x[j * f.k + lane..j * f.k + lane + 4 * V];
-            for (acc, words) in acc.iter_mut().zip(words) {
-                let neg = sign_bit(words, j);
-                for (a, &v) in acc[..4 * V].iter_mut().zip(xr) {
-                    *a += if neg { -v } else { v };
-                }
-            }
-        }
-        for (r, acc) in acc.iter().enumerate() {
-            let at = (i + r) * f.k + lane;
-            for (o, &a) in f.out[at..at + 4 * V].iter_mut().zip(acc) {
-                *o = f.scale * a;
-            }
-        }
     }
 
-    /// The adjoint fold: block `(j, lane)` folds columns `j..j + R` of
-    /// `Φᵀy`.
+    /// The adjoint fold over one chunk: block `(j, lane)` adds columns
+    /// `j..j + R` of `Φᵀy`'s entries for `planes`, finishing the columns on
+    /// the last chunk.
     struct Adjoint<'a> {
         rows: &'a [ChippingSequence],
         nibbles: &'a [Vec<u64>],
@@ -799,173 +903,54 @@ mod batch_kernels {
         y: &'a [f64],
         k: usize,
         lanes: usize,
+        planes: std::ops::Range<usize>,
         table: &'a [f64],
         out: &'a mut [f64],
-        simd: bool,
     }
 
     impl LaneBlock for Adjoint<'_> {
-        fn block<const R: usize, const V: usize>(&mut self, j: usize, lane: usize) {
-            assert!((j + R) * self.k <= self.out.len() && lane + 4 * V <= self.lanes);
-            #[cfg(target_arch = "x86_64")]
-            if self.simd {
-                // SAFETY: `simd` holds only after `simd_available`
-                // detected AVX2; the assert above and `adjoint`'s bound
-                // every access.
-                unsafe { adjoint_avx::<R, V>(self, j, lane) };
-                return;
-            }
-            adjoint_scalar::<R, V>(self, j, lane);
-        }
-    }
-
-    fn adjoint_scalar<const R: usize, const V: usize>(f: &mut Adjoint<'_>, j: usize, lane: usize) {
-        let mut acc = [[0.0f64; 16]; R];
-        for (g, plane) in f.nibbles.iter().enumerate() {
-            for (r, acc) in acc.iter_mut().enumerate() {
-                let at = (g * 16 + nibble(plane, j + r)) * f.lanes + lane;
-                for (a, &t) in acc[..4 * V].iter_mut().zip(&f.table[at..at + 4 * V]) {
-                    *a += t;
+        #[inline(always)]
+        unsafe fn block<T: F64Vector, const R: usize, const V: usize>(
+            &mut self,
+            j: usize,
+            lane: usize,
+        ) {
+            assert!((j + R) * self.k <= self.out.len() && lane + V * T::LANES <= self.lanes);
+            let out = self.out.as_mut_ptr().add(j * self.k + lane);
+            let mut acc = [[T::zero(); V]; R];
+            if self.planes.start > 0 {
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    for (v, a) in acc.iter_mut().enumerate() {
+                        *a = T::load(out.add(r * self.k + v * T::LANES));
+                    }
                 }
             }
-        }
-        for (i, row) in f.rows.iter().enumerate().skip(4 * f.nibbles.len()) {
-            let yr = &f.y[i * f.k + lane..i * f.k + lane + 4 * V];
-            for (r, acc) in acc.iter_mut().enumerate() {
-                let neg = sign_bit(row.sign_words(), j + r);
-                for (a, &y) in acc[..4 * V].iter_mut().zip(yr) {
-                    let w = f.scale * y;
-                    *a += if neg { -w } else { w };
+            let table = self.table.as_ptr().add(lane);
+            for (c, plane) in self.nibbles[self.planes.clone()].iter().enumerate() {
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    let t = table.add((c * 16 + nibble(plane, j + r)) * self.lanes);
+                    for (v, a) in acc.iter_mut().enumerate() {
+                        *a = a.add(T::load(t.add(v * T::LANES)));
+                    }
                 }
             }
-        }
-        for (r, acc) in acc.iter().enumerate() {
-            let at = (j + r) * f.k + lane;
-            f.out[at..at + 4 * V].copy_from_slice(&acc[..4 * V]);
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    use std::arch::x86_64::{
-        __m256d, _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd,
-        _mm256_storeu_pd, _mm256_sub_pd, _mm256_xor_pd,
-    };
-
-    /// Exact 4-lane negation (sign-bit xor — identical bits to scalar `-x`).
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn neg4(v: __m256d) -> __m256d {
-        _mm256_xor_pd(v, _mm256_set1_pd(-0.0))
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn fill_tables_avx(
-        src: &[f64],
-        k: usize,
-        lanes: usize,
-        scale: Option<f64>,
-        table: &mut [f64],
-    ) {
-        for (g, tg) in table.chunks_exact_mut(16 * lanes).enumerate() {
-            for lane in (0..lanes).step_by(4) {
-                let mut q = [_mm256_setzero_pd(); 4];
-                for (r, qr) in q.iter_mut().enumerate() {
-                    let v = _mm256_loadu_pd(src.as_ptr().add((4 * g + r) * k + lane));
-                    *qr = match scale {
-                        Some(s) => _mm256_mul_pd(_mm256_set1_pd(s), v),
-                        None => v,
-                    };
-                }
-                for idx in 0..16usize {
-                    let s0 = if idx & 1 == 0 { q[0] } else { neg4(q[0]) };
-                    let s1 = if idx & 2 == 0 { q[1] } else { neg4(q[1]) };
-                    let s2 = if idx & 4 == 0 { q[2] } else { neg4(q[2]) };
-                    let s3 = if idx & 8 == 0 { q[3] } else { neg4(q[3]) };
-                    let sum = _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(s0, s1), s2), s3);
-                    _mm256_storeu_pd(tg.as_mut_ptr().add(idx * lanes + lane), sum);
+            if self.planes.end == self.nibbles.len() {
+                let sv = T::splat(self.scale);
+                for (i, row) in self.rows.iter().enumerate().skip(4 * self.nibbles.len()) {
+                    let y = self.y.as_ptr().add(i * self.k + lane);
+                    for (r, acc) in acc.iter_mut().enumerate() {
+                        let neg = sign_bit(row.sign_words(), j + r);
+                        for (v, a) in acc.iter_mut().enumerate() {
+                            let w = sv.mul(T::load(y.add(v * T::LANES)));
+                            *a = a.add(if neg { w.neg() } else { w });
+                        }
+                    }
                 }
             }
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn forward_avx<const R: usize, const V: usize>(
-        f: &mut Forward<'_>,
-        i: usize,
-        lane: usize,
-    ) {
-        let words: [&[u64]; R] = std::array::from_fn(|r| f.rows[i + r].sign_words());
-        let mut acc = [[_mm256_setzero_pd(); V]; R];
-        let table = f.table.as_ptr().add(lane);
-        for g in 0..f.n / 4 {
-            for (acc, words) in acc.iter_mut().zip(words) {
-                let t = table.add((g * 16 + nibble(words, g)) * f.lanes);
-                for (v, a) in acc.iter_mut().enumerate() {
-                    *a = _mm256_add_pd(*a, _mm256_loadu_pd(t.add(4 * v)));
+            for (r, acc) in acc.iter().enumerate() {
+                for (v, a) in acc.iter().enumerate() {
+                    a.store(out.add(r * self.k + v * T::LANES));
                 }
-            }
-        }
-        for j in f.n / 4 * 4..f.n {
-            let x = f.x.as_ptr().add(j * f.k + lane);
-            for (acc, words) in acc.iter_mut().zip(words) {
-                let neg = sign_bit(words, j);
-                for (v, a) in acc.iter_mut().enumerate() {
-                    let xv = _mm256_loadu_pd(x.add(4 * v));
-                    *a = if neg {
-                        _mm256_sub_pd(*a, xv)
-                    } else {
-                        _mm256_add_pd(*a, xv)
-                    };
-                }
-            }
-        }
-        let sv = _mm256_set1_pd(f.scale);
-        for (r, acc) in acc.iter().enumerate() {
-            let o = f.out.as_mut_ptr().add((i + r) * f.k + lane);
-            for (v, &a) in acc.iter().enumerate() {
-                _mm256_storeu_pd(o.add(4 * v), _mm256_mul_pd(a, sv));
-            }
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn adjoint_avx<const R: usize, const V: usize>(
-        f: &mut Adjoint<'_>,
-        j: usize,
-        lane: usize,
-    ) {
-        let mut acc = [[_mm256_setzero_pd(); V]; R];
-        let table = f.table.as_ptr().add(lane);
-        for (g, plane) in f.nibbles.iter().enumerate() {
-            for (r, acc) in acc.iter_mut().enumerate() {
-                let t = table.add((g * 16 + nibble(plane, j + r)) * f.lanes);
-                for (v, a) in acc.iter_mut().enumerate() {
-                    *a = _mm256_add_pd(*a, _mm256_loadu_pd(t.add(4 * v)));
-                }
-            }
-        }
-        let sv = _mm256_set1_pd(f.scale);
-        for (i, row) in f.rows.iter().enumerate().skip(4 * f.nibbles.len()) {
-            let y = f.y.as_ptr().add(i * f.k + lane);
-            for (r, acc) in acc.iter_mut().enumerate() {
-                let neg = sign_bit(row.sign_words(), j + r);
-                for (v, a) in acc.iter_mut().enumerate() {
-                    let wv = _mm256_mul_pd(sv, _mm256_loadu_pd(y.add(4 * v)));
-                    *a = if neg {
-                        _mm256_sub_pd(*a, wv)
-                    } else {
-                        _mm256_add_pd(*a, wv)
-                    };
-                }
-            }
-        }
-        for (r, acc) in acc.iter().enumerate() {
-            let o = f.out.as_mut_ptr().add((j + r) * f.k + lane);
-            for (v, &a) in acc.iter().enumerate() {
-                _mm256_storeu_pd(o.add(4 * v), a);
             }
         }
     }
@@ -1093,23 +1078,26 @@ mod tests {
     #[test]
     fn batch_kernels_bit_identical_to_serial_per_lane() {
         // Shapes chosen to exercise the 4-column group tail (n % 4 != 0),
-        // the 4-row quad tail (m % 4 != 0), the 4-wide vector lanes and
-        // the lanes outside them that run the serial kernel (a lone lane,
-        // a pair, a triple, one lane past a vector) — under both tiers.
-        let tiers: &[bool] = if hybridcs_linalg::simd::simd_available() {
-            &[false, true]
-        } else {
-            &[false]
-        };
+        // the 4-row quad tail (m % 4 != 0), the 4-wide vector lanes, the
+        // lanes outside them that run the serial kernel (a lone lane, a
+        // pair, a triple, one lane past a vector), the widths where an
+        // AVX-512 panel mixes two-`__m512d`, one-`__m512d` and `__m256d`
+        // blocks (24, 28, 32), and tables of several chunks (n = 150 at
+        // k = 16 builds 37 groups eight at a time; m = 78 folds 19 planes
+        // in three chunks; k = 4 chunks every 32 groups) — on every tier
+        // the host has.
+        let tiers: Vec<Tier> = hybridcs_linalg::simd::available_tiers().collect();
         let mats = [
             SensingMatrix::bernoulli(8, 32, 3).unwrap(),
             SensingMatrix::bernoulli(6, 37, 11).unwrap(),
             SensingMatrix::bernoulli(7, 37, 5).unwrap(),
+            SensingMatrix::bernoulli(78, 150, 13).unwrap(),
+            SensingMatrix::bernoulli(3, 3, 2).unwrap(),
             SensingMatrix::sparse_binary(8, 32, 3, 7).unwrap(),
         ];
         for phi in &mats {
             let (m, n) = (phi.measurements(), phi.window());
-            for &k in &[1usize, 2, 3, 4, 5, 7, 8, 12, 15, 16, 17, 20, 33] {
+            for &k in &[1usize, 2, 3, 4, 5, 7, 8, 12, 15, 16, 17, 20, 24, 28, 32, 33] {
                 let mut x_panel = vec![0.0; n * k];
                 let mut y_panel = vec![0.0; m * k];
                 let mut lanes_x: Vec<Vec<f64>> = Vec::new();
@@ -1134,10 +1122,10 @@ mod tests {
                     lanes_y.push(sy);
                 }
                 let mut serial_scratch = vec![0.0; phi.forward_scratch_len()];
-                for &simd in tiers {
-                    let mut scratch = vec![0.0; phi.batch_scratch_len(k)];
+                for &tier in &tiers {
+                    let mut scratch = vec![f64::NAN; phi.batch_scratch_len(k)];
                     let mut fwd = vec![f64::NAN; m * k];
-                    phi.apply_batch_tier(&x_panel, k, &mut fwd, &mut scratch, simd);
+                    phi.apply_batch_tier(&x_panel, k, &mut fwd, &mut scratch, tier);
                     for (lane, sx) in lanes_x.iter().enumerate() {
                         let mut want = vec![0.0; m];
                         phi.apply_into_scratch(sx, &mut want, &mut serial_scratch);
@@ -1145,13 +1133,14 @@ mod tests {
                             assert_eq!(
                                 fwd[i * k + lane].to_bits(),
                                 w.to_bits(),
-                                "{} fwd k{k} lane{lane} simd={simd}",
-                                phi.kind_name()
+                                "{} fwd k{k} lane{lane} {}",
+                                phi.kind_name(),
+                                tier.name()
                             );
                         }
                     }
                     let mut adj = vec![f64::NAN; n * k];
-                    phi.apply_adjoint_batch_tier(&y_panel, k, &mut adj, &mut scratch, simd);
+                    phi.apply_adjoint_batch_tier(&y_panel, k, &mut adj, &mut scratch, tier);
                     for (lane, sy) in lanes_y.iter().enumerate() {
                         let mut want = vec![0.0; n];
                         phi.apply_adjoint_into_scratch(sy, &mut want, &mut serial_scratch);
@@ -1159,12 +1148,32 @@ mod tests {
                             assert_eq!(
                                 adj[i * k + lane].to_bits(),
                                 w.to_bits(),
-                                "{} adj k{k} lane{lane} simd={simd}",
-                                phi.kind_name()
+                                "{} adj k{k} lane{lane} {}",
+                                phi.kind_name(),
+                                tier.name()
                             );
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// A scratch sized for a width serves every narrower width, which is
+    /// what a solve whose lanes retire relies on.
+    #[test]
+    fn batch_scratch_covers_every_narrower_width() {
+        for phi in [
+            SensingMatrix::bernoulli(96, 512, 1).unwrap(),
+            SensingMatrix::bernoulli(7, 37, 5).unwrap(),
+            SensingMatrix::sparse_binary(8, 32, 3, 7).unwrap(),
+        ] {
+            for k in 2..=300 {
+                assert!(
+                    phi.batch_scratch_len(k - 1) <= phi.batch_scratch_len(k),
+                    "{} k{k}",
+                    phi.kind_name()
+                );
             }
         }
     }

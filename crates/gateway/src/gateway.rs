@@ -1066,8 +1066,7 @@ impl Gateway {
             session.outputs = s.outputs;
             self.sessions.insert(s.id, session);
         }
-        // `recover` publishes the counts once its replay is done.
-        self.phases = PhaseCounts::of(self.sessions.values().map(|s| s.phase));
+        self.phases.recount(self.sessions.values().map(|s| s.phase));
         Ok(())
     }
 
@@ -1226,7 +1225,6 @@ impl Gateway {
             .record(replayed as f64);
         emit_with(ctx, EventKind::Recover, 1, replayed);
         emit_with(ctx, EventKind::Recover, 2, replayed);
-        gateway.phases.publish();
         Ok((
             gateway,
             RecoveryReport {

@@ -22,6 +22,14 @@ pub enum SessionPhase {
 }
 
 impl SessionPhase {
+    /// Every phase, in [`code`](SessionPhase::code) order.
+    pub const ALL: [SessionPhase; 4] = [
+        SessionPhase::Handshake,
+        SessionPhase::Streaming,
+        SessionPhase::Repairing,
+        SessionPhase::Closed,
+    ];
+
     /// Stable lower-snake identifier (used as the metrics label).
     #[must_use]
     pub fn name(&self) -> &'static str {
@@ -59,51 +67,58 @@ impl SessionPhase {
     }
 }
 
-/// Sessions per lifecycle phase, indexed by [`SessionPhase::code`]: the
-/// counts behind the `gateway_sessions{phase}` gauges. The gateway moves
-/// a session between counts wherever it changes that session's phase and
-/// sets the four gauges from them, however many sessions it holds. All
-/// four are set, not just the two that moved: the gauges are
-/// process-wide, and another gateway in the process may have set them.
+/// Sessions per lifecycle phase, indexed by [`SessionPhase::code`]: one
+/// gateway's share of the `gateway_sessions{phase}` gauges. The gauges
+/// are process-wide and every gateway in the process (a live one, the
+/// replay gateways of an audit, a recovery oracle) holds a share, so each
+/// publishes changes to its own counts as deltas: a phase move adds ±1, a
+/// recount swaps its old counts for the new, and dropping the counts (with
+/// their gateway) withdraws them. The gauges then read the sum over every
+/// live gateway.
 #[derive(Debug, Default)]
 pub(crate) struct PhaseCounts([usize; 4]);
 
 impl PhaseCounts {
-    /// Counts the phases of `phases` without publishing them.
-    pub(crate) fn of(phases: impl Iterator<Item = SessionPhase>) -> Self {
-        let mut counts = PhaseCounts::default();
-        for phase in phases {
-            counts.0[usize::from(phase.code())] += 1;
-        }
-        counts
-    }
-
     /// Moves one session from `from` (`None` for a session new to the
-    /// gateway) to `to` and publishes the counts.
+    /// gateway) to `to`.
     pub(crate) fn moved(&mut self, from: Option<SessionPhase>, to: SessionPhase) {
         if from == Some(to) {
             return;
         }
         if let Some(from) = from {
             self.0[usize::from(from.code())] -= 1;
+            Self::add(from, -1.0);
         }
         self.0[usize::from(to.code())] += 1;
-        self.publish();
+        Self::add(to, 1.0);
     }
 
-    /// Sets the four `gateway_sessions{phase}` gauges.
-    pub(crate) fn publish(&self) {
-        let registry = hybridcs_obs::global();
-        for phase in [
-            SessionPhase::Handshake,
-            SessionPhase::Streaming,
-            SessionPhase::Repairing,
-            SessionPhase::Closed,
-        ] {
-            registry
-                .gauge("gateway_sessions", &[("phase", phase.name())])
-                .set(self.0[usize::from(phase.code())] as f64);
+    /// Replaces the counts with a count of `phases`.
+    pub(crate) fn recount(&mut self, phases: impl Iterator<Item = SessionPhase>) {
+        let mut counts = [0usize; 4];
+        for phase in phases {
+            counts[usize::from(phase.code())] += 1;
         }
+        for phase in SessionPhase::ALL {
+            let i = usize::from(phase.code());
+            Self::add(phase, counts[i] as f64 - self.0[i] as f64);
+        }
+        self.0 = counts;
+    }
+
+    /// Adds `delta` to the `gateway_sessions{phase}` gauge.
+    fn add(phase: SessionPhase, delta: f64) {
+        if delta != 0.0 {
+            hybridcs_obs::global()
+                .gauge("gateway_sessions", &[("phase", phase.name())])
+                .add(delta);
+        }
+    }
+}
+
+impl Drop for PhaseCounts {
+    fn drop(&mut self) {
+        self.recount(std::iter::empty());
     }
 }
 

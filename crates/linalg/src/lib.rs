@@ -40,9 +40,10 @@
 //! # }
 //! ```
 
-// `deny` rather than `forbid`: `simd::on_tier` holds the crate's one
-// unsafe call, entering its AVX2 `target_feature` frame after runtime
-// detection; everything else still refuses unsafe at compile time.
+// `deny` rather than `forbid`: `simd` enters its `target_feature` frames
+// and panel-kernel entries after runtime detection, and wraps the vector
+// intrinsics behind `simd::F64Vector`; everything else still refuses
+// unsafe at compile time.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

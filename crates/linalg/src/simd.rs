@@ -1,45 +1,57 @@
-//! Runtime-dispatched SIMD tier for the batched decode path.
+//! Runtime-dispatched SIMD tiers for the batched decode path.
 //!
 //! Each element-wise kernel here is written once, as its safe scalar loop,
-//! and [`on_tier`] runs that one body on the tier [`simd_enabled`] picks:
+//! and [`on_tier`] runs that one body on the tier [`active_tier`] picks:
 //! directly (the scalar tier, compiled for the crate's baseline target),
 //! or inlined into a frame compiled with
-//! `#[target_feature(enable = "avx2")]`, where LLVM vectorizes the same
-//! loop 256 bits wide (the AVX2 tier). The contract is **0 ULP**: for any
-//! input, both tiers produce bit-identical output. That holds because
-//! every dispatched kernel is **element-wise** (one multiply/add/divide
-//! per output element) or a **lane reduction** whose vectors span lanes,
-//! never the rows of one lane's fold: IEEE-754 arithmetic is
-//! deterministic per element, and rustc never contracts `a*b + c` into an
-//! FMA nor reassociates float arithmetic, so vectorizing across elements
-//! or lanes cannot change any bit.
+//! `#[target_feature(enable = "avx2")]` or `"avx512f"`, where LLVM
+//! vectorizes the same loop 256 or 512 bits wide. The contract is
+//! **0 ULP**: for any input, every tier produces bit-identical output.
+//! That holds because every dispatched kernel is **element-wise** (one
+//! multiply/add/divide per output element) or a **lane reduction** whose
+//! vectors span lanes, never the rows of one lane's fold: IEEE-754
+//! arithmetic is deterministic per element, and rustc never contracts
+//! `a*b + c` into an FMA nor reassociates float arithmetic, so
+//! vectorizing across elements or lanes cannot change any bit.
+//!
+//! The sensing and wavelet panel kernels are folds with their own block
+//! structure, so they are written once against [`F64Vector`] instead: one
+//! `#[inline(always)]` body per kernel, generic over the vector type,
+//! which [`lane_blocks`] instantiates for `[f64; 4]` (scalar), `__m256d`
+//! (AVX2) and `__m512d` (AVX-512), each in an entry compiled for its tier.
 //!
 //! # Dispatch policy
 //!
-//! [`simd_enabled`] requires `avx2` **and** `fma` at runtime (the paper's
-//! deployment tier; FMA presence implies the modern AVX2 implementations
-//! the kernels are tuned for, even though the frame only enables AVX2).
+//! Three [`Tier`]s: scalar; AVX2, which requires `avx2` **and** `fma`
+//! at runtime (FMA presence implies the modern AVX2 implementations the
+//! kernels are tuned for, even though the frame only enables AVX2); and
+//! AVX-512, which requires `avx512f` on top (every such host has AVX2 and
+//! FMA). Kernels run the widest tier the host has, [`widest_tier`].
 //! Setting `HYBRIDCS_FORCE_SCALAR=1` pins the scalar tier process-wide —
-//! the CI knob that keeps the fallback exercised on AVX2 hosts.
-//! [`set_override`] flips the tier in-process (benchmarks use it for the
-//! SIMD-on/off dimension); forcing SIMD on hardware without AVX2 is
-//! ignored rather than honored.
+//! the CI knob that keeps the fallback exercised on vector hosts.
+//! [`set_override`] pins a tier in-process (benchmarks and tests sweep
+//! tiers with it, and can pin AVX2 on an AVX-512 host); a pin wider than
+//! the host runs the widest tier the host has instead.
 //!
 //! # Lane reductions
 //!
 //! [`norm1_lanes`], [`norm2_lanes`] and [`dist2_lanes`] fold every lane of
-//! a column-major panel in one pass: row by row, lane `l` adds its term to
-//! its own accumulator `out[l]`, with the operations and order of the
+//! a column-major panel: row by row, lane `l` adds its term to its own
+//! accumulator, with the operations and order of the
 //! [`vector`](crate::vector) fold. One strict-order float fold is a single
 //! dependency chain that no compiler vectorizes without reassociating it;
 //! the K folds of a panel are independent chains, so the row loop
 //! vectorizes across lanes and each vector slot carries one lane's chain.
-//! They are hot: the lockstep PDHG body takes every lane's ℓ₁ norm each
-//! iteration for its observers (the gateway's solver watchdog is always
-//! active), and the distance and norm at every convergence check. A
-//! one-lane panel is a contiguous vector, so it runs the `vector` fold
-//! itself: the panel loop, one lane wide, would carry its sum through
-//! memory from row to row.
+//! [`for_lane_blocks!`](crate::for_lane_blocks) walks the lanes sixteen at
+//! a time with each block's sums in a local array, so they stay in
+//! registers from the first row to the last rather than going through
+//! memory at every row. Their closures are `#[inline(always)]`: the
+//! macro's five block widths make a body LLVM would otherwise leave
+//! outside the frame, compiled for the baseline target. They are hot: the lockstep PDHG body takes every
+//! lane's ℓ₁ norm each iteration for its observers (the gateway's solver
+//! watchdog is always active), and the distance and norm at every
+//! convergence check. A one-lane panel is a contiguous vector, so it runs
+//! the `vector` fold itself.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -47,9 +59,39 @@ use std::sync::OnceLock;
 /// Environment variable pinning the scalar tier process-wide.
 pub const FORCE_SCALAR_ENV: &str = "HYBRIDCS_FORCE_SCALAR";
 
-/// `0` = follow env/hardware, `1` = force scalar, `2` = force SIMD
-/// (subject to hardware support).
-static OVERRIDE: AtomicU8 = AtomicU8::new(0);
+/// A dispatch tier, ordered by vector width.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Tier {
+    /// The crate's baseline target, no `target_feature` frame.
+    Scalar,
+    /// AVX2 + FMA hosts: kernels compiled with AVX2 enabled, 256 bits wide.
+    Avx2,
+    /// AVX-512F hosts: kernels compiled with `avx512f` enabled, 512 bits
+    /// wide.
+    Avx512,
+}
+
+impl Tier {
+    /// Every tier, narrowest first.
+    pub const ALL: [Tier; 3] = [Tier::Scalar, Tier::Avx2, Tier::Avx512];
+
+    /// Stable lower-case name (`"scalar"`, `"avx2"`, `"avx512"`) for
+    /// reports and benchmark rows.
+    #[must_use]
+    pub const fn name(self) -> &'static str {
+        match self {
+            Tier::Scalar => "scalar",
+            Tier::Avx2 => "avx2",
+            Tier::Avx512 => "avx512",
+        }
+    }
+
+    /// Whether this host can run the tier.
+    #[must_use]
+    pub fn available(self) -> bool {
+        self <= widest_tier()
+    }
+}
 
 /// Hardware support for the AVX2+FMA tier (independent of env/override).
 #[must_use]
@@ -66,55 +108,95 @@ pub fn simd_available() -> bool {
     }
 }
 
-/// Whether kernels dispatch to the AVX2 tier right now: hardware support,
-/// minus the `HYBRIDCS_FORCE_SCALAR=1` environment pin, overridden by any
-/// in-process [`set_override`]. Both tiers are bit-identical; this only
+/// The widest tier this host supports (independent of env/override):
+/// AVX-512 when it has `avx512f` besides AVX2 and FMA, AVX2 with those
+/// two alone, scalar otherwise.
+#[must_use]
+pub fn widest_tier() -> Tier {
+    #[cfg(target_arch = "x86_64")]
+    {
+        static WIDEST: OnceLock<Tier> = OnceLock::new();
+        *WIDEST.get_or_init(|| {
+            if !simd_available() {
+                Tier::Scalar
+            } else if is_x86_feature_detected!("avx512f") {
+                Tier::Avx512
+            } else {
+                Tier::Avx2
+            }
+        })
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        Tier::Scalar
+    }
+}
+
+/// The tiers this host can run, narrowest first.
+pub fn available_tiers() -> impl Iterator<Item = Tier> {
+    Tier::ALL.into_iter().filter(|t| t.available())
+}
+
+/// `0` follows env/hardware; `1 + i` pins `Tier::ALL[i]` (capped at the
+/// host's widest tier).
+static OVERRIDE: AtomicU8 = AtomicU8::new(0);
+
+/// The tier kernels dispatch to right now: [`widest_tier`], unless the
+/// `HYBRIDCS_FORCE_SCALAR=1` environment pin or an in-process
+/// [`set_override`] narrows it. Every tier is bit-identical; this only
 /// selects which instructions produce those bits.
 #[must_use]
-pub fn simd_enabled() -> bool {
+pub fn active_tier() -> Tier {
     match OVERRIDE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => simd_available(),
-        _ => {
-            static ENV_DEFAULT: OnceLock<bool> = OnceLock::new();
+        0 => {
+            static ENV_DEFAULT: OnceLock<Tier> = OnceLock::new();
             *ENV_DEFAULT.get_or_init(|| {
                 let forced_scalar =
                     std::env::var(FORCE_SCALAR_ENV).is_ok_and(|v| v == "1" || v == "true");
-                !forced_scalar && simd_available()
+                if forced_scalar {
+                    Tier::Scalar
+                } else {
+                    widest_tier()
+                }
             })
         }
+        code => Tier::ALL[usize::from(code) - 1].min(widest_tier()),
     }
 }
 
-/// In-process tier override: `Some(false)` forces scalar, `Some(true)`
-/// requests SIMD (ignored without hardware support), `None` restores the
-/// environment/hardware default. Benchmarks use this for the SIMD-on/off
-/// sweep; tests pin tiers explicitly instead (process-global state).
-pub fn set_override(tier: Option<bool>) {
-    let code = match tier {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
+/// Whether kernels dispatch to a vector tier (AVX2 or AVX-512) right now:
+/// [`active_tier`] is not [`Tier::Scalar`].
+#[must_use]
+pub fn simd_enabled() -> bool {
+    active_tier() != Tier::Scalar
+}
+
+/// In-process tier pin: `Some(tier)` runs `tier`, or the widest tier the
+/// host has if `tier` is wider; `None` restores the environment/hardware
+/// default. Benchmarks sweep tiers with it, and tests pin tiers with it
+/// under a lock (it is process-global state).
+pub fn set_override(tier: Option<Tier>) {
+    let code = tier.map_or(0, |t| 1 + t as u8);
     OVERRIDE.store(code, Ordering::Relaxed);
 }
 
-/// Runs `kernel` on the AVX2 tier when `simd` holds and the host has
-/// AVX2, and directly otherwise. Both tiers execute the same source: the
-/// AVX2 tier inlines `kernel` into a frame compiled with
-/// `#[target_feature(enable = "avx2")]`, so an element-wise loop in it
-/// vectorizes 256 bits wide and rounds exactly like the scalar tier.
-/// Kernels pass [`simd_enabled`] as `simd`.
+/// Runs `kernel` on `tier` (capped at the host's widest tier). Every tier
+/// executes the same source: a vector tier inlines `kernel` into a frame
+/// compiled with `#[target_feature(enable = "avx2")]` or `"avx512f"`, so
+/// an element-wise loop in it vectorizes 256 or 512 bits wide and rounds
+/// exactly like the scalar tier. Kernels pass [`active_tier`] as `tier`.
 #[allow(unsafe_code)]
 #[inline]
-pub fn on_tier<R>(simd: bool, kernel: impl FnOnce() -> R) -> R {
+pub fn on_tier<R>(tier: Tier, kernel: impl FnOnce() -> R) -> R {
     #[cfg(target_arch = "x86_64")]
-    if simd && simd_available() {
-        // SAFETY: `simd_available` detected AVX2 on this host at runtime,
-        // the one precondition of calling the `target_feature` frame.
-        return unsafe { avx2_frame(kernel) };
+    match tier.min(widest_tier()) {
+        // SAFETY: `widest_tier` detected each frame's features on this
+        // host at runtime, the one precondition of calling the frame.
+        Tier::Avx512 => return unsafe { avx512_frame(kernel) },
+        Tier::Avx2 => return unsafe { avx2_frame(kernel) },
+        Tier::Scalar => {}
     }
-    let _ = simd;
+    let _ = tier;
     kernel()
 }
 
@@ -126,15 +208,23 @@ fn avx2_frame<R>(kernel: impl FnOnce() -> R) -> R {
     kernel()
 }
 
+/// The AVX-512 frame of [`on_tier`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn avx512_frame<R>(kernel: impl FnOnce() -> R) -> R {
+    kernel()
+}
+
 /// `y += alpha * x`, element-wise — bit-identical to
-/// [`vector::axpy`](crate::vector::axpy) for any `alpha` on either tier.
+/// [`vector::axpy`](crate::vector::axpy) for any `alpha` on every tier.
 ///
 /// # Panics
 ///
 /// Panics if `x.len() != y.len()`.
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    on_tier(simd_enabled(), || {
+    on_tier(active_tier(), || {
         for (yi, &xi) in y.iter_mut().zip(x) {
             *yi += alpha * xi;
         }
@@ -143,9 +233,55 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
 
 // -- lane reductions ---------------------------------------------------------
 //
-// Each folds every lane of a column-major panel at once: row by row, lane
-// `l` accumulates into `out[l]` with the operations of its `crate::vector`
-// fold, in row order (see "Lane reductions" above).
+// Each folds every lane of a column-major panel: row by row, lane `l`
+// accumulates with the operations of its `crate::vector` fold, in row
+// order, its sum held in a block-local array (see "Lane reductions"
+// above).
+
+/// Runs `$body` once per block of a `$k`-lane panel's lanes, with `$lane`
+/// the block's first lane and `$w` a `const` holding its width: sixteen
+/// lanes at a time, then four, then the one to three left. A body that
+/// folds its block's lanes into a `[f64; $w]` keeps those sums in
+/// registers across every row, where one loop over all `k` lanes of a
+/// row would carry them through memory from row to row. Blocks partition
+/// the lanes, so each lane is folded once, in row order.
+#[macro_export]
+macro_rules! for_lane_blocks {
+    ($k:expr, |$lane:ident, $w:ident| $body:block) => {{
+        let k: usize = $k;
+        let mut first = 0;
+        while first + 16 <= k {
+            const $w: usize = 16;
+            let $lane = first;
+            $body
+            first += 16;
+        }
+        while first + 4 <= k {
+            const $w: usize = 4;
+            let $lane = first;
+            $body
+            first += 4;
+        }
+        match k - first {
+            0 => {}
+            1 => {
+                const $w: usize = 1;
+                let $lane = first;
+                $body
+            }
+            2 => {
+                const $w: usize = 2;
+                let $lane = first;
+                $body
+            }
+            _ => {
+                const $w: usize = 3;
+                let $lane = first;
+                $body
+            }
+        }
+    }};
+}
 
 /// Lane count of a panel reduction writing `out`, checking the shape.
 fn lanes_of(panel_len: usize, out: &[f64], what: &str) -> usize {
@@ -157,7 +293,7 @@ fn lanes_of(panel_len: usize, out: &[f64], what: &str) -> usize {
 
 /// [`vector::norm1`](crate::vector::norm1) of every lane: `out[l]` is the
 /// ℓ₁ norm of lane `l` of the `out.len()`-wide panel `panel`, bit for bit
-/// on either tier.
+/// on every tier.
 ///
 /// # Panics
 ///
@@ -169,15 +305,22 @@ pub fn norm1_lanes(panel: &[f64], out: &mut [f64]) {
         out[0] = crate::vector::norm1(panel);
         return;
     }
-    // `-0.0` is the identity `Sum` folds from, as `vector::norm1` does.
-    out.fill(-0.0);
-    on_tier(simd_enabled(), || {
-        for row in panel.chunks_exact(k) {
-            for (o, &v) in out.iter_mut().zip(row) {
-                *o += v.abs();
-            }
-        }
-    });
+    on_tier(
+        active_tier(),
+        #[inline(always)]
+        || {
+            for_lane_blocks!(k, |lane, W| {
+                // `-0.0` is the identity `Sum` folds from, as `vector::norm1` does.
+                let mut sum = [-0.0f64; W];
+                for row in panel.chunks_exact(k) {
+                    for (s, &v) in sum.iter_mut().zip(&row[lane..lane + W]) {
+                        *s += v.abs();
+                    }
+                }
+                out[lane..lane + W].copy_from_slice(&sum);
+            });
+        },
+    );
 }
 
 /// [`vector::norm2`](crate::vector::norm2) of every lane, with its
@@ -185,7 +328,7 @@ pub fn norm1_lanes(panel: &[f64], out: &mut [f64]) {
 /// slot per lane) is scratch for the lanes' largest magnitudes. A lane
 /// whose maximum is zero or not finite takes the reference's early
 /// return; every other lane folds its scaled squares, so each lane's bits
-/// are the reference's on either tier.
+/// are the reference's on every tier.
 ///
 /// # Panics
 ///
@@ -198,20 +341,28 @@ pub fn norm2_lanes(panel: &[f64], max: &mut [f64], out: &mut [f64]) {
         out[0] = crate::vector::norm2(panel);
         return;
     }
-    max.fill(0.0);
-    out.fill(-0.0);
-    on_tier(simd_enabled(), || {
-        for row in panel.chunks_exact(k) {
-            for (m, &v) in max.iter_mut().zip(row) {
-                *m = m.max(v.abs());
-            }
-        }
-        for row in panel.chunks_exact(k) {
-            for ((o, &m), &v) in out.iter_mut().zip(&*max).zip(row) {
-                *o += (v / m) * (v / m);
-            }
-        }
-    });
+    on_tier(
+        active_tier(),
+        #[inline(always)]
+        || {
+            for_lane_blocks!(k, |lane, W| {
+                let mut top = [0.0f64; W];
+                for row in panel.chunks_exact(k) {
+                    for (m, &v) in top.iter_mut().zip(&row[lane..lane + W]) {
+                        *m = m.max(v.abs());
+                    }
+                }
+                let mut sum = [-0.0f64; W];
+                for row in panel.chunks_exact(k) {
+                    for ((s, &m), &v) in sum.iter_mut().zip(&top).zip(&row[lane..lane + W]) {
+                        *s += (v / m) * (v / m);
+                    }
+                }
+                max[lane..lane + W].copy_from_slice(&top);
+                out[lane..lane + W].copy_from_slice(&sum);
+            });
+        },
+    );
     for (o, &m) in out.iter_mut().zip(&*max) {
         *o = if m == 0.0 || !m.is_finite() {
             if m.is_nan() {
@@ -226,7 +377,7 @@ pub fn norm2_lanes(panel: &[f64], max: &mut [f64], out: &mut [f64]) {
 }
 
 /// [`vector::dist2`](crate::vector::dist2) between the same lanes of two
-/// panels: `out[l] = ‖a_l − b_l‖₂`, bit for bit on either tier.
+/// panels: `out[l] = ‖a_l − b_l‖₂`, bit for bit on every tier.
 ///
 /// # Panics
 ///
@@ -239,15 +390,23 @@ pub fn dist2_lanes(a: &[f64], b: &[f64], out: &mut [f64]) {
         out[0] = crate::vector::dist2(a, b);
         return;
     }
-    out.fill(0.0);
-    on_tier(simd_enabled(), || {
-        for (ra, rb) in a.chunks_exact(k).zip(b.chunks_exact(k)) {
-            for ((o, &va), &vb) in out.iter_mut().zip(ra).zip(rb) {
-                let d = va - vb;
-                *o += d * d;
-            }
-        }
-    });
+    on_tier(
+        active_tier(),
+        #[inline(always)]
+        || {
+            for_lane_blocks!(k, |lane, W| {
+                let mut sum = [0.0f64; W];
+                for (ra, rb) in a.chunks_exact(k).zip(b.chunks_exact(k)) {
+                    let terms = ra[lane..lane + W].iter().zip(&rb[lane..lane + W]);
+                    for (s, (&va, &vb)) in sum.iter_mut().zip(terms) {
+                        let d = va - vb;
+                        *s += d * d;
+                    }
+                }
+                out[lane..lane + W].copy_from_slice(&sum);
+            });
+        },
+    );
     for o in out.iter_mut() {
         *o = o.sqrt();
     }
@@ -287,49 +446,383 @@ pub const fn vector_lanes(k: usize) -> usize {
     k - k % 4
 }
 
-/// A lane-panel kernel that folds one block at a time: `R` outputs
-/// (panel rows) × `V` four-lane vectors, every output lane held in its
-/// own accumulator from the first term of its fold to its one store.
-/// The `R·V` vector chains of a block are independent, so the adds of
-/// one overlap the latency of the others; [`lane_blocks`] picks the
-/// blocks.
-pub trait LaneBlock {
-    /// Folds outputs `first..first + R` over lanes `lane..lane + 4·V`.
-    fn block<const R: usize, const V: usize>(&mut self, first: usize, lane: usize);
+// -- width-generic panel kernels ---------------------------------------------
+
+/// A vector of `f64` lanes that a width-generic panel kernel computes
+/// with: `[f64; 4]` on the scalar tier, `__m256d` on AVX2, `__m512d` on
+/// AVX-512. Every operation is element-wise IEEE-754 arithmetic (or an
+/// exact sign flip), so one kernel body gives the same bits at every
+/// width.
+///
+/// The methods are `unsafe`: a SIMD type's instructions need its tier's
+/// CPU features, and `load`/`store` take raw pointers. [`lane_blocks`]
+/// calls a [`LaneBlock`] body with each type only inside an entry
+/// compiled for that type's tier, after runtime detection.
+#[allow(unsafe_code)]
+pub trait F64Vector: Copy {
+    /// Lanes per vector.
+    const LANES: usize;
+
+    /// All lanes `+0.0`.
+    ///
+    /// # Safety
+    ///
+    /// The host must support the type's tier.
+    unsafe fn zero() -> Self;
+
+    /// All lanes `v`.
+    ///
+    /// # Safety
+    ///
+    /// The host must support the type's tier.
+    unsafe fn splat(v: f64) -> Self;
+
+    /// Reads [`F64Vector::LANES`] values from `p` (no alignment needed).
+    ///
+    /// # Safety
+    ///
+    /// The host must support the type's tier, and `p` must be valid for
+    /// reading `LANES` `f64`s.
+    unsafe fn load(p: *const f64) -> Self;
+
+    /// Writes the lanes to `p` (no alignment needed).
+    ///
+    /// # Safety
+    ///
+    /// The host must support the type's tier, and `p` must be valid for
+    /// writing `LANES` `f64`s.
+    unsafe fn store(self, p: *mut f64);
+
+    /// Lane-wise `self + rhs`.
+    ///
+    /// # Safety
+    ///
+    /// The host must support the type's tier.
+    unsafe fn add(self, rhs: Self) -> Self;
+
+    /// Lane-wise `self * rhs`.
+    ///
+    /// # Safety
+    ///
+    /// The host must support the type's tier.
+    unsafe fn mul(self, rhs: Self) -> Self;
+
+    /// Lane-wise `-self`: the sign bit flipped, exactly like scalar
+    /// negation.
+    ///
+    /// # Safety
+    ///
+    /// The host must support the type's tier.
+    unsafe fn neg(self) -> Self;
 }
 
-/// Covers `outputs` × the first `lanes` lanes (a multiple of four) with
-/// `kernel`'s blocks: `R` outputs per pass (any left over run one at a
-/// time), lanes sixteen at a time (four vectors), then one block of the
-/// 4, 8 or 12 lanes left over. Blocks partition the panel, so each
-/// output lane is folded exactly once.
-///
-/// # Panics
-///
-/// Panics if `R == 0`.
-pub fn lane_blocks<const R: usize>(kernel: &mut impl LaneBlock, outputs: usize, lanes: usize) {
-    fn row_blocks<const R: usize>(kernel: &mut impl LaneBlock, first: usize, lanes: usize) {
-        let mut lane = 0;
-        while lane + 16 <= lanes {
-            kernel.block::<R, 4>(first, lane);
-            lane += 16;
+/// The scalar tier's vector: four lanes, element by element.
+#[allow(unsafe_code)]
+impl F64Vector for [f64; 4] {
+    const LANES: usize = 4;
+
+    #[inline(always)]
+    unsafe fn zero() -> Self {
+        [0.0; 4]
+    }
+
+    #[inline(always)]
+    unsafe fn splat(v: f64) -> Self {
+        [v; 4]
+    }
+
+    #[inline(always)]
+    unsafe fn load(p: *const f64) -> Self {
+        // SAFETY: the caller guarantees `p` is valid for four reads.
+        unsafe { p.cast::<[f64; 4]>().read_unaligned() }
+    }
+
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f64) {
+        // SAFETY: the caller guarantees `p` is valid for four writes.
+        unsafe { p.cast::<[f64; 4]>().write_unaligned(self) }
+    }
+
+    #[inline(always)]
+    unsafe fn add(self, rhs: Self) -> Self {
+        std::array::from_fn(|i| self[i] + rhs[i])
+    }
+
+    #[inline(always)]
+    unsafe fn mul(self, rhs: Self) -> Self {
+        std::array::from_fn(|i| self[i] * rhs[i])
+    }
+
+    #[inline(always)]
+    unsafe fn neg(self) -> Self {
+        self.map(|v| -v)
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod x86 {
+    use super::F64Vector;
+    use std::arch::x86_64::{
+        __m256d, __m512d, _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd,
+        _mm256_setzero_pd, _mm256_storeu_pd, _mm256_xor_pd, _mm512_add_pd, _mm512_castpd_si512,
+        _mm512_castsi512_pd, _mm512_loadu_pd, _mm512_mul_pd, _mm512_set1_epi64, _mm512_set1_pd,
+        _mm512_setzero_pd, _mm512_storeu_pd, _mm512_xor_si512,
+    };
+
+    // SAFETY (every method below): the caller guarantees the tier's CPU
+    // features (AVX for `__m256d`, AVX-512F for `__m512d`) and, for
+    // `load`/`store`, a pointer valid for `LANES` elements.
+
+    impl F64Vector for __m256d {
+        const LANES: usize = 4;
+
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            unsafe { _mm256_setzero_pd() }
         }
-        match (lanes - lane) / 4 {
-            0 => {}
-            1 => kernel.block::<R, 1>(first, lane),
-            2 => kernel.block::<R, 2>(first, lane),
-            _ => kernel.block::<R, 3>(first, lane),
+
+        #[inline(always)]
+        unsafe fn splat(v: f64) -> Self {
+            unsafe { _mm256_set1_pd(v) }
+        }
+
+        #[inline(always)]
+        unsafe fn load(p: *const f64) -> Self {
+            unsafe { _mm256_loadu_pd(p) }
+        }
+
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f64) {
+            unsafe { _mm256_storeu_pd(p, self) }
+        }
+
+        #[inline(always)]
+        unsafe fn add(self, rhs: Self) -> Self {
+            unsafe { _mm256_add_pd(self, rhs) }
+        }
+
+        #[inline(always)]
+        unsafe fn mul(self, rhs: Self) -> Self {
+            unsafe { _mm256_mul_pd(self, rhs) }
+        }
+
+        #[inline(always)]
+        unsafe fn neg(self) -> Self {
+            unsafe { _mm256_xor_pd(self, _mm256_set1_pd(-0.0)) }
         }
     }
-    assert!(R > 0, "lane_blocks: zero outputs per pass");
+
+    impl F64Vector for __m512d {
+        const LANES: usize = 8;
+
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            unsafe { _mm512_setzero_pd() }
+        }
+
+        #[inline(always)]
+        unsafe fn splat(v: f64) -> Self {
+            unsafe { _mm512_set1_pd(v) }
+        }
+
+        #[inline(always)]
+        unsafe fn load(p: *const f64) -> Self {
+            unsafe { _mm512_loadu_pd(p) }
+        }
+
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f64) {
+            unsafe { _mm512_storeu_pd(p, self) }
+        }
+
+        #[inline(always)]
+        unsafe fn add(self, rhs: Self) -> Self {
+            unsafe { _mm512_add_pd(self, rhs) }
+        }
+
+        #[inline(always)]
+        unsafe fn mul(self, rhs: Self) -> Self {
+            unsafe { _mm512_mul_pd(self, rhs) }
+        }
+
+        /// The sign-bit xor goes through the integer cast: `avx512f`
+        /// alone has `_mm512_xor_si512`, while `_mm512_xor_pd` needs
+        /// `avx512dq`.
+        #[inline(always)]
+        unsafe fn neg(self) -> Self {
+            unsafe {
+                let sign = _mm512_set1_epi64(i64::MIN);
+                _mm512_castsi512_pd(_mm512_xor_si512(_mm512_castpd_si512(self), sign))
+            }
+        }
+    }
+}
+
+/// A lane-panel kernel written once, generic over the vector type: a
+/// block folds `R` outputs (panel rows) × `V` vectors of
+/// [`F64Vector::LANES`] lanes, every output lane held in its own
+/// accumulator from the first term of its fold to its one store. The
+/// `R·V` vector chains of a block are independent, so the adds of one
+/// overlap the latency of the others. [`lane_blocks`] picks the blocks
+/// and the vector type.
+#[allow(unsafe_code)]
+pub trait LaneBlock {
+    /// Folds outputs `first..first + R` over lanes
+    /// `lane..lane + V·T::LANES`. Implementations are
+    /// `#[inline(always)]`, so each tier's entry compiles the body with
+    /// its own instructions, and check their block's bounds.
+    ///
+    /// # Safety
+    ///
+    /// The host must support `T`'s tier; [`lane_blocks`] calls it only
+    /// from an entry compiled for that tier, after runtime detection.
+    unsafe fn block<T: F64Vector, const R: usize, const V: usize>(
+        &mut self,
+        first: usize,
+        lane: usize,
+    );
+}
+
+/// Folds every output of one lane block with vector type `T`: `R` at a
+/// time, then the rest one at a time. Inlined into each tier's entry, so
+/// one entry call covers a lane block's whole column of outputs.
+///
+/// # Safety
+///
+/// The host must support `T`'s tier.
+#[allow(unsafe_code)]
+#[inline(always)]
+unsafe fn fold_outputs<T: F64Vector, K: LaneBlock, const R: usize, const V: usize>(
+    kernel: &mut K,
+    outputs: usize,
+    lane: usize,
+) {
     let mut first = 0;
+    // SAFETY (both loops): the caller guarantees `T`'s tier.
     while first + R <= outputs {
-        row_blocks::<R>(kernel, first, lanes);
+        unsafe { kernel.block::<T, R, V>(first, lane) };
         first += R;
     }
     while first < outputs {
-        row_blocks::<1>(kernel, first, lanes);
+        unsafe { kernel.block::<T, 1, V>(first, lane) };
         first += 1;
+    }
+}
+
+/// The scalar tier's entry: four-lane arrays.
+#[allow(unsafe_code)]
+fn block_scalar<K: LaneBlock, const R: usize, const V: usize>(
+    kernel: &mut K,
+    outputs: usize,
+    lane: usize,
+) {
+    // SAFETY: `[f64; 4]` runs on every host.
+    unsafe { fold_outputs::<[f64; 4], K, R, V>(kernel, outputs, lane) }
+}
+
+/// The AVX2 tier's entry: `V` `__m256d` per output.
+///
+/// # Safety
+///
+/// The host must have AVX2.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+#[target_feature(enable = "avx2")]
+unsafe fn block_avx2<K: LaneBlock, const R: usize, const V: usize>(
+    kernel: &mut K,
+    outputs: usize,
+    lane: usize,
+) {
+    // SAFETY: this entry's caller detected AVX2.
+    unsafe { fold_outputs::<std::arch::x86_64::__m256d, K, R, V>(kernel, outputs, lane) }
+}
+
+/// The AVX-512 tier's entry: `V` `__m512d` per output.
+///
+/// # Safety
+///
+/// The host must have AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+#[target_feature(enable = "avx512f")]
+unsafe fn block_avx512<K: LaneBlock, const R: usize, const V: usize>(
+    kernel: &mut K,
+    outputs: usize,
+    lane: usize,
+) {
+    // SAFETY: this entry's caller detected AVX-512F.
+    unsafe { fold_outputs::<std::arch::x86_64::__m512d, K, R, V>(kernel, outputs, lane) }
+}
+
+/// Covers `outputs` × the first `lanes` lanes (a multiple of four) with
+/// `kernel`'s blocks on `tier` (capped at the host's widest tier): lanes
+/// sixteen at a time, then one block of the 4, 8 or 12 lanes left over,
+/// each lane block folding its outputs `R` at a time (any left over one
+/// at a time) inside one call of its tier's entry. On the scalar and
+/// AVX2 tiers a block is `4·V` lanes in `V` four-lane vectors. On
+/// AVX-512 sixteen lanes are two `__m512d`, eight are one, and a
+/// four-lane rest runs the AVX2 body. Blocks partition the panel, so each
+/// output lane is folded exactly once. Callers choose `R` per tier: twice
+/// the outputs per block on AVX-512, whose 32 registers hold twice the
+/// chains of AVX2's 16.
+///
+/// # Panics
+///
+/// Panics if `R == 0` or `lanes` is not a multiple of four.
+#[allow(unsafe_code)]
+pub fn lane_blocks<const R: usize>(
+    kernel: &mut impl LaneBlock,
+    tier: Tier,
+    outputs: usize,
+    lanes: usize,
+) {
+    assert!(R > 0, "lane_blocks: zero outputs per pass");
+    assert!(
+        lanes.is_multiple_of(4),
+        "lane_blocks: lanes not whole vectors"
+    );
+    let rest = lanes % 16;
+    let whole = lanes - rest;
+    #[cfg(target_arch = "x86_64")]
+    match tier.min(widest_tier()) {
+        // SAFETY (both arms): `widest_tier` detected the entries'
+        // features at runtime, and AVX-512 hosts have AVX2 too.
+        Tier::Avx512 => unsafe {
+            for lane in (0..whole).step_by(16) {
+                block_avx512::<_, R, 2>(kernel, outputs, lane);
+            }
+            if rest >= 8 {
+                block_avx512::<_, R, 1>(kernel, outputs, whole);
+            }
+            if rest % 8 == 4 {
+                block_avx2::<_, R, 1>(kernel, outputs, lanes - 4);
+            }
+            return;
+        },
+        Tier::Avx2 => unsafe {
+            for lane in (0..whole).step_by(16) {
+                block_avx2::<_, R, 4>(kernel, outputs, lane);
+            }
+            match rest / 4 {
+                0 => {}
+                1 => block_avx2::<_, R, 1>(kernel, outputs, whole),
+                2 => block_avx2::<_, R, 2>(kernel, outputs, whole),
+                _ => block_avx2::<_, R, 3>(kernel, outputs, whole),
+            }
+            return;
+        },
+        Tier::Scalar => {}
+    }
+    let _ = tier;
+    for lane in (0..whole).step_by(16) {
+        block_scalar::<_, R, 4>(kernel, outputs, lane);
+    }
+    match rest / 4 {
+        0 => {}
+        1 => block_scalar::<_, R, 1>(kernel, outputs, whole),
+        2 => block_scalar::<_, R, 2>(kernel, outputs, whole),
+        _ => block_scalar::<_, R, 3>(kernel, outputs, whole),
     }
 }
 
@@ -455,16 +948,22 @@ mod tests {
         LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// Runs `f` under both dispatch tiers (when SIMD hardware exists) and
-    /// asserts the results are bit-identical. Restores the default tier.
-    fn pin_both_tiers(mut f: impl FnMut() -> Vec<f64>) {
+    /// Runs `f` under every tier the host has and asserts each result is
+    /// bit-identical to the scalar tier's, naming the tier that diverged.
+    /// Restores the default tier.
+    fn pin_every_tier(mut f: impl FnMut() -> Vec<f64>) {
         let _guard = tier_lock();
-        set_override(Some(false));
+        set_override(Some(Tier::Scalar));
         let scalar_bits: Vec<u64> = f().iter().map(|v| v.to_bits()).collect();
-        if simd_available() {
-            set_override(Some(true));
-            let simd_bits: Vec<u64> = f().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(scalar_bits, simd_bits, "SIMD tier diverged from scalar");
+        for tier in available_tiers().skip(1) {
+            set_override(Some(tier));
+            let bits: Vec<u64> = f().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(
+                scalar_bits,
+                bits,
+                "{} tier diverged from scalar",
+                tier.name()
+            );
         }
         set_override(None);
     }
@@ -476,7 +975,7 @@ mod tests {
                 let x = specials(len, 100 + seed);
                 let y0 = specials(len, 200 + seed);
                 let alpha = noise(1, 300 + seed)[0];
-                pin_both_tiers(|| {
+                pin_every_tier(|| {
                     let mut y = y0.clone();
                     axpy(alpha, &x, &mut y);
                     y
@@ -486,8 +985,9 @@ mod tests {
     }
 
     /// Panel widths the lane pins sweep: every width up to two 4-wide
-    /// vectors plus one, the gateway's width 16, and one past 16 and 32.
-    const PIN_WIDTHS: [usize; 12] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 33];
+    /// vectors plus one, twelve, the gateway's width 16, and widths past
+    /// 16 and 32 that end in blocks of one, three and four lanes.
+    const PIN_WIDTHS: [usize; 15] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 17, 19, 24, 33];
 
     /// Panel heights the lane pins sweep: one row, a few, the measurement
     /// count and the window length of the paper's operating point.
@@ -533,21 +1033,19 @@ mod tests {
         v
     }
 
-    /// Runs `body(tier)` under forced scalar dispatch and, when the host
-    /// has AVX2, forced SIMD dispatch. Restores the default tier.
+    /// Runs `body(tier)` with each tier the host has pinned in turn.
+    /// Restores the default tier.
     fn on_each_tier(mut body: impl FnMut(&str)) {
         let _guard = tier_lock();
-        set_override(Some(false));
-        body("scalar");
-        if simd_available() {
-            set_override(Some(true));
-            body("avx2");
+        for tier in available_tiers() {
+            set_override(Some(tier));
+            body(tier.name());
         }
         set_override(None);
     }
 
     #[test]
-    fn lane_reductions_match_vector_reference_on_both_tiers() {
+    fn lane_reductions_match_vector_reference_on_every_tier() {
         on_each_tier(|tier| {
             for k in PIN_WIDTHS {
                 for rows in PIN_ROWS {
@@ -633,8 +1131,86 @@ mod tests {
     #[test]
     fn force_scalar_override_disables_simd() {
         let _guard = tier_lock();
-        set_override(Some(false));
+        set_override(Some(Tier::Scalar));
         assert!(!simd_enabled());
+        assert_eq!(active_tier(), Tier::Scalar);
         set_override(None);
+    }
+
+    /// A pin runs the pinned tier, capped at the host's widest: pinning
+    /// AVX2 on an AVX-512 host dispatches AVX2, and a pin the host lacks
+    /// runs the widest tier it has.
+    #[test]
+    fn a_pinned_tier_is_the_dispatched_tier() {
+        let _guard = tier_lock();
+        for tier in Tier::ALL {
+            set_override(Some(tier));
+            let want = tier.min(widest_tier());
+            assert_eq!(active_tier(), want, "pinned {}", tier.name());
+            assert_eq!(
+                simd_enabled(),
+                want != Tier::Scalar,
+                "pinned {}",
+                tier.name()
+            );
+        }
+        set_override(None);
+        assert_eq!(simd_available(), widest_tier() >= Tier::Avx2);
+    }
+
+    /// Records every block `lane_blocks` hands out, with its vector type.
+    struct Recorder(Vec<(usize, usize, usize, usize, &'static str)>);
+
+    impl LaneBlock for Recorder {
+        #[allow(unsafe_code)]
+        unsafe fn block<T: F64Vector, const R: usize, const V: usize>(
+            &mut self,
+            first: usize,
+            lane: usize,
+        ) {
+            let ty = std::any::type_name::<T>().rsplit("::").next().unwrap_or("");
+            self.0.push((first, R, lane, V * T::LANES, ty));
+        }
+    }
+
+    /// `lane_blocks` covers every (output, lane) exactly once and runs
+    /// each block with its tier's vector type: `[f64; 4]` on the scalar
+    /// tier, `__m256d` on AVX2 (so pinning AVX2 on an AVX-512 host runs
+    /// no 512-bit block), and `__m512d` on AVX-512 except a four-lane
+    /// rest, which runs the AVX2 body.
+    #[test]
+    fn lane_blocks_partition_the_panel_with_each_tier_s_vectors() {
+        let _guard = tier_lock();
+        for tier in available_tiers() {
+            for lanes in [4, 8, 12, 16, 20, 24, 28, 32, 44] {
+                for outputs in [1, 3, 4, 9] {
+                    let mut rec = Recorder(Vec::new());
+                    match tier {
+                        Tier::Avx512 => lane_blocks::<4>(&mut rec, tier, outputs, lanes),
+                        _ => lane_blocks::<2>(&mut rec, tier, outputs, lanes),
+                    }
+                    let mut seen = vec![0u8; outputs * lanes];
+                    for &(first, rows, lane, width, ty) in &rec.0 {
+                        let at = format!("{} lanes{lanes} outputs{outputs}", tier.name());
+                        let want = match tier {
+                            Tier::Scalar => "[f64; 4]",
+                            Tier::Avx512 if width >= 8 => "__m512d",
+                            _ => "__m256d",
+                        };
+                        assert_eq!(ty, want, "{at} block at lane {lane}");
+                        for o in first..first + rows {
+                            for l in lane..lane + width {
+                                seen[o * lanes + l] += 1;
+                            }
+                        }
+                    }
+                    assert!(
+                        seen.iter().all(|&c| c == 1),
+                        "{} lanes{lanes} outputs{outputs}",
+                        tier.name()
+                    );
+                }
+            }
+        }
     }
 }

@@ -524,7 +524,7 @@ mod tests {
     use crate::tier_lock;
     use crate::{solve_pdhg, DenseOperator, NoopObserver, RecordingObserver};
     use hybridcs_dsp::{Dwt, Wavelet};
-    use hybridcs_linalg::simd::{set_override, simd_available};
+    use hybridcs_linalg::simd::{available_tiers, set_override};
     use hybridcs_linalg::Matrix;
 
     fn bernoulli_like(m: usize, n: usize, seed: u64) -> Matrix {
@@ -610,15 +610,12 @@ mod tests {
         );
     }
 
-    /// Runs `body` under scalar dispatch and, when the host supports it,
-    /// again under forced AVX2.
+    /// Runs `body(tier)` with each tier the host has pinned in turn.
     fn for_each_tier(body: impl Fn(&str)) {
         let _guard = tier_lock();
-        set_override(Some(false));
-        body("scalar");
-        if simd_available() {
-            set_override(Some(true));
-            body("avx2");
+        for tier in available_tiers() {
+            set_override(Some(tier));
+            body(tier.name());
         }
         set_override(None);
     }

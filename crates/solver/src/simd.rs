@@ -5,20 +5,20 @@
 //! kernels (the box and ℓ₂-ball dual steps, the soft-threshold prox, the
 //! gradient step, the over-relaxation). Each is written once, as its safe
 //! scalar loop, and runs through [`on_tier`]: directly on the scalar tier,
-//! or compiled with AVX2 enabled on the SIMD tier.
+//! or compiled with AVX2 or AVX-512F enabled on a vector tier.
 //!
 //! # 0-ULP contract
 //!
 //! Every kernel here is **element-wise**: output element `i` depends only on
-//! input elements at the same position plus broadcast scalars. Both tiers
-//! compile the same loop, and rustc neither contracts `a*b + c` into an FMA
+//! input elements at the same position plus broadcast scalars. Every tier
+//! compiles the same loop, and rustc neither contracts `a*b + c` into an FMA
 //! nor reassociates float arithmetic, so each vector lane computes the
 //! identical IEEE-754 operation sequence as the scalar loop. The
 //! per-element results are therefore bit-identical across tiers, which is
 //! what lets the batched solver promise bit-identical results regardless
-//! of the dispatch decision. The first ℓ₂-ball pass also folds one sum per
-//! lane, across lanes only, in row order (the lane reductions of
-//! [`hybridcs_linalg::simd`]).
+//! of the dispatch decision. The first ℓ₂-ball pass also folds two sums per
+//! lane, across lanes only, in row order, each block's sums held in
+//! registers (the lane reductions of [`hybridcs_linalg::simd`]).
 //!
 //! Per-lane thresholds follow the batch panel layout of
 //! [`hybridcs_linalg::simd`]: a panel stores element `i` of lane `l` at
@@ -29,7 +29,7 @@
 //! through memory, at about twice the contiguous loop's time.
 
 use crate::prox::{soft_threshold, soft_threshold_slice, soft_threshold_weighted};
-use hybridcs_linalg::simd::{on_tier, simd_enabled};
+use hybridcs_linalg::simd::{active_tier, on_tier};
 
 /// Panel soft-threshold with a per-lane threshold: for every row `i` and
 /// lane `l`, applies [`crate::prox::soft_threshold`] with threshold `t[l]`
@@ -51,9 +51,9 @@ pub fn soft_threshold_lanes(panel: &mut [f64], t: &[f64], k: usize) {
         "soft_threshold_lanes: panel not a multiple of k"
     );
     if k == 1 {
-        return on_tier(simd_enabled(), || soft_threshold_slice(panel, t[0]));
+        return on_tier(active_tier(), || soft_threshold_slice(panel, t[0]));
     }
-    on_tier(simd_enabled(), || {
+    on_tier(active_tier(), || {
         for row in panel.chunks_exact_mut(k) {
             for (v, &tl) in row.iter_mut().zip(t) {
                 *v = soft_threshold(*v, tl);
@@ -89,11 +89,11 @@ pub fn soft_threshold_weighted_lanes(panel: &mut [f64], t: &[f64], w_panel: &[f6
         "soft_threshold_weighted_lanes: weight panel length mismatch"
     );
     if k == 1 {
-        return on_tier(simd_enabled(), || {
+        return on_tier(active_tier(), || {
             soft_threshold_weighted(panel, t[0], w_panel)
         });
     }
-    on_tier(simd_enabled(), || {
+    on_tier(active_tier(), || {
         for (row, w_row) in panel.chunks_exact_mut(k).zip(w_panel.chunks_exact(k)) {
             for ((v, &tl), &w) in row.iter_mut().zip(t).zip(w_row) {
                 *v = soft_threshold(*v, tl * w);
@@ -119,7 +119,7 @@ pub fn grad_step_lanes(x: &[f64], at_z1: &[f64], z2: &[f64], tau: f64, out: &mut
     );
     assert_eq!(x.len(), z2.len(), "grad_step_lanes: z2 length mismatch");
     assert_eq!(x.len(), out.len(), "grad_step_lanes: out length mismatch");
-    on_tier(simd_enabled(), || {
+    on_tier(active_tier(), || {
         for (((o, &xi), &ai), &zi) in out.iter_mut().zip(x).zip(at_z1).zip(z2) {
             *o = xi - tau * (ai + zi);
         }
@@ -138,7 +138,7 @@ pub fn over_relax_lanes(x_new: &[f64], x: &[f64], out: &mut [f64]) {
         out.len(),
         "over_relax_lanes: out length mismatch"
     );
-    on_tier(simd_enabled(), || {
+    on_tier(active_tier(), || {
         for ((o, &xn), &xi) in out.iter_mut().zip(x_new).zip(x) {
             *o = 2.0 * xn - xi;
         }
@@ -163,7 +163,7 @@ fn check_panels(what: &str, k: usize, len: usize, lens: &[usize]) {
 /// element, `t = z2 + ς·x̄`, `b = clamp(t/ς, lo, hi)`, `z2 = t − ς·b` with
 /// `ς = step`. Per lane this is [`hybridcs_linalg::vector::axpy`], a
 /// division, [`crate::prox::project_box`] and a scaled subtraction, bit
-/// for bit on either tier.
+/// for bit on every tier.
 ///
 /// The clamp is written as two compare-and-selects, which equal
 /// `f64::clamp` for ordered bounds (what [`crate::BpdnProblem::validate`]
@@ -179,7 +179,7 @@ pub fn box_dual_lanes(x_bar: &[f64], lo: &[f64], hi: &[f64], step: f64, z2: &mut
         z2.len(),
         &[x_bar.len(), lo.len(), hi.len()],
     );
-    on_tier(simd_enabled(), || {
+    on_tier(active_tier(), || {
         for (((z, &xb), &l), &h) in z2.iter_mut().zip(x_bar).zip(lo).zip(hi) {
             let t = *z + step * xb;
             let mut b = t / step;
@@ -232,24 +232,31 @@ pub fn ball_ascent_lanes(
         (dist_sq[0], residual_sq[0]) = (d2, r2);
         return;
     }
-    dist_sq.fill(0.0);
-    residual_sq.fill(0.0);
-    on_tier(simd_enabled(), || {
-        let rows = z1
-            .chunks_exact_mut(k)
-            .zip(ball.chunks_exact_mut(k))
-            .zip(ax.chunks_exact(k).zip(y.chunks_exact(k)));
-        for ((z_row, b_row), (a_row, y_row)) in rows {
-            let lanes = z_row
-                .iter_mut()
-                .zip(b_row.iter_mut())
-                .zip(a_row.iter().zip(y_row))
-                .zip(dist_sq.iter_mut().zip(residual_sq.iter_mut()));
-            for (((z, b), (&a, &c)), (d2, r2)) in lanes {
-                ascend(z, b, a, c, step, d2, r2);
-            }
-        }
-    });
+    on_tier(
+        active_tier(),
+        #[inline(always)]
+        || {
+            hybridcs_linalg::for_lane_blocks!(k, |lane, W| {
+                let (mut d2, mut r2) = ([0.0f64; W], [0.0f64; W]);
+                let rows = z1
+                    .chunks_exact_mut(k)
+                    .zip(ball.chunks_exact_mut(k))
+                    .zip(ax.chunks_exact(k).zip(y.chunks_exact(k)));
+                for ((z_row, b_row), (a_row, y_row)) in rows {
+                    let lanes = z_row[lane..lane + W]
+                        .iter_mut()
+                        .zip(&mut b_row[lane..lane + W])
+                        .zip(a_row[lane..lane + W].iter().zip(&y_row[lane..lane + W]))
+                        .zip(d2.iter_mut().zip(r2.iter_mut()));
+                    for (((z, b), (&a, &c)), (d2, r2)) in lanes {
+                        ascend(z, b, a, c, step, d2, r2);
+                    }
+                }
+                dist_sq[lane..lane + W].copy_from_slice(&d2);
+                residual_sq[lane..lane + W].copy_from_slice(&r2);
+            });
+        },
+    );
 }
 
 /// One element of [`ball_ascent_lanes`]: `z += ς·a`, `b = z/ς`, and the
@@ -274,7 +281,7 @@ const INSIDE: f64 = -1.0;
 /// that lie outside their radius, `ball = y + (r/dist)·(ball − y)`, leaves
 /// the others, and finishes `z1 −= ς·ball`. Per lane this is
 /// [`crate::prox::project_l2_ball`] on `ball` and a scaled subtraction,
-/// bit for bit on either tier. `dist_sq` holds [`ball_ascent_lanes`]'s
+/// bit for bit on every tier. `dist_sq` holds [`ball_ascent_lanes`]'s
 /// squared distances and is overwritten with each lane's scale.
 ///
 /// # Panics
@@ -303,13 +310,13 @@ pub fn ball_project_lanes(
     let scale = &*dist_sq;
     if k == 1 {
         let s = scale[0];
-        return on_tier(simd_enabled(), || {
+        return on_tier(active_tier(), || {
             for ((z, &b), &c) in z1.iter_mut().zip(ball).zip(y) {
                 *z -= step * project(b, c, s);
             }
         });
     }
-    on_tier(simd_enabled(), || {
+    on_tier(active_tier(), || {
         let rows = z1
             .chunks_exact_mut(k)
             .zip(ball.chunks_exact(k).zip(y.chunks_exact(k)));
@@ -335,7 +342,7 @@ fn project(b: f64, c: f64, s: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hybridcs_linalg::simd::{gather_lane, set_override, simd_available};
+    use hybridcs_linalg::simd::{available_tiers, gather_lane, set_override, Tier};
     use hybridcs_rand::{RngExt, SeedableRng};
 
     /// Element-wise lengths the tier pins sweep: empty, every length
@@ -345,9 +352,9 @@ mod tests {
     const PIN_LENS: [usize; 16] = [0, 1, 2, 3, 4, 5, 15, 16, 17, 31, 32, 33, 63, 64, 65, 257];
 
     /// Panel widths the lane pins sweep: every width up to two 4-wide
-    /// vectors plus one, the gateway's panel width 16, and one past 16
-    /// and 32.
-    const PIN_WIDTHS: [usize; 12] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 33];
+    /// vectors plus one, twelve, the gateway's panel width 16, and widths
+    /// past 16 and 32 that end in blocks of one, three and four lanes.
+    const PIN_WIDTHS: [usize; 15] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 17, 19, 24, 33];
 
     /// Panel heights the pass pins sweep: one row, a few, and the
     /// measurement count and window length of the paper's operating point.
@@ -379,16 +386,17 @@ mod tests {
             .collect()
     }
 
-    /// Runs `f` under both dispatch tiers (when SIMD hardware exists) and
-    /// asserts the results are bit-identical. Restores the default tier.
-    fn pin_both_tiers(label: &str, mut f: impl FnMut() -> Vec<f64>) {
+    /// Runs `f` under every tier the host has and asserts each result is
+    /// bit-identical to the scalar tier's, naming the tier that diverged.
+    /// Restores the default tier.
+    fn pin_every_tier(label: &str, mut f: impl FnMut() -> Vec<f64>) {
         let _guard = crate::tier_lock();
-        set_override(Some(false));
+        set_override(Some(Tier::Scalar));
         let scalar_bits: Vec<u64> = f().iter().map(|v| v.to_bits()).collect();
-        if simd_available() {
-            set_override(Some(true));
-            let simd_bits: Vec<u64> = f().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(scalar_bits, simd_bits, "{label}: SIMD tier diverged");
+        for tier in available_tiers().skip(1) {
+            set_override(Some(tier));
+            let bits: Vec<u64> = f().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(scalar_bits, bits, "{label}: {} tier diverged", tier.name());
         }
         set_override(None);
     }
@@ -421,15 +429,13 @@ mod tests {
         v
     }
 
-    /// Runs `body(tier)` under forced scalar dispatch and, when the host
-    /// has AVX2, forced SIMD dispatch. Restores the default tier.
+    /// Runs `body(tier)` with each tier the host has pinned in turn.
+    /// Restores the default tier.
     fn on_each_tier(mut body: impl FnMut(&str)) {
         let _guard = crate::tier_lock();
-        set_override(Some(false));
-        body("scalar");
-        if simd_available() {
-            set_override(Some(true));
-            body("avx2");
+        for tier in available_tiers() {
+            set_override(Some(tier));
+            body(tier.name());
         }
         set_override(None);
     }
@@ -570,12 +576,12 @@ mod tests {
     }
 
     #[test]
-    fn soft_threshold_lanes_pins_both_tiers() {
+    fn soft_threshold_lanes_pins_every_tier() {
         for k in PIN_WIDTHS {
             for rows in [1, 5] {
                 let panel0 = noise(rows * k, 11 + (rows * k) as u64);
                 let t = thresholds(k);
-                pin_both_tiers(&format!("rows{rows} k{k}"), || {
+                pin_every_tier(&format!("rows{rows} k{k}"), || {
                     let mut panel = panel0.clone();
                     soft_threshold_lanes(&mut panel, &t, k);
                     assert!(panel.iter().all(|v| !v.is_nan()), "NaN must map to +0.0");
@@ -586,7 +592,7 @@ mod tests {
     }
 
     #[test]
-    fn soft_threshold_weighted_lanes_pins_both_tiers() {
+    fn soft_threshold_weighted_lanes_pins_every_tier() {
         for k in PIN_WIDTHS {
             for rows in [1, 5] {
                 let panel0 = noise(rows * k, 23 + rows as u64);
@@ -595,7 +601,7 @@ mod tests {
                     .map(|v| v.abs())
                     .collect();
                 let t = thresholds(k);
-                pin_both_tiers(&format!("rows{rows} k{k}"), || {
+                pin_every_tier(&format!("rows{rows} k{k}"), || {
                     let mut panel = panel0.clone();
                     soft_threshold_weighted_lanes(&mut panel, &t, &w, k);
                     panel
@@ -605,17 +611,17 @@ mod tests {
     }
 
     #[test]
-    fn elementwise_kernels_pin_both_tiers() {
+    fn elementwise_kernels_pin_every_tier() {
         for len in PIN_LENS {
             let x = noise(len, 31);
             let at = noise(len, 37);
             let z2 = noise(len, 41);
-            pin_both_tiers(&format!("grad_step len{len}"), || {
+            pin_every_tier(&format!("grad_step len{len}"), || {
                 let mut out = vec![0.0; len];
                 grad_step_lanes(&x, &at, &z2, 0.37, &mut out);
                 out
             });
-            pin_both_tiers(&format!("over_relax len{len}"), || {
+            pin_every_tier(&format!("over_relax len{len}"), || {
                 let mut out = vec![0.0; len];
                 over_relax_lanes(&x, &at, &mut out);
                 out
@@ -651,7 +657,7 @@ mod tests {
         let at = [-0.0, 0.0, -1.5, 2.5];
         let x = [0.0; 4];
         let z2 = [0.0; 4];
-        pin_both_tiers("signed zero", || {
+        pin_every_tier("signed zero", || {
             let mut out = vec![0.0; 4];
             grad_step_lanes(&x, &at, &z2, 1.0, &mut out);
             for (o, &a) in out.iter().zip(&at) {

@@ -33,8 +33,8 @@
 //!    and K = 8: zero allocations there too.
 //! 3. **Batched K-sweep** — the corpus is re-solved through the batched
 //!    lockstep path at K ∈ {1, 3, 4, 5, 8, 16} windows per batch, once
-//!    per SIMD tier (scalar pinned via [`set_override`], then AVX2+FMA
-//!    when the host supports it). Every configuration is asserted
+//!    per tier the host has (scalar, AVX2+FMA, AVX-512F, each pinned via
+//!    [`set_override`]). Every configuration is asserted
 //!    **bit-identical** to the serial decode, one [`solve_pdhg`] per
 //!    window — the batched solves vectorize across the batch dimension
 //!    only, so the per-window arithmetic never changes — and its
@@ -44,14 +44,14 @@
 //!    [`GATE_PASSES`] passes (every pass decodes the whole corpus once
 //!    per configuration, in alternating order), and each
 //!    gate compares the *medians* of the two. The optimized path must
-//!    be ≥ 2× the baseline, and the best batched+SIMD configuration of
-//!    the sweep ≥ 3× the baseline (gated only when the host has
-//!    AVX2+FMA).
+//!    be ≥ 2× the baseline, and the best batched configuration on a
+//!    vector tier (AVX2 or AVX-512) ≥ 3× the baseline (gated only when
+//!    the host has AVX2+FMA).
 //!
 //! The bench report (`BENCH_decode.json` by default, JSONL in the
 //! `hybridcs-obs` export schema) carries the per-window latency
 //! histograms of the gate passes and the `decode_bench_*` gauges,
-//! including one `decode_bench_batch_windows_per_s{k=…, simd=…}` point
+//! including one `decode_bench_batch_windows_per_s{k=…, tier=…}` point
 //! per sweep configuration.
 //!
 //! Environment knobs: `HYBRIDCS_DECODE_WINDOWS` (default 12),
@@ -67,7 +67,7 @@ use hybridcs::codec::{
 };
 use hybridcs::ecg::{EcgGenerator, GeneratorConfig};
 use hybridcs::frontend::{LowResChannel, LowResFrame, SensingMatrix};
-use hybridcs::linalg::simd::{set_override, simd_available};
+use hybridcs::linalg::simd::{available_tiers, set_override, simd_available, Tier};
 use hybridcs::solver::{
     solve_pdhg, solve_pdhg_batch, BatchProblem, BpdnProblem, IterationObserver, LinearOperator,
     NoopObserver, PdhgOptions, RecoveryResult, SolverWorkspace,
@@ -201,7 +201,7 @@ fn batched_pass(
                 assert_eq!(
                     (got.iterations, got.converged),
                     (want.iterations, want.converged),
-                    "batched decode (k = {k}, simd {tier}) diverged from serial at window {}",
+                    "batched decode (k = {k}, {tier}) diverged from serial at window {}",
                     ci * k + j
                 );
                 assert!(
@@ -211,7 +211,7 @@ fn batched_pass(
                             .iter()
                             .zip(&want.signal)
                             .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "batched decode (k = {k}, simd {tier}) not bit-identical to serial at \
+                    "batched decode (k = {k}, {tier}) not bit-identical to serial at \
                      window {}",
                     ci * k + j
                 );
@@ -263,8 +263,8 @@ enum Path {
     Baseline,
     /// `HybridDecoder::decode_workspace`, one window at a time.
     Serial,
-    /// The batched lockstep path at width `k` on the SIMD tier.
-    Batched { k: usize },
+    /// The batched lockstep path at width `k` on a vector tier.
+    Batched { k: usize, tier: Tier },
 }
 
 fn median(samples: &[f64]) -> f64 {
@@ -433,40 +433,38 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|p| solve_pdhg(p, &opts, &mut NoopObserver, &mut ws))
         .collect::<Result<_, _>>()?;
 
-    let tiers: &[(bool, &str)] = if simd_available() {
-        &[(false, "off"), (true, "on")]
-    } else {
+    if !simd_available() {
         println!("decode bench: host lacks AVX2+FMA — sweeping the scalar tier only");
-        &[(false, "off")]
-    };
-    let mut best_batched_simd: Option<(usize, f64)> = None;
-    for &(simd_on, tier) in tiers {
-        set_override(Some(simd_on));
+    }
+    let mut best_batched_simd: Option<(usize, Tier, f64)> = None;
+    for tier in available_tiers() {
+        set_override(Some(tier));
+        let name = tier.name();
         for k in BATCH_WIDTHS {
-            batched_pass(&problems, k, &opts, &mut ws, Some((&reference, tier)))?;
+            batched_pass(&problems, k, &opts, &mut ws, Some((&reference, name)))?;
             let started = Instant::now();
-            batched_pass(&problems, k, &opts, &mut ws, Some((&reference, tier)))?;
+            batched_pass(&problems, k, &opts, &mut ws, Some((&reference, name)))?;
             let secs = started.elapsed().as_secs_f64();
             let batch_throughput = windows as f64 / secs;
             println!(
-                "decode bench: batched k = {k:2} simd {tier:3} {batch_throughput:8.1} windows/s \
+                "decode bench: batched k = {k:2} {name:6} {batch_throughput:8.1} windows/s \
                  (one pass)"
             );
             registry
                 .gauge(
                     "decode_bench_batch_windows_per_s",
-                    &[("k", &format!("{k}")), ("simd", tier)],
+                    &[("k", &format!("{k}")), ("tier", name)],
                 )
                 .set(batch_throughput);
-            if simd_on && k > 1 && best_batched_simd.is_none_or(|(_, s)| secs < s) {
-                best_batched_simd = Some((k, secs));
+            if tier != Tier::Scalar && k > 1 && best_batched_simd.is_none_or(|(_, _, s)| secs < s) {
+                best_batched_simd = Some((k, tier, secs));
             }
         }
     }
     set_override(None);
     println!(
         "decode bench: all {} batched configurations bit-identical to the serial decode",
-        tiers.len() * BATCH_WIDTHS.len()
+        available_tiers().count() * BATCH_WIDTHS.len()
     );
 
     // --- phase 4: speed gates, interleaved -----------------------------
@@ -476,7 +474,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // on odd passes), so each gated configuration alternates with its
     // reference; the gates compare medians over the passes.
     let mut paths = vec![Path::Baseline, Path::Serial];
-    paths.extend(best_batched_simd.map(|(k, _)| Path::Batched { k }));
+    paths.extend(best_batched_simd.map(|(k, tier, _)| Path::Batched { k, tier }));
     let h_base = registry.histogram("decode_window_seconds", &[("path", "baseline")]);
     let h_opt = registry.histogram("decode_window_seconds", &[("path", "optimized")]);
     let mut pass_seconds: Vec<Vec<f64>> = vec![Vec::with_capacity(GATE_PASSES); paths.len()];
@@ -507,8 +505,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                         h_opt.record(t.elapsed().as_secs_f64());
                     }
                 }
-                Path::Batched { k } => {
-                    set_override(Some(true));
+                Path::Batched { k, tier } => {
+                    set_override(Some(tier));
                     let decoded = batched_pass(&problems, k, &opts, &mut ws, None);
                     set_override(None);
                     decoded?;
@@ -547,9 +545,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
         }
     }
-    let batched_speedup = best_batched_simd.map(|(k, _)| {
-        let s = base_s / median_s(Path::Batched { k });
-        println!("decode bench: gate batched k = {k} simd on {s:.2}x vs baseline");
+    let batched_speedup = best_batched_simd.map(|(k, tier, _)| {
+        let s = base_s / median_s(Path::Batched { k, tier });
+        println!(
+            "decode bench: gate batched k = {k} {} {s:.2}x vs baseline",
+            tier.name()
+        );
         registry
             .gauge("decode_bench_batched_speedup", &[("k", &format!("{k}"))])
             .set(s);

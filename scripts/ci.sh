@@ -29,13 +29,14 @@ cargo build --release --offline --workspace --all-targets
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
-echo "==> SIMD kernel pins on both tiers (natural dispatch, then HYBRIDCS_FORCE_SCALAR=1)"
-# The 0-ULP tier pins run each kernel on both tiers in one process: the
-# element-wise linalg/solver kernels are one scalar source compiled twice
-# (baseline, and inside the AVX2 frame of `simd::on_tier`), while the
-# sensing (frontend) and wavelet (dsp) panel kernels compare hand-written
-# AVX2 twins with their scalar loops. Only these release runs reach the
-# vector code: the test profile's opt-level 1 does not vectorize.
+echo "==> SIMD kernel pins on every tier (natural dispatch, then HYBRIDCS_FORCE_SCALAR=1)"
+# The 0-ULP tier pins run each kernel on every tier the host has in one
+# process: the element-wise linalg/solver kernels are one scalar source
+# compiled three times (baseline, and inside the AVX2 and AVX-512 frames
+# of `simd::on_tier`), and the sensing (frontend) and wavelet (dsp) panel
+# kernels are one width-generic body instantiated for `[f64; 4]`,
+# `__m256d` and `__m512d`. Only these release runs reach the vector code:
+# the test profile's opt-level 1 does not vectorize.
 # Re-running the suites with the scalar pin additionally drives every
 # batch bit-identity test through the fallback dispatch path that CI
 # would otherwise only exercise on non-AVX2 hosts. The core (decode
@@ -64,31 +65,51 @@ echo "==> benchmark smoke run (perfbench: every workload for 5 s, correctness au
 # and the per-window parts-sum check.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> codegen guard (every AVX2 frame of simd::on_tier holds vector code)"
+echo "==> codegen guard (every vector frame and panel-kernel entry holds vector code)"
 # `hybridcs_linalg::simd::on_tier` runs a kernel inlined into
-# `avx2_frame`, a frame compiled with AVX2 enabled. When LLVM declines to
-# inline the kernel, the frame compiles to a bare call of baseline code:
-# the AVX2 tier then runs scalar code, with the same bits, so no test can
-# see it. Thin LTO vectorizes after the link step, so the guard
-# disassembles the linked perfbench binary, which runs every kernel of the
-# gateway's decode, and fails when an instance of the frame holds no ymm
-# instruction or when it finds no instance at all. The frame exists on
-# x86_64 only.
+# `avx2_frame` or `avx512_frame`, frames compiled with AVX2 or AVX-512F
+# enabled, and `lane_blocks` runs each panel kernel's width-generic body
+# inlined into `block_avx2` or `block_avx512`. When LLVM declines to
+# inline a kernel, the frame or entry compiles to a bare call of baseline
+# code: the tier then runs scalar code, with the same bits, so no test
+# can see it. Thin LTO vectorizes after the link step, so the guard
+# disassembles the linked perfbench binary, which runs every kernel of
+# the gateway's decode, and fails when an AVX2 instance holds no ymm
+# instruction, an AVX-512 instance no zmm instruction, or when it finds
+# no instance of a kind at all. The frames and entries exist on x86_64
+# only; a host without avx512f skips the AVX-512 half.
 if [ "$(uname -m)" = "x86_64" ]; then
-    AVX2_FRAMES="$(objdump -d --no-show-raw-insn perfbench/target/release/perfbench | awk '
-        /^[0-9a-f]+ <.*avx2_frame.*>:$/ { f = $2; n = 0; next }
-        f && /ymm/ { n++ }
-        /^$/ && f { print n, f; f = "" }
-        END { if (f) print n, f }')"
-    echo "ymm instructions per avx2_frame instance:"
-    echo "$AVX2_FRAMES"
-    if [ -z "$AVX2_FRAMES" ]; then
-        echo "error: found no avx2_frame instance in perfbench" >&2
-        exit 1
-    fi
-    if awk '$1 == 0 { bad = 1 } END { exit !bad }' <<<"$AVX2_FRAMES"; then
-        echo "error: an avx2_frame instance holds no ymm instruction (kernel not inlined)" >&2
-        exit 1
+    PERFBENCH_ASM="$(objdump -d --no-show-raw-insn perfbench/target/release/perfbench)"
+    # Prints "<count> <symbol>" per instance of the symbols matching $1,
+    # counting the instructions that name register class $2.
+    vector_instances() {
+        awk -v sym="$1" -v reg="$2" '
+            /^[0-9a-f]+ <.*>:$/ { if (f) print n, f; f = ($2 ~ sym) ? $2 : ""; n = 0; next }
+            f && $0 ~ reg { n++ }
+            /^$/ && f { print n, f; f = "" }
+            END { if (f) print n, f }' <<<"$PERFBENCH_ASM"
+    }
+    check_instances() {
+        local kind="$1" reg="$2" sym="$3" found
+        found="$(vector_instances "$sym" "$reg")"
+        echo "$reg instructions per $kind instance:"
+        echo "$found"
+        if [ -z "$found" ]; then
+            echo "error: found no $kind instance in perfbench" >&2
+            exit 1
+        fi
+        if awk '$1 == 0 { bad = 1 } END { exit !bad }' <<<"$found"; then
+            echo "error: a $kind instance holds no $reg instruction (kernel not inlined)" >&2
+            exit 1
+        fi
+    }
+    check_instances "avx2_frame" ymm '10avx2_frame'
+    check_instances "block_avx2" ymm '10block_avx2'
+    if grep -qw avx512f /proc/cpuinfo; then
+        check_instances "avx512_frame" zmm '12avx512_frame'
+        check_instances "block_avx512" zmm '12block_avx512'
+    else
+        echo "codegen guard: host lacks avx512f, skipping the AVX-512 frames and entries"
     fi
 fi
 
