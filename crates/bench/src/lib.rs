@@ -18,7 +18,7 @@
 pub mod alloc_counter;
 pub mod micro;
 
-use hybridcs_core::{DecoderAlgorithm, SystemConfig};
+use hybridcs_core::SystemConfig;
 use hybridcs_ecg::{Corpus, CorpusConfig};
 use hybridcs_solver::PdhgOptions;
 
@@ -64,11 +64,11 @@ pub fn eval_corpus() -> Corpus {
 #[must_use]
 pub fn sweep_base_config() -> SystemConfig {
     SystemConfig {
-        algorithm: DecoderAlgorithm::Pdhg(PdhgOptions {
+        pdhg: PdhgOptions {
             max_iterations: 2000,
             tolerance: 5e-5,
             ..PdhgOptions::default()
-        }),
+        },
         ..SystemConfig::default()
     }
 }

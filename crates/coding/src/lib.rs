@@ -16,6 +16,11 @@
 //! * [`LowResCodec`] — the end-to-end frame codec: first sample raw, then
 //!   Huffman-coded differences (regenerates Fig. 6 / Table I).
 //!
+//! Beside them sit the integrity and record primitives the receive side
+//! shares: [`crc32`], and [`ByteWriter`] / [`ByteReader`], the
+//! little-endian record codec of the gateway journal and the ingest wire
+//! protocol.
+//!
 //! # Example
 //!
 //! ```
@@ -42,6 +47,7 @@ mod delta;
 mod error;
 mod frame_codec;
 mod huffman;
+mod record;
 mod rle;
 
 pub use bitstream::{BitReader, BitWriter};
@@ -50,4 +56,5 @@ pub use delta::{delta_decode, delta_encode};
 pub use error::CodingError;
 pub use frame_codec::{LowResCodec, Payload};
 pub use huffman::HuffmanCodebook;
+pub use record::{ByteReader, ByteWriter, Malformed};
 pub use rle::RleLowResCodec;

@@ -137,62 +137,15 @@ impl HybridCodec {
         self.decoder.decode(encoded)
     }
 
-    /// Decodes one window with the normal-CS baseline reconstruction.
+    /// Decodes one window with the normal-CS baseline reconstruction: the
+    /// paper's single-channel digital-CS system, the same measurements
+    /// solved without the low-resolution box.
     ///
     /// # Errors
     ///
     /// See [`HybridDecoder::decode_normal`].
     pub fn decode_normal(&self, encoded: &EncodedWindow) -> Result<DecodedWindow, CoreError> {
         self.decoder.decode_normal(encoded)
-    }
-}
-
-/// The traditional single-channel digital-CS codec: identical RMPI channel,
-/// no parallel path — the baseline system of the paper's comparisons.
-#[derive(Debug, Clone)]
-pub struct NormalCsCodec {
-    inner: HybridCodec,
-}
-
-impl NormalCsCodec {
-    /// Builds the baseline codec for a configuration (the low-resolution
-    /// settings are ignored at decode time; the encoder still needs a codec
-    /// object, so the default-trained one is reused).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on an invalid configuration.
-    pub fn with_default_training(config: &SystemConfig) -> Result<Self, CoreError> {
-        Ok(NormalCsCodec {
-            inner: HybridCodec::with_default_training(config)?,
-        })
-    }
-
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> &SystemConfig {
-        self.inner.config()
-    }
-
-    /// Encodes one window — only the CS measurements are meaningful for
-    /// this codec; the returned [`EncodedWindow::lowres`] payload would not
-    /// be transmitted, and the rate accounting should use
-    /// [`EncodedWindow::cs_payload_bits`].
-    ///
-    /// # Errors
-    ///
-    /// See [`HybridFrontEnd::encode`].
-    pub fn encode(&self, window_mv: &[f64]) -> Result<EncodedWindow, CoreError> {
-        self.inner.encode(window_mv)
-    }
-
-    /// Decodes with plain BPDN (no box).
-    ///
-    /// # Errors
-    ///
-    /// See [`HybridDecoder::decode_normal`].
-    pub fn decode(&self, encoded: &EncodedWindow) -> Result<DecodedWindow, CoreError> {
-        self.inner.decode_normal(encoded)
     }
 }
 
@@ -229,22 +182,11 @@ mod tests {
             measurements: 64,
             ..SystemConfig::default()
         };
-        let codec = NormalCsCodec::with_default_training(&config).unwrap();
+        let codec = HybridCodec::with_default_training(&config).unwrap();
         let window = ecg_window(512, 23);
         let encoded = codec.encode(&window).unwrap();
-        let decoded = codec.decode(&encoded).unwrap();
+        let decoded = codec.decode_normal(&encoded).unwrap();
         assert!(!decoded.used_box);
         assert_eq!(decoded.signal.len(), 512);
-    }
-
-    #[test]
-    fn hybrid_and_normal_share_measurements() {
-        let config = SystemConfig::default();
-        let hybrid = HybridCodec::with_default_training(&config).unwrap();
-        let normal = NormalCsCodec::with_default_training(&config).unwrap();
-        let window = ecg_window(512, 25);
-        let eh = hybrid.encode(&window).unwrap();
-        let en = normal.encode(&window).unwrap();
-        assert_eq!(eh.measurements, en.measurements);
     }
 }

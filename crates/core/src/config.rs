@@ -1,24 +1,6 @@
 use crate::CoreError;
 use hybridcs_dsp::{Dwt, Wavelet};
-use hybridcs_solver::{AdmmOptions, PdhgOptions, ReweightedOptions};
-
-/// Which convex solver the decoder runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DecoderAlgorithm {
-    /// Chambolle–Pock primal–dual (the default decoder).
-    Pdhg(PdhgOptions),
-    /// Three-split ADMM (used by the solver ablation and cross-checks).
-    Admm(AdmmOptions),
-    /// Iteratively-reweighted ℓ₁ around PDHG — a software-only upgrade
-    /// worth a few dB at fixed `m` (see `ablation_weighted_l1`).
-    Reweighted(ReweightedOptions),
-}
-
-impl Default for DecoderAlgorithm {
-    fn default() -> Self {
-        DecoderAlgorithm::Pdhg(PdhgOptions::default())
-    }
-}
+use hybridcs_solver::PdhgOptions;
 
 /// End-to-end system configuration shared by encoder and decoder.
 ///
@@ -59,8 +41,8 @@ pub struct SystemConfig {
     /// Bit depth the compression-ratio accounting treats as "original"
     /// (the paper uses 12-bit originals).
     pub original_bits: u32,
-    /// Decoder algorithm.
-    pub algorithm: DecoderAlgorithm,
+    /// The decoder's PDHG solver options (Eq. (1) is its one program).
+    pub pdhg: PdhgOptions,
 }
 
 impl Default for SystemConfig {
@@ -76,7 +58,7 @@ impl Default for SystemConfig {
             seed: 0xEC61,
             sigma_scale: 1.5,
             original_bits: 12,
-            algorithm: DecoderAlgorithm::default(),
+            pdhg: PdhgOptions::default(),
         }
     }
 }
@@ -231,13 +213,5 @@ mod tests {
         for cfg in bad {
             assert!(cfg.validate().is_err());
         }
-    }
-
-    #[test]
-    fn default_algorithm_is_pdhg() {
-        assert!(matches!(
-            SystemConfig::default().algorithm,
-            DecoderAlgorithm::Pdhg(_)
-        ));
     }
 }

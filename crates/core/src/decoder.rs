@@ -1,11 +1,11 @@
 use crate::codec::{DecodedWindow, EncodedWindow};
-use crate::{CoreError, DecoderAlgorithm, SensingOperator, SystemConfig};
+use crate::{CoreError, SensingOperator, SystemConfig};
 use hybridcs_coding::{LowResCodec, Payload};
 use hybridcs_dsp::Dwt;
 use hybridcs_frontend::{LowResChannel, LowResFrame, MeasurementQuantizer, SensingMatrix};
 use hybridcs_solver::{
-    solve_admm, solve_pdhg, solve_pdhg_batch, solve_reweighted, BatchProblem, BpdnProblem,
-    IterationObserver, LinearOperator, NoopObserver, SolverWorkspace,
+    solve_pdhg_batch, BatchProblem, BpdnProblem, IterationObserver, LinearOperator, NoopObserver,
+    SolverWorkspace,
 };
 
 /// One window's entropy-decoded box bounds (`lo`, `hi`).
@@ -87,7 +87,12 @@ impl HybridDecoder {
     /// Propagates entropy-decoding and solver failures, and rejects windows
     /// encoded under a different configuration.
     pub fn decode(&self, encoded: &EncodedWindow) -> Result<DecodedWindow, CoreError> {
-        self.decode_with_box(encoded, true)
+        self.decode_workspace(
+            encoded,
+            true,
+            &mut NoopObserver,
+            &mut SolverWorkspace::new(),
+        )
     }
 
     /// Decodes one window ignoring the low-resolution side information —
@@ -97,17 +102,9 @@ impl HybridDecoder {
     ///
     /// Same conditions as [`HybridDecoder::decode`].
     pub fn decode_normal(&self, encoded: &EncodedWindow) -> Result<DecodedWindow, CoreError> {
-        self.decode_with_box(encoded, false)
-    }
-
-    fn decode_with_box(
-        &self,
-        encoded: &EncodedWindow,
-        use_box: bool,
-    ) -> Result<DecodedWindow, CoreError> {
         self.decode_workspace(
             encoded,
-            use_box,
+            false,
             &mut NoopObserver,
             &mut SolverWorkspace::new(),
         )
@@ -115,15 +112,20 @@ impl HybridDecoder {
 
     /// [`HybridDecoder::decode`] (or, with `use_box = false`,
     /// [`HybridDecoder::decode_normal`]) with an [`IterationObserver`]
-    /// receiving the configured solver's per-iteration events and final
+    /// receiving the solver's per-iteration events and final
     /// [`ConvergenceTrace`](hybridcs_solver::ConvergenceTrace), drawing all
     /// solver buffers from a caller-owned [`SolverWorkspace`]. Reusing one
     /// workspace across windows keeps the solver inner loop allocation-free
     /// after warm-up; results are bit-identical to the plain entry points.
+    /// This is a one-window group of the decoder's one solve, the lockstep
+    /// batch the gateway runs, so the window decodes here exactly as it
+    /// would beside any other windows.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`HybridDecoder::decode`].
+    /// Same conditions as [`HybridDecoder::decode`]. The checks run in
+    /// order: window length, measurement count, low-res decode, problem
+    /// validation, solver options.
     pub fn decode_workspace(
         &self,
         encoded: &EncodedWindow,
@@ -138,37 +140,9 @@ impl HybridDecoder {
             });
         }
         let lowres = use_box.then_some(&encoded.lowres);
-        self.decode_sections((&encoded.measurements, lowres), observer, ws)
-    }
-
-    /// [`decode_workspace`](HybridDecoder::decode_workspace) on one
-    /// window's borrowed sections: box-constrained when they carry a
-    /// low-res payload, plain CS when they do not.
-    fn decode_sections(
-        &self,
-        sections: Sections<'_>,
-        observer: &mut dyn IterationObserver,
-        ws: &mut SolverWorkspace,
-    ) -> Result<DecodedWindow, CoreError> {
-        let _span = hybridcs_obs::span!("decode");
-        let bounds = self.box_bounds(sections)?;
-        let operator = SensingOperator::with_norm(&self.sensing, self.sensing_norm);
-        let problem = self.problem(&operator, sections.0, bounds.as_ref());
-        let recovery = {
-            let _span = hybridcs_obs::span!("decode.solve");
-            match &self.config.algorithm {
-                DecoderAlgorithm::Pdhg(opts) => solve_pdhg(&problem, opts, observer, ws)?,
-                DecoderAlgorithm::Admm(opts) => solve_admm(&problem, opts, observer, ws)?,
-                DecoderAlgorithm::Reweighted(opts) => {
-                    solve_reweighted(&problem, opts, observer, ws)?
-                }
-            }
-        };
-        Ok(DecodedWindow {
-            signal: recovery.signal.clone(),
-            recovery,
-            used_box: bounds.is_some(),
-        })
+        self.decode_batch(&[(&encoded.measurements, lowres)], &mut [observer], ws)
+            .pop()
+            .expect("decode_batch returns one result per window")
     }
 
     /// The measurement-count check and, when the sections carry a low-res
@@ -218,16 +192,16 @@ impl HybridDecoder {
     }
 
     /// Decodes a group of same-shape windows from their borrowed sections,
-    /// one result per window in input order, each bit-identical to that
-    /// window's one-window decode; `observers[w]` watches window `w`. Each
-    /// window first runs its own checks (measurement count, low-res
-    /// decode, problem validation), so one that fails gets its own error
-    /// and leaves the rest of the group alone. Under PDHG the windows that
-    /// pass run as one lockstep solve over K-wide panels, so the
+    /// one result per window in input order; `observers[w]` watches window
+    /// `w`. This is the decoder's one solve: the one-window entry points
+    /// run it on a group of one, and the decode ladder on each rung's
+    /// group. Each window first runs its own checks (measurement count,
+    /// low-res decode, problem validation), so one that fails gets its own
+    /// error and leaves the rest of the group alone. The windows that pass
+    /// run as one lockstep PDHG solve over K-wide panels, so the
     /// packed-sign and wavelet kernels amortize their table work across
-    /// the group (and vectorize across it when SIMD is enabled). ADMM and
-    /// reweighted ℓ₁ have no lockstep solver: their windows decode one at
-    /// a time.
+    /// the group (and vectorize across it on a vector tier), and each
+    /// window's result is bit-identical to its one-window decode.
     pub(crate) fn decode_batch(
         &self,
         windows: &[Sections<'_>],
@@ -235,13 +209,6 @@ impl HybridDecoder {
         ws: &mut SolverWorkspace,
     ) -> Vec<Result<DecodedWindow, CoreError>> {
         let _span = hybridcs_obs::span!("decode.batch");
-        let DecoderAlgorithm::Pdhg(options) = &self.config.algorithm else {
-            return windows
-                .iter()
-                .zip(observers)
-                .map(|(&sections, observer)| self.decode_sections(sections, &mut **observer, ws))
-                .collect();
-        };
         let operator = SensingOperator::with_norm(&self.sensing, self.sensing_norm);
         let checked: Vec<Result<Option<BoxBounds>, CoreError>> = windows
             .iter()
@@ -269,8 +236,9 @@ impl HybridDecoder {
         let mut results = Vec::new();
         let solved = {
             let _span = hybridcs_obs::span!("decode.solve");
-            BatchProblem::new(&problems)
-                .and_then(|batch| solve_pdhg_batch(&batch, options, &mut refs, ws, &mut results))
+            BatchProblem::new(&problems).and_then(|batch| {
+                solve_pdhg_batch(&batch, &self.config.pdhg, &mut refs, ws, &mut results)
+            })
         };
         let mut results = results.into_iter();
         checked
@@ -376,6 +344,62 @@ mod tests {
             dec.decode(&encoded),
             Err(CoreError::WindowMismatch { .. })
         ));
+    }
+
+    /// A one-window decode reports the first check its window fails, in
+    /// order: window length, measurement count, low-res decode, problem
+    /// validation, then the solver options.
+    #[test]
+    fn one_window_decode_checks_run_in_order() {
+        use hybridcs_solver::{PdhgOptions, SolverError};
+        let config = SystemConfig {
+            measurements: 64,
+            pdhg: PdhgOptions {
+                max_iterations: 0,
+                ..PdhgOptions::default()
+            },
+            ..SystemConfig::default()
+        };
+        let (fe, dec) = pair(&config);
+        let mut encoded = fe.encode(&ecg_window(&config, 29)).unwrap();
+        assert!(matches!(
+            dec.decode(&encoded),
+            Err(CoreError::Solver(SolverError::BadParameter {
+                name: "max_iterations",
+                ..
+            }))
+        ));
+        encoded.measurements[3] = f64::NAN;
+        assert!(matches!(
+            dec.decode(&encoded),
+            Err(CoreError::Solver(SolverError::NonFinite { index: 3, .. }))
+        ));
+        encoded.lowres = Payload {
+            bytes: Vec::new(),
+            bit_len: 0,
+        };
+        assert!(matches!(dec.decode(&encoded), Err(CoreError::Coding(_))));
+        // Without the box the payload is never read.
+        assert!(matches!(
+            dec.decode_normal(&encoded),
+            Err(CoreError::Solver(SolverError::NonFinite { index: 3, .. }))
+        ));
+        encoded.measurements.pop();
+        assert_eq!(
+            dec.decode(&encoded),
+            Err(CoreError::WindowMismatch {
+                expected: 64,
+                actual: 63
+            })
+        );
+        encoded.window_len = 256;
+        assert_eq!(
+            dec.decode(&encoded),
+            Err(CoreError::WindowMismatch {
+                expected: 512,
+                actual: 256
+            })
+        );
     }
 
     #[test]

@@ -330,11 +330,11 @@ mod tests {
 
     fn fast_base() -> SystemConfig {
         SystemConfig {
-            algorithm: crate::DecoderAlgorithm::Pdhg(PdhgOptions {
+            pdhg: PdhgOptions {
                 max_iterations: 400,
                 tolerance: 1e-4,
                 ..PdhgOptions::default()
-            }),
+            },
             ..SystemConfig::default()
         }
     }
@@ -387,34 +387,6 @@ mod tests {
         );
         // Degenerate inputs error.
         assert!(select_operating_point(&corpus, &fast_base(), 10.0, &[], 1).is_err());
-    }
-
-    #[test]
-    fn reweighted_decoder_end_to_end() {
-        let corpus = Corpus::generate(&CorpusConfig {
-            records: 1,
-            duration_s: 2.0,
-            seed: 13,
-        });
-        let window = &corpus.records()[0].samples_mv()[..512];
-        let config = SystemConfig {
-            measurements: 64,
-            algorithm: crate::DecoderAlgorithm::Reweighted(hybridcs_solver::ReweightedOptions {
-                outer_iterations: 2,
-                inner: PdhgOptions {
-                    max_iterations: 400,
-                    tolerance: 1e-4,
-                    ..PdhgOptions::default()
-                },
-                ..hybridcs_solver::ReweightedOptions::default()
-            }),
-            ..SystemConfig::default()
-        };
-        let codec = HybridCodec::with_default_training(&config).unwrap();
-        let encoded = codec.encode(window).unwrap();
-        let decoded = codec.decode(&encoded).unwrap();
-        let snr = hybridcs_metrics::snr_db(window, &decoded.signal);
-        assert!(snr > 14.0, "reweighted end-to-end SNR {snr}");
     }
 
     #[test]

@@ -12,9 +12,11 @@
 //!
 //! At the receiver, [`HybridDecoder`] turns the low-resolution codes into
 //! per-sample box bounds and solves the paper's Eq. (1) — box-constrained
-//! basis-pursuit denoising — with a first-order convex solver. The same
-//! machinery minus the parallel channel is [`NormalCsCodec`], the baseline
-//! the paper compares against.
+//! basis-pursuit denoising — with one program, the lockstep PDHG solve
+//! ([`solve_pdhg_batch`](hybridcs_solver::solve_pdhg_batch)) configured by
+//! [`SystemConfig::pdhg`]. The same solve without the box,
+//! [`HybridDecoder::decode_normal`], is the normal-CS baseline the paper
+//! compares against.
 //!
 //! [`experiment`] hosts the corpus sweep runner used by the figure
 //! regenerators (quality vs compression ratio, per-record box plots).
@@ -63,8 +65,8 @@ pub mod telemetry;
 mod training;
 
 pub use adapter::SensingOperator;
-pub use codec::{DecodedWindow, EncodedWindow, HybridCodec, NormalCsCodec};
-pub use config::{DecoderAlgorithm, SystemConfig};
+pub use codec::{DecodedWindow, EncodedWindow, HybridCodec};
+pub use config::SystemConfig;
 pub use decoder::HybridDecoder;
 pub use encoder::HybridFrontEnd;
 pub use error::CoreError;

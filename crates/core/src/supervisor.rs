@@ -44,13 +44,14 @@
 //! `supervisor_*` names, and watchdog trips under `solver_watchdog_trips` —
 //! so a resilience run can report exactly how it degraded.
 //!
-//! Unlike the plain decoder path, every supervised solve runs with an
-//! *active* observer (the watchdog). Its checks read values the decoder's
-//! solvers already compute (under PDHG, the new iterate's ℓ₁ objective
-//! and the residual at the extrapolated point the dual step pushed
-//! through `Φ`; ADMM reports the `Φx` it holds), so a watched solve
-//! applies `Φ` as often as the plain [`HybridDecoder`] path and returns
-//! the same bits; the watch itself costs two reductions and a few
+//! Each solver rung is one [`HybridDecoder`] group solve, the same
+//! lockstep PDHG solve [`HybridDecoder::decode`] runs on a group of one,
+//! but watched: every supervised solve runs with an *active* observer
+//! (the watchdog) where `decode` passes a no-op one. Its checks read
+//! values the solve already computes (the new iterate's ℓ₁ objective and
+//! the residual at the extrapolated point the dual step pushed through
+//! `Φ`), so a watched solve applies `Φ` as often as an unwatched one and
+//! returns the same bits; the watch itself costs two reductions and a few
 //! comparisons per iteration.
 
 use crate::codec::DecodedWindow;
@@ -716,18 +717,12 @@ mod tests {
     use super::*;
     use crate::codec::EncodedWindow;
     use crate::experiment::default_training_windows;
-    use crate::{train_lowres_codec, DecoderAlgorithm, HybridFrontEnd};
+    use crate::{train_lowres_codec, HybridFrontEnd};
     use hybridcs_ecg::{EcgGenerator, GeneratorConfig};
-    use hybridcs_solver::{AdmmOptions, PdhgOptions, ReweightedOptions};
 
     fn setup() -> (HybridFrontEnd, RecoverySupervisor, Vec<f64>) {
-        setup_with(SystemConfig::default().algorithm)
-    }
-
-    fn setup_with(algorithm: DecoderAlgorithm) -> (HybridFrontEnd, RecoverySupervisor, Vec<f64>) {
         let config = SystemConfig {
             measurements: 64,
-            algorithm,
             ..SystemConfig::default()
         };
         let codec =
@@ -857,117 +852,130 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Under every decoder algorithm (PDHG, which solves the group in
-    /// lockstep, and reweighted ℓ₁ and ADMM, which solve it one window at
-    /// a time), one group and four one-job walks give the same outcomes
-    /// for every section-survival pattern, including shed and lost
-    /// windows, and the solver rungs commit exactly the serial decoder's
-    /// bits.
+    /// The full frame's sections as one-window decodes read them.
+    fn encoded_of(ladder: &DecodeLadder, parsed: &ParsedSections) -> EncodedWindow {
+        EncodedWindow {
+            measurements: parsed.measurements.clone().unwrap(),
+            lowres: parsed.lowres.clone().unwrap(),
+            window_len: ladder.config().window,
+            measurement_bits: ladder.config().measurement_bits,
+        }
+    }
+
+    /// Asserts that a solver rung committed `serial`'s decode bit for bit.
+    fn assert_commits(outcome: &LadderOutcome, serial: &DecodedWindow, window: usize) {
+        let (_, signal, decoded) = outcome.chosen.as_ref().unwrap();
+        let decoded = decoded.as_ref().unwrap();
+        assert_eq!(
+            bits(signal),
+            bits(&serial.signal),
+            "window {window}: signal"
+        );
+        assert_eq!(bits(&decoded.signal), bits(&serial.signal));
+        assert_eq!(decoded.used_box, serial.used_box);
+        assert_eq!(decoded.recovery.iterations, serial.recovery.iterations);
+        assert_eq!(decoded.recovery.converged, serial.recovery.converged);
+        assert_eq!(
+            decoded.recovery.residual.to_bits(),
+            serial.recovery.residual.to_bits()
+        );
+        assert_eq!(
+            decoded.recovery.objective.to_bits(),
+            serial.recovery.objective.to_bits()
+        );
+    }
+
+    /// One group and four one-job walks give the same outcomes for every
+    /// section-survival pattern, including shed and lost windows, and the
+    /// solver rungs commit exactly the serial decoder's bits. At the
+    /// gateway's panel width, a group of 16 full frames commits on the
+    /// hybrid rung exactly what 16 one-window decodes return.
     #[test]
     fn batched_ladder_matches_serial_per_window() {
-        let pdhg = PdhgOptions {
-            max_iterations: 300,
-            ..PdhgOptions::default()
-        };
-        let algorithms = [
-            SystemConfig::default().algorithm,
-            DecoderAlgorithm::Reweighted(ReweightedOptions {
-                outer_iterations: 2,
-                inner: pdhg,
-                ..ReweightedOptions::default()
-            }),
-            DecoderAlgorithm::Admm(AdmmOptions {
-                max_iterations: 60,
-                ..AdmmOptions::default()
-            }),
-        ];
-        for algorithm in algorithms {
-            let (frontend, supervisor, window) = setup_with(algorithm);
-            let ladder = supervisor.ladder();
-            let generator = EcgGenerator::new(GeneratorConfig::normal_sinus()).unwrap();
-            let windows: Vec<Vec<f64>> = (0..4)
-                .map(|w| generator.generate(2.0, 0x6E_00 + w)[..window.len()].to_vec())
-                .collect();
-            let parsed: Vec<ParsedSections> = windows
-                .iter()
-                .enumerate()
-                .map(|(i, w)| {
-                    let encoded = frontend.encode(w).unwrap();
+        let (frontend, supervisor, window) = setup();
+        let ladder = supervisor.ladder();
+        let generator = EcgGenerator::new(GeneratorConfig::normal_sinus()).unwrap();
+        let frames = |seed: u64, count: u64| -> Vec<ParsedSections> {
+            (0..count)
+                .map(|w| {
+                    let signal = &generator.generate(2.0, seed + w)[..window.len()];
+                    let encoded = frontend.encode(signal).unwrap();
                     let bytes = ladder
                         .frame_codec()
-                        .serialize(u32::try_from(i).unwrap(), &encoded)
+                        .serialize(u32::try_from(w).unwrap(), &encoded)
                         .unwrap();
                     ladder.parse(Some(&bytes))
                 })
-                .collect();
-            // Full frame / measurements-only / low-res-only / shed — one of each.
-            let jobs: Vec<LadderJob<'_>> = parsed
-                .iter()
-                .enumerate()
-                .map(|(i, p)| LadderJob {
-                    measurements: if i == 2 {
-                        None
-                    } else {
-                        p.measurements.as_deref()
-                    },
-                    lowres: if i == 1 { None } else { p.lowres.as_ref() },
-                    skip_solvers: i == 3,
-                    context: None,
-                })
-                .collect();
-            let mut ws = SolverWorkspace::new();
-            let alone: Vec<LadderOutcome> = jobs
-                .iter()
-                .map(|j| ladder.solve_with(j.measurements, j.lowres, j.skip_solvers, &mut ws))
-                .collect();
-            let grouped = ladder.solve_batch_with(&jobs, &mut ws);
-            assert_eq!(grouped, alone);
-            let rungs: Vec<Option<LadderRung>> = grouped
-                .iter()
-                .map(|o| o.chosen.as_ref().map(|(rung, _, _)| *rung))
-                .collect();
-            assert_eq!(
-                rungs,
-                [
-                    LadderRung::Hybrid,
-                    LadderRung::CsOnly,
-                    LadderRung::LowResOnly,
-                    LadderRung::LowResOnly
-                ]
-                .map(Some)
-            );
+                .collect()
+        };
+        let parsed = frames(0x6E_00, 4);
+        // Full frame / measurements-only / low-res-only / shed — one of each.
+        let jobs: Vec<LadderJob<'_>> = parsed
+            .iter()
+            .enumerate()
+            .map(|(i, p)| LadderJob {
+                measurements: if i == 2 {
+                    None
+                } else {
+                    p.measurements.as_deref()
+                },
+                lowres: if i == 1 { None } else { p.lowres.as_ref() },
+                skip_solvers: i == 3,
+                context: None,
+            })
+            .collect();
+        let mut ws = SolverWorkspace::new();
+        let alone: Vec<LadderOutcome> = jobs
+            .iter()
+            .map(|j| ladder.solve_with(j.measurements, j.lowres, j.skip_solvers, &mut ws))
+            .collect();
+        let grouped = ladder.solve_batch_with(&jobs, &mut ws);
+        assert_eq!(grouped, alone);
+        let rungs: Vec<Option<LadderRung>> = grouped
+            .iter()
+            .map(|o| o.chosen.as_ref().map(|(rung, _, _)| *rung))
+            .collect();
+        assert_eq!(
+            rungs,
+            [
+                LadderRung::Hybrid,
+                LadderRung::CsOnly,
+                LadderRung::LowResOnly,
+                LadderRung::LowResOnly
+            ]
+            .map(Some)
+        );
 
-            // The hybrid and CS-only windows against the serial decoder, each
-            // under a fresh watchdog (without the box it reads no low-res).
-            for (i, use_box) in [(0, true), (1, false)] {
-                let encoded = EncodedWindow {
-                    measurements: parsed[i].measurements.clone().unwrap(),
-                    lowres: parsed[i].lowres.clone().unwrap(),
-                    window_len: window.len(),
-                    measurement_bits: ladder.config().measurement_bits,
-                };
-                let mut dog = SolverWatchdog::new(SupervisorConfig::default().watchdog);
-                let serial = ladder
-                    .decoder
-                    .decode_workspace(&encoded, use_box, &mut dog, &mut ws)
-                    .unwrap();
-                assert!(dog.trip().is_none());
-                let (_, signal, decoded) = grouped[i].chosen.as_ref().unwrap();
-                let decoded = decoded.as_ref().unwrap();
-                assert_eq!(bits(signal), bits(&serial.signal), "window {i}: signal");
-                assert_eq!(bits(&decoded.signal), bits(&serial.signal));
-                assert_eq!(decoded.used_box, use_box);
-                assert_eq!(decoded.recovery.iterations, serial.recovery.iterations);
-                assert_eq!(decoded.recovery.converged, serial.recovery.converged);
-                assert_eq!(
-                    decoded.recovery.residual.to_bits(),
-                    serial.recovery.residual.to_bits()
-                );
-                assert_eq!(
-                    decoded.recovery.objective.to_bits(),
-                    serial.recovery.objective.to_bits()
-                );
-            }
+        // The hybrid and CS-only windows against the serial decoder, each
+        // under a fresh watchdog (without the box it reads no low-res).
+        for (i, use_box) in [(0, true), (1, false)] {
+            let mut dog = SolverWatchdog::new(SupervisorConfig::default().watchdog);
+            let serial = ladder
+                .decoder
+                .decode_workspace(&encoded_of(ladder, &parsed[i]), use_box, &mut dog, &mut ws)
+                .unwrap();
+            assert!(dog.trip().is_none());
+            assert_eq!(serial.used_box, use_box);
+            assert_commits(&grouped[i], &serial, i);
+        }
+
+        // Sixteen full frames: one K = 16 hybrid solve.
+        let parsed = frames(0x6F_00, 16);
+        let jobs: Vec<LadderJob<'_>> = parsed
+            .iter()
+            .map(|p| LadderJob {
+                measurements: p.measurements.as_deref(),
+                lowres: p.lowres.as_ref(),
+                skip_solvers: false,
+                context: None,
+            })
+            .collect();
+        let grouped = ladder.solve_batch_with(&jobs, &mut ws);
+        for (i, (outcome, p)) in grouped.iter().zip(&parsed).enumerate() {
+            assert!(outcome.demotions.is_empty(), "window {i}");
+            assert_eq!(outcome.chosen.as_ref().unwrap().0, LadderRung::Hybrid);
+            let serial = ladder.decoder.decode(&encoded_of(ladder, p)).unwrap();
+            assert_commits(outcome, &serial, i);
         }
     }
 

@@ -21,9 +21,11 @@
 //! `hybridcs-coding`, the same polynomial the telemetry frames use). The
 //! first record is always [`Record::Genesis`], pinning a fingerprint of
 //! the gateway configuration; [`Record::Checkpoint`] records carry a full
-//! serialized snapshot of every session's state. All integers are
-//! little-endian; every `f64` travels as its exact IEEE bit pattern, so a
-//! restored ledger is bit-identical, not merely close.
+//! serialized snapshot of every session's state. Payloads are written
+//! with `hybridcs-coding`'s record codec ([`ByteWriter`]), which the wire
+//! protocol shares: all integers are little-endian, and every `f64`
+//! travels as its exact IEEE bit pattern, so a restored ledger is
+//! bit-identical, not merely close.
 //!
 //! # Group commit
 //!
@@ -51,7 +53,7 @@ use std::collections::BTreeSet;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 
-use hybridcs_coding::{crc32, LowResCodec, Payload};
+use hybridcs_coding::{crc32, ByteReader, ByteWriter, LowResCodec, Malformed, Payload};
 use hybridcs_core::{DecodedWindow, LadderRung, LedgerState, ParsedSections};
 use hybridcs_core::{SupervisedWindow, SystemConfig};
 use hybridcs_faults::{ArqState, JournalStore, StoreError};
@@ -66,181 +68,6 @@ pub const MAX_RECORD_BYTES: usize = 1 << 26;
 
 /// Bytes of framing ahead of every payload (`len` + `crc`).
 pub const FRAME_HEADER_BYTES: usize = 8;
-
-/// Journal record payload decode error: the payload is not a record this
-/// build writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Malformed;
-
-// ---------------------------------------------------------------------------
-// Byte-level encoding primitives
-// ---------------------------------------------------------------------------
-
-/// Little-endian append-only writer (thin, but keeps every encode site
-/// symmetric with [`ByteReader`]).
-pub(crate) struct ByteWriter {
-    buf: Vec<u8>,
-}
-
-impl ByteWriter {
-    pub(crate) fn new() -> Self {
-        ByteWriter { buf: Vec::new() }
-    }
-
-    pub(crate) fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    pub(crate) fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    /// A `u32` length prefix.
-    fn len(&mut self, len: usize) {
-        self.u32(u32::try_from(len).expect("journal lengths fit u32"));
-    }
-
-    pub(crate) fn bytes(&mut self, v: &[u8]) {
-        self.len(v.len());
-        self.buf.extend_from_slice(v);
-    }
-
-    pub(crate) fn f64s(&mut self, v: &[f64]) {
-        self.seq(v.iter(), |w, x| w.f64(*x));
-    }
-
-    /// A length prefix, then every item as `put` writes it.
-    pub(crate) fn seq<'a, T: 'a>(
-        &mut self,
-        items: impl ExactSizeIterator<Item = &'a T>,
-        mut put: impl FnMut(&mut Self, &T),
-    ) {
-        self.len(items.len());
-        for item in items {
-            put(self, item);
-        }
-    }
-
-    /// `0` for `None`; `1`, then the value as `put` writes it.
-    pub(crate) fn opt<T>(&mut self, v: Option<&T>, put: impl FnOnce(&mut Self, &T)) {
-        match v {
-            None => self.u8(0),
-            Some(x) => {
-                self.u8(1);
-                put(self, x);
-            }
-        }
-    }
-
-    pub(crate) fn opt_u32(&mut self, v: Option<u32>) {
-        self.opt(v.as_ref(), |w, x| w.u32(*x));
-    }
-
-    pub(crate) fn finish(self) -> Vec<u8> {
-        self.buf
-    }
-}
-
-/// Checked little-endian reader: every read verifies the bytes exist, and
-/// every length prefix is validated against the remaining input before
-/// allocating — adversarial journals cannot cause panics or huge
-/// allocations.
-pub(crate) struct ByteReader<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    pub(crate) fn new(data: &'a [u8]) -> Self {
-        ByteReader { data, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], Malformed> {
-        let end = self.pos.checked_add(n).ok_or(Malformed)?;
-        if end > self.data.len() {
-            return Err(Malformed);
-        }
-        let out = &self.data[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, Malformed> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, Malformed> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, Malformed> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64, Malformed> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    pub(crate) fn bytes(&mut self) -> Result<Vec<u8>, Malformed> {
-        let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
-    }
-
-    pub(crate) fn f64s(&mut self) -> Result<Vec<f64>, Malformed> {
-        self.seq(8, Self::f64)
-    }
-
-    /// A length prefix, then that many items as `get` reads them. Every
-    /// item takes at least `min_bytes`, so a length the remaining input
-    /// cannot cover is refused before anything is allocated.
-    pub(crate) fn seq<T>(
-        &mut self,
-        min_bytes: usize,
-        mut get: impl FnMut(&mut Self) -> Result<T, Malformed>,
-    ) -> Result<Vec<T>, Malformed> {
-        let len = self.u32()? as usize;
-        if len.checked_mul(min_bytes).ok_or(Malformed)? > self.data.len() - self.pos {
-            return Err(Malformed);
-        }
-        (0..len).map(|_| get(self)).collect()
-    }
-
-    /// `None` for a `0` tag; for `1`, the value as `get` reads it.
-    pub(crate) fn opt<T>(
-        &mut self,
-        get: impl FnOnce(&mut Self) -> Result<T, Malformed>,
-    ) -> Result<Option<T>, Malformed> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => get(self).map(Some),
-            _ => Err(Malformed),
-        }
-    }
-
-    pub(crate) fn opt_u32(&mut self) -> Result<Option<u32>, Malformed> {
-        self.opt(Self::u32)
-    }
-
-    pub(crate) fn done(&self) -> Result<(), Malformed> {
-        if self.pos == self.data.len() {
-            Ok(())
-        } else {
-            Err(Malformed)
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Fingerprints
@@ -426,7 +253,7 @@ impl Record {
             },
             TAG_PUSH => Record::Push {
                 id: r.u64()?,
-                packet: r.bytes()?,
+                packet: r.bytes()?.to_vec(),
             },
             TAG_NOTIFY_LOST => Record::NotifyLost {
                 id: r.u64()?,
@@ -587,7 +414,7 @@ fn decode_sections(r: &mut ByteReader<'_>) -> Result<ParsedSections, Malformed> 
         measurements: r.opt(ByteReader::f64s)?,
         lowres: r.opt(|r| {
             Ok(Payload {
-                bytes: r.bytes()?,
+                bytes: r.bytes()?.to_vec(),
                 bit_len: usize::try_from(r.u64()?).unwrap_or(usize::MAX),
             })
         })?,

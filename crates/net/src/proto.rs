@@ -23,7 +23,11 @@
 //! [`client`](crate::client); this module is pure bytes and never
 //! panics on any input.
 
-use hybridcs_coding::crc32;
+use hybridcs_coding::{crc32, ByteReader, ByteWriter};
+
+/// A payload that does not decode as any message (the record codec's
+/// error, shared with the gateway journal).
+pub use hybridcs_coding::Malformed;
 
 /// Protocol version carried in [`Message::Hello`]; bumped on any wire
 /// change.
@@ -233,99 +237,10 @@ impl Message {
     }
 }
 
-/// Little-endian payload writer (mirrors the journal's `ByteWriter`).
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn new() -> Self {
-        Writer { buf: Vec::new() }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn bytes(&mut self, v: &[u8]) {
-        self.u32(v.len() as u32);
-        self.buf.extend_from_slice(v);
-    }
-}
-
-/// Checked little-endian payload reader: every read is bounds-checked
-/// and [`finish`](Reader::finish) rejects trailing garbage, so a decoded
-/// message is exactly its payload.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-/// A payload that does not decode as any message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Malformed;
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], Malformed> {
-        let end = self.pos.checked_add(n).ok_or(Malformed)?;
-        if end > self.buf.len() {
-            return Err(Malformed);
-        }
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, Malformed> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, Malformed> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, Malformed> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, Malformed> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn bytes(&mut self) -> Result<&'a [u8], Malformed> {
-        let len = self.u32()? as usize;
-        self.take(len)
-    }
-
-    fn finish(self) -> Result<(), Malformed> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(Malformed)
-        }
-    }
-}
-
 /// Serializes one message into its payload bytes (no frame header).
 #[must_use]
 pub fn encode_payload(message: &Message) -> Vec<u8> {
-    let mut w = Writer::new();
+    let mut w = ByteWriter::new();
     w.u8(message.tag());
     match message {
         Message::Hello {
@@ -362,25 +277,20 @@ pub fn encode_payload(message: &Message) -> Vec<u8> {
             w.bytes(packet);
         }
         Message::Credit { granted } => w.u64(*granted),
-        Message::Nack { sequences } => {
-            w.u32(sequences.len() as u32);
-            for seq in sequences {
-                w.u32(*seq);
-            }
-        }
+        Message::Nack { sequences } => w.seq(sequences.iter(), |w, seq| w.u32(*seq)),
         Message::FrameLost { sequence } => w.u32(*sequence),
         Message::Heartbeat { sent_through } => w.u32(*sent_through),
         Message::Overload { level } => w.u8(*level),
         Message::Close => {}
         Message::CloseAck { committed } => w.u64(*committed),
     }
-    w.buf
+    w.finish()
 }
 
 /// Parses one payload back into a message. Any deviation — unknown tag,
 /// short field, trailing bytes, oversized inner length — is [`Malformed`].
 pub fn decode_payload(payload: &[u8]) -> Result<Message, Malformed> {
-    let mut r = Reader::new(payload);
+    let mut r = ByteReader::new(payload);
     let tag = r.u8()?;
     let message = match tag {
         0 => Message::Hello {
@@ -413,19 +323,11 @@ pub fn decode_payload(payload: &[u8]) -> Result<Message, Malformed> {
             packet: r.bytes()?.to_vec(),
         },
         6 => Message::Credit { granted: r.u64()? },
-        7 => {
-            let count = r.u32()? as usize;
-            // Each sequence costs 4 bytes; a count the payload cannot
-            // hold is a lie, not an allocation request.
-            if count > payload.len() / 4 {
-                return Err(Malformed);
-            }
-            let mut sequences = Vec::with_capacity(count);
-            for _ in 0..count {
-                sequences.push(r.u32()?);
-            }
-            Message::Nack { sequences }
-        }
+        // Each sequence costs 4 bytes; a count the payload cannot hold
+        // is a lie, not an allocation request.
+        7 => Message::Nack {
+            sequences: r.seq(4, ByteReader::u32)?,
+        },
         8 => Message::FrameLost { sequence: r.u32()? },
         9 => Message::Heartbeat {
             sent_through: r.u32()?,
@@ -437,7 +339,7 @@ pub fn decode_payload(payload: &[u8]) -> Result<Message, Malformed> {
         },
         _ => return Err(Malformed),
     };
-    r.finish()?;
+    r.done()?;
     Ok(message)
 }
 

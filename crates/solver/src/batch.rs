@@ -23,14 +23,16 @@
 //! its contiguous reference:
 //!
 //! * the element-wise lane kernels ([`hybridcs_linalg::simd`],
-//!   [`crate::simd`]) are one scalar loop each, which the AVX2 tier runs
-//!   compiled with AVX2 enabled, so both tiers perform the same
-//!   per-element operations;
+//!   [`crate::simd`]) are one scalar loop each, which the AVX2 and
+//!   AVX-512 tiers run compiled with those features enabled, so all three
+//!   tiers perform the same per-element operations;
 //! * the DWT panel transforms and the batched sensing operators vectorize
 //!   across *lanes* only — per-lane operation order never changes — and
-//!   their hand-written AVX2 tier is pinned 0-ULP against its scalar twin;
-//!   their lanes outside a 4-wide vector (every lane when K < 4) run the
-//!   serial kernels themselves;
+//!   each is one width-generic body
+//!   ([`F64Vector`](hybridcs_linalg::simd::F64Vector)) instantiated for
+//!   every tier and pinned 0-ULP across the tiers the host has; their
+//!   lanes outside a 4-wide vector (every lane when K < 4) run the serial
+//!   kernels themselves;
 //! * the box and ℓ₂-ball dual steps run every lane in one pass each over
 //!   per-window bound and measurement panels, scattered once at solve
 //!   start ([`crate::simd::box_dual_lanes`],

@@ -62,8 +62,7 @@
 
 use hybridcs::codec::experiment::default_training_windows;
 use hybridcs::codec::{
-    train_lowres_codec, DecoderAlgorithm, EncodedWindow, HybridDecoder, HybridFrontEnd,
-    SensingOperator, SystemConfig,
+    train_lowres_codec, EncodedWindow, HybridDecoder, HybridFrontEnd, SensingOperator, SystemConfig,
 };
 use hybridcs::ecg::{EcgGenerator, GeneratorConfig};
 use hybridcs::frontend::{LowResChannel, LowResFrame, SensingMatrix};
@@ -286,10 +285,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let registry = hybridcs::obs::global();
 
     let config = SystemConfig::default(); // 512-sample windows, m = 96
-    let DecoderAlgorithm::Pdhg(pdhg) = &config.algorithm else {
-        return Err("decode bench expects the default PDHG configuration".into());
-    };
-    let opts: PdhgOptions = *pdhg;
+    let opts: PdhgOptions = config.pdhg;
     let lowres = train_lowres_codec(config.lowres_bits, &default_training_windows(config.window))?;
     let frontend = HybridFrontEnd::new(&config, lowres.clone())?;
     let decoder = HybridDecoder::new(&config, lowres.clone())?;

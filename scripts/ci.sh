@@ -41,9 +41,10 @@ echo "==> SIMD kernel pins on every tier (natural dispatch, then HYBRIDCS_FORCE_
 # batch bit-identity test through the fallback dispatch path that CI
 # would otherwise only exercise on non-AVX2 hosts. The core (decode
 # ladder) and gateway (flush) suites ride along: their batched-vs-serial
-# tests run the same kernels.
+# tests run the same kernels. So does the root package, whose golden
+# PRD/SNR, end-to-end and determinism pins decode through them.
 SIMD_CRATES=(-p hybridcs-linalg -p hybridcs-solver -p hybridcs-frontend -p hybridcs-dsp
-    -p hybridcs-core -p hybridcs-gateway)
+    -p hybridcs-core -p hybridcs-gateway -p hybridcs)
 cargo test -q --release --offline "${SIMD_CRATES[@]}"
 HYBRIDCS_FORCE_SCALAR=1 \
     cargo test -q --release --offline "${SIMD_CRATES[@]}"

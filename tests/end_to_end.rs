@@ -2,20 +2,23 @@
 //! corpus → hybrid front end → telemetry payload → convex decoder →
 //! quality/rate metrics.
 
-use hybridcs::codec::{DecoderAlgorithm, HybridCodec, NormalCsCodec, SystemConfig};
+use hybridcs::codec::experiment::default_training_windows;
+use hybridcs::codec::{train_lowres_codec, HybridCodec, SensingOperator, SystemConfig};
 use hybridcs::ecg::{Corpus, CorpusConfig};
-use hybridcs::frontend::LowResChannel;
+use hybridcs::frontend::{LowResChannel, LowResFrame, SensingMatrix};
 use hybridcs::metrics::{prd, snr_db};
-use hybridcs::solver::PdhgOptions;
+use hybridcs::solver::{
+    solve_admm, AdmmOptions, BpdnProblem, NoopObserver, PdhgOptions, SolverWorkspace,
+};
 
 fn fast_config(measurements: usize) -> SystemConfig {
     SystemConfig {
         measurements,
-        algorithm: DecoderAlgorithm::Pdhg(PdhgOptions {
+        pdhg: PdhgOptions {
             max_iterations: 800,
             tolerance: 1e-4,
             ..PdhgOptions::default()
-        }),
+        },
         ..SystemConfig::default()
     }
 }
@@ -45,12 +48,11 @@ fn normal_cs_collapses_at_high_cr_but_hybrid_does_not() {
     // The paper's core claim (Fig. 7): at CR ≈ 97% normal CS fails while
     // hybrid CS stays useful.
     let config = fast_config(16);
-    let hybrid = HybridCodec::with_default_training(&config).unwrap();
-    let normal = NormalCsCodec::with_default_training(&config).unwrap();
+    let codec = HybridCodec::with_default_training(&config).unwrap();
     let window = one_window(0xB0B);
-    let encoded = hybrid.encode(&window).unwrap();
-    let h = hybrid.decode(&encoded).unwrap();
-    let n = normal.decode(&encoded).unwrap();
+    let encoded = codec.encode(&window).unwrap();
+    let h = codec.decode(&encoded).unwrap();
+    let n = codec.decode_normal(&encoded).unwrap();
     let snr_h = snr_db(&window, &h.signal);
     let snr_n = snr_db(&window, &n.signal);
     assert!(snr_h > 14.0, "hybrid must stay useful: {snr_h} dB");
@@ -118,20 +120,43 @@ fn rate_accounting_matches_paper_structure() {
 
 #[test]
 fn admm_decoder_matches_pdhg_decoder_end_to_end() {
+    // The decoder's own Eq. (1) instance for one window (its Φ, wavelet,
+    // σ and the box of the transmitted low-res payload), solved by ADMM
+    // beside the decoder's PDHG: the two convex decoders must agree.
     let window = one_window(0xE7E7);
-    let base = fast_config(96);
-    let pdhg_codec = HybridCodec::with_default_training(&base).unwrap();
-    let admm_config = SystemConfig {
-        algorithm: DecoderAlgorithm::Admm(hybridcs::solver::AdmmOptions {
-            max_iterations: 300,
-            ..hybridcs::solver::AdmmOptions::default()
-        }),
-        ..base
+    let config = fast_config(96);
+    let lowres =
+        train_lowres_codec(config.lowres_bits, &default_training_windows(config.window)).unwrap();
+    let codec = HybridCodec::new(&config, lowres.clone()).unwrap();
+    let encoded = codec.encode(&window).unwrap();
+    let via_pdhg = codec.decode(&encoded).unwrap();
+
+    let codes = lowres.decode(&encoded.lowres, config.window).unwrap();
+    let channel = LowResChannel::new(config.lowres_bits).unwrap();
+    let (lo, hi) = LowResFrame::from_codes(codes, &channel).unwrap().bounds();
+    let sensing =
+        SensingMatrix::bernoulli(config.measurements, config.window, config.seed).unwrap();
+    let operator = SensingOperator::new(&sensing);
+    let dwt = config.dwt().unwrap();
+    let problem = BpdnProblem {
+        sensing: &operator,
+        dwt: &dwt,
+        measurements: &encoded.measurements,
+        sigma: codec.decoder().sigma(),
+        box_bounds: Some((&lo, &hi)),
+        coefficient_weights: None,
     };
-    let admm_codec = HybridCodec::with_default_training(&admm_config).unwrap();
-    let encoded = pdhg_codec.encode(&window).unwrap();
-    let via_pdhg = pdhg_codec.decode(&encoded).unwrap();
-    let via_admm = admm_codec.decode(&encoded).unwrap();
+    let options = AdmmOptions {
+        max_iterations: 300,
+        ..AdmmOptions::default()
+    };
+    let via_admm = solve_admm(
+        &problem,
+        &options,
+        &mut NoopObserver,
+        &mut SolverWorkspace::new(),
+    )
+    .unwrap();
     let snr_p = snr_db(&window, &via_pdhg.signal);
     let snr_a = snr_db(&window, &via_admm.signal);
     assert!(

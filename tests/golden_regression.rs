@@ -9,7 +9,7 @@
 //! floating-point noise. Any drift beyond the tolerance means an
 //! algorithmic change, which must be reviewed and re-pinned deliberately.
 
-use hybridcs::codec::{DecoderAlgorithm, HybridCodec, SystemConfig};
+use hybridcs::codec::{HybridCodec, SystemConfig};
 use hybridcs::ecg::{Corpus, CorpusConfig};
 use hybridcs::metrics::{prd, snr_db};
 use hybridcs::solver::{NoopObserver, PdhgOptions, SolverWorkspace};
@@ -27,11 +27,11 @@ const TOLERANCE: f64 = 1e-6;
 fn golden_hybrid_operating_point_is_pinned() {
     let config = SystemConfig {
         measurements: 96, // CR 81.25%, the paper's headline point
-        algorithm: DecoderAlgorithm::Pdhg(PdhgOptions {
+        pdhg: PdhgOptions {
             max_iterations: 800,
             tolerance: 1e-4,
             ..PdhgOptions::default()
-        }),
+        },
         ..SystemConfig::default()
     };
     let corpus = Corpus::generate(&CorpusConfig {
@@ -75,11 +75,11 @@ fn golden_hybrid_operating_point_is_pinned() {
 fn golden_point_survives_the_workspace_hot_path() {
     let config = SystemConfig {
         measurements: 96,
-        algorithm: DecoderAlgorithm::Pdhg(PdhgOptions {
+        pdhg: PdhgOptions {
             max_iterations: 800,
             tolerance: 1e-4,
             ..PdhgOptions::default()
-        }),
+        },
         ..SystemConfig::default()
     };
     let corpus = Corpus::generate(&CorpusConfig {
